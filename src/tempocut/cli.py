@@ -43,6 +43,17 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (else exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _journey_cap(args) -> int:
     if getattr(args, "cap", None):
         return args.cap
@@ -224,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dst", required=True)
     p.add_argument("--exact", action="store_true",
                    help="run the exact oracles and print certificates")
-    p.add_argument("--cap", type=int,
+    p.add_argument("--cap", type=_positive_int,
                    help="exact oracle size cap (default from TEMPOCUT_CAP)")
     p.set_defaults(func=cmd_analyze)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .tvg import Contact, Journey, TimeVaryingGraph, contacts
 
@@ -101,13 +101,20 @@ def line_reachable(lg: LineGraph) -> bool:
     return False
 
 
-def min_hop_path(lg: LineGraph) -> Journey | None:
+def min_hop_path(lg: LineGraph,
+                 dead: Sequence[bool] | None = None) -> Journey | None:
     """Fewest-hop s->d journey, ties broken by smallest (slot, edge order).
 
     Successor lists are already sorted that way, so plain FIFO BFS with
-    first-discovery parents realizes the tie-break.
+    first-discovery parents realizes the tie-break. Nodes flagged in the
+    optional `dead` mask (indexed like the node space) are never entered,
+    which finds the same journey as a line graph built without them.
     """
-    parent = [-1] * lg.node_count
+    if dead is None:
+        parent = [-1] * lg.node_count
+    else:
+        # -2 reads as already discovered, so dead nodes are never entered
+        parent = [-2 if x else -1 for x in dead]
     parent[SRC] = SRC
     frontier = [SRC]
     while frontier and parent[DST] == -1:

@@ -40,34 +40,31 @@ class FlowResult:
         }
 
 
-def _strip_contacts(g: TimeVaryingGraph, gone: set[Contact]) -> TimeVaryingGraph:
-    new_edges = []
-    for e in g.edges:
-        slots = [t for t in g.active[e.eid] if Contact(e.eid, t) not in gone]
-        new_edges.append((e.src, e.dst, slots))
-    return TimeVaryingGraph(g.nodes, new_edges, g.horizon)
-
-
 def greedy_maxflow_delta(g: TimeVaryingGraph, s: str, d: str,
                          delta: int) -> FlowResult:
     """Iteratively take the min-hop journey, then delete all contacts that
     interfere with it; stop when the pair disconnects.
 
-    The line graph is rebuilt from the shrinking graph each round. Output
-    journeys are pairwise delta-disjoint and valid in the original graph.
+    One line graph serves every round: deleted contacts are marked dead and
+    the min-hop search never enters them. Deleting contacts changes neither
+    the arcs among the others nor their (slot, edge order) successor order,
+    so each round finds the journey a line graph rebuilt from the shrunken
+    graph would. Output journeys are pairwise delta-disjoint and valid in
+    the original graph.
     """
     if delta < 1:
         raise ValueError("delta must be positive")
-    work = g
+    lg = build_line_graph(g, s, d)
+    node_of = {c: i + 2 for i, c in enumerate(lg.contact_list)}
+    dead = [False] * lg.node_count
     found: list[Journey] = []
     while True:
-        lg = build_line_graph(work, s, d)
-        j = min_hop_path(lg)
+        j = min_hop_path(lg, dead)
         if j is None:
             break
         found.append(j)
-        gone = set(interfering_contacts(work, j, delta))
-        work = _strip_contacts(work, gone)
+        for c in interfering_contacts(g, j, delta):
+            dead[node_of[c]] = True
     return FlowResult(tuple(found), delta, exact=False)
 
 

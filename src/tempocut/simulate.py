@@ -4,8 +4,8 @@ Packets are generated back to back between random pairs; each packet gets
 a deadline-length window of the trace, up to n greedily-computed
 delta-disjoint journeys on the failure-free window (the router never sees
 the failures), and is delivered iff at least one copy dodges every
-sampled failure footprint. Loss rates come out of deterministic
-per-packet seed streams, so every sweep is exactly reproducible.
+sampled failure. Loss rates come out of deterministic per-packet seed
+streams, so every sweep is exactly reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .maxflow import greedy_maxflow_delta
-from .tvg import Contact, DeltaRemoval, Journey, TimeVaryingGraph, removal_footprint
+from .tvg import DeltaRemoval, Journey, TimeVaryingGraph
 
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio increment
 
@@ -94,21 +94,31 @@ def _sample_onsets(g: TimeVaryingGraph, p: float, d_max: int,
     """Failure onsets per (edge, slot) with probability p, duration uniform
     on {0..d_max}; zero-duration onsets draw from the stream but have no
     footprint and are dropped. Gaps between onsets are sampled
-    geometrically, which is distribution-identical to a per-slot scan."""
+    geometrically, which is distribution-identical to a per-slot scan.
+
+    Durations are drawn exactly as rng.randint(0, d_max) draws them
+    (getrandbits of the range's bit length, redrawn until in range), so
+    the stream matches draw for draw, d_max = 0 included.
+    """
     failures: list[DeltaRemoval] = []
     if p <= 0.0:
         return failures
     horizon = g.horizon
     log_q = math.log1p(-p) if p < 1.0 else None
+    random_, getrandbits, log = rng.random, rng.getrandbits, math.log
+    span = d_max + 1
+    bits = span.bit_length()
     for e in g.edges:
         slot = 1
         while slot <= horizon:
             if log_q is not None:
-                gap = int(math.log(1.0 - rng.random()) / log_q)
+                gap = int(log(1.0 - random_()) / log_q)
                 slot += gap
                 if slot > horizon:
                     break
-            dur = rng.randint(0, d_max)
+            dur = getrandbits(bits)
+            while dur >= span:
+                dur = getrandbits(bits)
             if dur > 0:
                 failures.append(DeltaRemoval(e.eid, slot, dur))
             slot += 1
@@ -131,13 +141,27 @@ def djr_route(g: TimeVaryingGraph, s: str, d: str, n: int,
 
 def journeys_delivered(g: TimeVaryingGraph, journeys,
                        failures) -> tuple[bool, int | None]:
-    """(delivered, earliest arrival among surviving journeys)."""
-    banned: set[Contact] = set()
-    for r in failures:
-        banned.update(removal_footprint(g, r))
+    """(delivered, earliest arrival among surviving journeys).
+
+    A journey is lost when a hop (e, t) lies in [head, head+delta-1] of a
+    failure on e. The failures are grouped into those intervals per edge
+    and only the journeys' hops are tested; no footprint is built. For a
+    hop that is a contact of g, as every routed journey's hops are, the
+    interval test is exactly membership in the failure's removal_footprint.
+    """
+    down: dict[str, list[tuple[int, int]]] = {}
+    for edge, head, dur in failures:
+        if dur < 1:
+            raise ValueError("removal duration must be positive")
+        spans = down.get(edge)
+        if spans is None:
+            if not g.has_edge(edge):
+                raise ValueError(f"unknown edge {edge!r}")
+            spans = down[edge] = []
+        spans.append((head, head + dur - 1))
     arrival = None
     for j in journeys:
-        if any(hop in banned for hop in j.hops):
+        if any(lo <= t <= hi for e, t in j.hops for lo, hi in down.get(e, ())):
             continue
         if arrival is None or j.arrival < arrival:
             arrival = j.arrival
@@ -166,7 +190,8 @@ def run_simulation(cfg: SimConfig, _plan_cache: dict | None = None) -> SimReport
     order; the order is load-bearing for reproducibility. Routing is
     memoized per (window start, pair) since the failure-free plan never
     changes. A sweep passes a shared plan cache: plans depend on delta
-    but not n.
+    but not n. Sampled failures are tested against the planned journeys'
+    hops only (see journeys_delivered).
     """
     g = cfg.graph
     wrap = g.horizon - cfg.deadline + 1

@@ -107,6 +107,18 @@ def test_cap_flag_trips_size_guard(relay_file, capsys):
     assert "too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3", "many"])
+def test_cap_below_one_is_a_usage_error(relay_file, capsys, monkeypatch, cap):
+    # with TEMPOCUT_CAP set, a silently ignored --cap 0 would exit 3 instead
+    monkeypatch.setenv("TEMPOCUT_CAP", "1")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", relay_file, "--src", "s", "--dst", "d",
+              "--delta", "2", "--exact", "--cap", cap])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--cap" in err and "Traceback" not in err
+
+
 def test_cap_env_var(relay_file, capsys, monkeypatch):
     monkeypatch.setenv("TEMPOCUT_CAP", "1")
     assert main(["analyze", relay_file, "--src", "s", "--dst", "d",

@@ -1,13 +1,14 @@
 """Contact expansion and the node-capacitated flow engine under it."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from tempocut import (Contact, TimeVaryingGraph, build_line_graph,
-                      enumerate_journeys, gen_random_tvg, min_hop_path,
-                      node_disjoint_maxflow)
+from tempocut import (Contact, DeltaRemoval, TimeVaryingGraph,
+                      apply_removals, build_line_graph, enumerate_journeys,
+                      gen_random_tvg, min_hop_path, node_disjoint_maxflow)
 from tempocut.linegraph import DST, SRC, line_reachable, to_dot
 
 graphs = st.builds(
@@ -51,6 +52,23 @@ def test_min_hop_path_relay(relay):
     lg = build_line_graph(relay, "s", "d")
     j = min_hop_path(lg)
     assert j.hops == (Contact("e1", 1), Contact("e2", 2))
+    dead = [False] * lg.node_count
+    dead[2] = True  # e1@1
+    assert min_hop_path(lg, dead).hops == (Contact("e1", 2), Contact("e2", 3))
+    dead[3] = True  # e1@2
+    assert min_hop_path(lg, dead) is None
+
+
+@given(graphs, st.integers(0, 10**6))
+@settings(max_examples=60)
+def test_dead_mask_acts_like_deleted_contacts(g, seed):
+    rng = random.Random(seed)
+    s, d = g.nodes[0], g.nodes[-1]
+    lg = build_line_graph(g, s, d)
+    gone = {c for c in lg.contact_list if rng.random() < 0.4}
+    dead = [False, False] + [c in gone for c in lg.contact_list]
+    rest = apply_removals(g, [DeltaRemoval(e, t, 1) for e, t in gone])
+    assert min_hop_path(lg, dead) == min_hop_path(build_line_graph(rest, s, d))
 
 
 def test_min_hop_path_none_when_disconnected():

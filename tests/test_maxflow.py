@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tempocut import (Contact, InstanceTooLargeError, build_line_graph,
-                      enumerate_journeys, exact_maxflow_delta,
-                      gen_random_tvg, greedy_bound_certificate,
-                      greedy_maxflow_delta, interferes, is_valid_journey,
-                      node_disjoint_maxflow)
+from tempocut import (Contact, InstanceTooLargeError, TimeVaryingGraph,
+                      build_line_graph, discretize, enumerate_journeys,
+                      exact_maxflow_delta, gen_random_tvg,
+                      greedy_bound_certificate, greedy_maxflow_delta,
+                      interferes, is_valid_journey, min_hop_path,
+                      node_disjoint_maxflow, parse_contact_trace)
+from tempocut.tvg import interfering_contacts
+from test_acceptance import _anchor_trace
 
 graphs = st.builds(
     gen_random_tvg,
@@ -45,6 +48,42 @@ def _brute_pack(g, s, d, delta):
 
     walk(0, 0, 0)
     return best
+
+
+def _strip_contacts(g, gone):
+    new_edges = []
+    for e in g.edges:
+        slots = [t for t in g.active[e.eid] if Contact(e.eid, t) not in gone]
+        new_edges.append((e.src, e.dst, slots))
+    return TimeVaryingGraph(g.nodes, new_edges, g.horizon)
+
+
+def _rebuilding_greedy(g, s, d, delta):
+    """The greedy as first written: a fresh line graph of the shrunken
+    graph every round."""
+    work = g
+    found = []
+    while True:
+        j = min_hop_path(build_line_graph(work, s, d))
+        if j is None:
+            return tuple(found)
+        found.append(j)
+        work = _strip_contacts(work, set(interfering_contacts(work, j, delta)))
+
+
+def test_greedy_matches_rebuilding_reference():
+    for seed in range(100):
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        for delta in (1, 2, 3, 4):
+            assert greedy_maxflow_delta(g, "n1", "n10", delta).journeys == \
+                _rebuilding_greedy(g, "n1", "n10", delta)
+    g = discretize(parse_contact_trace(_anchor_trace()), 0, 60)
+    for s in g.nodes:
+        for d in g.nodes:
+            if s != d:
+                for delta in range(1, 21):
+                    assert greedy_maxflow_delta(g, s, d, delta).journeys == \
+                        _rebuilding_greedy(g, s, d, delta)
 
 
 def test_relay_flow_values(relay):

@@ -1,13 +1,17 @@
 """Trace-driven loss simulation: failure sampling, routing, pairing."""
 
+import hashlib
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, FailureModel, SimConfig,
                       djr_route, gen_random_tvg, interferes,
-                      journeys_delivered, run_simulation, sample_failures,
-                      sweep, sweep_to_csv)
-from tempocut.simulate import _derive_seed, packets_to_jsonl
+                      journeys_delivered, removal_footprint, run_simulation,
+                      sample_failures, sweep, sweep_to_csv)
+from tempocut.simulate import _derive_seed, _sample_onsets, packets_to_jsonl
 
 
 def _arena(seed=0):
@@ -67,6 +71,101 @@ def test_saturated_failures_scan_every_slot():
     # at p=1 every slot draws a duration; about half the {0,1} draws stick
     total = len(g.edges) * g.horizon
     assert 0.3 * total < len(out) < 0.7 * total
+
+
+def _reference_sample_onsets(g, p, d_max, rng):
+    """The sampler as first written, durations via rng.randint."""
+    failures = []
+    if p <= 0.0:
+        return failures
+    horizon = g.horizon
+    log_q = math.log1p(-p) if p < 1.0 else None
+    for e in g.edges:
+        slot = 1
+        while slot <= horizon:
+            if log_q is not None:
+                gap = int(math.log(1.0 - rng.random()) / log_q)
+                slot += gap
+                if slot > horizon:
+                    break
+            dur = rng.randint(0, d_max)
+            if dur > 0:
+                failures.append(DeltaRemoval(e.eid, slot, dur))
+            slot += 1
+    return failures
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+@pytest.mark.parametrize("d_max", [0, 1, 10])
+def test_sample_onsets_matches_randint_reference(p, d_max):
+    for seed in range(5):
+        g = _arena(seed)
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert _sample_onsets(g, p, d_max, ours) == \
+            _reference_sample_onsets(g, p, d_max, ref)
+        assert ours.getstate() == ref.getstate()
+
+
+def _reference_delivered(g, journeys, failures):
+    """Delivery check through the union of the failures' footprints."""
+    banned = set()
+    for r in failures:
+        banned.update(removal_footprint(g, r))
+    arrival = None
+    for j in journeys:
+        if any(hop in banned for hop in j.hops):
+            continue
+        if arrival is None or j.arrival < arrival:
+            arrival = j.arrival
+    return arrival is not None, arrival
+
+
+def test_journeys_delivered_matches_footprint_reference():
+    rng = random.Random(17)
+    checked = 0
+    for seed in range(40):
+        g = _arena(seed % 7)
+        s, d = rng.sample(g.nodes, 2)
+        journeys = djr_route(g, s, d, 3, rng.randint(1, 3))
+        fm = FailureModel(rng.choice([0.05, 0.2, 0.5]), rng.randint(1, 6),
+                          seed=seed)
+        failures = sample_failures(g, fm)
+        # removals that start before slot 1 or run past the horizon
+        failures += [DeltaRemoval(e.eid, rng.randint(-3, g.horizon + 3),
+                                  rng.randint(1, 8))
+                     for e in rng.sample(g.edges, min(3, len(g.edges)))]
+        for n in range(len(journeys) + 1):
+            assert journeys_delivered(g, journeys[:n], failures) == \
+                _reference_delivered(g, journeys[:n], failures)
+            checked += 1
+    assert checked >= 60
+
+
+def test_journeys_delivered_rejects_bad_removals(relay):
+    js = djr_route(relay, "s", "d", 2, 1)
+    with pytest.raises(ValueError, match="duration must be positive"):
+        journeys_delivered(relay, js, [DeltaRemoval("e1", 1, 0)])
+    with pytest.raises(ValueError, match="unknown edge 'zz'"):
+        journeys_delivered(relay, js, [DeltaRemoval("e2", 5, 1),
+                                       DeltaRemoval("zz", 1, 1)])
+    with pytest.raises(ValueError, match="unknown edge"):
+        journeys_delivered(relay, [], [DeltaRemoval("zz", 1, 1)])
+
+
+def test_seed_stream_is_pinned():
+    # Digests of outputs from the first release of the simulator (c11's
+    # `gen random --nodes 8 --t 10 --seed 11` graph). Any change to the
+    # draw order, the failure sampling or the delivery rule moves them.
+    g = gen_random_tvg(8, 10, 0.5, 11)
+    csv = (sweep_to_csv(sweep(g, [1, 2], [1, 2, 3, 4], [10, 6], 300, 0.08,
+                              3, 5))
+           + sweep_to_csv(sweep(g, [1, 2], [2], [10], 300, 0.08, 0, 5)))
+    rep = run_simulation(SimConfig(g, 6, 2, 2, 300,
+                                   FailureModel(0.08, 3, seed=5), seed=5))
+    assert hashlib.sha256(csv.encode()).hexdigest() == \
+        "c093175bdd4cf0e1d4cd702cea4832d9198db803a2ef0d6279ab54c5951971ef"
+    assert hashlib.sha256(packets_to_jsonl(rep).encode()).hexdigest() == \
+        "fa386c8c49ade996b589889219b847d455b018cff07275659dd75891ab70e3e0"
 
 
 def test_djr_route_family(relay):
