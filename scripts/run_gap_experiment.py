@@ -10,9 +10,7 @@ import argparse
 import sys
 import time
 
-from tempocut import (exact_maxflow_delta, exact_mincut_delta,
-                      gen_random_tvg, greedy_bound_certificate,
-                      greedy_maxflow_delta, minweight_mincut_delta)
+from tempocut import analyze_exact, gen_random_tvg
 
 
 def main(argv=None) -> int:
@@ -33,14 +31,10 @@ def main(argv=None) -> int:
     for i in range(args.instances):
         g = gen_random_tvg(args.nodes, args.t, args.p, args.seed0 + i)
         for delta in deltas:
-            flow_alg = greedy_maxflow_delta(g, src, dst, delta).count
-            flow_opt = exact_maxflow_delta(g, src, dst, delta).count
-            cut_alg = minweight_mincut_delta(g, src, dst, delta).count
-            cut_opt = exact_mincut_delta(g, src, dst, delta).count
-            certified = greedy_bound_certificate(
-                flow_alg, flow_opt, len(g.edges), g.horizon, delta)
-            cells.append((args.seed0 + i, delta, flow_alg, flow_opt,
-                          cut_alg, cut_opt, certified))
+            res = analyze_exact(g, src, dst, delta)
+            cells.append((args.seed0 + i, delta, res.greedy.count,
+                          res.flow.count, res.rounded.count, res.cut.count,
+                          res.certificates["flow"]["within_ratio"]))
     elapsed = time.perf_counter() - t0
 
     if args.csv:

@@ -13,10 +13,10 @@ from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
 from .linegraph import build_line_graph, min_hop_path, node_disjoint_maxflow
 from .maxflow import (FlowResult, exact_maxflow_delta,
                       greedy_bound_certificate, greedy_maxflow_delta)
-from .mincut import (CutResult, SurvivabilityVerdict, delta_cover,
-                     exact_mincut_delta, sandwich_check, minweight_mincut_delta,
-                     set_weights, survivability_bounds, verify_cut,
-                     weighted_mincut_1)
+from .mincut import (CutResult, ExactAnalysis, SurvivabilityVerdict,
+                     analyze_exact, delta_cover, exact_mincut_delta,
+                     sandwich_check, minweight_mincut_delta, set_weights,
+                     survivability_bounds, verify_cut, weighted_mincut_1)
 from .generators import (WeightedDigraph, bledp_exact, bledp_expand,
                          gen_counterexample, gen_random_tvg,
                          gen_random_weighted_digraph)

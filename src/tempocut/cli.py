@@ -14,14 +14,13 @@ import sys
 
 from .generators import (WeightedDigraph, bledp_expand, gen_counterexample,
                          gen_random_tvg)
-from .maxflow import (DEFAULT_JOURNEY_CAP, exact_maxflow_delta,
-                      greedy_bound_certificate, greedy_maxflow_delta)
-from .mincut import (DEFAULT_HEAD_CAP, exact_mincut_delta,
-                     minweight_mincut_delta, survivability_bounds)
+from .maxflow import DEFAULT_JOURNEY_CAP, greedy_maxflow_delta
+from .mincut import (DEFAULT_HEAD_CAP, analyze_exact, minweight_mincut_delta,
+                     survivability_bounds)
 from .simulate import sweep, sweep_to_csv
 from .traces import (contact_stats, discretize, histogram_csv,
                      pairs_csv, parse_contact_trace)
-from .tvg import InstanceTooLargeError, TimeVaryingGraph, load_tvg
+from .tvg import InstanceTooLargeError, load_tvg
 from .verify import SUITES, run_suites
 
 
@@ -54,16 +53,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _journey_cap(args) -> int:
-    if getattr(args, "cap", None):
+def _cap(args, default: int) -> int:
+    """--cap, else TEMPOCUT_CAP, else the oracle's own default."""
+    if args.cap is not None:
         return args.cap
-    return int(os.environ.get("TEMPOCUT_CAP", DEFAULT_JOURNEY_CAP))
-
-
-def _head_cap(args) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
-    return int(os.environ.get("TEMPOCUT_CAP", DEFAULT_HEAD_CAP))
+    try:
+        return _positive_int(os.environ.get("TEMPOCUT_CAP", str(default)))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"TEMPOCUT_CAP: {exc}") from None
 
 
 def _dump(obj, args) -> str:
@@ -78,10 +75,6 @@ def _emit(text: str, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_graph(path: str) -> TimeVaryingGraph:
-    return load_tvg(path)
 
 
 def cmd_gen(args) -> int:
@@ -100,41 +93,24 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g = _load_graph(args.input)
+    g = load_tvg(args.input)
     s, d, delta = args.src, args.dst, args.delta
     report: dict = {"src": s, "dst": d, "delta": delta}
     if args.exact:
-        flow = exact_maxflow_delta(g, s, d, delta, cap=_journey_cap(args))
-        cut = exact_mincut_delta(g, s, d, delta, head_cap=_head_cap(args))
-        alg_flow = greedy_maxflow_delta(g, s, d, delta)
-        alg_cut = minweight_mincut_delta(g, s, d, delta)
-        report["maxflow"] = flow.to_json_dict()
-        report["mincut"] = cut.to_json_dict()
-        report["certificates"] = {
-            "flow": {
-                "greedy": alg_flow.count,
-                "optimal": flow.count,
-                "within_ratio": greedy_bound_certificate(
-                    alg_flow.count, flow.count, len(g.edges), g.horizon, delta),
-            },
-            "cut": {
-                "rounded": alg_cut.count,
-                "optimal": cut.count,
-                "within_delta_factor": alg_cut.count <= delta * cut.count,
-                "weight_lower_bound": str(alg_cut.weight_lower_bound),
-            },
-        }
+        res = analyze_exact(g, s, d, delta, cap=_cap(args, DEFAULT_JOURNEY_CAP),
+                            head_cap=_cap(args, DEFAULT_HEAD_CAP))
+        report["maxflow"] = res.flow.to_json_dict()
+        report["mincut"] = res.cut.to_json_dict()
+        report["certificates"] = res.certificates
     else:
-        flow = greedy_maxflow_delta(g, s, d, delta)
-        cut = minweight_mincut_delta(g, s, d, delta)
-        report["maxflow"] = flow.to_json_dict()
-        report["mincut"] = cut.to_json_dict()
+        report["maxflow"] = greedy_maxflow_delta(g, s, d, delta).to_json_dict()
+        report["mincut"] = minweight_mincut_delta(g, s, d, delta).to_json_dict()
     _emit(_dump(report, args), args)
     return 0
 
 
 def cmd_survivable(args) -> int:
-    g = _load_graph(args.input)
+    g = load_tvg(args.input)
     verdict = survivability_bounds(g, args.src, args.dst, args.n, args.delta,
                                    exact=args.exact)
     _emit(_dump(verdict.to_json_dict(), args), args)
@@ -142,7 +118,7 @@ def cmd_survivable(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g = _load_graph(args.input)
+    g = load_tvg(args.input)
     ns = _parse_int_list(args.n)
     deltas = _parse_int_list(args.delta)
     deadlines = _parse_int_list(args.ddl) if args.ddl else [g.horizon]

@@ -83,24 +83,6 @@ def build_line_graph(g: TimeVaryingGraph, s: str, d: str) -> LineGraph:
     return LineGraph(g, s, d, tuple(clist), tuple(succ))
 
 
-def line_reachable(lg: LineGraph) -> bool:
-    """Plain BFS reachability source -> destination."""
-    seen = [False] * lg.node_count
-    seen[SRC] = True
-    frontier = [SRC]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in lg.succ[u]:
-                if not seen[v]:
-                    if v == DST:
-                        return True
-                    seen[v] = True
-                    nxt.append(v)
-        frontier = nxt
-    return False
-
-
 def min_hop_path(lg: LineGraph,
                  dead: Sequence[bool] | None = None) -> Journey | None:
     """Fewest-hop s->d journey, ties broken by smallest (slot, edge order).

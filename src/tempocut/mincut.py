@@ -6,7 +6,10 @@ approximation pipeline: weight each contact by the reciprocal of the
 densest same-edge delta-window through it, solve weighted node mincut on
 the line graph, then round the cut to removals with a per-edge stabbing
 cover. exact_mincut_delta is the desk-scale oracle (iterative-deepening
-hitting-set search over canonical removal heads).
+hitting-set search over canonical removal heads), seeded with the rounded
+cut as its ceiling and the greedy journey count as its floor.
+analyze_exact computes the four answers for one pair (greedy and exact
+flow, rounded and exact cut) once each, with their certificates.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linegraph import build_line_graph, node_disjoint_maxflow
-from .maxflow import exact_maxflow_delta, greedy_maxflow_delta
+from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, exact_maxflow_delta,
+                      greedy_bound_certificate, greedy_maxflow_delta)
 from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
                   TimeVaryingGraph, reachable, removal_footprint)
 
-MAX_EXACT_DELTA = 30  # lcm(1..30) keeps scaled capacities in machine range
 DEFAULT_HEAD_CAP = 2000
 
 WeightMap = dict[Contact, Fraction]
@@ -54,11 +57,7 @@ def set_weights(g: TimeVaryingGraph, delta: int) -> WeightMap:
     delta-removal covering this contact can take out."""
     if delta < 1:
         raise ValueError("delta must be positive")
-    # removal windows may run past the horizon, so delta > T is fine; the
-    # cap only keeps the lcm scaling of 1/K weights in machine range
-    if delta > MAX_EXACT_DELTA:
-        raise ValueError(
-            f"delta {delta} too large for the weighting scheme (max {MAX_EXACT_DELTA})")
+    # removal windows may run past the horizon, so delta > T is fine
     w: WeightMap = {}
     for e in g.edges:
         slots = g.active[e.eid]
@@ -123,10 +122,12 @@ def verify_cut(g: TimeVaryingGraph, cut, s: str, d: str) -> bool:
     """True iff the removals (a CutResult or any iterable of DeltaRemoval)
     leave d unreachable from s."""
     removals = cut.removals if isinstance(cut, CutResult) else cut
-    banned: set[Contact] = set()
-    for r in removals:
-        banned.update(removal_footprint(g, r))
-    return not reachable(g, s, d, banned=frozenset(banned))
+    return not reachable(g, s, d, banned=_footprint(g, removals))
+
+
+def _footprint(g: TimeVaryingGraph, removals) -> frozenset[Contact]:
+    """The contacts the removals take out."""
+    return frozenset(c for r in removals for c in removal_footprint(g, r))
 
 
 def minweight_mincut_delta(g: TimeVaryingGraph, s: str, d: str,
@@ -210,17 +211,26 @@ def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
                        head_cap: int = DEFAULT_HEAD_CAP) -> CutResult:
     """Exact minimum number of delta-removals disconnecting s from d.
 
-    Iterative deepening on the removal count k, starting from the best
-    known lower bound (a delta-disjoint journey family of size f needs f
-    removals, one per member). At each depth: find a min-hop surviving
-    journey, branch on the canonical removals hitting it; left-to-right
-    forbidden sets keep branches from revisiting permutations. The
-    approximation's cover is both the depth ceiling and the fallback.
+    Iterative deepening on the removal count k, starting from the greedy
+    journey count: a delta-removal hits at most one member of a
+    delta-disjoint family, so f such journeys need f removals. At each
+    depth: find a min-hop surviving journey, branch on the canonical
+    removals hitting it; left-to-right forbidden sets keep branches from
+    revisiting permutations. The approximation's cover is both the depth
+    ceiling and the fallback.
     """
-    if delta < 1:
-        raise ValueError("delta must be positive")
-    approx = minweight_mincut_delta(g, s, d, delta)
-    upper = approx.count
+    rounded = minweight_mincut_delta(g, s, d, delta)
+    lower = greedy_maxflow_delta(g, s, d, delta).count
+    return _exact_cut_search(g, s, d, delta, rounded, lower, head_cap)
+
+
+def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
+                      rounded: CutResult, lower: int,
+                      head_cap: int) -> CutResult:
+    """exact_mincut_delta's search, given the rounded cut and a lower bound
+    on the optimum. Every depth below the optimum fails, so the cut found
+    does not depend on the bound, only the time taken to find it."""
+    upper = rounded.count
     if upper == 0:
         return CutResult((), delta, exact=True)
 
@@ -229,21 +239,9 @@ def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
         raise InstanceTooLargeError(
             f"instance too large for exact oracle: more than {head_cap} removal heads")
 
-    try:
-        lower = exact_maxflow_delta(g, s, d, delta).count
-    except InstanceTooLargeError:
-        lower = greedy_maxflow_delta(g, s, d, delta).count
-    lower = max(lower, 1)
-
-    def footprint_set(chosen: list[DeltaRemoval]) -> frozenset[Contact]:
-        banned: set[Contact] = set()
-        for r in chosen:
-            banned.update(removal_footprint(g, r))
-        return frozenset(banned)
-
     def search(k: int, chosen: list[DeltaRemoval],
                forbidden: frozenset[DeltaRemoval]) -> tuple[DeltaRemoval, ...] | None:
-        j = _min_hop_surviving(g, s, d, footprint_set(chosen))
+        j = _min_hop_surviving(g, s, d, _footprint(g, chosen))
         if j is None:
             return tuple(chosen)
         if len(chosen) == k:
@@ -266,15 +264,55 @@ def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
             blocked.add(r)
         return None
 
-    for k in range(lower, upper):
+    for k in range(max(lower, 1), upper):
         got = search(k, [], frozenset())
         if got is not None:
-            removals = tuple(sorted(got, key=lambda r: (r.edge, r.head)))
-            return CutResult(removals, delta, exact=True,
-                             weight_lower_bound=approx.weight_lower_bound)
-    removals = tuple(sorted(approx.removals, key=lambda r: (r.edge, r.head)))
+            break
+    else:
+        got = rounded.removals
+    removals = tuple(sorted(got, key=lambda r: (r.edge, r.head)))
     return CutResult(removals, delta, exact=True,
-                     weight_lower_bound=approx.weight_lower_bound)
+                     weight_lower_bound=rounded.weight_lower_bound)
+
+
+@dataclass(frozen=True)
+class ExactAnalysis:
+    """The four answers for one (g, s, d, delta), each computed once, and
+    the certificates block `analyze --exact` prints."""
+    greedy: FlowResult
+    flow: FlowResult
+    rounded: CutResult
+    cut: CutResult
+    certificates: dict
+
+
+def analyze_exact(g: TimeVaryingGraph, s: str, d: str, delta: int,
+                  cap: int = DEFAULT_JOURNEY_CAP,
+                  head_cap: int = DEFAULT_HEAD_CAP) -> ExactAnalysis:
+    """Greedy and exact flow, rounded and exact cut, with certificates.
+
+    The exact flow goes first, so an exceeded journey cap is reported
+    before an exceeded head cap; its count seeds the exact cut search.
+    """
+    flow = exact_maxflow_delta(g, s, d, delta, cap=cap)
+    rounded = minweight_mincut_delta(g, s, d, delta)
+    cut = _exact_cut_search(g, s, d, delta, rounded, flow.count, head_cap)
+    greedy = greedy_maxflow_delta(g, s, d, delta)
+    certificates = {
+        "flow": {
+            "greedy": greedy.count,
+            "optimal": flow.count,
+            "within_ratio": greedy_bound_certificate(
+                greedy.count, flow.count, len(g.edges), g.horizon, delta),
+        },
+        "cut": {
+            "rounded": rounded.count,
+            "optimal": cut.count,
+            "within_delta_factor": rounded.count <= delta * cut.count,
+            "weight_lower_bound": str(rounded.weight_lower_bound),
+        },
+    }
+    return ExactAnalysis(greedy, flow, rounded, cut, certificates)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from math import ceil
 
 from . import generators as gens
-from .maxflow import exact_maxflow_delta, greedy_bound_certificate, greedy_maxflow_delta
-from .mincut import (exact_mincut_delta, sandwich_check, minweight_mincut_delta,
+from .maxflow import exact_maxflow_delta
+from .mincut import (analyze_exact, exact_mincut_delta, sandwich_check,
                      set_weights, verify_cut, weighted_mincut_1)
 
 
@@ -45,13 +45,15 @@ def _corpus(count: int, seed0: int = 0):
 
 
 def suite_menger1(count: int = 200, seed: int = 0) -> SuiteResult:
-    """Exact flow equals exact cut at unit spacing, instance by instance."""
+    """Exact flow equals exact cut at unit spacing, and both are exact."""
     failures = []
     for g, s, d, sd in _corpus(count, seed):
-        a = exact_maxflow_delta(g, s, d, 1).count
-        b = exact_mincut_delta(g, s, d, 1).count
-        if a != b:
-            failures.append(f"seed {sd}: flow {a} != cut {b}")
+        flow = exact_maxflow_delta(g, s, d, 1)
+        cut = exact_mincut_delta(g, s, d, 1)
+        if not (flow.exact and cut.exact):
+            failures.append(f"seed {sd}: answer not exact")
+        elif flow.count != cut.count:
+            failures.append(f"seed {sd}: flow {flow.count} != cut {cut.count}")
     return SuiteResult("menger1", count, tuple(failures))
 
 
@@ -113,14 +115,11 @@ def suite_certificates(count: int = 40, deltas=(2, 3), seed: int = 600) -> Suite
     for g, s, d, sd in _corpus(count, seed):
         for delta in deltas:
             checked += 1
-            opt = exact_maxflow_delta(g, s, d, delta).count
-            alg = greedy_maxflow_delta(g, s, d, delta).count
-            if not greedy_bound_certificate(alg, opt, len(g.edges), g.horizon, delta):
+            res = analyze_exact(g, s, d, delta)
+            cut, copt = res.rounded, res.cut.count
+            if not res.certificates["flow"]["within_ratio"]:
                 failures.append(f"seed {sd} delta {delta}: flow certificate")
-                continue
-            cut = minweight_mincut_delta(g, s, d, delta)
-            copt = exact_mincut_delta(g, s, d, delta).count
-            if cut.count and not verify_cut(g, cut, s, d):
+            elif cut.count and not verify_cut(g, cut, s, d):
                 failures.append(f"seed {sd} delta {delta}: cut does not disconnect")
             elif not copt <= cut.count <= delta * copt:
                 failures.append(

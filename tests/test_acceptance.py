@@ -5,7 +5,6 @@ line per item. Shared corpora are module-scoped fixtures; their build cost
 is charged to the first criterion that uses them.
 """
 
-import itertools
 import math
 import os
 import random
@@ -16,15 +15,16 @@ import time
 import pytest
 
 import tempocut
-from tempocut import (DeltaRemoval, bledp_exact, bledp_expand, delta_cover,
-                      discretize, djr_route, exact_maxflow_delta,
-                      exact_mincut_delta, gen_counterexample, gen_random_tvg,
-                      gen_random_weighted_digraph, greedy_bound_certificate,
+from tempocut import (DeltaRemoval, analyze_exact, delta_cover, discretize,
+                      djr_route, gen_random_tvg, greedy_bound_certificate,
                       greedy_maxflow_delta, journeys_delivered, sandwich_check,
-                      minweight_mincut_delta, parse_contact_trace,
-                      set_weights, sweep, weighted_mincut_1)
+                      parse_contact_trace, set_weights, sweep,
+                      weighted_mincut_1)
 from tempocut.tvg import Contact
 from tempocut.traces import HEADER
+from tempocut.verify import (suite_duality, suite_gapfamily, suite_menger1,
+                             suite_reduction)
+from test_mincut import _brute_cover_size
 
 DELTAS = (1, 2, 3, 5)
 
@@ -53,45 +53,35 @@ def medium_table(medium_corpus):
     table = {}
     for i, (g, s, d) in enumerate(medium_corpus):
         for delta in DELTAS:
-            table[i, delta] = (
-                greedy_maxflow_delta(g, s, d, delta).count,
-                exact_maxflow_delta(g, s, d, delta).count,
-                minweight_mincut_delta(g, s, d, delta).count,
-                exact_mincut_delta(g, s, d, delta).count,
-            )
+            res = analyze_exact(g, s, d, delta)
+            table[i, delta] = (res.greedy.count, res.flow.count,
+                               res.rounded.count, res.cut.count)
     return table, time.perf_counter() - t0
 
 
-def test_c01_flow_equals_cut_at_delta_one(small_corpus):
+def _run_suite(suite, *args) -> float:
+    """Run a verify suite, fail with its summary, return the seconds taken."""
     t0 = time.perf_counter()
-    for g, s, d in small_corpus:
-        flow = exact_maxflow_delta(g, s, d, 1)
-        cut = exact_mincut_delta(g, s, d, 1)
-        assert flow.exact and cut.exact
-        assert flow.count == cut.count
-    elapsed = time.perf_counter() - t0
+    res = suite(*args)
+    assert res.passed, res.summary()
+    return time.perf_counter() - t0
+
+
+def test_c01_flow_equals_cut_at_delta_one():
+    elapsed = _run_suite(suite_menger1, 200, 0)
     assert elapsed < 60.0
     print(f"criterion 1: flow == cut at delta=1 on 200 instances "
           f"({elapsed:.1f}s)")
 
 
 def test_c02_hard_family_certified_by_oracles():
-    t0 = time.perf_counter()
-    for k in (1, 2, 3):
-        g, s, d = gen_counterexample(k)
-        for delta in (2, 3):
-            assert exact_maxflow_delta(g, s, d, delta).count == 1
-            assert exact_mincut_delta(g, s, d, delta).count == k
-    elapsed = time.perf_counter() - t0
+    elapsed = _run_suite(suite_gapfamily)
     assert elapsed < 60.0
     print(f"criterion 2: gap family verified for k=1..3 ({elapsed:.2f}s)")
 
 
-def test_c03_weak_duality(small_corpus):
-    for g, s, d in small_corpus:
-        for delta in DELTAS:
-            assert (exact_maxflow_delta(g, s, d, delta).count
-                    <= exact_mincut_delta(g, s, d, delta).count)
+def test_c03_weak_duality():
+    _run_suite(suite_duality, 200, DELTAS, 0)
     print("criterion 3: maxflow <= mincut on 200 instances x 4 deltas")
 
 
@@ -139,20 +129,6 @@ def test_c06_rounding_sandwich(small_corpus):
     print("criterion 6: cover size sandwich holds on 200 disconnecting sets")
 
 
-def _brute_cover_size(contact_set, delta):
-    todo = set(contact_set)
-    candidates = sorted({(c.edge, c.slot) for c in contact_set})
-    for k in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, k):
-            covered = set()
-            for edge, head in combo:
-                covered.update(c for c in todo if c.edge == edge
-                               and head <= c.slot <= head + delta - 1)
-            if covered == todo:
-                return k
-    raise AssertionError("unreachable")
-
-
 def test_c07_greedy_cover_is_optimal():
     rng = random.Random(7)
     for _ in range(100):
@@ -165,13 +141,7 @@ def test_c07_greedy_cover_is_optimal():
 
 
 def test_c08_reduction_round_trip():
-    t0 = time.perf_counter()
-    for seed in range(50):
-        wd = gen_random_weighted_digraph(6, 10, 5, seed)
-        g = bledp_expand(wd)
-        assert bledp_exact(wd) == exact_maxflow_delta(
-            g, wd.s, wd.d, wd.bound).count
-    elapsed = time.perf_counter() - t0
+    elapsed = _run_suite(suite_reduction, 50, 0)
     assert elapsed < 60.0
     print(f"criterion 8: path packing preserved on 50 reductions "
           f"({elapsed:.1f}s)")

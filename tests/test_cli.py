@@ -1,10 +1,11 @@
 """Command-line front end: flags, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
-from tempocut import TimeVaryingGraph, gen_counterexample
+from tempocut import TimeVaryingGraph, gen_counterexample, gen_random_tvg
 from tempocut.cli import _parse_int_list, main
 
 TRACE = """node_a,node_b,start,duration
@@ -119,11 +120,52 @@ def test_cap_below_one_is_a_usage_error(relay_file, capsys, monkeypatch, cap):
     assert "--cap" in err and "Traceback" not in err
 
 
+def test_analyze_exact_output_is_pinned(tmp_path, capsys):
+    # One digest over exit code, stdout and stderr of `analyze --exact`,
+    # recorded before the four answers moved behind mincut.analyze_exact:
+    # medium instances at delta 1, 2, 3 and 5, c11's graph, the gap ladder,
+    # and --cap runs tripping the journey cap, the head cap and neither.
+    def saved(name, g):
+        path = tmp_path / f"{name}.json"
+        path.write_text(g.dumps())
+        return str(path)
+
+    medium = [saved(f"m{seed}", gen_random_tvg(10, 12, 0.5, seed))
+              for seed in range(20)]
+    cases = [(m, "n1", "n10", delta, []) for m in medium
+             for delta in (1, 2, 3, 5)]
+    cases.append((saved("c11", gen_random_tvg(8, 10, 0.5, 11)), "n1", "n8", 2, []))
+    for k in (1, 2, 3):
+        g, s, d = gen_counterexample(k)
+        cases += [(saved(f"k{k}", g), s, d, delta, []) for delta in (2, 3)]
+    cases += [(medium[0], "n1", "n10", 2, ["--cap", "300"]),
+              (medium[0], "n1", "n10", 1, ["--cap", "50"]),
+              (medium[5], "n1", "n10", 2, ["--cap", "300"])]
+    h = hashlib.sha256()
+    for path, s, d, delta, extra in cases:
+        code = main(["analyze", path, "--src", s, "--dst", d,
+                     "--delta", str(delta), "--exact"] + extra)
+        out, err = capsys.readouterr()
+        h.update(json.dumps([code, out, err]).encode() + b"\n")
+    assert h.hexdigest() == \
+        "1715c0bc7ec04d3757c93f444946d4e4d74e4743a0f7b6b7e71154aa778a3cbc"
+
+
 def test_cap_env_var(relay_file, capsys, monkeypatch):
     monkeypatch.setenv("TEMPOCUT_CAP", "1")
     assert main(["analyze", relay_file, "--src", "s", "--dst", "d",
                  "--delta", "2", "--exact"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["0", "-4", "abc"])
+def test_cap_env_var_must_be_a_positive_int(relay_file, capsys, monkeypatch,
+                                            value):
+    monkeypatch.setenv("TEMPOCUT_CAP", value)
+    assert main(["analyze", relay_file, "--src", "s", "--dst", "d",
+                 "--delta", "2", "--exact"]) == 2
+    err = capsys.readouterr().err
+    assert "TEMPOCUT_CAP" in err and "Traceback" not in err
 
 
 def test_survivable(relay_file, capsys):
