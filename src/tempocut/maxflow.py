@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linegraph import build_line_graph, min_hop_path, node_disjoint_maxflow
+from .linegraph import (SRC, LineGraph, build_line_graph, min_hop_path,
+                        node_disjoint_maxflow)
 from .tvg import (Contact, InstanceTooLargeError, Journey, TimeVaryingGraph,
-                  interfering_contacts)
+                  _contacts_reaching, interfering_contacts)
 
 DEFAULT_JOURNEY_CAP = 25_000
 
@@ -68,52 +69,41 @@ def greedy_maxflow_delta(g: TimeVaryingGraph, s: str, d: str,
     return FlowResult(tuple(found), delta, exact=False)
 
 
-def _simple_journeys(g: TimeVaryingGraph, s: str, d: str,
-                     cap: int) -> list[Journey]:
+def _simple_journeys(lg: LineGraph, cap: int) -> list[Journey]:
     """All node-simple s->d journeys, depth-first in (slot, edge) order.
+
+    Walks lg's successor lists, which are already in that order. A journey
+    ends at its first contact into d, so DST is never a walked successor.
 
     Sufficient for the oracle: splicing loops out of any journey yields a
     node-simple journey over a subset of its contacts, so an optimal
     delta-disjoint family always exists among these.
     """
-    from bisect import bisect_right
-
-    from .tvg import _contacts_reaching
-
+    g, d = lg.graph, lg.d
     can_reach = _contacts_reaching(g, d)
+    head = [lg.s, d] + [g.edge(c.edge).dst for c in lg.contact_list]
     results: list[Journey] = []
     stack: list[Contact] = []
-    visited = {s}
+    visited = {lg.s}
 
-    def successors(node: str, after: int):
-        succ = []
-        for e in g.out_edges(node):
-            if e.dst in visited and e.dst != d:
+    def walk(u: int) -> None:
+        for v in lg.succ[u]:
+            c = lg.contact_list[v - 2]
+            if head[v] in visited or c not in can_reach:
                 continue
-            slots = g.active[e.eid]
-            for k in range(bisect_right(slots, after), len(slots)):
-                succ.append(Contact(e.eid, slots[k]))
-        succ.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
-        return succ
-
-    def walk(node: str, after: int) -> None:
-        for c in successors(node, after):
-            if c not in can_reach:
-                continue
-            dst = g.edge(c.edge).dst
             stack.append(c)
-            if dst == d:
+            if head[v] == d:
                 if len(results) >= cap:
                     raise InstanceTooLargeError(
                         f"instance too large for exact oracle: more than {cap} candidate journeys")
                 results.append(Journey(tuple(stack)))
             else:
-                visited.add(dst)
-                walk(dst, c.slot)
-                visited.discard(dst)
+                visited.add(head[v])
+                walk(v)
+                visited.discard(head[v])
             stack.pop()
 
-    walk(s, 0)
+    walk(SRC)
     return results
 
 
@@ -204,7 +194,7 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
     if greedy.count >= flow_bound:
         return FlowResult(greedy.journeys, delta, exact=True)
 
-    enum_journeys = _simple_journeys(g, s, d, cap)
+    enum_journeys = _simple_journeys(lg, cap)
     if not enum_journeys:
         return FlowResult((), delta, exact=True)
     raw = _conflict_masks(g, enum_journeys, delta)

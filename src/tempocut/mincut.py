@@ -6,8 +6,9 @@ approximation pipeline: weight each contact by the reciprocal of the
 densest same-edge delta-window through it, solve weighted node mincut on
 the line graph, then round the cut to removals with a per-edge stabbing
 cover. exact_mincut_delta is the desk-scale oracle (iterative-deepening
-hitting-set search over canonical removal heads), seeded with the rounded
-cut as its ceiling and the greedy journey count as its floor.
+hitting-set search over canonical removal heads, branching on the hops of
+tvg._min_hop_surviving's journey), seeded with the rounded cut as its
+ceiling and the greedy journey count as its floor.
 analyze_exact computes the four answers for one pair (greedy and exact
 flow, rounded and exact cut) once each, with their certificates.
 """
@@ -21,8 +22,9 @@ from fractions import Fraction
 from .linegraph import build_line_graph, node_disjoint_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, exact_maxflow_delta,
                       greedy_bound_certificate, greedy_maxflow_delta)
-from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
-                  TimeVaryingGraph, reachable, removal_footprint)
+from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError,
+                  TimeVaryingGraph, _min_hop_surviving, reachable,
+                  removal_footprint)
 
 DEFAULT_HEAD_CAP = 2000
 
@@ -141,60 +143,6 @@ def minweight_mincut_delta(g: TimeVaryingGraph, s: str, d: str,
     if not verify_cut(g, removals, s, d):
         raise AssertionError("rounded cut failed to disconnect; this is a bug")
     return CutResult(removals, delta, exact=False, weight_lower_bound=value)
-
-
-def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
-                       banned: frozenset[Contact]) -> Journey | None:
-    """Min-hop journey avoiding banned contacts, or None.
-
-    BFS over contact states. A contact on edge e is only worth expanding
-    if its slot beats the earliest slot already expanded on e (an earlier
-    slot at an earlier-or-same level dominates: same edge, more room to
-    continue), which keeps the state space near-linear.
-    """
-    best_slot: dict[str, int] = {}
-    parent: dict[Contact, Contact | None] = {}
-
-    def out_contacts(node: str, after: int) -> list[Contact]:
-        found = []
-        for e in g.out_edges(node):
-            slots = g.active[e.eid]
-            for k in range(bisect_right(slots, after), len(slots)):
-                c = Contact(e.eid, slots[k])
-                if c not in banned:
-                    found.append(c)
-                    break  # earliest usable slot on e dominates later ones
-        found.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
-        return found
-
-    frontier: list[Contact] = []
-    for c in out_contacts(s, 0):
-        parent[c] = None
-        best_slot[c.edge] = c.slot
-        frontier.append(c)
-
-    while frontier:
-        nxt: list[Contact] = []
-        for c in frontier:
-            if g.edge(c.edge).dst == d:
-                hops = [c]
-                cur = parent[c]
-                while cur is not None:
-                    hops.append(cur)
-                    cur = parent[cur]
-                hops.reverse()
-                return Journey(tuple(hops))
-        for c in frontier:
-            for c2 in out_contacts(g.edge(c.edge).dst, c.slot):
-                known = best_slot.get(c2.edge)
-                if known is not None and known <= c2.slot:
-                    continue
-                parent[c2] = c
-                best_slot[c2.edge] = c2.slot
-                nxt.append(c2)
-        nxt.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
-        frontier = nxt
-    return None
 
 
 def _canonical_heads(g: TimeVaryingGraph, c: Contact, delta: int) -> list[int]:

@@ -32,6 +32,9 @@ def _derive_seed(master: int, *coords: int) -> int:
 
 @dataclass(frozen=True)
 class FailureModel:
+    """Onsets per (edge, slot) with probability p, lasting 0..d_max slots.
+    seed feeds sample_failures only; run_simulation never reads it and
+    draws each packet's failures from the stream SimConfig.seed derives."""
     p: float
     d_max: int
     seed: int = 0
@@ -186,12 +189,12 @@ def run_simulation(cfg: SimConfig, _plan_cache: dict | None = None) -> SimReport
     expires; its window start cycles over the trace (wrapping so every
     window fits the horizon whole; when deadline == horizon every packet
     sees the whole graph and sweep points share workloads exactly).
-    Per packet the seed stream draws src, dst, then failures, in that
-    order; the order is load-bearing for reproducibility. Routing is
-    memoized per (window start, pair) since the failure-free plan never
-    changes. A sweep passes a shared plan cache: plans depend on delta
-    but not n. Sampled failures are tested against the planned journeys'
-    hops only (see journeys_delivered).
+    Per packet a stream seeded from cfg.seed and the packet index (never
+    cfg.failures.seed) draws src, dst, then failures, in that order; the
+    order is load-bearing for reproducibility. Routing is memoized per
+    (window start, pair) since the failure-free plan never changes. A
+    sweep passes a shared plan cache: plans depend on delta but not n.
+    Sampled failures are tested against the planned journeys' hops only.
     """
     g = cfg.graph
     wrap = g.horizon - cfg.deadline + 1

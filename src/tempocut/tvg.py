@@ -7,8 +7,10 @@ slots. A delta-removal knocks an edge out for delta consecutive slots.
 
 This module holds the model types plus the basic operations everything
 else is built on: validation, contact listing, journey checks, removal
-application, reachability, exhaustive journey enumeration, and the
-interference relation between journeys.
+application, interference between journeys, and the two searches over g:
+_min_hop_surviving (a min-hop journey avoiding banned contacts, behind
+reachable and the exact cut search) and enumerate_journeys (every journey,
+revisits included; the tests' independent reference).
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ class TimeVaryingGraph:
     def out_edges(self, node: str) -> tuple[EdgeDef, ...]:
         return self._out.get(node, ())
 
-    def active_slots(self, eid: str) -> tuple[int, ...]:
-        return self.active[eid]
-
     @property
     def contact_count(self) -> int:
         return sum(len(s) for s in self.active.values())
@@ -243,7 +242,7 @@ def is_valid_journey(g: TimeVaryingGraph, j: Journey, s: str, d: str) -> bool:
             return False
         if t <= prev_slot or t > g.horizon:
             return False
-        if t not in set(g.active[edge_id]):
+        if t not in g.active[edge_id]:
             return False
         prev_slot = t
         prev_node = e.dst
@@ -283,26 +282,67 @@ def _check_nodes(g: TimeVaryingGraph, *names: str) -> None:
 
 def reachable(g: TimeVaryingGraph, s: str, d: str,
               banned: frozenset[Contact] | None = None) -> bool:
-    """True iff at least one s->d journey exists (earliest-arrival scan).
+    """True iff some s->d journey avoids every banned contact.
 
-    `banned` contacts are treated as inactive; used internally by the
-    cut oracles to avoid rebuilding graphs.
+    `banned` contacts are treated as inactive; the cut oracles use it to
+    test removals without rebuilding graphs.
     """
     _check_nodes(g, s, d)
-    # arrival[v] = earliest slot at which v is reached via an actual journey
-    arrival: dict[str, int] = {}
-    ordered = sorted(contacts(g), key=lambda c: c.slot)
-    for c in ordered:
-        if banned and c in banned:
-            continue
-        e = g.edge(c.edge)
-        t = c.slot
-        src_ok = (e.src == s) or (e.src in arrival and arrival[e.src] < t)
-        if src_ok and (e.dst not in arrival or t < arrival[e.dst]):
-            arrival[e.dst] = t
-            if e.dst == d:
-                return True
-    return d in arrival
+    return _min_hop_surviving(g, s, d, banned or frozenset()) is not None
+
+
+def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
+                       banned: frozenset[Contact]) -> Journey | None:
+    """Min-hop journey avoiding banned contacts, or None.
+
+    BFS over contact states. A contact on edge e is only worth expanding
+    if its slot beats the earliest slot already expanded on e (an earlier
+    slot at an earlier-or-same level dominates: same edge, more room to
+    continue), which keeps the state space near-linear.
+    """
+    best_slot: dict[str, int] = {}
+    parent: dict[Contact, Contact | None] = {}
+
+    def out_contacts(node: str, after: int) -> list[Contact]:
+        found = []
+        for e in g.out_edges(node):
+            slots = g.active[e.eid]
+            for k in range(bisect_right(slots, after), len(slots)):
+                c = Contact(e.eid, slots[k])
+                if c not in banned:
+                    found.append(c)
+                    break  # earliest usable slot on e dominates later ones
+        found.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
+        return found
+
+    frontier: list[Contact] = []
+    for c in out_contacts(s, 0):
+        parent[c] = None
+        best_slot[c.edge] = c.slot
+        frontier.append(c)
+
+    while frontier:
+        nxt: list[Contact] = []
+        for c in frontier:
+            if g.edge(c.edge).dst == d:
+                hops = [c]
+                cur = parent[c]
+                while cur is not None:
+                    hops.append(cur)
+                    cur = parent[cur]
+                hops.reverse()
+                return Journey(tuple(hops))
+        for c in frontier:
+            for c2 in out_contacts(g.edge(c.edge).dst, c.slot):
+                known = best_slot.get(c2.edge)
+                if known is not None and known <= c2.slot:
+                    continue
+                parent[c2] = c
+                best_slot[c2.edge] = c2.slot
+                nxt.append(c2)
+        nxt.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
+        frontier = nxt
+    return None
 
 
 def enumerate_journeys(g: TimeVaryingGraph, s: str, d: str,
@@ -403,10 +443,3 @@ def interfering_contacts(g: TimeVaryingGraph, j: Journey,
             if any(abs(t - th) < delta for th in slots):
                 out.append(Contact(e.eid, t))
     return out
-
-
-def journey_endpoints(g: TimeVaryingGraph, j: Journey) -> tuple[str, str]:
-    """(start node, end node) of a journey under g's edge definitions."""
-    first = g.edge(j.hops[0].edge)
-    last = g.edge(j.hops[-1].edge)
-    return first.src, last.dst

@@ -208,6 +208,17 @@ def test_runs_are_reproducible():
     assert packets_to_jsonl(a) == packets_to_jsonl(b)
 
 
+def test_run_simulation_draws_failures_from_the_config_seed():
+    # FailureModel.seed feeds sample_failures only; run_simulation derives
+    # every packet's stream from SimConfig.seed
+    g = _arena(3)
+    a, b = (run_simulation(SimConfig(g, 8, 2, 2, 150,
+                                     FailureModel(0.1, 4, seed=fseed), seed=5))
+            for fseed in (5, 77))
+    assert a == b
+    assert 0.0 < a.loss_rate < 1.0
+
+
 def test_more_journeys_never_lose_a_delivered_packet():
     g = _arena(4)
     for seed in range(30):

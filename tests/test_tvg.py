@@ -8,7 +8,7 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
                       enumerate_journeys, gen_random_tvg, interferes,
                       is_valid_journey, reachable, removal_footprint,
                       validate_graph)
-from tempocut.tvg import interfering_contacts, journey_endpoints
+from tempocut.tvg import interfering_contacts
 
 graphs = st.builds(
     gen_random_tvg,
@@ -30,6 +30,16 @@ def graphs_with_removals(draw):
         delta=st.integers(1, 4),
     )
     return g, draw(st.lists(removal, max_size=6))
+
+
+@st.composite
+def graphs_with_banned(draw):
+    g = draw(graphs)
+    s, d = draw(st.lists(st.sampled_from(g.nodes), min_size=2, max_size=2,
+                         unique=True))
+    cs = contacts(g)
+    keep = draw(st.lists(st.booleans(), min_size=len(cs), max_size=len(cs)))
+    return g, s, d, frozenset(c for c, k in zip(cs, keep) if k)
 
 
 def test_edge_ids_follow_declaration_order(relay):
@@ -139,7 +149,22 @@ def test_enumeration_agrees_with_reachability(g):
     assert bool(js) == reachable(g, s, d)
     for j in js[:50]:
         assert is_valid_journey(g, j, s, d)
-        assert journey_endpoints(g, j) == (s, d)
+
+
+@given(graphs_with_banned())
+@settings(max_examples=200, deadline=None)
+def test_reachable_agrees_with_enumeration_under_bans(case):
+    g, s, d, banned = case
+    js = enumerate_journeys(g, s, d, cap=200_000)
+    assert reachable(g, s, d, banned) == any(
+        banned.isdisjoint(j.hops) for j in js)
+    assert reachable(g, s, d) == reachable(g, s, d, frozenset()) == bool(js)
+
+
+def test_reachable_rejects_unknown_nodes(relay):
+    for s, d in (("s", "zz"), ("zz", "d")):
+        with pytest.raises(ValueError, match="unknown node"):
+            reachable(relay, s, d)
 
 
 def test_reachable_respects_banned_contacts(relay):
