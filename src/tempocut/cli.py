@@ -111,8 +111,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_survivable(args) -> int:
     g = load_tvg(args.input)
+    head_cap = _cap(args, DEFAULT_HEAD_CAP) if args.exact else DEFAULT_HEAD_CAP
     verdict = survivability_bounds(g, args.src, args.dst, args.n, args.delta,
-                                   exact=args.exact)
+                                   exact=args.exact, head_cap=head_cap)
     _emit(_dump(verdict.to_json_dict(), args), args)
     return 0
 
@@ -223,7 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=1)
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", action="store_true",
+                   help="settle the verdict with the exact cut oracle")
+    p.add_argument("--cap", type=_positive_int,
+                   help="exact oracle size cap (default from TEMPOCUT_CAP)")
     p.set_defaults(func=cmd_survivable)
 
     p = sub.add_parser("simulate", help="loss-rate sweep, CSV per point")

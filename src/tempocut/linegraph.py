@@ -4,15 +4,18 @@ Each contact becomes a node; an arc joins two contact nodes exactly when
 traversing them back to back is time-feasible. s->d journeys of the original
 graph then correspond one to one with s->d paths here, which turns journey
 questions into static path questions: min-hop journeys come from BFS and
-1-slot-disjoint packing comes from node-capacitated max flow.
+1-slot-disjoint packing comes from node-capacitated max flow. Only the
+terminals depend on the pair, so the contact nodes and their arcs are built
+once per graph and shared by all of its line graphs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .tvg import Contact, Journey, TimeVaryingGraph, contacts
 
@@ -49,38 +52,66 @@ class NodeCutResult:
     paths: tuple[tuple[Contact, ...], ...]  # populated for all-ones weights
 
 
+class _ContactCore(NamedTuple):
+    """The pair-independent part of every line graph of one graph."""
+
+    contact_list: tuple[Contact, ...]
+    starts: dict[str, tuple[int, ...]]  # node -> contacts leaving it
+    succ: tuple[tuple[int, ...], ...]  # contact arcs, no DST; 0, 1 empty
+    into: dict[str, tuple[int, ...]]  # node -> contacts arriving at it
+
+
+def _contact_core(g: TimeVaryingGraph) -> _ContactCore:
+    """Build g's contact core once and keep it on g, which is immutable."""
+    core = g._line_core
+    if core is not None:
+        return core
+    clist = tuple(contacts(g))
+    # contacts grouped by their start node, presorted by (slot, edge order)
+    by_start: dict[str, list[int]] = {}
+    into: dict[str, list[int]] = {}
+    for i, c in enumerate(clist):
+        e = g.edge(c.edge)
+        by_start.setdefault(e.src, []).append(i + 2)
+        into.setdefault(e.dst, []).append(i + 2)
+    starts: dict[str, tuple[int, ...]] = {}
+    slots: dict[str, list[int]] = {}
+    for node, lst in by_start.items():
+        lst.sort(key=lambda v: clist[v - 2].slot)  # stable: ties keep edge order
+        starts[node] = tuple(lst)
+        slots[node] = [clist[v - 2].slot for v in lst]
+    succ = [(), ()]
+    for c in clist:
+        head = g.edge(c.edge).dst
+        nxt = starts.get(head, ())
+        # the start list is slot-sorted, so the later contacts are a suffix
+        succ.append(nxt[bisect_right(slots[head], c.slot):] if nxt else ())
+    core = _ContactCore(clist, starts, tuple(succ),
+                        {n: tuple(v) for n, v in into.items()})
+    g._line_core = core
+    return core
+
+
 def build_line_graph(g: TimeVaryingGraph, s: str, d: str) -> LineGraph:
-    """Expand every contact of g into a node, terminals s and d included."""
+    """Expand every contact of g into a node, terminals s and d included.
+
+    The pair-independent part (contacts, start lists, contact-to-contact
+    arcs) is built once per graph and kept on it; each call only attaches
+    the terminals: the source terminal's arcs are the start list of s, and
+    DST goes first on every contact arriving at d. So the successor lists
+    are exactly those of a from-scratch expansion, in the same order.
+    """
     if s == d:
         raise ValueError("source and destination must differ")
     for n in (s, d):
         if n not in g.nodes:
             raise ValueError(f"unknown node {n!r}")
-
-    clist = contacts(g)
-    index = {c: i + 2 for i, c in enumerate(clist)}
-
-    # contacts grouped by their start node, presorted by (slot, edge order)
-    by_start: dict[str, list[Contact]] = {}
-    for c in clist:
-        by_start.setdefault(g.edge(c.edge).src, []).append(c)
-    for lst in by_start.values():
-        lst.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
-
-    succ: list[tuple[int, ...]] = []
-    src_arcs = tuple(index[c] for c in by_start.get(s, ()))
-    succ.append(src_arcs)       # node 0: source terminal
-    succ.append(())             # node 1: destination terminal (no out-arcs)
-    for c in clist:
-        e = g.edge(c.edge)
-        nxt: list[int] = []
-        if e.dst == d:
-            nxt.append(DST)
-        for c2 in by_start.get(e.dst, ()):
-            if c2.slot > c.slot:
-                nxt.append(index[c2])
-        succ.append(tuple(nxt))
-    return LineGraph(g, s, d, tuple(clist), tuple(succ))
+    core = _contact_core(g)
+    succ = list(core.succ)
+    succ[SRC] = core.starts.get(s, ())
+    for v in core.into.get(d, ()):
+        succ[v] = (DST,) + succ[v]
+    return LineGraph(g, s, d, core.contact_list, tuple(succ))
 
 
 def min_hop_path(lg: LineGraph,

@@ -278,18 +278,20 @@ class SurvivabilityVerdict:
 
 
 def survivability_bounds(g: TimeVaryingGraph, s: str, d: str, n: int,
-                         delta: int, exact: bool = False) -> SurvivabilityVerdict:
+                         delta: int, exact: bool = False,
+                         head_cap: int = DEFAULT_HEAD_CAP
+                         ) -> SurvivabilityVerdict:
     """Can the pair ride out any n simultaneous delta-removals?
 
     Survivable iff the disruption number exceeds n. With exact=True the
-    oracle settles it; otherwise the greedy journey count bounds the
-    disruption number from below, the rounded cut from above, and the gap
-    in between stays 'unknown'.
+    oracle settles it, within head_cap removal heads; otherwise the greedy
+    journey count bounds the disruption number from below, the rounded cut
+    from above, and the gap in between stays 'unknown'.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if exact:
-        cut = exact_mincut_delta(g, s, d, delta)
+        cut = exact_mincut_delta(g, s, d, delta, head_cap=head_cap)
         verdict = "survivable" if cut.count > n else "not-survivable"
         return SurvivabilityVerdict(n, delta, verdict, cut.count, cut.count,
                                     exact=True)

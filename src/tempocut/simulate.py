@@ -14,7 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .maxflow import greedy_maxflow_delta
 from .tvg import DeltaRemoval, Journey, TimeVaryingGraph
@@ -92,26 +92,29 @@ class SimReport:
         return lost / len(self.packets)
 
 
-def _sample_onsets(g: TimeVaryingGraph, p: float, d_max: int,
-                   rng: random.Random) -> list[DeltaRemoval]:
-    """Failure onsets per (edge, slot) with probability p, duration uniform
-    on {0..d_max}; zero-duration onsets draw from the stream but have no
-    footprint and are dropped. Gaps between onsets are sampled
-    geometrically, which is distribution-identical to a per-slot scan.
+def _onsets(g: TimeVaryingGraph, p: float, d_max: int, rng: random.Random,
+            edge_count: int) -> Iterator[tuple[int, int, int]]:
+    """Failure onsets on the first edge_count edges of g, in g.edges order,
+    as (edge position, slot, duration) for every nonzero duration.
 
-    Durations are drawn exactly as rng.randint(0, d_max) draws them
+    An onset strikes each (edge, slot) with probability p and lasts
+    uniformly 0..d_max slots; zero-duration onsets draw from the stream
+    but have no footprint and are not yielded. Gaps between onsets are
+    sampled geometrically, which is distribution-identical to a per-slot
+    scan. Durations are drawn exactly as rng.randint(0, d_max) draws them
     (getrandbits of the range's bit length, redrawn until in range), so
-    the stream matches draw for draw, d_max = 0 included.
+    the stream matches draw for draw, d_max = 0 included. The draws of an
+    edge never depend on later edges, so stopping early leaves every
+    yielded onset as a full scan would give it.
     """
-    failures: list[DeltaRemoval] = []
     if p <= 0.0:
-        return failures
+        return
     horizon = g.horizon
     log_q = math.log1p(-p) if p < 1.0 else None
     random_, getrandbits, log = rng.random, rng.getrandbits, math.log
     span = d_max + 1
     bits = span.bit_length()
-    for e in g.edges:
+    for pos in range(edge_count):
         slot = 1
         while slot <= horizon:
             if log_q is not None:
@@ -123,9 +126,16 @@ def _sample_onsets(g: TimeVaryingGraph, p: float, d_max: int,
             while dur >= span:
                 dur = getrandbits(bits)
             if dur > 0:
-                failures.append(DeltaRemoval(e.eid, slot, dur))
+                yield pos, slot, dur
             slot += 1
-    return failures
+
+
+def _sample_onsets(g: TimeVaryingGraph, p: float, d_max: int,
+                   rng: random.Random) -> list[DeltaRemoval]:
+    """Every failure onset on g (see _onsets), as removals."""
+    edges = g.edges
+    return [DeltaRemoval(edges[pos].eid, slot, dur)
+            for pos, slot, dur in _onsets(g, p, d_max, rng, len(edges))]
 
 
 def sample_failures(g: TimeVaryingGraph, fm: FailureModel) -> list[DeltaRemoval]:
@@ -182,6 +192,50 @@ def _carve_window(g: TimeVaryingGraph, start: int,
     return TimeVaryingGraph(g.nodes, edges, deadline)
 
 
+class _PlanHops(NamedTuple):
+    """A packet's planned copies, indexed for the fused failure check."""
+
+    arrivals: tuple[int, ...]  # per copy
+    hops: tuple[tuple[tuple[int, int], ...], ...]  # edge pos -> (slot, copy)
+
+
+def _plan_hops(g: TimeVaryingGraph, journeys) -> _PlanHops:
+    """Index the journeys' hops by edge position, up to the last planned
+    edge; failures beyond it cannot touch a copy."""
+    by_pos: dict[int, list[tuple[int, int]]] = {}
+    for copy, j in enumerate(journeys):
+        for e, t in j.hops:
+            by_pos.setdefault(g.edge_index(e), []).append((t, copy))
+    edge_count = max(by_pos, default=-1) + 1
+    hops = tuple(tuple(by_pos.get(pos, ())) for pos in range(edge_count))
+    return _PlanHops(tuple(j.arrival for j in journeys), hops)
+
+
+def _fused_delivered(g: TimeVaryingGraph, plan: _PlanHops, p: float,
+                     d_max: int, rng: random.Random) -> tuple[bool, int | None]:
+    """journeys_delivered(g, journeys, _sample_onsets(g, p, d_max, rng)),
+    drawing only what can change the answer.
+
+    Onsets are drawn edge by edge up to the last planned edge and each is
+    tested against that edge's planned hops; the draws stop once every
+    copy is dead, and a packet with no copy draws nothing. The skipped
+    draws all come after the ones taken, so the outcome is the same.
+    """
+    if not plan.arrivals:
+        return False, None
+    alive = [True] * len(plan.arrivals)
+    left = len(alive)
+    hops = plan.hops
+    for pos, head, dur in _onsets(g, p, d_max, rng, len(hops)):
+        for t, copy in hops[pos]:
+            if alive[copy] and head <= t < head + dur:
+                alive[copy] = False
+                left -= 1
+                if not left:
+                    return False, None
+    return True, min(a for a, up in zip(plan.arrivals, alive) if up)
+
+
 def run_simulation(cfg: SimConfig, _plan_cache: dict | None = None) -> SimReport:
     """Sequential packet loop per the back-to-back traffic model.
 
@@ -194,13 +248,20 @@ def run_simulation(cfg: SimConfig, _plan_cache: dict | None = None) -> SimReport
     order is load-bearing for reproducibility. Routing is memoized per
     (window start, pair) since the failure-free plan never changes. A
     sweep passes a shared plan cache: plans depend on delta but not n.
-    Sampled failures are tested against the planned journeys' hops only.
+
+    Failures are drawn and tested in one pass (_fused_delivered), which
+    skips the draws after the last edge, in g.edges order, that a planned
+    copy uses, and those after every copy is dead; a packet with no copy
+    draws none. The packet's stream is never read after its failures, so
+    the skipped draws are its last: the stream and every outcome are those
+    of journeys_delivered over all sampled failures.
     """
     g = cfg.graph
     wrap = g.horizon - cfg.deadline + 1
     nodes = list(g.nodes)
     windows: dict[int, TimeVaryingGraph] = {}
     plans = _plan_cache if _plan_cache is not None else {}
+    indexed: dict[tuple, _PlanHops] = {}  # plan key -> its first n copies
     records: list[PacketRecord] = []
     clock = 1
     for idx in range(cfg.packet_count):
@@ -214,15 +275,16 @@ def run_simulation(cfg: SimConfig, _plan_cache: dict | None = None) -> SimReport
             windows[start] = _carve_window(g, start, cfg.deadline)
         window = windows[start]
         key = (cfg.deadline, cfg.delta, start, src, dst)
-        if key not in plans:
-            plans[key] = greedy_maxflow_delta(window, src, dst,
-                                              cfg.delta).journeys
-        journeys = plans[key][:cfg.n]
-        failures = _sample_onsets(window, cfg.failures.p, cfg.failures.d_max,
-                                  rng)
-        delivered, arrival = journeys_delivered(window, journeys, failures)
-        records.append(PacketRecord(idx, src, dst, len(journeys), delivered,
-                                    arrival))
+        plan = indexed.get(key)
+        if plan is None:
+            if key not in plans:
+                plans[key] = greedy_maxflow_delta(window, src, dst,
+                                                  cfg.delta).journeys
+            plan = indexed[key] = _plan_hops(window, plans[key][:cfg.n])
+        delivered, arrival = _fused_delivered(
+            window, plan, cfg.failures.p, cfg.failures.d_max, rng)
+        records.append(PacketRecord(idx, src, dst, len(plan.arrivals),
+                                    delivered, arrival))
         if delivered:
             clock = start + arrival  # the slot after the successful last hop
         else:

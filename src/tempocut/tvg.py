@@ -84,10 +84,15 @@ class TimeVaryingGraph:
     fixes the deterministic contact ordering used everywhere downstream.
     The constructor normalizes active slot lists (sorted, deduplicated) but
     does not reject invalid data; use validate_graph / from_json_dict for that.
+
+    _line_core holds the pair-independent contact core that
+    linegraph.build_line_graph builds on first use and every later line
+    graph of this graph shares; it lives and dies with the graph and takes
+    no part in equality, hashing or serialization.
     """
 
     __slots__ = ("horizon", "nodes", "edges", "active",
-                 "_by_id", "_index", "_out", "_node_set")
+                 "_by_id", "_index", "_out", "_node_set", "_line_core")
 
     def __init__(self, nodes: Iterable[str],
                  edges: Iterable[tuple[str, str, Iterable[int]]],
@@ -114,6 +119,7 @@ class TimeVaryingGraph:
         for e in defs:
             out.setdefault(e.src, []).append(e)
         self._out = {n: tuple(es) for n, es in out.items()}
+        self._line_core = None
 
     # -- lookups ---------------------------------------------------------
 

@@ -168,6 +168,26 @@ def test_cap_env_var_must_be_a_positive_int(relay_file, capsys, monkeypatch,
     assert "TEMPOCUT_CAP" in err and "Traceback" not in err
 
 
+def test_survivable_exact_honours_the_cap(relay_file, capsys, monkeypatch):
+    # the exact cut sees 4 removal heads on the relay, so a cap of 1 trips it
+    argv = ["survivable", relay_file, "--src", "s", "--dst", "d", "--n", "1",
+            "--exact"]
+    monkeypatch.setenv("TEMPOCUT_CAP", "1")
+    assert main(argv) == 3  # as `analyze --exact` exits under TEMPOCUT_CAP=1
+    assert "more than 1 removal heads" in capsys.readouterr().err
+    assert main(argv + ["--cap", "4"]) == 0
+    capsys.readouterr()
+    monkeypatch.delenv("TEMPOCUT_CAP")
+    assert main(argv + ["--cap", "1"]) == 3
+    assert "more than 1 removal heads" in capsys.readouterr().err
+    monkeypatch.setenv("TEMPOCUT_CAP", "-2")
+    assert main(argv) == 2
+    assert "TEMPOCUT_CAP" in capsys.readouterr().err
+    # the verdict without --exact reads no cap
+    assert main(argv[:-1]) == 0
+    capsys.readouterr()
+
+
 def test_survivable(relay_file, capsys):
     assert main(["survivable", relay_file, "--src", "s", "--dst", "d",
                  "--n", "1", "--exact"]) == 0

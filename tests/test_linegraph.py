@@ -10,6 +10,7 @@ from tempocut import (Contact, DeltaRemoval, TimeVaryingGraph,
                       apply_removals, build_line_graph, enumerate_journeys,
                       gen_random_tvg, min_hop_path, node_disjoint_maxflow)
 from tempocut.linegraph import DST, SRC, to_dot
+from tempocut.tvg import contacts
 
 graphs = st.builds(
     gen_random_tvg,
@@ -37,6 +38,42 @@ def test_expansion_shape(relay):
     assert lg.contact_list == (
         Contact("e1", 1), Contact("e1", 2), Contact("e2", 2), Contact("e2", 3))
     assert lg.succ == ((2, 3), (), (4, 5), (5,), (1,), (1,))
+
+
+def _reference_line_graph(g, s, d):
+    """The contact expansion built from scratch for one pair: every arc
+    found by scanning the start list of each contact's head node."""
+    clist = contacts(g)
+    index = {c: i + 2 for i, c in enumerate(clist)}
+    by_start = {}
+    for c in clist:
+        by_start.setdefault(g.edge(c.edge).src, []).append(c)
+    for lst in by_start.values():
+        lst.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
+    succ = [tuple(index[c] for c in by_start.get(s, ())), ()]
+    for c in clist:
+        e = g.edge(c.edge)
+        nxt = [DST] if e.dst == d else []
+        nxt += [index[c2] for c2 in by_start.get(e.dst, ()) if c2.slot > c.slot]
+        succ.append(tuple(nxt))
+    return tuple(clist), tuple(succ)
+
+
+def test_shared_core_matches_a_per_pair_build():
+    # every pair of one graph object, in shuffled order, so all but the
+    # first build attach terminals to the core kept on the graph
+    for seed in range(30):
+        g = gen_random_tvg(8, 10, 0.5, seed)
+        pairs = [(s, d) for s in g.nodes for d in g.nodes if s != d]
+        random.Random(seed).shuffle(pairs)
+        for s, d in pairs:
+            lg = build_line_graph(g, s, d)
+            clist, succ = _reference_line_graph(g, s, d)
+            assert lg.contact_list == clist
+            assert lg.succ == succ
+        # the kept core takes no part in equality or hashing
+        copy = TimeVaryingGraph.loads(g.dumps())
+        assert g == copy and hash(g) == hash(copy)
 
 
 @given(graphs)

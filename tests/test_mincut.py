@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
-                      apply_removals, contacts, delta_cover,
+                      contacts, delta_cover, enumerate_journeys,
                       exact_mincut_delta, gen_random_tvg, sandwich_check,
-                      minweight_mincut_delta, reachable, set_weights,
+                      minweight_mincut_delta, set_weights,
                       survivability_bounds, verify_cut, weighted_mincut_1)
 
 contact_sets = st.lists(
@@ -38,14 +38,23 @@ def _brute_cover_size(contact_set, delta):
 
 
 def _brute_mincut(g, s, d, delta):
-    """Reference optimum by exhausting head combinations; tiny inputs only."""
-    if not reachable(g, s, d):
+    """Reference optimum by exhausting head combinations; tiny inputs only.
+
+    A combination cuts the pair iff every enumerated journey has a hop in
+    the slots one of its removals covers, so no cut search is involved."""
+    journeys = enumerate_journeys(g, s, d)
+    if not journeys:
         return 0
     candidates = [DeltaRemoval(e.eid, h, delta)
                   for e in g.edges for h in g.active[e.eid]]
+
+    def hit(j, combo):
+        return any(r.edge == e and r.head <= t < r.head + r.delta
+                   for e, t in j.hops for r in combo)
+
     for k in range(1, len(candidates) + 1):
         for combo in itertools.combinations(candidates, k):
-            if not reachable(apply_removals(g, combo), s, d):
+            if all(hit(j, combo) for j in journeys):
                 return k
     return len(candidates)
 

@@ -11,7 +11,8 @@ from tempocut import (Contact, DeltaRemoval, FailureModel, SimConfig,
                       djr_route, gen_random_tvg, interferes,
                       journeys_delivered, removal_footprint, run_simulation,
                       sample_failures, sweep, sweep_to_csv)
-from tempocut.simulate import _derive_seed, _sample_onsets, packets_to_jsonl
+from tempocut.simulate import (_carve_window, _derive_seed, _fused_delivered,
+                               _plan_hops, _sample_onsets, packets_to_jsonl)
 
 
 def _arena(seed=0):
@@ -139,6 +140,40 @@ def test_journeys_delivered_matches_footprint_reference():
                 _reference_delivered(g, journeys[:n], failures)
             checked += 1
     assert checked >= 60
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+@pytest.mark.parametrize("d_max", [0, 1, 10])
+def test_fused_check_matches_the_full_draw(p, d_max):
+    # run_simulation's fused check draws only up to the last planned edge
+    # and stops once every copy is dead; from the same stream it must give
+    # what journeys_delivered gives over every sampled failure
+    outcomes = set()
+    empty = 0
+    for seed in range(4):
+        g = gen_random_tvg(8, 12, 0.3, seed)
+        for deadline in (12, 7):  # the whole horizon, and a carved window
+            window = _carve_window(g, 1 + 3 * seed % (13 - deadline),
+                                   deadline)
+            pairs = random.Random(seed)
+            for _ in range(12):
+                s, d = pairs.sample(window.nodes, 2)
+                plan = djr_route(window, s, d, 3, pairs.randint(1, 3))
+                empty += not plan
+                for n in (1, 2, 3):
+                    stream = pairs.getrandbits(64)
+                    fused = _fused_delivered(window,
+                                             _plan_hops(window, plan[:n]),
+                                             p, d_max, random.Random(stream))
+                    full = journeys_delivered(
+                        window, plan[:n],
+                        _sample_onsets(window, p, d_max,
+                                       random.Random(stream)))
+                    assert fused == full
+                    outcomes.add(fused[0])
+    assert empty > 0
+    if 0.0 < p < 1.0 and d_max > 0:
+        assert outcomes == {True, False}
 
 
 def test_journeys_delivered_rejects_bad_removals(relay):
