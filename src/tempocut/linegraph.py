@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .tvg import Contact, Journey, TimeVaryingGraph, contacts
+from .tvg import Contact, Journey, TimeVaryingGraph, _check_nodes, contacts
 
 SRC = 0  # node index of the source terminal
 DST = 1  # node index of the destination terminal
@@ -103,9 +103,7 @@ def build_line_graph(g: TimeVaryingGraph, s: str, d: str) -> LineGraph:
     """
     if s == d:
         raise ValueError("source and destination must differ")
-    for n in (s, d):
-        if n not in g.nodes:
-            raise ValueError(f"unknown node {n!r}")
+    _check_nodes(g, s, d)
     core = _contact_core(g)
     succ = list(core.succ)
     succ[SRC] = core.starts.get(s, ())
@@ -160,12 +158,14 @@ def node_disjoint_maxflow(lg: LineGraph,
 
     Weights default to 1 on every contact. All weights are scaled to integers
     (they are rationals with small denominators), so values and the returned
-    cut are exact. The cut is read off the final residual graph: interior
-    nodes whose split arc is saturated on the source-reachable boundary.
-    When every weight is 1 the flow decomposes into that many internally
-    node-disjoint paths, which are returned as contact sequences.
+    cut are exact. Each round augments along the path a BFS over the
+    residual capacities finds. The last, failed search marks exactly the
+    nodes the source still reaches; the cut is every contact whose in-half
+    it marked and whose out-half it did not, which is the min cut closest to
+    the source and so unique. When every weight is 1 the flow decomposes
+    into that many internally node-disjoint paths, which are returned as
+    contact sequences.
     """
-    n_contacts = len(lg.contact_list)
     caps: list[Fraction] = []
     unit = True
     for c in lg.contact_list:
@@ -177,116 +177,77 @@ def node_disjoint_maxflow(lg: LineGraph,
 
     scale = lcm(*(w.denominator for w in caps)) if caps else 1
 
-    # node split: interior contact i -> nodes (2+2i) in, (2+2i+1) out
-    # terminals keep single nodes 0 (source) and 1 (destination).
-    def n_in(i: int) -> int:
-        return 2 + 2 * i
-
-    def n_out(i: int) -> int:
-        return 3 + 2 * i
-
-    size = 2 + 2 * n_contacts
+    # node split: contact i, line-graph node v = i + 2, becomes in-half
+    # 2 + 2i = 2v - 2 and out-half 3 + 2i = 2v - 1; the terminals keep
+    # single nodes SRC and DST
+    size = 2 + 2 * len(caps)
     graph: list[list[int]] = [[] for _ in range(size)]  # arc ids per node
     arc_to: list[int] = []
-    arc_cap: list[int] = []
+    res: list[int] = []  # residual capacity; arc a ^ 1 reverses arc a
 
     def add_arc(u: int, v: int, cap: int) -> None:
         graph[u].append(len(arc_to))
         arc_to.append(v)
-        arc_cap.append(cap)
+        res.append(cap)
         graph[v].append(len(arc_to))
         arc_to.append(u)
-        arc_cap.append(0)
+        res.append(0)
 
     total = sum(int(w * scale) for w in caps) + 1  # effectively infinite
-    for i in range(n_contacts):
-        add_arc(n_in(i), n_out(i), int(caps[i] * scale))
+    for i, w in enumerate(caps):
+        add_arc(2 + 2 * i, 3 + 2 * i, int(w * scale))
     for v in lg.succ[SRC]:
-        add_arc(SRC, n_in(v - 2), total)
-    for i, c in enumerate(lg.contact_list):
-        for v in lg.succ[i + 2]:
-            if v == DST:
-                add_arc(n_out(i), DST, total)
-            else:
-                add_arc(n_out(i), n_in(v - 2), total)
+        add_arc(SRC, 2 * v - 2, total)
+    for u in range(2, lg.node_count):
+        for v in lg.succ[u]:
+            add_arc(2 * u - 1, DST if v == DST else 2 * v - 2, total)
 
-    flow = [0] * len(arc_to)
-
-    def bfs_augment() -> int:
-        pred: list[int] = [-1] * size  # arc id used to reach node
+    value = 0
+    while True:
+        pred = [-1] * size  # arc id used to reach each node
         pred[SRC] = -2
         queue = [SRC]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
+        for u in queue:
             for a in graph[u]:
                 v = arc_to[a]
-                if pred[v] == -1 and arc_cap[a] - flow[a] > 0:
+                if pred[v] == -1 and res[a] > 0:
                     pred[v] = a
-                    if v == DST:
-                        queue = []
-                        break
                     queue.append(v)
             if pred[DST] != -1:
                 break
         if pred[DST] == -1:
-            return 0
-        # bottleneck along the path
-        bottleneck = None
-        v = DST
-        while v != SRC:
-            a = pred[v]
-            room = arc_cap[a] - flow[a]
-            bottleneck = room if bottleneck is None else min(bottleneck, room)
-            v = arc_to[a ^ 1]
-        v = DST
-        while v != SRC:
-            a = pred[v]
-            flow[a] += bottleneck
-            flow[a ^ 1] -= bottleneck
-            v = arc_to[a ^ 1]
-        return bottleneck
-
-    value = 0
-    while True:
-        pushed = bfs_augment()
-        if pushed == 0:
             break
+        path = []
+        v = DST
+        while v != SRC:
+            path.append(pred[v])
+            v = arc_to[pred[v] ^ 1]
+        pushed = min(res[a] for a in path)
+        for a in path:
+            res[a] -= pushed
+            res[a ^ 1] += pushed
         value += pushed
 
-    # residual reachability from the source fixes the cut deterministically
-    reach = [False] * size
-    reach[SRC] = True
-    stack = [SRC]
-    while stack:
-        u = stack.pop()
-        for a in graph[u]:
-            v = arc_to[a]
-            if not reach[v] and arc_cap[a] - flow[a] > 0:
-                reach[v] = True
-                stack.append(v)
-    cut = tuple(lg.contact_list[i] for i in range(n_contacts)
-                if reach[n_in(i)] and not reach[n_out(i)])
-
-    paths: tuple[tuple[Contact, ...], ...] = ()
-    if unit and value > 0:
-        paths = _decompose_unit_paths(lg, graph, arc_to, flow, value)
-
+    cut = tuple(c for i, c in enumerate(lg.contact_list)
+                if pred[2 + 2 * i] != -1 and pred[3 + 2 * i] == -1)
+    paths = _decompose_unit_paths(lg, graph, arc_to, res, value) if unit else ()
     return NodeCutResult(value=Fraction(value, scale), cut=cut, paths=paths)
 
 
-def _decompose_unit_paths(lg, graph, arc_to, flow, value):
-    """Walk unit flow from the source into node-disjoint contact paths."""
-    used = [False] * len(arc_to)
+def _decompose_unit_paths(lg, graph, arc_to, res, value):
+    """Walk unit flow from the source into node-disjoint contact paths.
+
+    A forward arc carries flow while its reverse arc has residual capacity;
+    walking it takes that unit back, so no arc is walked twice.
+    """
     paths = []
     for _ in range(value):
         path: list[Contact] = []
         node = SRC
         while node != DST:
             for a in graph[node]:
-                if a % 2 == 0 and flow[a] > 0 and not used[a]:
-                    used[a] = True
+                if a % 2 == 0 and res[a ^ 1] > 0:
+                    res[a ^ 1] -= 1
                     node = arc_to[a]
                     break
             else:
@@ -295,17 +256,3 @@ def _decompose_unit_paths(lg, graph, arc_to, flow, value):
                 path.append(lg.contact_list[(node - 2) // 2])
         paths.append(tuple(path))
     return tuple(paths)
-
-
-def to_dot(lg: LineGraph) -> str:
-    """GraphViz rendering with contacts labeled edge@slot."""
-    lines = ["digraph linegraph {"]
-    lines.append(f'  n0 [label="{lg.s}", shape=box];')
-    lines.append(f'  n1 [label="{lg.d}", shape=box];')
-    for i, c in enumerate(lg.contact_list):
-        lines.append(f'  n{i + 2} [label="{c.edge}@{c.slot}"];')
-    for u, outs in enumerate(lg.succ):
-        for v in outs:
-            lines.append(f"  n{u} -> n{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

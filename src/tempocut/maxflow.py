@@ -207,19 +207,7 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
     # survivors reordered most-conflicting first: the greedy clique
     # partitions bounding the search get markedly tighter that way
     order0 = sorted(keep, key=lambda v: -(raw[v] & keep_mask).bit_count())
-    pos = {v: i for i, v in enumerate(order0)}
-    m = len(order0)
-    conflict = [0] * m
-    for v in order0:
-        c = raw[v]
-        mask = 0
-        while c:
-            b = c & -c
-            c ^= b
-            u = b.bit_length() - 1
-            if u in pos:
-                mask |= 1 << pos[u]
-        conflict[pos[v]] = mask
+    conflict = _conflict_masks(g, [enum_journeys[v] for v in order0], delta)
 
     best_journeys = greedy.journeys
     best = greedy.count
@@ -269,7 +257,7 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
             alive &= ~bit
         return False
 
-    extend((1 << m) - 1, 0)
+    extend((1 << len(order0)) - 1, 0)
     return FlowResult(best_journeys, delta, exact=True)
 
 

@@ -10,7 +10,8 @@ hitting-set search over canonical removal heads, branching on the hops of
 tvg._min_hop_surviving's journey), seeded with the rounded cut as its
 ceiling and the greedy journey count as its floor.
 analyze_exact computes the four answers for one pair (greedy and exact
-flow, rounded and exact cut) once each, with their certificates.
+flow, rounded and exact cut) with their certificates; only the greedy runs
+twice, at delta >= 2, where the exact flow also runs it as its incumbent.
 """
 
 from __future__ import annotations
@@ -225,8 +226,9 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
 
 @dataclass(frozen=True)
 class ExactAnalysis:
-    """The four answers for one (g, s, d, delta), each computed once, and
-    the certificates block `analyze --exact` prints."""
+    """The four answers for one (g, s, d, delta) and the certificates block
+    `analyze --exact` prints. Only the greedy is computed twice, at
+    delta >= 2, where the exact flow also runs it as its incumbent."""
     greedy: FlowResult
     flow: FlowResult
     rounded: CutResult

@@ -56,13 +56,6 @@ class Journey:
         if not self.hops:
             raise ValueError("a journey has at least one hop")
 
-    def edges(self) -> tuple[str, ...]:
-        return tuple(h.edge for h in self.hops)
-
-    @property
-    def departure(self) -> int:
-        return self.hops[0].slot
-
     @property
     def arrival(self) -> int:
         return self.hops[-1].slot

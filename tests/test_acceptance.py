@@ -17,26 +17,15 @@ import pytest
 import tempocut
 from tempocut import (DeltaRemoval, analyze_exact, delta_cover, discretize,
                       djr_route, gen_random_tvg, greedy_bound_certificate,
-                      greedy_maxflow_delta, journeys_delivered, sandwich_check,
-                      parse_contact_trace, set_weights, sweep,
-                      weighted_mincut_1)
+                      greedy_maxflow_delta, journeys_delivered,
+                      parse_contact_trace, sweep)
 from tempocut.tvg import Contact
 from tempocut.traces import HEADER
 from tempocut.verify import (suite_duality, suite_gapfamily, suite_menger1,
-                             suite_reduction)
+                             suite_reduction, suite_sandwich)
 from test_mincut import _brute_cover_size
 
 DELTAS = (1, 2, 3, 5)
-
-
-@pytest.fixture(scope="module")
-def small_corpus():
-    """200 seeded instances, 8 to 12 nodes, horizon 10, density 0.5."""
-    out = []
-    for seed in range(200):
-        nn = 8 + seed % 5
-        out.append((gen_random_tvg(nn, 10, 0.5, seed), "n1", f"n{nn}"))
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +109,9 @@ def test_c05_rounded_cut_quality(medium_corpus, medium_table):
           f"mean gap {mean_gap:.4f} <= 0.20")
 
 
-def test_c06_rounding_sandwich(small_corpus):
-    for i, (g, s, d) in enumerate(small_corpus):
-        delta = (2, 3, 5)[i % 3]
-        weights = set_weights(g, delta)
-        _, cut = weighted_mincut_1(g, weights, s, d)
-        assert sandwich_check(cut, weights, delta)
-    print("criterion 6: cover size sandwich holds on 200 disconnecting sets")
+def test_c06_rounding_sandwich():
+    _run_suite(suite_sandwich, 200, (2, 3, 5), 0)
+    print("criterion 6: cover size sandwich holds on 200 instances x 3 deltas")
 
 
 def test_c07_greedy_cover_is_optimal():

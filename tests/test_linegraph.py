@@ -1,15 +1,18 @@
 """Contact expansion and the node-capacitated flow engine under it."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, TimeVaryingGraph,
                       apply_removals, build_line_graph, enumerate_journeys,
-                      gen_random_tvg, min_hop_path, node_disjoint_maxflow)
-from tempocut.linegraph import DST, SRC, to_dot
+                      gen_random_tvg, min_hop_path, node_disjoint_maxflow,
+                      reachable, set_weights)
+from tempocut.linegraph import DST, SRC
 from tempocut.tvg import contacts
 
 graphs = st.builds(
@@ -38,6 +41,14 @@ def test_expansion_shape(relay):
     assert lg.contact_list == (
         Contact("e1", 1), Contact("e1", 2), Contact("e2", 2), Contact("e2", 3))
     assert lg.succ == ((2, 3), (), (4, 5), (5,), (1,), (1,))
+
+
+def test_build_line_graph_rejects_bad_pairs(relay):
+    for s, d in (("s", "zz"), ("zz", "d")):
+        with pytest.raises(ValueError, match="unknown node 'zz'"):
+            build_line_graph(relay, s, d)
+    with pytest.raises(ValueError, match="must differ"):
+        build_line_graph(relay, "s", "s")
 
 
 def _reference_line_graph(g, s, d):
@@ -140,7 +151,43 @@ def test_unit_flow_value_equals_cut_size(g):
     assert res.value == len(res.cut) == len(res.paths)
 
 
-def test_to_dot_smoke(relay):
-    dot = to_dot(build_line_graph(relay, "s", "d"))
-    assert dot.startswith("digraph")
-    assert "e1@1" in dot and "e2@3" in dot
+def _split_graph(nx, g, s, d):
+    """The node-split contact expansion as a networkx DiGraph, written from
+    g: contact c becomes an in-half/out-half pair joined by a capacitated
+    arc; uncapacitated arcs join the source terminal to contacts leaving
+    s, each contact to the later contacts leaving its head, and contacts
+    into d to the destination terminal."""
+    clist = contacts(g)
+    net = nx.DiGraph()
+    net.add_nodes_from(["src", "dst"])
+    for c in clist:
+        e = g.edge(c.edge)
+        net.add_edge(("in", c), ("out", c))
+        if e.src == s:
+            net.add_edge("src", ("in", c))
+        if e.dst == d:
+            net.add_edge(("out", c), "dst")
+        for c2 in clist:
+            if g.edge(c2.edge).src == e.dst and c2.slot > c.slot:
+                net.add_edge(("out", c), ("in", c2))
+    return net
+
+
+def test_weighted_flow_cut_and_value_against_networkx():
+    nx = pytest.importorskip("networkx")
+    for seed in range(160):
+        g = gen_random_tvg(3 + seed % 6, 2 + seed % 9, 0.2 + seed % 7 / 10,
+                           seed)
+        s, d = g.nodes[0], g.nodes[-1]
+        lg = build_line_graph(g, s, d)
+        net = _split_graph(nx, g, s, d)
+        for delta in range(1, 6):
+            weights = set_weights(g, delta)
+            res = node_disjoint_maxflow(lg, weights=weights)
+            assert sum(weights[c] for c in res.cut) == res.value
+            assert not reachable(g, s, d, banned=frozenset(res.cut))
+            # networkx gets the weights scaled to integers
+            scale = math.lcm(*(w.denominator for w in weights.values()))
+            for c, w in weights.items():
+                net[("in", c)][("out", c)]["capacity"] = int(w * scale)
+            assert res.value * scale == nx.maximum_flow_value(net, "src", "dst")

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tempocut import (Contact, InstanceTooLargeError, TimeVaryingGraph,
-                      build_line_graph, discretize, enumerate_journeys,
-                      exact_maxflow_delta, gen_random_tvg,
+from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
+                      apply_removals, build_line_graph, discretize,
+                      enumerate_journeys, exact_maxflow_delta, gen_random_tvg,
                       greedy_bound_certificate, greedy_maxflow_delta,
                       interferes, is_valid_journey, min_hop_path,
                       node_disjoint_maxflow, parse_contact_trace)
@@ -51,14 +51,6 @@ def _brute_pack(g, s, d, delta):
     return best
 
 
-def _strip_contacts(g, gone):
-    new_edges = []
-    for e in g.edges:
-        slots = [t for t in g.active[e.eid] if Contact(e.eid, t) not in gone]
-        new_edges.append((e.src, e.dst, slots))
-    return TimeVaryingGraph(g.nodes, new_edges, g.horizon)
-
-
 def _rebuilding_greedy(g, s, d, delta):
     """The greedy as first written: a fresh line graph of the shrunken
     graph every round."""
@@ -69,7 +61,8 @@ def _rebuilding_greedy(g, s, d, delta):
         if j is None:
             return tuple(found)
         found.append(j)
-        work = _strip_contacts(work, set(interfering_contacts(work, j, delta)))
+        gone = interfering_contacts(work, j, delta)
+        work = apply_removals(work, [DeltaRemoval(e, t, 1) for e, t in gone])
 
 
 def test_greedy_matches_rebuilding_reference():
