@@ -11,13 +11,13 @@ once per graph and shared by all of its line graphs.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .tvg import Contact, Journey, TimeVaryingGraph, _check_nodes, contacts
+from .tvg import (Contact, Journey, TimeVaryingGraph, _check_nodes,
+                  _contact_index, contacts)
 
 SRC = 0  # node index of the source terminal
 DST = 1  # node index of the destination terminal
@@ -56,37 +56,27 @@ class _ContactCore(NamedTuple):
     """The pair-independent part of every line graph of one graph."""
 
     contact_list: tuple[Contact, ...]
-    starts: dict[str, tuple[int, ...]]  # node -> contacts leaving it
     succ: tuple[tuple[int, ...], ...]  # contact arcs, no DST; 0, 1 empty
     into: dict[str, tuple[int, ...]]  # node -> contacts arriving at it
 
 
 def _contact_core(g: TimeVaryingGraph) -> _ContactCore:
-    """Build g's contact core once and keep it on g, which is immutable."""
+    """Build g's contact core once and keep it on g, which is immutable.
+
+    Contact i of g's contact index is line-graph node i + 2; its arcs go to
+    the suffix of its head's presorted start list that departs after it.
+    """
     core = g._line_core
     if core is not None:
         return core
-    clist = tuple(contacts(g))
-    # contacts grouped by their start node, presorted by (slot, edge order)
-    by_start: dict[str, list[int]] = {}
-    into: dict[str, list[int]] = {}
-    for i, c in enumerate(clist):
-        e = g.edge(c.edge)
-        by_start.setdefault(e.src, []).append(i + 2)
-        into.setdefault(e.dst, []).append(i + 2)
-    starts: dict[str, tuple[int, ...]] = {}
-    slots: dict[str, list[int]] = {}
-    for node, lst in by_start.items():
-        lst.sort(key=lambda v: clist[v - 2].slot)  # stable: ties keep edge order
-        starts[node] = tuple(lst)
-        slots[node] = [clist[v - 2].slot for v in lst]
+    ix = _contact_index(g)
+    starts = {n: tuple(i + 2 for i in ids) for n, ids in ix.starts.items()}
     succ = [(), ()]
-    for c in clist:
-        head = g.edge(c.edge).dst
-        nxt = starts.get(head, ())
-        # the start list is slot-sorted, so the later contacts are a suffix
-        succ.append(nxt[bisect_right(slots[head], c.slot):] if nxt else ())
-    core = _ContactCore(clist, starts, tuple(succ),
+    into: dict[str, list[int]] = {}
+    for i, head in enumerate(ix.head):
+        succ.append(starts[head][ix.after[i]:] if head in starts else ())
+        into.setdefault(head, []).append(i + 2)
+    core = _ContactCore(tuple(contacts(g)), tuple(succ),
                         {n: tuple(v) for n, v in into.items()})
     g._line_core = core
     return core
@@ -95,18 +85,19 @@ def _contact_core(g: TimeVaryingGraph) -> _ContactCore:
 def build_line_graph(g: TimeVaryingGraph, s: str, d: str) -> LineGraph:
     """Expand every contact of g into a node, terminals s and d included.
 
-    The pair-independent part (contacts, start lists, contact-to-contact
-    arcs) is built once per graph and kept on it; each call only attaches
-    the terminals: the source terminal's arcs are the start list of s, and
-    DST goes first on every contact arriving at d. So the successor lists
-    are exactly those of a from-scratch expansion, in the same order.
+    The pair-independent part (contacts and contact-to-contact arcs) is
+    built once per graph and kept on it; each call only attaches the
+    terminals: the source terminal's arcs go to the contacts leaving s, in
+    the contact index's (slot, edge order), and DST goes first on every
+    contact arriving at d. So the successor lists are exactly those of a
+    from-scratch expansion, in the same order.
     """
     if s == d:
         raise ValueError("source and destination must differ")
     _check_nodes(g, s, d)
     core = _contact_core(g)
     succ = list(core.succ)
-    succ[SRC] = core.starts.get(s, ())
+    succ[SRC] = tuple(i + 2 for i in _contact_index(g).starts.get(s, ()))
     for v in core.into.get(d, ()):
         succ[v] = (DST,) + succ[v]
     return LineGraph(g, s, d, core.contact_list, tuple(succ))
@@ -166,16 +157,15 @@ def node_disjoint_maxflow(lg: LineGraph,
     into that many internally node-disjoint paths, which are returned as
     contact sequences.
     """
-    caps: list[Fraction] = []
-    unit = True
+    ws: list[Fraction | int] = []
     for c in lg.contact_list:
-        w = Fraction(weights[c]) if weights is not None else Fraction(1)
+        w = weights[c] if weights is not None else 1
         if w <= 0:
             raise ValueError(f"nonpositive weight for contact {c}")
-        caps.append(w)
-        unit = unit and w == 1
-
-    scale = lcm(*(w.denominator for w in caps)) if caps else 1
+        ws.append(w)
+    unit = all(w == 1 for w in ws)
+    scale = lcm(*(w.denominator for w in ws)) if ws else 1
+    caps = [w.numerator * (scale // w.denominator) for w in ws]
 
     # node split: contact i, line-graph node v = i + 2, becomes in-half
     # 2 + 2i = 2v - 2 and out-half 3 + 2i = 2v - 1; the terminals keep
@@ -193,9 +183,9 @@ def node_disjoint_maxflow(lg: LineGraph,
         arc_to.append(u)
         res.append(0)
 
-    total = sum(int(w * scale) for w in caps) + 1  # effectively infinite
-    for i, w in enumerate(caps):
-        add_arc(2 + 2 * i, 3 + 2 * i, int(w * scale))
+    total = sum(caps) + 1  # effectively infinite
+    for i, cap in enumerate(caps):
+        add_arc(2 + 2 * i, 3 + 2 * i, cap)
     for v in lg.succ[SRC]:
         add_arc(SRC, 2 * v - 2, total)
     for u in range(2, lg.node_count):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .linegraph import (SRC, LineGraph, build_line_graph, min_hop_path,
                         node_disjoint_maxflow)
 from .tvg import (Contact, InstanceTooLargeError, Journey, TimeVaryingGraph,
-                  _contacts_reaching, interfering_contacts)
+                  _contact_id, _contacts_reaching, interfering_contacts)
 
 DEFAULT_JOURNEY_CAP = 25_000
 
@@ -56,7 +56,6 @@ def greedy_maxflow_delta(g: TimeVaryingGraph, s: str, d: str,
     if delta < 1:
         raise ValueError("delta must be positive")
     lg = build_line_graph(g, s, d)
-    node_of = {c: i + 2 for i, c in enumerate(lg.contact_list)}
     dead = [False] * lg.node_count
     found: list[Journey] = []
     while True:
@@ -65,7 +64,7 @@ def greedy_maxflow_delta(g: TimeVaryingGraph, s: str, d: str,
             break
         found.append(j)
         for c in interfering_contacts(g, j, delta):
-            dead[node_of[c]] = True
+            dead[_contact_id(g, c) + 2] = True
     return FlowResult(tuple(found), delta, exact=False)
 
 

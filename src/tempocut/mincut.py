@@ -7,8 +7,9 @@ densest same-edge delta-window through it, solve weighted node mincut on
 the line graph, then round the cut to removals with a per-edge stabbing
 cover. exact_mincut_delta is the desk-scale oracle (iterative-deepening
 hitting-set search over canonical removal heads, branching on the hops of
-tvg._min_hop_surviving's journey), seeded with the rounded cut as its
-ceiling and the greedy journey count as its floor.
+tvg._min_hop_surviving's journey, the chosen removals kept as a count per
+contact id), seeded with the rounded cut as its ceiling and the greedy
+journey count as its floor.
 analyze_exact computes the four answers for one pair (greedy and exact
 flow, rounded and exact cut) with their certificates; only the greedy runs
 twice, at delta >= 2, where the exact flow also runs it as its incumbent.
@@ -24,8 +25,8 @@ from .linegraph import build_line_graph, node_disjoint_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, exact_maxflow_delta,
                       greedy_bound_certificate, greedy_maxflow_delta)
 from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError,
-                  TimeVaryingGraph, _min_hop_surviving, reachable,
-                  removal_footprint)
+                  TimeVaryingGraph, _footprint_ids, _min_hop_surviving,
+                  reachable, removal_footprint)
 
 DEFAULT_HEAD_CAP = 2000
 
@@ -188,9 +189,13 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
         raise InstanceTooLargeError(
             f"instance too large for exact oracle: more than {head_cap} removal heads")
 
+    # dead[i] counts the chosen removals that take out contact i; a count,
+    # not a flag, since removals on one edge can overlap
+    dead = [0] * g.contact_count
+
     def search(k: int, chosen: list[DeltaRemoval],
                forbidden: frozenset[DeltaRemoval]) -> tuple[DeltaRemoval, ...] | None:
-        j = _min_hop_surviving(g, s, d, _footprint(g, chosen))
+        j = _min_hop_surviving(g, s, d, dead)
         if j is None:
             return tuple(chosen)
         if len(chosen) == k:
@@ -205,9 +210,14 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
                     candidates.append(r)
         blocked = set(forbidden)
         for r in candidates:
+            ids = _footprint_ids(g, r)
+            for i in ids:
+                dead[i] += 1
             chosen.append(r)
             got = search(k, chosen, frozenset(blocked))
             chosen.pop()
+            for i in ids:
+                dead[i] -= 1
             if got is not None:
                 return got
             blocked.add(r)

@@ -11,12 +11,17 @@ application, interference between journeys, and the two searches over g:
 _min_hop_surviving (a min-hop journey avoiding banned contacts, behind
 reachable and the exact cut search) and enumerate_journeys (every journey,
 revisits included; the tests' independent reference).
+
+Each graph keeps a contact index, built on first use: integer contact ids
+in contacts(g) order, and per node the ids leaving it presorted by (slot,
+edge order). _min_hop_surviving walks that index, banned contacts given as
+a mask over the ids, and the line graphs build their arcs from it.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -78,14 +83,15 @@ class TimeVaryingGraph:
     The constructor normalizes active slot lists (sorted, deduplicated) but
     does not reject invalid data; use validate_graph / from_json_dict for that.
 
-    _line_core holds the pair-independent contact core that
-    linegraph.build_line_graph builds on first use and every later line
-    graph of this graph shares; it lives and dies with the graph and takes
-    no part in equality, hashing or serialization.
+    _contact_ix holds the contact index (see _contact_index) and _line_core
+    the pair-independent contact core that linegraph.build_line_graph builds
+    on it and every line graph of this graph shares. Both are built on first
+    use, live and die with the graph and take no part in equality, hashing
+    or serialization.
     """
 
-    __slots__ = ("horizon", "nodes", "edges", "active",
-                 "_by_id", "_index", "_out", "_node_set", "_line_core")
+    __slots__ = ("horizon", "nodes", "edges", "active", "_by_id", "_index",
+                 "_out", "_node_set", "_contact_ix", "_line_core")
 
     def __init__(self, nodes: Iterable[str],
                  edges: Iterable[tuple[str, str, Iterable[int]]],
@@ -112,6 +118,7 @@ class TimeVaryingGraph:
         for e in defs:
             out.setdefault(e.src, []).append(e)
         self._out = {n: tuple(es) for n, es in out.items()}
+        self._contact_ix = None
         self._line_core = None
 
     # -- lookups ---------------------------------------------------------
@@ -226,6 +233,75 @@ def contacts(g: TimeVaryingGraph) -> list[Contact]:
     return out
 
 
+class _ContactIndex(NamedTuple):
+    """Integer contact ids of one graph; pair-independent, linear in size.
+
+    Ids follow contacts(g) order, so the contacts of edge e are the ids
+    first[e], first[e] + 1, ... in slot order, and on one edge a smaller id
+    is an earlier slot.
+    """
+
+    starts: dict[str, tuple[int, ...]]  # node -> ids leaving it, (slot, edge order)
+    after: list[int]  # id -> where starts[its head] departs after its slot
+    slot: list[int]  # id -> slot
+    edge_pos: list[int]  # id -> position of its edge in g.edges
+    head: list[str]  # id -> node the contact arrives at
+    rank: list[int]  # id -> position in (slot, edge order) over all ids
+    first: dict[str, int]  # edge id -> id of its first contact
+
+
+def _contact_index(g: TimeVaryingGraph) -> _ContactIndex:
+    """Build g's contact index once and keep it on g, which is immutable."""
+    ix = g._contact_ix
+    if ix is not None:
+        return ix
+    slot: list[int] = []
+    edge_pos: list[int] = []
+    head: list[str] = []
+    first: dict[str, int] = {}
+    by_start: dict[str, list[int]] = {}
+    for k, e in enumerate(g.edges):
+        first[e.eid] = len(slot)
+        leaving = by_start.setdefault(e.src, [])
+        for t in g.active[e.eid]:
+            leaving.append(len(slot))
+            slot.append(t)
+            edge_pos.append(k)
+            head.append(e.dst)
+    # ids run in edge order, so a stable sort by slot gives (slot, edge order)
+    by_slot = slot.__getitem__
+    rank = [0] * len(slot)
+    for r, i in enumerate(sorted(range(len(slot)), key=by_slot)):
+        rank[i] = r
+    starts = {n: tuple(sorted(ids, key=by_slot)) for n, ids in by_start.items()}
+    start_slots = {n: [slot[i] for i in ids] for n, ids in starts.items()}
+    after = [bisect_right(start_slots[h], t) if h in starts else 0
+             for h, t in zip(head, slot)]
+    ix = _ContactIndex(starts, after, slot, edge_pos, head, rank, first)
+    g._contact_ix = ix
+    return ix
+
+
+def _contact_id(g: TimeVaryingGraph, c: Contact) -> int | None:
+    """c's id in g's contact index, or None if c is not a contact of g."""
+    edge, t = c
+    slots = g.active.get(edge)
+    if slots is None:
+        return None
+    k = bisect_left(slots, t)
+    if k == len(slots) or slots[k] != t:
+        return None
+    return _contact_index(g).first[edge] + k
+
+
+def _footprint_ids(g: TimeVaryingGraph, r: DeltaRemoval) -> range:
+    """Ids of the contacts r takes out: one edge, so one run of ids."""
+    slots = g.active[r.edge]
+    base = _contact_index(g).first[r.edge]
+    return range(base + bisect_left(slots, r.head),
+                 base + bisect_right(slots, r.head + r.delta - 1))
+
+
 def is_valid_journey(g: TimeVaryingGraph, j: Journey, s: str, d: str) -> bool:
     """True iff j is a feasible s->d journey of g (never raises)."""
     hops = j.hops
@@ -283,63 +359,73 @@ def reachable(g: TimeVaryingGraph, s: str, d: str,
               banned: frozenset[Contact] | None = None) -> bool:
     """True iff some s->d journey avoids every banned contact.
 
-    `banned` contacts are treated as inactive; the cut oracles use it to
-    test removals without rebuilding graphs.
+    `banned` contacts are treated as inactive (ones that are not contacts
+    of g are ignored); the cut oracles use it to test removals without
+    rebuilding graphs.
     """
     _check_nodes(g, s, d)
-    return _min_hop_surviving(g, s, d, banned or frozenset()) is not None
+    dead = [False] * g.contact_count
+    for c in banned or ():
+        i = _contact_id(g, c)
+        if i is not None:
+            dead[i] = True
+    return _min_hop_surviving(g, s, d, dead) is not None
 
 
 def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
-                       banned: frozenset[Contact]) -> Journey | None:
-    """Min-hop journey avoiding banned contacts, or None.
+                       dead: Sequence[int]) -> Journey | None:
+    """Min-hop journey avoiding the contacts whose `dead` entry is nonzero,
+    or None. `dead` is indexed by contact id (see _contact_index).
 
-    BFS over contact states. A contact on edge e is only worth expanding
-    if its slot beats the earliest slot already expanded on e (an earlier
-    slot at an earlier-or-same level dominates: same edge, more room to
-    continue), which keeps the state space near-linear.
+    BFS over contact states, level by level in (slot, edge order); the
+    first level holding a contact into d returns its first such contact.
+    A contact on edge e is only worth expanding if its slot beats the
+    earliest slot already expanded on e (an earlier slot at an
+    earlier-or-same level dominates: same edge, more room to continue),
+    which keeps the state space near-linear. On one edge ids order like
+    slots, so the test compares ids. Expanding a contact walks the
+    presorted suffix of its head's start list that departs after it; the
+    dominance test alone keeps the first live contact of each edge there.
     """
-    best_slot: dict[str, int] = {}
-    parent: dict[Contact, Contact | None] = {}
+    ix = _contact_index(g)
+    starts, after, slot = ix.starts, ix.after, ix.slot
+    edge_pos, head = ix.edge_pos, ix.head
+    best = [len(slot)] * len(g.edges)  # earliest expanded id, per edge
+    parent: dict[int, int] = {}
 
-    def out_contacts(node: str, after: int) -> list[Contact]:
-        found = []
-        for e in g.out_edges(node):
-            slots = g.active[e.eid]
-            for k in range(bisect_right(slots, after), len(slots)):
-                c = Contact(e.eid, slots[k])
-                if c not in banned:
-                    found.append(c)
-                    break  # earliest usable slot on e dominates later ones
-        found.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
-        return found
-
-    frontier: list[Contact] = []
-    for c in out_contacts(s, 0):
-        parent[c] = None
-        best_slot[c.edge] = c.slot
-        frontier.append(c)
+    frontier: list[int] = []
+    for c in starts.get(s, ()):
+        e = edge_pos[c]
+        # a slot below 1 starts no journey (see is_valid_journey)
+        if not dead[c] and best[e] > c and slot[c] > 0:
+            best[e] = c
+            parent[c] = -1
+            frontier.append(c)
 
     while frontier:
-        nxt: list[Contact] = []
         for c in frontier:
-            if g.edge(c.edge).dst == d:
-                hops = [c]
-                cur = parent[c]
-                while cur is not None:
-                    hops.append(cur)
-                    cur = parent[cur]
+            if head[c] == d:
+                hops = []
+                while c != -1:
+                    hops.append(Contact(g.edges[edge_pos[c]].eid, slot[c]))
+                    c = parent[c]
                 hops.reverse()
                 return Journey(tuple(hops))
+        nxt: list[int] = []
         for c in frontier:
-            for c2 in out_contacts(g.edge(c.edge).dst, c.slot):
-                known = best_slot.get(c2.edge)
-                if known is not None and known <= c2.slot:
+            leaving = starts.get(head[c])
+            if not leaving:
+                continue
+            for c2 in leaving[after[c]:]:
+                if dead[c2]:
                     continue
+                e = edge_pos[c2]
+                if best[e] <= c2:
+                    continue
+                best[e] = c2
                 parent[c2] = c
-                best_slot[c2.edge] = c2.slot
                 nxt.append(c2)
-        nxt.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
+        nxt.sort(key=ix.rank.__getitem__)
         frontier = nxt
     return None
 

@@ -141,6 +141,28 @@ def test_exact_matches_brute_force():
                 assert verify_cut(g, res, "n1", "n4")
 
 
+def test_exact_matches_brute_force_where_branches_overlap():
+    """Instances whose search stacks removals with overlapping footprints
+    on one edge; backtracking one of them must not revive contacts the
+    other still takes out (clearing a flag on pop gives a cut one too big
+    on all four at delta 2 or 3)."""
+    for seed in (13, 16, 142, 173):
+        g = gen_random_tvg(4, 5, 0.5, seed)
+        for delta in (2, 3):
+            res = exact_mincut_delta(g, "n1", "n4", delta)
+            assert res.count == _brute_mincut(g, "n1", "n4", delta)
+            assert verify_cut(g, res, "n1", "n4")
+
+
+def test_exact_cut_keeps_the_min_hop_tie_break():
+    """The cut the search prints depends on which surviving journey it
+    branches on; another min-hop tie-break gives e36@5, e36@6, e38@6 here."""
+    g = gen_random_tvg(11, 10, 0.5, 53)
+    res = exact_mincut_delta(g, "n1", "n11", 5)
+    assert res.removals == (DeltaRemoval("e36", 6, 5), DeltaRemoval("e38", 6, 5),
+                            DeltaRemoval("e8", 1, 5))
+
+
 def test_rounded_cut_stays_within_delta_factor():
     cases = [(gen_random_tvg(5, 6, 0.5, 700 + seed), "n5", (2, 3))
              for seed in range(12)]
