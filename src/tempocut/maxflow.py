@@ -6,7 +6,8 @@ the line graph and blanks out everything that interferes with them; it is
 fast, order-deterministic, and carries a provable worst-case certificate
 (greedy_bound_certificate). exact_maxflow_delta is the desk-scale oracle:
 maximum independent set over the journey conflict graph, branch and bound
-seeded with the greedy incumbent.
+seeded with the greedy incumbent and stopped at a ceiling on the optimum:
+MaxFlow_1 on its own, the exact cut inside mincut.analyze_exact.
 """
 
 from __future__ import annotations
@@ -176,9 +177,8 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
 
     delta=1 reduces to unit-weight node-disjoint max flow on the line graph,
     whose path decomposition is an optimal 1-disjoint family. For delta >= 2
-    the oracle enumerates candidate journeys and runs branch and bound over
-    the conflict graph, greedy incumbent first; the reported set comes out
-    in enumeration order, so results are reproducible.
+    the oracle runs _exact_flow_search with the greedy as its incumbent and
+    MaxFlow_1, which dominates every MaxFlow_delta, as its ceiling.
     """
     if delta < 1:
         raise ValueError("delta must be positive")
@@ -187,12 +187,25 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
     if delta == 1:
         journeys = tuple(Journey(p) for p in flow.paths)
         return FlowResult(journeys, delta, exact=True)
-
     greedy = greedy_maxflow_delta(g, s, d, delta)
-    flow_bound = int(flow.value)  # MaxFlow_1 dominates every MaxFlow_delta
-    if greedy.count >= flow_bound:
-        return FlowResult(greedy.journeys, delta, exact=True)
+    return _exact_flow_search(lg, delta, greedy, int(flow.value), cap)
 
+
+def _exact_flow_search(lg: LineGraph, delta: int, greedy: FlowResult,
+                       ceiling: int, cap: int) -> FlowResult:
+    """exact_maxflow_delta's search at delta >= 2, given the greedy family
+    and a ceiling on the optimum: enumerate candidate journeys and run
+    branch and bound over the conflict graph, greedy incumbent first; the
+    reported set comes out in enumeration order, so results are
+    reproducible. The incumbent is only ever replaced by a larger family,
+    so stopping at the first family that reaches a valid ceiling returns
+    what the full search would: the family found does not depend on the
+    ceiling, only the time taken to prove it. A greedy family that already
+    reaches the ceiling is returned without enumerating anything.
+    """
+    if greedy.count >= ceiling:
+        return FlowResult(greedy.journeys, delta, exact=True)
+    g = lg.graph
     enum_journeys = _simple_journeys(lg, cap)
     if not enum_journeys:
         return FlowResult((), delta, exact=True)
@@ -219,7 +232,7 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
         interfering journeys) bounds any packing by the clique count, and
         trying vertices in reverse partition order makes that bound tighten
         monotonically along the loop. Returns True to stop early once the
-        1-disjoint ceiling is reached.
+        ceiling is reached.
         """
         nonlocal best, best_journeys
         order: list[int] = []
@@ -246,7 +259,7 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
                 best = size + 1
                 best_journeys = tuple(
                     enum_journeys[u] for u in sorted(order0[w] for w in chosen))
-                if best >= flow_bound:
+                if best >= ceiling:
                     chosen.pop()
                     return True
             if extend(alive & ~conflict[v] & ~bit, size + 1):

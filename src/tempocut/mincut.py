@@ -8,11 +8,13 @@ the line graph, then round the cut to removals with a per-edge stabbing
 cover. exact_mincut_delta is the desk-scale oracle (iterative-deepening
 hitting-set search over canonical removal heads, branching on the hops of
 tvg._min_hop_surviving's journey, the chosen removals kept as a count per
-contact id), seeded with the rounded cut as its ceiling and the greedy
-journey count as its floor.
+contact id), seeded with the rounded cut as its ceiling and, as its floor,
+the greedy journey count or the rounded cut's weight rounded up, whichever
+is larger.
 analyze_exact computes the four answers for one pair (greedy and exact
-flow, rounded and exact cut) with their certificates; only the greedy runs
-twice, at delta >= 2, where the exact flow also runs it as its incumbent.
+flow, rounded and exact cut) with their certificates, each once. At
+delta >= 2 the cut goes first and caps the exact flow by weak duality, so
+a greedy family as large as the cut needs no journey enumeration at all.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 
 from .linegraph import build_line_graph, node_disjoint_maxflow
-from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, exact_maxflow_delta,
-                      greedy_bound_certificate, greedy_maxflow_delta)
+from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, _exact_flow_search,
+                      exact_maxflow_delta, greedy_bound_certificate,
+                      greedy_maxflow_delta)
 from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError,
                   TimeVaryingGraph, _footprint_ids, _min_hop_surviving,
                   reachable, removal_footprint)
@@ -162,12 +166,13 @@ def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
     """Exact minimum number of delta-removals disconnecting s from d.
 
     Iterative deepening on the removal count k, starting from the greedy
-    journey count: a delta-removal hits at most one member of a
-    delta-disjoint family, so f such journeys need f removals. At each
-    depth: find a min-hop surviving journey, branch on the canonical
-    removals hitting it; left-to-right forbidden sets keep branches from
-    revisiting permutations. The approximation's cover is both the depth
-    ceiling and the fallback.
+    journey count (a delta-removal hits at most one member of a
+    delta-disjoint family, so f such journeys need f removals) or from the
+    rounded cut's weight rounded up (a removal's footprint weighs at most 1),
+    whichever is larger. At each depth: find a min-hop surviving journey,
+    branch on the canonical removals hitting it; left-to-right forbidden
+    sets keep branches from revisiting permutations. The approximation's
+    cover is both the depth ceiling and the fallback.
     """
     rounded = minweight_mincut_delta(g, s, d, delta)
     lower = greedy_maxflow_delta(g, s, d, delta).count
@@ -178,8 +183,9 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
                       rounded: CutResult, lower: int,
                       head_cap: int) -> CutResult:
     """exact_mincut_delta's search, given the rounded cut and a lower bound
-    on the optimum. Every depth below the optimum fails, so the cut found
-    does not depend on the bound, only the time taken to find it."""
+    on the optimum, raised to ceil(rounded.weight_lower_bound). Every depth
+    below the optimum fails, so the cut found does not depend on the bound,
+    only the time taken to find it."""
     upper = rounded.count
     if upper == 0:
         return CutResult((), delta, exact=True)
@@ -223,7 +229,8 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
             blocked.add(r)
         return None
 
-    for k in range(max(lower, 1), upper):
+    floor = max(lower, ceil(rounded.weight_lower_bound), 1)
+    for k in range(floor, upper):
         got = search(k, [], frozenset())
         if got is not None:
             break
@@ -237,8 +244,7 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
 @dataclass(frozen=True)
 class ExactAnalysis:
     """The four answers for one (g, s, d, delta) and the certificates block
-    `analyze --exact` prints. Only the greedy is computed twice, at
-    delta >= 2, where the exact flow also runs it as its incumbent."""
+    `analyze --exact` prints, each answer computed once."""
     greedy: FlowResult
     flow: FlowResult
     rounded: CutResult
@@ -251,13 +257,26 @@ def analyze_exact(g: TimeVaryingGraph, s: str, d: str, delta: int,
                   head_cap: int = DEFAULT_HEAD_CAP) -> ExactAnalysis:
     """Greedy and exact flow, rounded and exact cut, with certificates.
 
-    The exact flow goes first, so an exceeded journey cap is reported
-    before an exceeded head cap; its count seeds the exact cut search.
+    The greedy and the rounded cut go first. At delta = 1 the exact flow
+    is the unit max flow, and its count floors the exact cut search. At
+    delta >= 2 the exact cut search runs next, floored by the greedy count,
+    and the exact flow's packing search follows with the greedy as its
+    incumbent and the exact cut as its ceiling (weak duality: a removal hits
+    at most one journey of a delta-disjoint family). So at delta >= 2 an
+    exceeded head cap is reported before an exceeded journey cap, and the
+    journey cap binds only when the greedy falls short of the cut and
+    candidate journeys are enumerated.
     """
-    flow = exact_maxflow_delta(g, s, d, delta, cap=cap)
-    rounded = minweight_mincut_delta(g, s, d, delta)
-    cut = _exact_cut_search(g, s, d, delta, rounded, flow.count, head_cap)
     greedy = greedy_maxflow_delta(g, s, d, delta)
+    rounded = minweight_mincut_delta(g, s, d, delta)
+    if delta == 1:
+        flow = exact_maxflow_delta(g, s, d, delta, cap=cap)
+        cut = _exact_cut_search(g, s, d, delta, rounded, flow.count, head_cap)
+    else:
+        cut = _exact_cut_search(g, s, d, delta, rounded, greedy.count,
+                                head_cap)
+        flow = _exact_flow_search(build_line_graph(g, s, d), delta, greedy,
+                                  cut.count, cap)
     certificates = {
         "flow": {
             "greedy": greedy.count,

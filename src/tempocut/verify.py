@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from . import generators as gens
+from .linegraph import build_line_graph, node_disjoint_maxflow
 from .maxflow import exact_maxflow_delta
 from .mincut import (analyze_exact, exact_mincut_delta, sandwich_check,
                      set_weights, verify_cut, weighted_mincut_1)
@@ -58,16 +59,23 @@ def suite_menger1(count: int = 200, seed: int = 0) -> SuiteResult:
 
 
 def suite_duality(count: int = 40, deltas=(1, 2, 3, 5), seed: int = 0) -> SuiteResult:
-    """Flow never exceeds cut at any spacing (weak duality)."""
+    """Flow never exceeds cut at any spacing (weak duality), and the cut
+    never exceeds the unit max flow (a minimum contact cut, one removal per
+    contact, is a delta-cut), so the cut is a ceiling on the flow no looser
+    than MaxFlow_1."""
     failures = []
     checked = 0
     for g, s, d, sd in _corpus(count, seed):
+        unit = int(node_disjoint_maxflow(build_line_graph(g, s, d)).value)
         for delta in deltas:
             a = exact_maxflow_delta(g, s, d, delta).count
             b = exact_mincut_delta(g, s, d, delta).count
             checked += 1
             if a > b:
                 failures.append(f"seed {sd} delta {delta}: flow {a} > cut {b}")
+            elif b > unit:
+                failures.append(
+                    f"seed {sd} delta {delta}: cut {b} > unit max flow {unit}")
     return SuiteResult("duality", checked, tuple(failures))
 
 

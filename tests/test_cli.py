@@ -121,10 +121,11 @@ def test_cap_below_one_is_a_usage_error(relay_file, capsys, monkeypatch, cap):
 
 
 def test_analyze_exact_output_is_pinned(tmp_path, capsys):
-    # One digest over exit code, stdout and stderr of `analyze --exact`,
-    # recorded before the four answers moved behind mincut.analyze_exact:
+    # One digest over exit code, stdout and stderr of `analyze --exact`:
     # medium instances at delta 1, 2, 3 and 5, c11's graph, the gap ladder,
-    # and --cap runs tripping the journey cap, the head cap and neither.
+    # and --cap runs tripping the journey cap (m13), the head cap (m0 at
+    # delta 1) and neither (m0 and m5 at delta 2, whose greedy meets the
+    # exact cut, so no journey is enumerated).
     def saved(name, g):
         path = tmp_path / f"{name}.json"
         path.write_text(g.dumps())
@@ -140,7 +141,9 @@ def test_analyze_exact_output_is_pinned(tmp_path, capsys):
         cases += [(saved(f"k{k}", g), s, d, delta, []) for delta in (2, 3)]
     cases += [(medium[0], "n1", "n10", 2, ["--cap", "300"]),
               (medium[0], "n1", "n10", 1, ["--cap", "50"]),
-              (medium[5], "n1", "n10", 2, ["--cap", "300"])]
+              (medium[5], "n1", "n10", 2, ["--cap", "300"]),
+              (saved("m13", gen_random_tvg(10, 12, 0.5, 13)), "n1", "n10", 2,
+               ["--cap", "300"])]
     h = hashlib.sha256()
     for path, s, d, delta, extra in cases:
         code = main(["analyze", path, "--src", s, "--dst", d,
@@ -148,7 +151,31 @@ def test_analyze_exact_output_is_pinned(tmp_path, capsys):
         out, err = capsys.readouterr()
         h.update(json.dumps([code, out, err]).encode() + b"\n")
     assert h.hexdigest() == \
-        "1715c0bc7ec04d3757c93f444946d4e4d74e4743a0f7b6b7e71154aa778a3cbc"
+        "abc67436392b075d8f7efe36948a542c24acf4589235d06373182ffa30eb69b0"
+
+
+def test_journey_cap_binds_only_when_the_flow_enumerates(tmp_path, capsys):
+    # m0 at delta 2: the greedy already packs as many journeys as the exact
+    # cut removes, so no journey is enumerated and --cap 300 changes nothing.
+    # m13 at delta 2: greedy 8 < cut 9, and its 1,017 candidate journeys trip
+    # --cap 300; --cap 100 trips the cut's removal-head budget, checked first.
+    def analyze(seed, extra):
+        path = tmp_path / f"m{seed}.json"
+        path.write_text(gen_random_tvg(10, 12, 0.5, seed).dumps())
+        code = main(["analyze", str(path), "--src", "n1", "--dst", "n10",
+                     "--delta", "2", "--exact"] + extra)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    uncapped = analyze(0, [])
+    assert uncapped[0] == 0
+    assert analyze(0, ["--cap", "300"]) == uncapped
+    code, out, err = analyze(13, ["--cap", "300"])
+    assert (code, out) == (3, "")
+    assert "more than 300 candidate journeys" in err
+    code, out, err = analyze(13, ["--cap", "100"])
+    assert (code, out) == (3, "")
+    assert "more than 100 removal heads" in err
 
 
 def test_cap_env_var(relay_file, capsys, monkeypatch):

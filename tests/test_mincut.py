@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
-                      contacts, delta_cover, enumerate_journeys,
-                      exact_mincut_delta, gen_random_tvg, sandwich_check,
+                      analyze_exact, contacts, delta_cover,
+                      enumerate_journeys, exact_maxflow_delta,
+                      exact_mincut_delta, gen_counterexample, gen_random_tvg,
+                      greedy_maxflow_delta, sandwich_check,
                       minweight_mincut_delta, set_weights,
                       survivability_bounds, verify_cut, weighted_mincut_1)
 
@@ -177,6 +179,29 @@ def test_rounded_cut_stays_within_delta_factor():
             assert ceil(approx.weight_lower_bound) <= exact.count or \
                 exact.count == 0
             assert verify_cut(g, approx, "n1", d) or approx.count == 0
+
+
+def test_cut_capped_flow_matches_the_standalone_oracles():
+    # analyze_exact caps the packing search with the exact cut instead of
+    # MaxFlow_1 and reuses one greedy; both flows must come out journey for
+    # journey as the standalone oracles give them. The counterexample ladder
+    # has flow < cut, so there the search still runs to its proof.
+    cases = [(gen_random_tvg(10, 12, 0.5, seed), "n1", "n10")
+             for seed in range(40)]
+    cases += [(gen_random_tvg(11, 10, 0.5, seed), "n1", "n11")
+              for seed in range(40, 70)]
+    cases += [gen_counterexample(k) for k in (1, 2, 3)]
+    short = below = 0
+    for g, s, d in cases:
+        for delta in (2, 3, 5):
+            res = analyze_exact(g, s, d, delta)
+            assert res.flow == exact_maxflow_delta(g, s, d, delta)
+            assert res.greedy == greedy_maxflow_delta(g, s, d, delta)
+            short += res.greedy.count < res.cut.count
+            below += res.flow.count < res.cut.count
+    # 38 runs enumerate journeys; 6 of them (the ladder at k = 2, 3) prove
+    # a flow below the cut
+    assert (short, below) == (38, 6)
 
 
 def test_exact_respects_head_cap():
