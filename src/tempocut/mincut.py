@@ -10,7 +10,10 @@ hitting-set search over canonical removal heads, branching on the hops of
 tvg._min_hop_surviving's journey, the chosen removals kept as a count per
 contact id), seeded with the rounded cut as its ceiling and, as its floor,
 the greedy journey count or the rounded cut's weight rounded up, whichever
-is larger.
+is larger. The same greedy bound prunes every search node: a branch with b
+removals left whose residual still yields b + 1 delta-disjoint journeys,
+peeled off min-hop first as the greedy does, holds no cut and is dropped
+without branching.
 analyze_exact computes the four answers for one pair (greedy and exact
 flow, rounded and exact cut) with their certificates, each once. At
 delta >= 2 the cut goes first and caps the exact flow by weak duality, so
@@ -28,7 +31,7 @@ from .linegraph import build_line_graph, node_disjoint_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, _exact_flow_search,
                       exact_maxflow_delta, greedy_bound_certificate,
                       greedy_maxflow_delta)
-from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError,
+from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
                   TimeVaryingGraph, _footprint_ids, _min_hop_surviving,
                   reachable, removal_footprint)
 
@@ -161,6 +164,16 @@ def _canonical_heads(g: TimeVaryingGraph, c: Contact, delta: int) -> list[int]:
     return list(slots[lo:hi])
 
 
+def _interference_ids(g: TimeVaryingGraph, j: Journey,
+                      delta: int) -> list[range]:
+    """Ids of tvg.interfering_contacts(g, j, delta), one run per hop: the
+    contacts of the hop's edge within delta slots of it, which is the
+    footprint of a (2 * delta - 1)-slot removal centred on the hop. Runs of
+    hops on one edge may overlap."""
+    return [_footprint_ids(g, DeltaRemoval(e, t - delta + 1, 2 * delta - 1))
+            for e, t in j.hops]
+
+
 def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
                        head_cap: int = DEFAULT_HEAD_CAP) -> CutResult:
     """Exact minimum number of delta-removals disconnecting s from d.
@@ -171,8 +184,12 @@ def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
     rounded cut's weight rounded up (a removal's footprint weighs at most 1),
     whichever is larger. At each depth: find a min-hop surviving journey,
     branch on the canonical removals hitting it; left-to-right forbidden
-    sets keep branches from revisiting permutations. The approximation's
-    cover is both the depth ceiling and the fallback.
+    sets keep branches from revisiting permutations. Before branching with
+    b removals left, peel up to b more journeys off the residual, each
+    avoiding the contacts that interfere with the ones before; b + 1 of
+    them are pairwise delta-disjoint, no b removals hit them all, and the
+    branch is dropped. The approximation's cover is both the depth ceiling
+    and the fallback.
     """
     rounded = minweight_mincut_delta(g, s, d, delta)
     lower = greedy_maxflow_delta(g, s, d, delta).count
@@ -185,7 +202,9 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     """exact_mincut_delta's search, given the rounded cut and a lower bound
     on the optimum, raised to ceil(rounded.weight_lower_bound). Every depth
     below the optimum fails, so the cut found does not depend on the bound,
-    only the time taken to find it."""
+    only the time taken to find it. The peel drops only branches that hold
+    no cut, whatever their forbidden set, and leaves the depth-first order
+    of the rest alone, so it too changes the time, not the cut found."""
     upper = rounded.count
     if upper == 0:
         return CutResult((), delta, exact=True)
@@ -195,16 +214,34 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
         raise InstanceTooLargeError(
             f"instance too large for exact oracle: more than {head_cap} removal heads")
 
-    # dead[i] counts the chosen removals that take out contact i; a count,
-    # not a flag, since removals on one edge can overlap
+    # dead[i] counts the chosen removals and peel masks that take out
+    # contact i; a count, not a flag, since they can overlap
     dead = [0] * g.contact_count
+
+    def peels(j: Journey, budget: int) -> bool:
+        """True iff the residual holds budget + 1 pairwise delta-disjoint
+        journeys, j first, each found min-hop once the earlier ones'
+        interference windows are masked. No budget removals hit them all."""
+        masked: list[range] = []
+        for _ in range(budget):
+            for ids in _interference_ids(g, j, delta):
+                masked.append(ids)
+                for i in ids:
+                    dead[i] += 1
+            j = _min_hop_surviving(g, s, d, dead)
+            if j is None:
+                break
+        for ids in masked:
+            for i in ids:
+                dead[i] -= 1
+        return j is not None
 
     def search(k: int, chosen: list[DeltaRemoval],
                forbidden: frozenset[DeltaRemoval]) -> tuple[DeltaRemoval, ...] | None:
         j = _min_hop_surviving(g, s, d, dead)
         if j is None:
             return tuple(chosen)
-        if len(chosen) == k:
+        if len(chosen) == k or peels(j, k - len(chosen)):
             return None
         candidates: list[DeltaRemoval] = []
         seen: set[DeltaRemoval] = set()

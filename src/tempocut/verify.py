@@ -116,8 +116,10 @@ def suite_sandwich(count: int = 60, deltas=(2, 3, 5), seed: int = 300) -> SuiteR
 
 def suite_certificates(count: int = 40, deltas=(2, 3), seed: int = 600) -> SuiteResult:
     """Approximation guarantees on both sides, instance by instance:
-    the greedy flow is within its proven ratio of optimal, the rounded cut
-    is within delta of optimal, and its weight undercuts the optimum."""
+    the greedy flow is within its proven ratio of optimal, both cuts
+    disconnect the pair, the greedy count undercuts the optimal cut (the
+    bound the exact search prunes with), the rounded cut is within delta of
+    optimal, and its weight undercuts the optimum."""
     failures = []
     checked = 0
     for g, s, d, sd in _corpus(count, seed):
@@ -129,6 +131,12 @@ def suite_certificates(count: int = 40, deltas=(2, 3), seed: int = 600) -> Suite
                 failures.append(f"seed {sd} delta {delta}: flow certificate")
             elif cut.count and not verify_cut(g, cut, s, d):
                 failures.append(f"seed {sd} delta {delta}: cut does not disconnect")
+            elif not verify_cut(g, res.cut, s, d):
+                failures.append(
+                    f"seed {sd} delta {delta}: optimal cut does not disconnect")
+            elif res.greedy.count > copt:
+                failures.append(
+                    f"seed {sd} delta {delta}: greedy {res.greedy.count} above cut {copt}")
             elif not copt <= cut.count <= delta * copt:
                 failures.append(
                     f"seed {sd} delta {delta}: cut {cut.count} vs optimal {copt}")

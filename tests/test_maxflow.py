@@ -7,7 +7,7 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       apply_removals, build_line_graph, discretize,
                       enumerate_journeys, exact_maxflow_delta, gen_random_tvg,
                       greedy_bound_certificate, greedy_maxflow_delta,
-                      interferes, is_valid_journey, min_hop_path,
+                      interferes, is_valid_journey, Journey, min_hop_path,
                       node_disjoint_maxflow, parse_contact_trace)
 from tempocut.maxflow import _simple_journeys
 from tempocut.tvg import interfering_contacts
@@ -98,6 +98,50 @@ def test_simple_journeys_are_the_node_simple_enumerated_ones():
             if len(set(nodes)) == len(nodes):
                 simple.append(j)
         assert _simple_journeys(build_line_graph(g, s, d), 100_000) == simple
+
+
+def _node_simple_journeys(g, s, d):
+    """Every node-simple s->d journey, written from g alone: depth-first in
+    (slot, edge order), skipping contacts whose head is already on the walk,
+    and ending each journey at its first contact into d."""
+    order = {e.eid: k for k, e in enumerate(g.edges)}
+    found = []
+    walk = []
+    on_walk = {s}
+
+    def extend(node, after):
+        leaving = sorted(((t, e) for e in g.out_edges(node)
+                          for t in g.active[e.eid] if t > after),
+                         key=lambda te: (te[0], order[te[1].eid]))
+        for t, e in leaving:
+            if e.dst in on_walk:
+                continue
+            walk.append(Contact(e.eid, t))
+            if e.dst == d:
+                found.append(Journey(tuple(walk)))
+            else:
+                on_walk.add(e.dst)
+                extend(e.dst, t)
+                on_walk.discard(e.dst)
+            walk.pop()
+
+    extend(s, 0)
+    return found
+
+
+def test_simple_journeys_on_the_medium_corpus():
+    """The oracle's line-graph walk lists the node-simple journeys of the
+    medium corpus itself, horizon 12, in the order of a reference that
+    drops revisits while walking g."""
+    total = most = 0
+    for seed in range(100):
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        want = _node_simple_journeys(g, "n1", "n10")
+        assert _simple_journeys(build_line_graph(g, "n1", "n10"),
+                                100_000) == want, seed
+        total += len(want)
+        most = max(most, len(want))
+    assert (total, most) == (58_873, 2_099)
 
 
 def test_relay_flow_values(relay):

@@ -1,6 +1,9 @@
 """Disruption number: weighted relaxation, rounding, exact oracle, verdicts."""
 
+import dataclasses
 import itertools
+import random
+import sys
 from fractions import Fraction
 from math import ceil
 
@@ -14,6 +17,11 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       greedy_maxflow_delta, sandwich_check,
                       minweight_mincut_delta, set_weights,
                       survivability_bounds, verify_cut, weighted_mincut_1)
+from tempocut import mincut, verify
+from tempocut.mincut import (DEFAULT_HEAD_CAP, CutResult, _canonical_heads,
+                             _exact_cut_search, _interference_ids)
+from tempocut.tvg import (_contact_id, _footprint_ids, _min_hop_surviving,
+                          interfering_contacts)
 
 contact_sets = st.lists(
     st.builds(Contact,
@@ -165,6 +173,131 @@ def test_exact_cut_keeps_the_min_hop_tie_break():
                             DeltaRemoval("e8", 1, 5))
 
 
+def _unpruned_cut_search(g, s, d, delta, rounded, lower, head_cap):
+    """_exact_cut_search before the peel: every branch runs until its
+    removals are spent or its pair is cut."""
+    upper = rounded.count
+    if upper == 0:
+        return CutResult((), delta, exact=True)
+
+    head_budget = sum(len(g.active[e.eid]) for e in g.edges)
+    if head_budget > head_cap:
+        raise InstanceTooLargeError(
+            f"instance too large for exact oracle: more than {head_cap} removal heads")
+
+    # dead[i] counts the chosen removals that take out contact i; a count,
+    # not a flag, since removals on one edge can overlap
+    dead = [0] * g.contact_count
+
+    def search(k: int, chosen: list[DeltaRemoval],
+               forbidden: frozenset[DeltaRemoval]) -> tuple[DeltaRemoval, ...] | None:
+        j = _min_hop_surviving(g, s, d, dead)
+        if j is None:
+            return tuple(chosen)
+        if len(chosen) == k:
+            return None
+        candidates: list[DeltaRemoval] = []
+        seen: set[DeltaRemoval] = set()
+        for c in j.hops:
+            for h in _canonical_heads(g, c, delta):
+                r = DeltaRemoval(c.edge, h, delta)
+                if r not in seen and r not in forbidden:
+                    seen.add(r)
+                    candidates.append(r)
+        blocked = set(forbidden)
+        for r in candidates:
+            ids = _footprint_ids(g, r)
+            for i in ids:
+                dead[i] += 1
+            chosen.append(r)
+            got = search(k, chosen, frozenset(blocked))
+            chosen.pop()
+            for i in ids:
+                dead[i] -= 1
+            if got is not None:
+                return got
+            blocked.add(r)
+        return None
+
+    floor = max(lower, ceil(rounded.weight_lower_bound), 1)
+    for k in range(floor, upper):
+        got = search(k, [], frozenset())
+        if got is not None:
+            break
+    else:
+        got = rounded.removals
+    removals = tuple(sorted(got, key=lambda r: (r.edge, r.head)))
+    return CutResult(removals, delta, exact=True,
+                     weight_lower_bound=rounded.weight_lower_bound)
+
+
+def _count_searches(monkeypatch, module):
+    """Count the surviving-journey searches `module` makes from now on."""
+    calls = [0]
+    inner = module._min_hop_surviving
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, "_min_hop_surviving", counted)
+    return calls
+
+
+def test_peel_keeps_every_cut_of_the_unpruned_search(monkeypatch):
+    """The peel drops only branches that hold no cut, so the pruned search
+    returns the unpruned one's result, removals included, on every input;
+    and on the medium corpus at delta 2 and 3 it needs under a fifth of the
+    surviving-journey searches. The counterexample ladder has flow below
+    cut, where the peel finds fewest journeys."""
+    medium = [(gen_random_tvg(10, 12, 0.5, seed), "n1", "n10")
+              for seed in range(100)]
+    cases = [(gen_random_tvg(11, 10, 0.5, seed), "n1", "n11")
+             for seed in range(40, 70)]
+    cases += [gen_counterexample(k) for k in (1, 2, 3)]
+    pruned = _count_searches(monkeypatch, mincut)
+    unpruned = _count_searches(monkeypatch, sys.modules[__name__])
+    spent = [0, 0]  # pruned, unpruned; medium corpus at delta 2 and 3
+    for i, (g, s, d) in enumerate(medium + cases):
+        for delta in (1, 2, 3, 5):
+            rounded = minweight_mincut_delta(g, s, d, delta)
+            lower = greedy_maxflow_delta(g, s, d, delta).count
+            args = (g, s, d, delta, rounded, lower, DEFAULT_HEAD_CAP)
+            before = pruned[0], unpruned[0]
+            assert _exact_cut_search(*args) == _unpruned_cut_search(*args), \
+                (i, delta)
+            if i < len(medium) and delta in (2, 3):
+                spent[0] += pruned[0] - before[0]
+                spent[1] += unpruned[0] - before[1]
+    assert 5 * spent[0] < spent[1], spent
+
+
+def test_interference_ids_are_the_interfering_contacts():
+    """The ids the peel masks for a journey are those of
+    tvg.interfering_contacts, on greedy journeys and on enumerated ones:
+    windows reaching below slot 1, delta above the horizon, and journeys
+    using one edge twice (their windows overlap) included."""
+    below = beyond = twice = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        g = gen_random_tvg(rng.randint(3, 6), rng.randint(1, 7),
+                           rng.uniform(0.2, 0.7), seed)
+        s, d = g.nodes[0], g.nodes[-1]
+        walks = enumerate_journeys(g, s, d)
+        for delta in range(1, 6):
+            greedy = greedy_maxflow_delta(g, s, d, delta).journeys
+            for j in walks + list(greedy):
+                want = {_contact_id(g, c)
+                        for c in interfering_contacts(g, j, delta)}
+                got = [i for ids in _interference_ids(g, j, delta)
+                       for i in ids]
+                assert set(got) == want, (seed, delta, j)
+                below += j.hops[0].slot < delta
+                beyond += delta > g.horizon
+                twice += len({e for e, _ in j.hops}) < len(j.hops)
+    assert below and beyond and twice, (below, beyond, twice)
+
+
 def test_rounded_cut_stays_within_delta_factor():
     cases = [(gen_random_tvg(5, 6, 0.5, 700 + seed), "n5", (2, 3))
              for seed in range(12)]
@@ -233,3 +366,32 @@ def test_approximate_verdict_never_contradicts_exact():
             assert quick.upper >= truth.upper
             if quick.verdict != "unknown":
                 assert quick.verdict == truth.verdict
+
+
+def test_certificates_suite_checks_the_exact_cut_and_the_greedy_bound(
+        monkeypatch):
+    real = verify.analyze_exact
+    assert verify.suite_certificates(4).summary() == \
+        "certificates: 8 checks, all ok"
+
+    def short_cut(*args):
+        res = real(*args)
+        return dataclasses.replace(res, cut=dataclasses.replace(
+            res.cut, removals=res.cut.removals[1:]))
+
+    monkeypatch.setattr(verify, "analyze_exact", short_cut)
+    res = verify.suite_certificates(4)
+    assert res.checked == 8
+    assert all("optimal cut does not disconnect" in f for f in res.failures)
+    assert len(res.failures) == 8
+
+    def long_greedy(*args):
+        res = real(*args)
+        return dataclasses.replace(res, greedy=dataclasses.replace(
+            res.greedy, journeys=res.greedy.journeys * 2))
+
+    monkeypatch.setattr(verify, "analyze_exact", long_greedy)
+    res = verify.suite_certificates(4)
+    assert res.checked == 8
+    assert all("above cut" in f for f in res.failures)
+    assert len(res.failures) == 8
