@@ -10,7 +10,8 @@ from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
                   TimeVaryingGraph, apply_removals, contacts,
                   enumerate_journeys, interferes, is_valid_journey, load_tvg,
                   reachable, removal_footprint, save_tvg, validate_graph)
-from .linegraph import build_line_graph, min_hop_path, node_disjoint_maxflow
+from .linegraph import (build_line_graph, min_hop_path, node_disjoint_maxflow,
+                        time_expanded_maxflow)
 from .maxflow import (FlowResult, exact_maxflow_delta,
                       greedy_bound_certificate, greedy_maxflow_delta)
 from .mincut import (CutResult, ExactAnalysis, SurvivabilityVerdict,

@@ -1,12 +1,21 @@
-"""Static expansion of a time-varying graph for one source/destination pair.
+"""Static expansions of a time-varying graph for one source/destination pair.
 
-Each contact becomes a node; an arc joins two contact nodes exactly when
-traversing them back to back is time-feasible. s->d journeys of the original
-graph then correspond one to one with s->d paths here, which turns journey
-questions into static path questions: min-hop journeys come from BFS and
-1-slot-disjoint packing comes from node-capacitated max flow. Only the
-terminals depend on the pair, so the contact nodes and their arcs are built
-once per graph and shared by all of its line graphs.
+The line graph: each contact becomes a node; an arc joins two contact nodes
+exactly when traversing them back to back is time-feasible. s->d journeys of
+the original graph then correspond one to one with s->d paths here, which
+turns journey questions into static path questions: min-hop journeys come
+from BFS and 1-slot-disjoint packing comes from node-capacitated max flow.
+Only the terminals depend on the pair, so the contact nodes and their arcs
+are built once per graph and shared by all of its line graphs. The line
+graph has O(contacts^2) arcs.
+
+The time-expanded network has O(contacts) arcs: one hub per departure,
+waiting arcs between a node's consecutive departures, and one arc per
+contact (time_expanded_maxflow). Its min contact cuts are the line
+graph's, so it serves every max flow that needs only a value or a cut. The
+unit-flow path decomposition, which depends on the augmenting order, stays
+on the line graph. Both networks run the same augmenting loop
+(_Residual.augment).
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ class LineGraph:
 class NodeCutResult:
     value: Fraction
     cut: tuple[Contact, ...]
-    paths: tuple[tuple[Contact, ...], ...]  # populated for all-ones weights
+    paths: tuple[tuple[Contact, ...], ...]  # node_disjoint_maxflow, all-ones weights
 
 
 class _ContactCore(NamedTuple):
@@ -147,42 +156,22 @@ def node_disjoint_maxflow(lg: LineGraph,
                           ) -> NodeCutResult:
     """Max flow with per-contact node capacities; terminals are uncapacitated.
 
-    Weights default to 1 on every contact. All weights are scaled to integers
-    (they are rationals with small denominators), so values and the returned
-    cut are exact. Each round augments along the path a BFS over the
-    residual capacities finds. The last, failed search marks exactly the
-    nodes the source still reaches; the cut is every contact whose in-half
-    it marked and whose out-half it did not, which is the min cut closest to
-    the source and so unique. When every weight is 1 the flow decomposes
-    into that many internally node-disjoint paths, which are returned as
-    contact sequences.
+    Weights default to 1 on every contact and are scaled to integers (see
+    _scaled_caps), so values and the returned cut are exact. The last,
+    failed augmenting search marks exactly the nodes the source still
+    reaches; the cut is every contact whose in-half it marked and whose
+    out-half it did not, which is the min cut closest to the source and so
+    unique. When every weight is 1 the flow decomposes into that many
+    internally node-disjoint paths, which are returned as contact sequences;
+    which paths depends on the augmenting order.
     """
-    ws: list[Fraction | int] = []
-    for c in lg.contact_list:
-        w = weights[c] if weights is not None else 1
-        if w <= 0:
-            raise ValueError(f"nonpositive weight for contact {c}")
-        ws.append(w)
-    unit = all(w == 1 for w in ws)
-    scale = lcm(*(w.denominator for w in ws)) if ws else 1
-    caps = [w.numerator * (scale // w.denominator) for w in ws]
+    unit, scale, caps = _scaled_caps(lg.contact_list, weights)
 
     # node split: contact i, line-graph node v = i + 2, becomes in-half
     # 2 + 2i = 2v - 2 and out-half 3 + 2i = 2v - 1; the terminals keep
     # single nodes SRC and DST
-    size = 2 + 2 * len(caps)
-    graph: list[list[int]] = [[] for _ in range(size)]  # arc ids per node
-    arc_to: list[int] = []
-    res: list[int] = []  # residual capacity; arc a ^ 1 reverses arc a
-
-    def add_arc(u: int, v: int, cap: int) -> None:
-        graph[u].append(len(arc_to))
-        arc_to.append(v)
-        res.append(cap)
-        graph[v].append(len(arc_to))
-        arc_to.append(u)
-        res.append(0)
-
+    net = _Residual(2 + 2 * len(caps))
+    add_arc = net.add_arc
     total = sum(caps) + 1  # effectively infinite
     for i, cap in enumerate(caps):
         add_arc(2 + 2 * i, 3 + 2 * i, cap)
@@ -192,44 +181,142 @@ def node_disjoint_maxflow(lg: LineGraph,
         for v in lg.succ[u]:
             add_arc(2 * u - 1, DST if v == DST else 2 * v - 2, total)
 
-    value = 0
-    while True:
-        pred = [-1] * size  # arc id used to reach each node
-        pred[SRC] = -2
-        queue = [SRC]
-        for u in queue:
-            for a in graph[u]:
-                v = arc_to[a]
-                if pred[v] == -1 and res[a] > 0:
-                    pred[v] = a
-                    queue.append(v)
-            if pred[DST] != -1:
-                break
-        if pred[DST] == -1:
-            break
-        path = []
-        v = DST
-        while v != SRC:
-            path.append(pred[v])
-            v = arc_to[pred[v] ^ 1]
-        pushed = min(res[a] for a in path)
-        for a in path:
-            res[a] -= pushed
-            res[a ^ 1] += pushed
-        value += pushed
-
+    value, pred = net.augment()
     cut = tuple(c for i, c in enumerate(lg.contact_list)
                 if pred[2 + 2 * i] != -1 and pred[3 + 2 * i] == -1)
-    paths = _decompose_unit_paths(lg, graph, arc_to, res, value) if unit else ()
+    paths = _decompose_unit_paths(lg, net, value) if unit else ()
     return NodeCutResult(value=Fraction(value, scale), cut=cut, paths=paths)
 
 
-def _decompose_unit_paths(lg, graph, arc_to, res, value):
+def time_expanded_maxflow(g: TimeVaryingGraph, s: str, d: str,
+                          weights: Mapping[Contact, Fraction | int] | None = None
+                          ) -> NodeCutResult:
+    """node_disjoint_maxflow's value and cut on a network with O(contacts) arcs.
+
+    Node i + 2 is the hub of contact id i: its departure position at its
+    tail. Uncapacitated waiting arcs chain the hubs of each node in the
+    contact index's (slot, edge order), and SRC feeds the first hub of s.
+    Contact i is one arc carrying its scaled weight, to DST if its head is
+    d, else to the hub of the first contact leaving its head after it; it
+    is dropped when there is none. So s->d paths are the journeys that stop
+    at their first arrival at d, and the contact cuts are the line graph's.
+    The cut is every contact whose hub the last, failed augmenting search
+    reached and whose arc head it did not, in contacts(g) order. The
+    source-closest min cut is unique, so it equals node_disjoint_maxflow's
+    on build_line_graph(g, s, d). No paths are returned.
+    """
+    if s == d:
+        raise ValueError("source and destination must differ")
+    _check_nodes(g, s, d)
+    clist = contacts(g)
+    _, scale, caps = _scaled_caps(clist, weights)
+    ix = _contact_index(g)
+    starts = ix.starts
+
+    net = _Residual(2 + len(caps))
+    add_arc = net.add_arc
+    total = sum(caps) + 1  # effectively infinite
+    if starts.get(s):
+        add_arc(SRC, starts[s][0] + 2, total)
+    for ids in starts.values():
+        for a, b in zip(ids, ids[1:]):
+            add_arc(a + 2, b + 2, total)
+    to = [-1] * len(caps)  # node contact i's arc enters, -1 if dropped
+    for i, (head, k) in enumerate(zip(ix.head, ix.after)):
+        if head == d:
+            to[i] = DST
+        elif k < len(starts.get(head, ())):
+            to[i] = starts[head][k] + 2
+        else:
+            continue
+        add_arc(i + 2, to[i], caps[i])
+
+    value, pred = net.augment()
+    cut = tuple(c for i, c in enumerate(clist)
+                if to[i] >= 0 and pred[i + 2] != -1 and pred[to[i]] == -1)
+    return NodeCutResult(value=Fraction(value, scale), cut=cut, paths=())
+
+
+def _scaled_caps(clist: Sequence[Contact],
+                 weights: Mapping[Contact, Fraction | int] | None
+                 ) -> tuple[bool, int, list[int]]:
+    """(all weights 1, scale, integer capacities) for the contacts in order.
+
+    Weights default to 1; they are rationals with small denominators, so
+    scaling by the lcm of their denominators makes every one an integer.
+    """
+    if weights is None:
+        return True, 1, [1] * len(clist)
+    ws = [weights[c] for c in clist]
+    scale = lcm(*(w.denominator for w in ws))
+    caps = [w.numerator * (scale // w.denominator) for w in ws]
+    for c, cap in zip(clist, caps):
+        if cap <= 0:  # denominators are positive
+            raise ValueError(f"nonpositive weight for contact {c}")
+    return scale == 1 and all(cap == 1 for cap in caps), scale, caps
+
+
+class _Residual:
+    """A residual network: per-node arc ids, arc heads and capacities, where
+    arc a ^ 1 reverses arc a."""
+
+    __slots__ = ("graph", "arc_to", "res")
+
+    def __init__(self, size: int) -> None:
+        self.graph: list[list[int]] = [[] for _ in range(size)]
+        self.arc_to: list[int] = []
+        self.res: list[int] = []
+
+    def add_arc(self, u: int, v: int, cap: int) -> None:
+        graph, arc_to, res = self.graph, self.arc_to, self.res
+        graph[u].append(len(arc_to))
+        arc_to.append(v)
+        res.append(cap)
+        graph[v].append(len(arc_to))
+        arc_to.append(u)
+        res.append(0)
+
+    def augment(self) -> tuple[int, list[int]]:
+        """Push SRC->DST flow along BFS paths until none is left (Edmonds-Karp).
+
+        Returns the flow value and the last, failed search's arc into each
+        node: -1 marks exactly the nodes the source no longer reaches.
+        """
+        graph, arc_to, res = self.graph, self.arc_to, self.res
+        value = 0
+        while True:
+            pred = [-1] * len(graph)  # arc id used to reach each node
+            pred[SRC] = -2
+            queue = [SRC]
+            for u in queue:
+                for a in graph[u]:
+                    v = arc_to[a]
+                    if pred[v] == -1 and res[a] > 0:
+                        pred[v] = a
+                        queue.append(v)
+                if pred[DST] != -1:
+                    break
+            if pred[DST] == -1:
+                return value, pred
+            path = []
+            v = DST
+            while v != SRC:
+                path.append(pred[v])
+                v = arc_to[pred[v] ^ 1]
+            pushed = min(res[a] for a in path)
+            for a in path:
+                res[a] -= pushed
+                res[a ^ 1] += pushed
+            value += pushed
+
+
+def _decompose_unit_paths(lg, net, value):
     """Walk unit flow from the source into node-disjoint contact paths.
 
     A forward arc carries flow while its reverse arc has residual capacity;
     walking it takes that unit back, so no arc is walked twice.
     """
+    graph, arc_to, res = net.graph, net.arc_to, net.res
     paths = []
     for _ in range(value):
         path: list[Contact] = []

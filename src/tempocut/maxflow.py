@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .linegraph import (SRC, LineGraph, build_line_graph, min_hop_path,
-                        node_disjoint_maxflow)
+                        node_disjoint_maxflow, time_expanded_maxflow)
 from .tvg import (Contact, InstanceTooLargeError, Journey, TimeVaryingGraph,
                   _contact_id, _contacts_reaching, interfering_contacts)
 
@@ -178,17 +178,19 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
     delta=1 reduces to unit-weight node-disjoint max flow on the line graph,
     whose path decomposition is an optimal 1-disjoint family. For delta >= 2
     the oracle runs _exact_flow_search with the greedy as its incumbent and
-    MaxFlow_1, which dominates every MaxFlow_delta, as its ceiling.
+    MaxFlow_1, which dominates every MaxFlow_delta, as its ceiling; only
+    that value is needed, so it comes from the sparser time-expanded network.
     """
     if delta < 1:
         raise ValueError("delta must be positive")
-    lg = build_line_graph(g, s, d)
-    flow = node_disjoint_maxflow(lg)
     if delta == 1:
+        flow = node_disjoint_maxflow(build_line_graph(g, s, d))
         journeys = tuple(Journey(p) for p in flow.paths)
         return FlowResult(journeys, delta, exact=True)
+    ceiling = int(time_expanded_maxflow(g, s, d).value)
     greedy = greedy_maxflow_delta(g, s, d, delta)
-    return _exact_flow_search(lg, delta, greedy, int(flow.value), cap)
+    return _exact_flow_search(build_line_graph(g, s, d), delta, greedy,
+                              ceiling, cap)
 
 
 def _exact_flow_search(lg: LineGraph, delta: int, greedy: FlowResult,

@@ -3,8 +3,9 @@
 A delta-removal knocks one edge out for delta consecutive slots. The
 disruption number is the fewest removals that disconnect a pair. The
 approximation pipeline: weight each contact by the reciprocal of the
-densest same-edge delta-window through it, solve weighted node mincut on
-the line graph, then round the cut to removals with a per-edge stabbing
+densest same-edge delta-window through it, solve the weighted contact cut
+as a max flow over the time-expanded network (one hub per departure, one
+arc per contact), then round the cut to removals with a per-edge stabbing
 cover. exact_mincut_delta is the desk-scale oracle (iterative-deepening
 hitting-set search over canonical removal heads, branching on the hops of
 tvg._min_hop_surviving's journey, the chosen removals kept as a count per
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .linegraph import build_line_graph, node_disjoint_maxflow
+from .linegraph import build_line_graph, time_expanded_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, _exact_flow_search,
                       exact_maxflow_delta, greedy_bound_certificate,
                       greedy_maxflow_delta)
@@ -88,11 +89,12 @@ def weighted_mincut_1(g: TimeVaryingGraph, weights: WeightMap, s: str,
                       d: str) -> tuple[Fraction, tuple[Contact, ...]]:
     """Minimum-weight contact set whose deletion disconnects s from d.
 
-    Exact for single-contact deletions by the journey/path correspondence;
-    returns (total weight, cut contacts).
+    Exact for single-contact deletions: a max flow over the time-expanded
+    network (linegraph.time_expanded_maxflow), whose s->d paths are the
+    journeys, so its min cuts are the minimum contact cuts. Returns (total
+    weight, cut contacts), the cut being the unique min cut closest to s.
     """
-    lg = build_line_graph(g, s, d)
-    res = node_disjoint_maxflow(lg, weights=weights)
+    res = time_expanded_maxflow(g, s, d, weights=weights)
     return res.value, res.cut
 
 

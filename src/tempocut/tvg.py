@@ -15,7 +15,8 @@ revisits included; the tests' independent reference).
 Each graph keeps a contact index, built on first use: integer contact ids
 in contacts(g) order, and per node the ids leaving it presorted by (slot,
 edge order). _min_hop_surviving walks that index, banned contacts given as
-a mask over the ids, and the line graphs build their arcs from it.
+a mask over the ids, and the line graphs and the time-expanded network
+build their arcs from it.
 """
 
 from __future__ import annotations

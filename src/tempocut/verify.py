@@ -3,7 +3,8 @@
 Each suite hammers one identity or guarantee the library is supposed to
 uphold (flow/cut equality at unit spacing, the duality chain, the rounding
 sandwich, the approximation certificates, the bounded-path reduction, the
-gap family) on seeded instances and reports per-instance failures.
+gap family, the two max-flow engines agreeing) on seeded instances and
+reports per-instance failures.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 from math import ceil
 
 from . import generators as gens
-from .linegraph import build_line_graph, node_disjoint_maxflow
+from .linegraph import (build_line_graph, node_disjoint_maxflow,
+                        time_expanded_maxflow)
 from .maxflow import exact_maxflow_delta
 from .mincut import (analyze_exact, exact_mincut_delta, sandwich_check,
                      set_weights, verify_cut, weighted_mincut_1)
@@ -62,7 +64,8 @@ def suite_duality(count: int = 40, deltas=(1, 2, 3, 5), seed: int = 0) -> SuiteR
     """Flow never exceeds cut at any spacing (weak duality), and the cut
     never exceeds the unit max flow (a minimum contact cut, one removal per
     contact, is a delta-cut), so the cut is a ceiling on the flow no looser
-    than MaxFlow_1."""
+    than MaxFlow_1. MaxFlow_1 comes from the line-graph engine, so the
+    ceiling is checked against a reference the cut pipeline does not use."""
     failures = []
     checked = 0
     for g, s, d, sd in _corpus(count, seed):
@@ -160,6 +163,31 @@ def suite_reduction(count: int = 30, seed: int = 900) -> SuiteResult:
     return SuiteResult("reduction", count, tuple(failures))
 
 
+def suite_engines(count: int = 60, deltas=(2, 3, 5), seed: int = 1200) -> SuiteResult:
+    """The time-expanded max flow behind the rounded cut and the MaxFlow_1
+    ceiling gives the line graph's flow value and the same source-closest
+    min cut, with unit weights and with set_weights at each delta, on both
+    directions of each pair."""
+    failures = []
+    checked = 0
+    for g, s, d, sd in _corpus(count, seed):
+        weightings = [("unit", None)] + [
+            (f"delta {delta}", set_weights(g, delta)) for delta in deltas]
+        for a, b in ((s, d), (d, s)):
+            lg = build_line_graph(g, a, b)
+            for label, w in weightings:
+                checked += 1
+                want = node_disjoint_maxflow(lg, weights=w)
+                got = time_expanded_maxflow(g, a, b, weights=w)
+                if got.value != want.value:
+                    failures.append(f"seed {sd} {a}->{b} {label}: value "
+                                    f"{got.value} != line graph {want.value}")
+                elif got.cut != want.cut:
+                    failures.append(f"seed {sd} {a}->{b} {label}: cut differs "
+                                    f"from the line graph's")
+    return SuiteResult("engines", checked, tuple(failures))
+
+
 SUITES = {
     "menger1": suite_menger1,
     "duality": suite_duality,
@@ -167,6 +195,7 @@ SUITES = {
     "sandwich": suite_sandwich,
     "certificates": suite_certificates,
     "reduction": suite_reduction,
+    "engines": suite_engines,
 }
 
 

@@ -215,6 +215,20 @@ def test_survivable_exact_honours_the_cap(relay_file, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["analyze", "--delta", "2", "--exact"],
+    ["survivable", "--n", "1"], ["survivable", "--n", "1", "--exact"]])
+@pytest.mark.parametrize("src,message", [("zz", "unknown node 'zz'"),
+                                         ("d", "must differ")])
+def test_bad_source_is_a_usage_error(relay_file, capsys, command, src,
+                                     message):
+    assert main([command[0], relay_file, "--src", src, "--dst", "d",
+                 *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_survivable(relay_file, capsys):
     assert main(["survivable", relay_file, "--src", "s", "--dst", "d",
                  "--n", "1", "--exact"]) == 0
@@ -268,6 +282,12 @@ def test_verify_suite(capsys):
     out = capsys.readouterr().out
     assert "gapfamily:" in out
     assert "all suites pass" in out
+
+
+def test_verify_engines_suite(capsys):
+    assert main(["verify", "--suite", "engines"]) == 0
+    assert capsys.readouterr().out == (
+        "engines: 480 checks, all ok\nall suites pass\n")
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,5 +1,6 @@
 """Contact expansion and the node-capacitated flow engine under it."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, TimeVaryingGraph,
                       apply_removals, build_line_graph, enumerate_journeys,
-                      gen_random_tvg, min_hop_path, node_disjoint_maxflow,
-                      reachable, set_weights)
+                      gen_counterexample, gen_random_tvg, min_hop_path,
+                      node_disjoint_maxflow, reachable, set_weights,
+                      time_expanded_maxflow, weighted_mincut_1)
+from tempocut import verify
 from tempocut.linegraph import DST, SRC
 from tempocut.tvg import contacts
 
@@ -183,11 +186,107 @@ def test_weighted_flow_cut_and_value_against_networkx():
         net = _split_graph(nx, g, s, d)
         for delta in range(1, 6):
             weights = set_weights(g, delta)
-            res = node_disjoint_maxflow(lg, weights=weights)
-            assert sum(weights[c] for c in res.cut) == res.value
-            assert not reachable(g, s, d, banned=frozenset(res.cut))
             # networkx gets the weights scaled to integers
             scale = math.lcm(*(w.denominator for w in weights.values()))
             for c, w in weights.items():
                 net[("in", c)][("out", c)]["capacity"] = int(w * scale)
-            assert res.value * scale == nx.maximum_flow_value(net, "src", "dst")
+            want = nx.maximum_flow_value(net, "src", "dst")
+            for res in (node_disjoint_maxflow(lg, weights=weights),
+                        time_expanded_maxflow(g, s, d, weights=weights)):
+                assert sum(weights[c] for c in res.cut) == res.value
+                assert not reachable(g, s, d, banned=frozenset(res.cut))
+                assert res.value * scale == want
+
+
+def _engines_agree(g, s, d, weights=None):
+    """Both max flows on one pair: equal value and equal cut tuple. Returns
+    the value."""
+    want = node_disjoint_maxflow(build_line_graph(g, s, d), weights=weights)
+    got = time_expanded_maxflow(g, s, d, weights=weights)
+    assert (got.value, got.cut) == (want.value, want.cut), (s, d, weights)
+    assert got.paths == ()
+    return got.value
+
+
+def _weightings(g):
+    """Unit weights, then set_weights at delta 2, 3 and 5."""
+    return [None] + [set_weights(g, delta) for delta in (2, 3, 5)]
+
+
+def test_time_expanded_flow_matches_the_line_graph():
+    cases = nonzero = 0
+    # the medium corpus
+    for seed in range(100):
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        for w in _weightings(g):
+            cases += 1
+            nonzero += _engines_agree(g, "n1", "n10", w) > 0
+    # every ordered pair, so terminals sit anywhere in the graph
+    for seed in range(5):
+        g = gen_random_tvg(8, 10, 0.5, seed)
+        ws = _weightings(g)
+        for s in g.nodes:
+            for d in g.nodes:
+                if s != d:
+                    for w in ws:
+                        cases += 1
+                        nonzero += _engines_agree(g, s, d, w) > 0
+    for k in (1, 2, 3):
+        g, s, d = gen_counterexample(k)
+        for w in _weightings(g):
+            cases += 1
+            nonzero += _engines_agree(g, s, d, w) > 0
+    assert cases == 1_532
+    assert nonzero > cases // 2
+
+
+@given(graphs, st.integers(1, 6), st.booleans())
+@settings(max_examples=80)
+def test_time_expanded_flow_matches_the_line_graph_on_any_graph(g, delta,
+                                                                 unit):
+    w = None if unit else set_weights(g, delta)
+    for s in g.nodes:
+        for d in g.nodes:
+            if s != d:
+                _engines_agree(g, s, d, w)
+
+
+def test_time_expanded_flow_rejects_what_the_line_graph_rejects(relay):
+    for s, d in (("s", "zz"), ("zz", "d")):
+        with pytest.raises(ValueError, match="unknown node 'zz'"):
+            time_expanded_maxflow(relay, s, d)
+    with pytest.raises(ValueError, match="must differ"):
+        time_expanded_maxflow(relay, "s", "s")
+    weights = dict.fromkeys(contacts(relay), Fraction(1, 2))
+    for bad in (0, Fraction(-1, 3)):
+        weights[Contact("e2", 3)] = bad
+        for flow in (lambda: time_expanded_maxflow(relay, "s", "d", weights),
+                     lambda: node_disjoint_maxflow(
+                         build_line_graph(relay, "s", "d"), weights),
+                     lambda: weighted_mincut_1(relay, weights, "s", "d")):
+            with pytest.raises(ValueError, match="nonpositive weight"):
+                flow()
+
+
+def test_time_expanded_flow_relay(relay):
+    res = time_expanded_maxflow(relay, "s", "d")
+    assert res.value == 2
+    assert res.cut == (Contact("e1", 1), Contact("e1", 2))
+    # a source with no departures, and a head with no later departure
+    g = TimeVaryingGraph(["s", "a", "d"], [("s", "a", [2]), ("a", "d", [1]),
+                                           ("d", "s", [])], 2)
+    for s, d in (("s", "d"), ("d", "a")):
+        assert _engines_agree(g, s, d) == 0
+
+
+def test_engines_suite_compares_the_two_max_flows(monkeypatch):
+    res = verify.suite_engines(6)
+    assert res.passed and res.checked == 48, res.summary()
+
+    def drop_last_cut_contact(g, s, d, weights=None):
+        got = time_expanded_maxflow(g, s, d, weights)
+        return dataclasses.replace(got, cut=got.cut[:-1])
+
+    monkeypatch.setattr(verify, "time_expanded_maxflow", drop_last_cut_contact)
+    res = verify.suite_engines(6)
+    assert res.failures and all("cut differs" in f for f in res.failures)
