@@ -8,6 +8,7 @@ Output is machine-readable JSON/CSV by default; --pretty indents JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -173,7 +174,10 @@ def cmd_verify(args) -> int:
     return 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls, and TEMPOCUT_CAP is read at call time (_cap)."""
     top = argparse.ArgumentParser(
         prog="tempocut",
         description="Worst-case survivability analysis of time-varying graphs")
@@ -264,8 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InstanceTooLargeError as exc:

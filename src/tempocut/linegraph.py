@@ -5,9 +5,10 @@ exactly when traversing them back to back is time-feasible. s->d journeys of
 the original graph then correspond one to one with s->d paths here, which
 turns journey questions into static path questions: min-hop journeys come
 from BFS and 1-slot-disjoint packing comes from node-capacitated max flow.
-Only the terminals depend on the pair, so the contact nodes and their arcs
-are built once per graph and shared by all of its line graphs. The line
-graph has O(contacts^2) arcs.
+The line graph has O(contacts^2) arcs, so it is built per call and only
+where its path decomposition or an independent reference is wanted.
+min_hop_path runs the line graph's BFS without building it, on the contact
+index's presorted start lists (see tvg._contact_index).
 
 The time-expanded network has O(contacts) arcs: one hub per departure,
 waiting arcs between a node's consecutive departures, and one arc per
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .tvg import (Contact, Journey, TimeVaryingGraph, _check_nodes,
                   _contact_index, contacts)
@@ -50,9 +51,6 @@ class LineGraph:
     def arc_count(self) -> int:
         return sum(len(a) for a in self.succ)
 
-    def contact_of(self, node: int) -> Contact:
-        return self.contact_list[node - 2]
-
 
 @dataclass(frozen=True)
 class NodeCutResult:
@@ -61,94 +59,85 @@ class NodeCutResult:
     paths: tuple[tuple[Contact, ...], ...]  # node_disjoint_maxflow, all-ones weights
 
 
-class _ContactCore(NamedTuple):
-    """The pair-independent part of every line graph of one graph."""
-
-    contact_list: tuple[Contact, ...]
-    succ: tuple[tuple[int, ...], ...]  # contact arcs, no DST; 0, 1 empty
-    into: dict[str, tuple[int, ...]]  # node -> contacts arriving at it
-
-
-def _contact_core(g: TimeVaryingGraph) -> _ContactCore:
-    """Build g's contact core once and keep it on g, which is immutable.
-
-    Contact i of g's contact index is line-graph node i + 2; its arcs go to
-    the suffix of its head's presorted start list that departs after it.
-    """
-    core = g._line_core
-    if core is not None:
-        return core
-    ix = _contact_index(g)
-    starts = {n: tuple(i + 2 for i in ids) for n, ids in ix.starts.items()}
-    succ = [(), ()]
-    into: dict[str, list[int]] = {}
-    for i, head in enumerate(ix.head):
-        succ.append(starts[head][ix.after[i]:] if head in starts else ())
-        into.setdefault(head, []).append(i + 2)
-    core = _ContactCore(tuple(contacts(g)), tuple(succ),
-                        {n: tuple(v) for n, v in into.items()})
-    g._line_core = core
-    return core
+def _check_pair(g: TimeVaryingGraph, s: str, d: str) -> None:
+    if s == d:
+        raise ValueError("source and destination must differ")
+    _check_nodes(g, s, d)
 
 
 def build_line_graph(g: TimeVaryingGraph, s: str, d: str) -> LineGraph:
     """Expand every contact of g into a node, terminals s and d included.
 
-    The pair-independent part (contacts and contact-to-contact arcs) is
-    built once per graph and kept on it; each call only attaches the
-    terminals: the source terminal's arcs go to the contacts leaving s, in
-    the contact index's (slot, edge order), and DST goes first on every
-    contact arriving at d. So the successor lists are exactly those of a
-    from-scratch expansion, in the same order.
+    Contact i of g's contact index is node i + 2. The source terminal's
+    arcs go to the contacts leaving s, in the index's (slot, edge order);
+    a contact's arcs go to the suffix of its head's presorted start list
+    that departs after it, with DST first when its head is d. So the
+    successor lists are those of a from-scratch expansion, in the same
+    order. Built on every call: O(contacts^2) arcs.
     """
-    if s == d:
-        raise ValueError("source and destination must differ")
-    _check_nodes(g, s, d)
-    core = _contact_core(g)
-    succ = list(core.succ)
-    succ[SRC] = tuple(i + 2 for i in _contact_index(g).starts.get(s, ()))
-    for v in core.into.get(d, ()):
-        succ[v] = (DST,) + succ[v]
-    return LineGraph(g, s, d, core.contact_list, tuple(succ))
+    _check_pair(g, s, d)
+    ix = _contact_index(g)
+    starts = {n: tuple(i + 2 for i in ids) for n, ids in ix.starts.items()}
+    succ = [starts.get(s, ()), ()]
+    for head, k in zip(ix.head, ix.after):
+        arcs = starts[head][k:] if head in starts else ()
+        succ.append((DST,) + arcs if head == d else arcs)
+    return LineGraph(g, s, d, tuple(contacts(g)), tuple(succ))
 
 
-def min_hop_path(lg: LineGraph,
-                 dead: Sequence[bool] | None = None) -> Journey | None:
+def min_hop_path(g: TimeVaryingGraph, s: str, d: str,
+                 dead: Sequence[object] | None = None) -> Journey | None:
     """Fewest-hop s->d journey, ties broken by smallest (slot, edge order).
 
-    Successor lists are already sorted that way, so plain FIFO BFS with
-    first-discovery parents realizes the tie-break. Nodes flagged in the
-    optional `dead` mask (indexed like the node space) are never entered,
-    which finds the same journey as a line graph built without them.
+    The line graph's BFS, run on g's contact index: FIFO order,
+    first-discovery parents, the contacts leaving s as sources, and the
+    first frontier contact into d as the answer. A contact's successors
+    are the suffix of its head's presorted start list that departs after
+    it, so the tie-break comes for free. Once a suffix of a start list has
+    been scanned, every contact in it is discovered or dead; lo[h] keeps
+    the lowest position of h's start list scanned so far, and each
+    expansion scans only the positions below it. So every contact is
+    scanned once, and the parents are the line graph's. Contacts whose
+    `dead` entry (indexed by contact id) is truthy are never entered,
+    which finds the same journey as a graph without them.
     """
+    _check_pair(g, s, d)
+    ix = _contact_index(g)
+    starts, after, head = ix.starts, ix.after, ix.head
     if dead is None:
-        parent = [-1] * lg.node_count
+        parent = [-1] * len(head)
     else:
-        # -2 reads as already discovered, so dead nodes are never entered
+        # -2 reads as already discovered, so dead contacts are never entered
         parent = [-2 if x else -1 for x in dead]
-    parent[SRC] = SRC
-    frontier = [SRC]
-    while frontier and parent[DST] == -1:
+    frontier = []
+    for c in starts.get(s, ()):
+        if parent[c] == -1:
+            parent[c] = c  # a root is its own parent
+            frontier.append(c)
+    lo = {s: 0}
+    while frontier:
+        for c in frontier:
+            if head[c] == d:
+                hops = [c]
+                while parent[c] != c:
+                    c = parent[c]
+                    hops.append(c)
+                return Journey(tuple(
+                    Contact(g.edges[ix.edge_pos[i]].eid, ix.slot[i])
+                    for i in reversed(hops)))
         nxt = []
         for u in frontier:
-            for v in lg.succ[u]:
-                if parent[v] == -1:
-                    parent[v] = u
-                    if v == DST:
-                        break
-                    nxt.append(v)
-            if parent[DST] != -1:
-                break
+            h, k = head[u], after[u]
+            leaving = starts.get(h, ())
+            top = lo.get(h, len(leaving))
+            if k < top:
+                for c in leaving[k:top]:
+                    if parent[c] == -1:
+                        parent[c] = u
+                        nxt.append(c)
+                lo[h] = k
         frontier = nxt
-    if parent[DST] == -1:
-        return None
-    hops: list[Contact] = []
-    node = parent[DST]
-    while node != SRC:
-        hops.append(lg.contact_of(node))
-        node = parent[node]
-    hops.reverse()
-    return Journey(tuple(hops))
+    return None
 
 
 def node_disjoint_maxflow(lg: LineGraph,
@@ -205,9 +194,7 @@ def time_expanded_maxflow(g: TimeVaryingGraph, s: str, d: str,
     source-closest min cut is unique, so it equals node_disjoint_maxflow's
     on build_line_graph(g, s, d). No paths are returned.
     """
-    if s == d:
-        raise ValueError("source and destination must differ")
-    _check_nodes(g, s, d)
+    _check_pair(g, s, d)
     clist = contacts(g)
     _, scale, caps = _scaled_caps(clist, weights)
     ix = _contact_index(g)

@@ -2,7 +2,7 @@
 
 Two journeys are delta-disjoint when they never use the same edge within
 delta slots of each other. greedy_maxflow_delta peels min-hop journeys off
-the line graph and blanks out everything that interferes with them; it is
+the graph and blanks out everything that interferes with them; it is
 fast, order-deterministic, and carries a provable worst-case certificate
 (greedy_bound_certificate). exact_maxflow_delta is the desk-scale oracle:
 maximum independent set over the journey conflict graph, branch and bound
@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linegraph import (SRC, LineGraph, build_line_graph, min_hop_path,
-                        node_disjoint_maxflow, time_expanded_maxflow)
+from .linegraph import (build_line_graph, min_hop_path, node_disjoint_maxflow,
+                        time_expanded_maxflow)
 from .tvg import (Contact, InstanceTooLargeError, Journey, TimeVaryingGraph,
-                  _contact_id, _contacts_reaching, interfering_contacts)
+                  _contact_index, _contacts_reaching, _interference_ids,
+                  contacts)
 
 DEFAULT_JOURNEY_CAP = 25_000
 
@@ -47,63 +48,67 @@ def greedy_maxflow_delta(g: TimeVaryingGraph, s: str, d: str,
     """Iteratively take the min-hop journey, then delete all contacts that
     interfere with it; stop when the pair disconnects.
 
-    One line graph serves every round: deleted contacts are marked dead and
-    the min-hop search never enters them. Deleting contacts changes neither
-    the arcs among the others nor their (slot, edge order) successor order,
-    so each round finds the journey a line graph rebuilt from the shrunken
-    graph would. Output journeys are pairwise delta-disjoint and valid in
-    the original graph.
+    Deleted contacts are marked in one dead mask over contact ids, which
+    the min-hop search never enters, so each round finds the journey a
+    search over the shrunken graph would. Output journeys are pairwise
+    delta-disjoint and valid in the original graph.
     """
     if delta < 1:
         raise ValueError("delta must be positive")
-    lg = build_line_graph(g, s, d)
-    dead = [False] * lg.node_count
+    dead = [False] * g.contact_count
     found: list[Journey] = []
     while True:
-        j = min_hop_path(lg, dead)
+        j = min_hop_path(g, s, d, dead)
         if j is None:
             break
         found.append(j)
-        for c in interfering_contacts(g, j, delta):
-            dead[_contact_id(g, c) + 2] = True
+        for ids in _interference_ids(g, j, delta):
+            for i in ids:
+                dead[i] = True
     return FlowResult(tuple(found), delta, exact=False)
 
 
-def _simple_journeys(lg: LineGraph, cap: int) -> list[Journey]:
+def _simple_journeys(g: TimeVaryingGraph, s: str, d: str,
+                     cap: int) -> list[Journey]:
     """All node-simple s->d journeys, depth-first in (slot, edge) order.
 
-    Walks lg's successor lists, which are already in that order. A journey
-    ends at its first contact into d, so DST is never a walked successor.
+    Walks the contact index: the contacts leaving s, then from each
+    contact the presorted suffix of its head's start list that departs
+    after it, which is that order. A journey ends at its first contact
+    into d.
 
     Sufficient for the oracle: splicing loops out of any journey yields a
     node-simple journey over a subset of its contacts, so an optimal
     delta-disjoint family always exists among these.
     """
-    g, d = lg.graph, lg.d
+    ix = _contact_index(g)
+    starts, after, head = ix.starts, ix.after, ix.head
+    clist = contacts(g)
     can_reach = _contacts_reaching(g, d)
-    head = [lg.s, d] + [g.edge(c.edge).dst for c in lg.contact_list]
+    live = [c in can_reach for c in clist]
     results: list[Journey] = []
     stack: list[Contact] = []
-    visited = {lg.s}
+    visited = {s}
 
-    def walk(u: int) -> None:
-        for v in lg.succ[u]:
-            c = lg.contact_list[v - 2]
-            if head[v] in visited or c not in can_reach:
+    def walk(ids) -> None:
+        for i in ids:
+            h = head[i]
+            if h in visited or not live[i]:
                 continue
-            stack.append(c)
-            if head[v] == d:
+            stack.append(clist[i])
+            if h == d:
                 if len(results) >= cap:
                     raise InstanceTooLargeError(
                         f"instance too large for exact oracle: more than {cap} candidate journeys")
                 results.append(Journey(tuple(stack)))
             else:
-                visited.add(head[v])
-                walk(v)
-                visited.discard(head[v])
+                # a live contact not into d has a later departure at its head
+                visited.add(h)
+                walk(starts[h][after[i]:])
+                visited.discard(h)
             stack.pop()
 
-    walk(SRC)
+    walk(starts.get(s, ()))
     return results
 
 
@@ -189,12 +194,12 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
         return FlowResult(journeys, delta, exact=True)
     ceiling = int(time_expanded_maxflow(g, s, d).value)
     greedy = greedy_maxflow_delta(g, s, d, delta)
-    return _exact_flow_search(build_line_graph(g, s, d), delta, greedy,
-                              ceiling, cap)
+    return _exact_flow_search(g, s, d, delta, greedy, ceiling, cap)
 
 
-def _exact_flow_search(lg: LineGraph, delta: int, greedy: FlowResult,
-                       ceiling: int, cap: int) -> FlowResult:
+def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
+                       greedy: FlowResult, ceiling: int,
+                       cap: int) -> FlowResult:
     """exact_maxflow_delta's search at delta >= 2, given the greedy family
     and a ceiling on the optimum: enumerate candidate journeys and run
     branch and bound over the conflict graph, greedy incumbent first; the
@@ -207,8 +212,7 @@ def _exact_flow_search(lg: LineGraph, delta: int, greedy: FlowResult,
     """
     if greedy.count >= ceiling:
         return FlowResult(greedy.journeys, delta, exact=True)
-    g = lg.graph
-    enum_journeys = _simple_journeys(lg, cap)
+    enum_journeys = _simple_journeys(g, s, d, cap)
     if not enum_journeys:
         return FlowResult((), delta, exact=True)
     raw = _conflict_masks(g, enum_journeys, delta)

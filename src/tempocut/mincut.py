@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .linegraph import build_line_graph, time_expanded_maxflow
+from .linegraph import time_expanded_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, _exact_flow_search,
                       exact_maxflow_delta, greedy_bound_certificate,
                       greedy_maxflow_delta)
 from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
-                  TimeVaryingGraph, _footprint_ids, _min_hop_surviving,
-                  reachable, removal_footprint)
+                  TimeVaryingGraph, _footprint_ids, _interference_ids,
+                  _min_hop_surviving, reachable, removal_footprint)
 
 DEFAULT_HEAD_CAP = 2000
 
@@ -164,16 +164,6 @@ def _canonical_heads(g: TimeVaryingGraph, c: Contact, delta: int) -> list[int]:
     lo = bisect_right(slots, c.slot - delta)
     hi = bisect_right(slots, c.slot)
     return list(slots[lo:hi])
-
-
-def _interference_ids(g: TimeVaryingGraph, j: Journey,
-                      delta: int) -> list[range]:
-    """Ids of tvg.interfering_contacts(g, j, delta), one run per hop: the
-    contacts of the hop's edge within delta slots of it, which is the
-    footprint of a (2 * delta - 1)-slot removal centred on the hop. Runs of
-    hops on one edge may overlap."""
-    return [_footprint_ids(g, DeltaRemoval(e, t - delta + 1, 2 * delta - 1))
-            for e, t in j.hops]
 
 
 def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
@@ -314,8 +304,7 @@ def analyze_exact(g: TimeVaryingGraph, s: str, d: str, delta: int,
     else:
         cut = _exact_cut_search(g, s, d, delta, rounded, greedy.count,
                                 head_cap)
-        flow = _exact_flow_search(build_line_graph(g, s, d), delta, greedy,
-                                  cut.count, cap)
+        flow = _exact_flow_search(g, s, d, delta, greedy, cut.count, cap)
     certificates = {
         "flow": {
             "greedy": greedy.count,

@@ -15,8 +15,9 @@ revisits included; the tests' independent reference).
 Each graph keeps a contact index, built on first use: integer contact ids
 in contacts(g) order, and per node the ids leaving it presorted by (slot,
 edge order). _min_hop_surviving walks that index, banned contacts given as
-a mask over the ids, and the line graphs and the time-expanded network
-build their arcs from it.
+a mask over the ids; so do the greedy's min-hop search and the exact
+flow's journey enumerator, and the line graphs and the time-expanded
+network build their arcs from it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -84,15 +85,13 @@ class TimeVaryingGraph:
     The constructor normalizes active slot lists (sorted, deduplicated) but
     does not reject invalid data; use validate_graph / from_json_dict for that.
 
-    _contact_ix holds the contact index (see _contact_index) and _line_core
-    the pair-independent contact core that linegraph.build_line_graph builds
-    on it and every line graph of this graph shares. Both are built on first
-    use, live and die with the graph and take no part in equality, hashing
-    or serialization.
+    _contact_ix holds the contact index (see _contact_index), built on
+    first use. It lives and dies with the graph and takes no part in
+    equality, hashing or serialization.
     """
 
     __slots__ = ("horizon", "nodes", "edges", "active", "_by_id", "_index",
-                 "_out", "_node_set", "_contact_ix", "_line_core")
+                 "_out", "_node_set", "_contact_ix")
 
     def __init__(self, nodes: Iterable[str],
                  edges: Iterable[tuple[str, str, Iterable[int]]],
@@ -120,7 +119,6 @@ class TimeVaryingGraph:
             out.setdefault(e.src, []).append(e)
         self._out = {n: tuple(es) for n, es in out.items()}
         self._contact_ix = None
-        self._line_core = None
 
     # -- lookups ---------------------------------------------------------
 
@@ -301,6 +299,16 @@ def _footprint_ids(g: TimeVaryingGraph, r: DeltaRemoval) -> range:
     base = _contact_index(g).first[r.edge]
     return range(base + bisect_left(slots, r.head),
                  base + bisect_right(slots, r.head + r.delta - 1))
+
+
+def _interference_ids(g: TimeVaryingGraph, j: Journey,
+                      delta: int) -> list[range]:
+    """Ids of interfering_contacts(g, j, delta), one run per hop: the
+    contacts of the hop's edge within delta slots of it, which is the
+    footprint of a (2 * delta - 1)-slot removal centred on the hop. Runs of
+    hops on one edge may overlap."""
+    return [_footprint_ids(g, DeltaRemoval(e, t - delta + 1, 2 * delta - 1))
+            for e, t in j.hops]
 
 
 def is_valid_journey(g: TimeVaryingGraph, j: Journey, s: str, d: str) -> bool:

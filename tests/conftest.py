@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from tempocut import TimeVaryingGraph
+from tempocut import TimeVaryingGraph, linegraph
 
 
 @pytest.fixture(autouse=True)
@@ -26,3 +28,25 @@ def relay():
         [("s", "a", (1, 2)), ("a", "d", (2, 3))],
         3,
     )
+
+
+class LineGraphBuilt(AssertionError):
+    """Raised by build_line_graph under the no_line_graph fixture."""
+
+
+@pytest.fixture
+def no_line_graph(monkeypatch):
+    """Make build_line_graph raise LineGraphBuilt, on every tempocut module
+    that binds it, so a test can show that a code path never builds the
+    quadratic line graph."""
+    original = linegraph.build_line_graph
+
+    def refuse(g, s, d):
+        raise LineGraphBuilt(f"build_line_graph({s!r}, {d!r})")
+
+    for name, module in list(sys.modules.items()):
+        if name == "tempocut" or name.startswith("tempocut."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
+    return LineGraphBuilt

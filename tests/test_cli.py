@@ -6,7 +6,7 @@ import json
 import pytest
 
 from tempocut import TimeVaryingGraph, gen_counterexample, gen_random_tvg
-from tempocut.cli import _parse_int_list, main
+from tempocut.cli import _build_parser, _parse_int_list, main
 
 TRACE = """node_a,node_b,start,duration
 a,b,5,3
@@ -176,6 +176,42 @@ def test_journey_cap_binds_only_when_the_flow_enumerates(tmp_path, capsys):
     code, out, err = analyze(13, ["--cap", "100"])
     assert (code, out) == (3, "")
     assert "more than 100 removal heads" in err
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; no argument, environment
+    # value or usage error of one call may reach the next
+    path = tmp_path / "m13.json"
+    path.write_text(gen_random_tvg(10, 12, 0.5, 13).dumps())
+    argv = ["analyze", str(path), "--src", "n1", "--dst", "n10",
+            "--delta", "2", "--exact"]
+
+    def run(args):
+        code = main(args)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    _build_parser.cache_clear()
+    fresh = run(argv)
+    assert fresh[0] == 0 and fresh[2] == ""
+    code, out, err = run(argv + ["--cap", "300"])
+    assert (code, out) == (3, "") and "more than 300 candidate journeys" in err
+    assert run(argv) == fresh
+    monkeypatch.setenv("TEMPOCUT_CAP", "300")
+    code, out, err = run(argv)
+    assert (code, out) == (3, "") and "more than 300 candidate journeys" in err
+    monkeypatch.delenv("TEMPOCUT_CAP")
+    assert run(argv) == fresh
+    for bad in (argv + ["--cap", "0"], argv[:-3] + ["--delta", "two"],
+                ["analyze", str(path), "--src", "n1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tempocut analyze")
+        assert "Traceback" not in err
+        assert run(argv) == fresh
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_cap_env_var(relay_file, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tempocut import (Contact, DeltaRemoval, TimeVaryingGraph,
+from tempocut import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
                       apply_removals, build_line_graph, enumerate_journeys,
                       gen_counterexample, gen_random_tvg, min_hop_path,
                       node_disjoint_maxflow, reachable, set_weights,
@@ -73,9 +73,9 @@ def _reference_line_graph(g, s, d):
     return tuple(clist), tuple(succ)
 
 
-def test_shared_core_matches_a_per_pair_build():
+def test_line_graph_matches_a_per_pair_build():
     # every pair of one graph object, in shuffled order, so all but the
-    # first build attach terminals to the core kept on the graph
+    # first build reuse the contact index kept on the graph
     for seed in range(30):
         g = gen_random_tvg(8, 10, 0.5, seed)
         pairs = [(s, d) for s in g.nodes for d in g.nodes if s != d]
@@ -85,7 +85,7 @@ def test_shared_core_matches_a_per_pair_build():
             clist, succ = _reference_line_graph(g, s, d)
             assert lg.contact_list == clist
             assert lg.succ == succ
-        # the kept core takes no part in equality or hashing
+        # the kept index takes no part in equality or hashing
         copy = TimeVaryingGraph.loads(g.dumps())
         assert g == copy and hash(g) == hash(copy)
 
@@ -99,15 +99,106 @@ def test_paths_correspond_to_journeys(g):
         enumerate_journeys(g, s, d, cap=500_000))
 
 
+def _line_graph_min_hop(lg, dead=None):
+    """The min-hop search as a BFS over the line graph: FIFO order,
+    first-discovery parents, and nodes flagged in `dead` (indexed like the
+    node space) never entered. The reference for min_hop_path."""
+    if dead is None:
+        parent = [-1] * lg.node_count
+    else:
+        # -2 reads as already discovered, so dead nodes are never entered
+        parent = [-2 if x else -1 for x in dead]
+    parent[SRC] = SRC
+    frontier = [SRC]
+    while frontier and parent[DST] == -1:
+        nxt = []
+        for u in frontier:
+            for v in lg.succ[u]:
+                if parent[v] == -1:
+                    parent[v] = u
+                    if v == DST:
+                        break
+                    nxt.append(v)
+            if parent[DST] != -1:
+                break
+        frontier = nxt
+    if parent[DST] == -1:
+        return None
+    hops = []
+    node = parent[DST]
+    while node != SRC:
+        hops.append(lg.contact_list[node - 2])
+        node = parent[node]
+    hops.reverse()
+    return Journey(tuple(hops))
+
+
+def _searches_agree(g, s, d, rng):
+    """min_hop_path equals the line-graph BFS on one pair, unmasked and
+    under seeded random dead masks; line-graph node i + 2 is contact id i.
+    Returns how many of the searches found a journey."""
+    lg = build_line_graph(g, s, d)
+    n = len(lg.contact_list)
+    masks = [None] + [[rng.random() < p for _ in range(n)]
+                      for p in (0.1, 0.1, 0.3, 0.3, 0.5)]
+    found = 0
+    for dead in masks:
+        want = _line_graph_min_hop(
+            lg, None if dead is None else [False, False] + dead)
+        assert min_hop_path(g, s, d, dead) == want, (s, d, dead)
+        found += want is not None
+    return found
+
+
+def test_min_hop_path_matches_the_line_graph_search():
+    rng = random.Random(12)
+    searches = found = 0
+    for seed in range(100):  # the medium corpus
+        found += _searches_agree(gen_random_tvg(10, 12, 0.5, seed), "n1",
+                                 "n10", rng)
+        searches += 6
+    for seed in range(30):  # every ordered pair: terminals anywhere
+        g = gen_random_tvg(8, 10, 0.5, seed)
+        for s in g.nodes:
+            for d in g.nodes:
+                if s != d:
+                    found += _searches_agree(g, s, d, rng)
+                    searches += 6
+    for k in (1, 2, 3):
+        g, s, d = gen_counterexample(k)
+        found += _searches_agree(g, s, d, rng)
+        searches += 6
+    assert searches == 10_698
+    assert searches // 2 < found < searches
+
+
+@given(graphs, st.integers(0, 10**6))
+@settings(max_examples=80)
+def test_min_hop_path_matches_the_line_graph_search_on_any_graph(g, seed):
+    rng = random.Random(seed)
+    for s in g.nodes:
+        for d in g.nodes:
+            if s != d:
+                _searches_agree(g, s, d, rng)
+
+
 def test_min_hop_path_relay(relay):
-    lg = build_line_graph(relay, "s", "d")
-    j = min_hop_path(lg)
+    j = min_hop_path(relay, "s", "d")
     assert j.hops == (Contact("e1", 1), Contact("e2", 2))
-    dead = [False] * lg.node_count
-    dead[2] = True  # e1@1
-    assert min_hop_path(lg, dead).hops == (Contact("e1", 2), Contact("e2", 3))
-    dead[3] = True  # e1@2
-    assert min_hop_path(lg, dead) is None
+    dead = [False] * relay.contact_count
+    dead[0] = True  # e1@1
+    assert min_hop_path(relay, "s", "d", dead).hops == (
+        Contact("e1", 2), Contact("e2", 3))
+    dead[1] = True  # e1@2
+    assert min_hop_path(relay, "s", "d", dead) is None
+
+
+def test_min_hop_path_rejects_bad_pairs(relay):
+    for s, d in (("s", "zz"), ("zz", "d")):
+        with pytest.raises(ValueError, match="unknown node 'zz'"):
+            min_hop_path(relay, s, d)
+    with pytest.raises(ValueError, match="must differ"):
+        min_hop_path(relay, "s", "s")
 
 
 @given(graphs, st.integers(0, 10**6))
@@ -115,16 +206,15 @@ def test_min_hop_path_relay(relay):
 def test_dead_mask_acts_like_deleted_contacts(g, seed):
     rng = random.Random(seed)
     s, d = g.nodes[0], g.nodes[-1]
-    lg = build_line_graph(g, s, d)
-    gone = {c for c in lg.contact_list if rng.random() < 0.4}
-    dead = [False, False] + [c in gone for c in lg.contact_list]
+    gone = {c for c in contacts(g) if rng.random() < 0.4}
+    dead = [c in gone for c in contacts(g)]
     rest = apply_removals(g, [DeltaRemoval(e, t, 1) for e, t in gone])
-    assert min_hop_path(lg, dead) == min_hop_path(build_line_graph(rest, s, d))
+    assert min_hop_path(g, s, d, dead) == min_hop_path(rest, s, d)
 
 
 def test_min_hop_path_none_when_disconnected():
     g = TimeVaryingGraph(["s", "a", "d"], [("s", "a", [1])], 2)
-    assert min_hop_path(build_line_graph(g, "s", "d")) is None
+    assert min_hop_path(g, "s", "d") is None
 
 
 def test_unit_flow_relay(relay):

@@ -18,10 +18,11 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       minweight_mincut_delta, set_weights,
                       survivability_bounds, verify_cut, weighted_mincut_1)
 from tempocut import mincut, verify
+from tempocut.simulate import sweep
 from tempocut.mincut import (DEFAULT_HEAD_CAP, CutResult, _canonical_heads,
-                             _exact_cut_search, _interference_ids)
-from tempocut.tvg import (_contact_id, _footprint_ids, _min_hop_surviving,
-                          interfering_contacts)
+                             _exact_cut_search)
+from tempocut.tvg import (_contact_id, _footprint_ids, _interference_ids,
+                          _min_hop_surviving, interfering_contacts)
 
 contact_sets = st.lists(
     st.builds(Contact,
@@ -335,6 +336,31 @@ def test_cut_capped_flow_matches_the_standalone_oracles():
     # 38 runs enumerate journeys; 6 of them (the ladder at k = 2, 3) prove
     # a flow below the cut
     assert (short, below) == (38, 6)
+
+
+def test_hot_paths_build_no_line_graph(request):
+    """The greedy, analyze_exact at delta >= 2 (greedy meeting the cut, and
+    falling short so that journeys are enumerated) and the simulator answer
+    as before with build_line_graph made to raise."""
+    medium = [gen_random_tvg(10, 12, 0.5, seed) for seed in (0, 1, 19)]
+    arena = gen_random_tvg(8, 10, 0.5, 11)
+
+    def answers():
+        out = [greedy_maxflow_delta(g, "n1", "n10", delta)
+               for g in medium for delta in (1, 2, 3)]
+        out += [analyze_exact(g, "n1", "n10", delta)
+                for g in medium for delta in (2, 3)]
+        out.append(sweep(arena, [1, 2], [1, 2, 3], [10], 100, 0.08, 3, 5))
+        return out
+
+    want = answers()
+    runs = want[9:15]
+    assert any(r.greedy.count == r.cut.count for r in runs)
+    assert any(r.greedy.count < r.flow.count for r in runs)
+    refused = request.getfixturevalue("no_line_graph")
+    with pytest.raises(refused):  # the guard reaches the delta = 1 flow
+        exact_maxflow_delta(medium[0], "n1", "n10", 1)
+    assert answers() == want
 
 
 def test_exact_respects_head_cap():
