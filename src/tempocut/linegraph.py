@@ -37,9 +37,6 @@ DST = 1  # node index of the destination terminal
 class LineGraph:
     """Contact expansion; node 0 is the source terminal, node 1 the destination."""
 
-    graph: TimeVaryingGraph
-    s: str
-    d: str
     contact_list: tuple[Contact, ...]  # interior node i+2 <-> contact_list[i]
     succ: tuple[tuple[int, ...], ...]  # adjacency, indices into the node space
 
@@ -82,7 +79,7 @@ def build_line_graph(g: TimeVaryingGraph, s: str, d: str) -> LineGraph:
     for head, k in zip(ix.head, ix.after):
         arcs = starts[head][k:] if head in starts else ()
         succ.append((DST,) + arcs if head == d else arcs)
-    return LineGraph(g, s, d, tuple(contacts(g)), tuple(succ))
+    return LineGraph(tuple(contacts(g)), tuple(succ))
 
 
 def min_hop_path(g: TimeVaryingGraph, s: str, d: str,

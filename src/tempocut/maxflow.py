@@ -7,7 +7,8 @@ fast, order-deterministic, and carries a provable worst-case certificate
 (greedy_bound_certificate). exact_maxflow_delta is the desk-scale oracle:
 maximum independent set over the journey conflict graph, branch and bound
 seeded with the greedy incumbent and stopped at a ceiling on the optimum:
-MaxFlow_1 on its own, the exact cut inside mincut.analyze_exact.
+MaxFlow_1 on its own, the exact cut inside mincut.analyze_exact. At
+delta = 1 its answer is the unit max flow's path decomposition instead.
 """
 
 from __future__ import annotations
@@ -180,18 +181,12 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
                         cap: int = DEFAULT_JOURNEY_CAP) -> FlowResult:
     """Maximum-cardinality pairwise delta-disjoint journey set (exact).
 
-    delta=1 reduces to unit-weight node-disjoint max flow on the line graph,
-    whose path decomposition is an optimal 1-disjoint family. For delta >= 2
-    the oracle runs _exact_flow_search with the greedy as its incumbent and
-    MaxFlow_1, which dominates every MaxFlow_delta, as its ceiling; only
-    that value is needed, so it comes from the sparser time-expanded network.
+    Runs _exact_flow_search with the greedy as its incumbent and MaxFlow_1,
+    which dominates every MaxFlow_delta, as its ceiling; only that value is
+    needed, so it comes from the sparser time-expanded network.
     """
     if delta < 1:
         raise ValueError("delta must be positive")
-    if delta == 1:
-        flow = node_disjoint_maxflow(build_line_graph(g, s, d))
-        journeys = tuple(Journey(p) for p in flow.paths)
-        return FlowResult(journeys, delta, exact=True)
     ceiling = int(time_expanded_maxflow(g, s, d).value)
     greedy = greedy_maxflow_delta(g, s, d, delta)
     return _exact_flow_search(g, s, d, delta, greedy, ceiling, cap)
@@ -200,16 +195,23 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
 def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
                        greedy: FlowResult, ceiling: int,
                        cap: int) -> FlowResult:
-    """exact_maxflow_delta's search at delta >= 2, given the greedy family
-    and a ceiling on the optimum: enumerate candidate journeys and run
-    branch and bound over the conflict graph, greedy incumbent first; the
-    reported set comes out in enumeration order, so results are
-    reproducible. The incumbent is only ever replaced by a larger family,
-    so stopping at the first family that reaches a valid ceiling returns
-    what the full search would: the family found does not depend on the
-    ceiling, only the time taken to prove it. A greedy family that already
-    reaches the ceiling is returned without enumerating anything.
+    """exact_maxflow_delta's search, given the greedy family and a ceiling
+    on the optimum. delta = 1 reduces to unit-weight node-disjoint max flow
+    on the line graph, whose path decomposition (in Edmonds-Karp's
+    augmenting order) is an optimal 1-disjoint family. At delta >= 2 it
+    enumerates candidate journeys and runs branch and bound over the
+    conflict graph, greedy incumbent first; the reported set comes out in
+    enumeration order, so results are reproducible. The incumbent is only
+    ever replaced by a larger family, so stopping at the first family that
+    reaches a valid ceiling returns what the full search would: the family
+    found does not depend on the ceiling, only the time taken to prove it.
+    A greedy family that already reaches the ceiling is returned without
+    enumerating anything.
     """
+    if delta == 1:
+        flow = node_disjoint_maxflow(build_line_graph(g, s, d))
+        return FlowResult(tuple(Journey(p) for p in flow.paths), delta,
+                          exact=True)
     if greedy.count >= ceiling:
         return FlowResult(greedy.journeys, delta, exact=True)
     enum_journeys = _simple_journeys(g, s, d, cap)

@@ -16,9 +16,11 @@ removals left whose residual still yields b + 1 delta-disjoint journeys,
 peeled off min-hop first as the greedy does, holds no cut and is dropped
 without branching.
 analyze_exact computes the four answers for one pair (greedy and exact
-flow, rounded and exact cut) with their certificates, each once. At
-delta >= 2 the cut goes first and caps the exact flow by weak duality, so
-a greedy family as large as the cut needs no journey enumeration at all.
+flow, rounded and exact cut) with their certificates, each once. At every
+delta the cut goes first and caps the exact flow by weak duality, so a
+greedy family as large as the cut needs no journey enumeration at all. At
+delta = 1 every contact weighs 1, so the rounded cut's weight is its count
+and the search never branches.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from math import ceil
 
 from .linegraph import time_expanded_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, _exact_flow_search,
-                      exact_maxflow_delta, greedy_bound_certificate,
-                      greedy_maxflow_delta)
+                      greedy_bound_certificate, greedy_maxflow_delta)
 from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
-                  TimeVaryingGraph, _footprint_ids, _interference_ids,
-                  _min_hop_surviving, reachable, removal_footprint)
+                  TimeVaryingGraph, _check_nodes, _check_removal,
+                  _footprint_ids, _interference_ids, _min_hop_surviving)
 
 DEFAULT_HEAD_CAP = 2000
 
@@ -73,15 +74,13 @@ def set_weights(g: TimeVaryingGraph, delta: int) -> WeightMap:
     w: WeightMap = {}
     for e in g.edges:
         slots = g.active[e.eid]
-        n = len(slots)
+        # footprint size per active head; the densest removal through slot t
+        # has its head on an active slot in (t - delta, t] (_canonical_heads)
+        size = [bisect_right(slots, t + delta - 1) - i
+                for i, t in enumerate(slots)]
         for i, t in enumerate(slots):
-            best = 1
-            for h in range(t - delta + 1, t + 1):
-                lo = bisect_right(slots, h - 1)
-                hi = bisect_right(slots, h + delta - 1)
-                if hi - lo > best:
-                    best = hi - lo
-            w[Contact(e.eid, t)] = Fraction(1, best)
+            lo = bisect_right(slots, t - delta)
+            w[Contact(e.eid, t)] = Fraction(1, max(size[lo:i + 1]))
     return w
 
 
@@ -135,12 +134,13 @@ def verify_cut(g: TimeVaryingGraph, cut, s: str, d: str) -> bool:
     """True iff the removals (a CutResult or any iterable of DeltaRemoval)
     leave d unreachable from s."""
     removals = cut.removals if isinstance(cut, CutResult) else cut
-    return not reachable(g, s, d, banned=_footprint(g, removals))
-
-
-def _footprint(g: TimeVaryingGraph, removals) -> frozenset[Contact]:
-    """The contacts the removals take out."""
-    return frozenset(c for r in removals for c in removal_footprint(g, r))
+    dead = [False] * g.contact_count
+    for r in removals:
+        _check_removal(g, r)
+        for i in _footprint_ids(g, r):
+            dead[i] = True
+    _check_nodes(g, s, d)
+    return _min_hop_surviving(g, s, d, dead) is None
 
 
 def minweight_mincut_delta(g: TimeVaryingGraph, s: str, d: str,
@@ -201,8 +201,7 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     if upper == 0:
         return CutResult((), delta, exact=True)
 
-    head_budget = sum(len(g.active[e.eid]) for e in g.edges)
-    if head_budget > head_cap:
+    if g.contact_count > head_cap:
         raise InstanceTooLargeError(
             f"instance too large for exact oracle: more than {head_cap} removal heads")
 
@@ -286,25 +285,19 @@ def analyze_exact(g: TimeVaryingGraph, s: str, d: str, delta: int,
                   head_cap: int = DEFAULT_HEAD_CAP) -> ExactAnalysis:
     """Greedy and exact flow, rounded and exact cut, with certificates.
 
-    The greedy and the rounded cut go first. At delta = 1 the exact flow
-    is the unit max flow, and its count floors the exact cut search. At
-    delta >= 2 the exact cut search runs next, floored by the greedy count,
-    and the exact flow's packing search follows with the greedy as its
-    incumbent and the exact cut as its ceiling (weak duality: a removal hits
-    at most one journey of a delta-disjoint family). So at delta >= 2 an
-    exceeded head cap is reported before an exceeded journey cap, and the
-    journey cap binds only when the greedy falls short of the cut and
-    candidate journeys are enumerated.
+    The same steps at every delta: the greedy and the rounded cut, then the
+    exact cut search floored by the greedy count, then the exact flow with
+    the greedy as its incumbent and the exact cut as its ceiling (weak
+    duality: a removal hits at most one journey of a delta-disjoint
+    family). So an exceeded head cap is reported before an exceeded journey
+    cap, and the journey cap binds only when the greedy falls short of the
+    cut and candidate journeys are enumerated. At delta = 1 the exact flow
+    is the unit max flow's path decomposition (see _exact_flow_search).
     """
     greedy = greedy_maxflow_delta(g, s, d, delta)
     rounded = minweight_mincut_delta(g, s, d, delta)
-    if delta == 1:
-        flow = exact_maxflow_delta(g, s, d, delta, cap=cap)
-        cut = _exact_cut_search(g, s, d, delta, rounded, flow.count, head_cap)
-    else:
-        cut = _exact_cut_search(g, s, d, delta, rounded, greedy.count,
-                                head_cap)
-        flow = _exact_flow_search(g, s, d, delta, greedy, cut.count, cap)
+    cut = _exact_cut_search(g, s, d, delta, rounded, greedy.count, head_cap)
+    flow = _exact_flow_search(g, s, d, delta, greedy, cut.count, cap)
     certificates = {
         "flow": {
             "greedy": greedy.count,
@@ -342,24 +335,23 @@ def survivability_bounds(g: TimeVaryingGraph, s: str, d: str, n: int,
                          ) -> SurvivabilityVerdict:
     """Can the pair ride out any n simultaneous delta-removals?
 
-    Survivable iff the disruption number exceeds n. With exact=True the
-    oracle settles it, within head_cap removal heads; otherwise the greedy
-    journey count bounds the disruption number from below, the rounded cut
-    from above, and the gap in between stays 'unknown'.
+    Survivable iff the disruption number exceeds n. The greedy journey
+    count bounds it from below and the rounded cut from above, and the gap
+    in between stays 'unknown'. With exact=True the exact cut search,
+    within head_cap removal heads, refines the rounded cut into the
+    disruption number itself, which then is both bounds.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if exact:
-        cut = exact_mincut_delta(g, s, d, delta, head_cap=head_cap)
-        verdict = "survivable" if cut.count > n else "not-survivable"
-        return SurvivabilityVerdict(n, delta, verdict, cut.count, cut.count,
-                                    exact=True)
-    flow = greedy_maxflow_delta(g, s, d, delta).count
+    lower = greedy_maxflow_delta(g, s, d, delta).count
     cut = minweight_mincut_delta(g, s, d, delta)
-    if flow > n:
+    if exact:
+        cut = _exact_cut_search(g, s, d, delta, cut, lower, head_cap)
+        lower = cut.count
+    if lower > n:
         verdict = "survivable"
     elif cut.count <= n:
         verdict = "not-survivable"
     else:
         verdict = "unknown"
-    return SurvivabilityVerdict(n, delta, verdict, flow, cut.count, exact=False)
+    return SurvivabilityVerdict(n, delta, verdict, lower, cut.count, exact)

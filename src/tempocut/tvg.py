@@ -9,8 +9,9 @@ This module holds the model types plus the basic operations everything
 else is built on: validation, contact listing, journey checks, removal
 application, interference between journeys, and the two searches over g:
 _min_hop_surviving (a min-hop journey avoiding banned contacts, behind
-reachable and the exact cut search) and enumerate_journeys (every journey,
-revisits included; the tests' independent reference).
+reachable, mincut.verify_cut and the exact cut search) and
+enumerate_journeys (every journey, revisits included; the tests'
+independent reference).
 
 Each graph keeps a contact index, built on first use: integer contact ids
 in contacts(g) order, and per node the ids leaving it presorted by (slot,
@@ -174,11 +175,17 @@ class TimeVaryingGraph:
     def from_json_dict(cls, obj: dict) -> "TimeVaryingGraph":
         """Build from the document format; rejects invalid graphs."""
         try:
-            horizon = obj["T"]
-            nodes = obj["nodes"]
-            raw_edges = [(e["from"], e["to"], e["active"]) for e in obj["edges"]]
+            horizon, nodes, edges = obj["T"], obj["nodes"], obj["edges"]
+            raw_edges = [(e["from"], e["to"], e["active"]) for e in edges]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
+        # type(...) is int: JSON true and false are not slots
+        if not (isinstance(nodes, list) and isinstance(edges, list)
+                and type(horizon) is int
+                and all(isinstance(a, list) and all(type(t) is int for t in a)
+                        for _, _, a in raw_edges)):
+            raise ValueError("malformed graph document: nodes, edges and "
+                             "active must be lists, T and slots integers")
         g = cls(nodes, raw_edges, horizon)
         report = validate_graph(g)
         if not report.ok:
@@ -335,12 +342,16 @@ def is_valid_journey(g: TimeVaryingGraph, j: Journey, s: str, d: str) -> bool:
 
 def removal_footprint(g: TimeVaryingGraph, r: DeltaRemoval) -> list[Contact]:
     """Contacts of r.edge disabled by r: active slots in [head, head+delta)."""
+    _check_removal(g, r)
+    lo, hi = r.head, r.head + r.delta - 1
+    return [Contact(r.edge, t) for t in g.active[r.edge] if lo <= t <= hi]
+
+
+def _check_removal(g: TimeVaryingGraph, r: DeltaRemoval) -> None:
     if r.delta < 1:
         raise ValueError("removal duration must be positive")
     if not g.has_edge(r.edge):
         raise ValueError(f"unknown edge {r.edge!r}")
-    lo, hi = r.head, r.head + r.delta - 1
-    return [Contact(r.edge, t) for t in g.active[r.edge] if lo <= t <= hi]
 
 
 def apply_removals(g: TimeVaryingGraph,
@@ -369,8 +380,7 @@ def reachable(g: TimeVaryingGraph, s: str, d: str,
     """True iff some s->d journey avoids every banned contact.
 
     `banned` contacts are treated as inactive (ones that are not contacts
-    of g are ignored); the cut oracles use it to test removals without
-    rebuilding graphs.
+    of g are ignored), without rebuilding the graph.
     """
     _check_nodes(g, s, d)
     dead = [False] * g.contact_count

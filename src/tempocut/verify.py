@@ -83,24 +83,18 @@ def suite_duality(count: int = 40, deltas=(1, 2, 3, 5), seed: int = 0) -> SuiteR
 
 
 def suite_gapfamily() -> SuiteResult:
-    """Ladder instances certify cut/flow ratios 1, 2, 3 at spacings 2 and 3."""
+    """Ladder instances certify cut/flow ratios 1, 2, 3 at spacings 2 and 3.
+
+    gen_counterexample(k) checks both exact oracles at both spacings before
+    it returns and raises on a mismatch, so the suite reports that check.
+    """
     failures = []
-    checked = 0
     for k in (1, 2, 3):
         try:
-            g, s, d = gens.gen_counterexample(k)
+            gens.gen_counterexample(k)
         except AssertionError as exc:
             failures.append(f"k={k}: {exc}")
-            checked += 2
-            continue
-        for delta in (2, 3):
-            checked += 1
-            flow = exact_maxflow_delta(g, s, d, delta).count
-            cut = exact_mincut_delta(g, s, d, delta).count
-            if (flow, cut) != (1, k):
-                failures.append(
-                    f"k={k} delta={delta}: ratio {cut}/{flow}, wanted {k}/1")
-    return SuiteResult("gapfamily", checked, tuple(failures))
+    return SuiteResult("gapfamily", 6, tuple(failures))
 
 
 def suite_sandwich(count: int = 60, deltas=(2, 3, 5), seed: int = 300) -> SuiteResult:

@@ -154,6 +154,31 @@ def test_analyze_exact_output_is_pinned(tmp_path, capsys):
         "abc67436392b075d8f7efe36948a542c24acf4589235d06373182ffa30eb69b0"
 
 
+def test_survivable_output_is_pinned(tmp_path, capsys):
+    # One digest over exit code, stdout and stderr of `survivable`, with and
+    # without --exact: medium instances at delta 1, 2, 3 and 5 and n 0..3, 6
+    # and 9 (n 6 and 9 reach every verdict, both modes), and --cap 50 runs,
+    # which trip the head cap only under --exact.
+    medium = []
+    for seed in range(20):
+        path = tmp_path / f"m{seed}.json"
+        path.write_text(gen_random_tvg(10, 12, 0.5, seed).dumps())
+        medium.append(str(path))
+    cases = [(m, delta, n, extra) for m in medium for delta in (1, 2, 3, 5)
+             for n in (0, 1, 2, 3, 6, 9) for extra in ([], ["--exact"])]
+    cases += [(medium[seed], delta, 2, exact + ["--cap", "50"])
+              for seed in (0, 13) for delta in (1, 3)
+              for exact in ([], ["--exact"])]
+    h = hashlib.sha256()
+    for path, delta, n, extra in cases:
+        code = main(["survivable", path, "--src", "n1", "--dst", "n10",
+                     "--delta", str(delta), "--n", str(n)] + extra)
+        out, err = capsys.readouterr()
+        h.update(json.dumps([code, out, err]).encode() + b"\n")
+    assert h.hexdigest() == \
+        "107a4279361f65d5f82ee229636578fb870dc76811a1e597cd2257b1b2aa3aae"
+
+
 def test_journey_cap_binds_only_when_the_flow_enumerates(tmp_path, capsys):
     # m0 at delta 2: the greedy already packs as many journeys as the exact
     # cut removes, so no journey is enumerated and --cap 300 changes nothing.
@@ -263,6 +288,37 @@ def test_bad_source_is_a_usage_error(relay_file, capsys, command, src,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err and "Traceback" not in captured.err
+
+
+_EDGE = {"from": "a", "to": "b", "active": [1]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"T": 3, "nodes": 5, "edges": []},
+    {"T": 3, "nodes": "ab", "edges": [_EDGE]},
+    {"T": 3, "nodes": ["a", "b"], "edges": {}},
+    {"T": None, "nodes": ["a", "b"], "edges": [_EDGE]},
+    {"T": 3.5, "nodes": ["a", "b"], "edges": [_EDGE]},
+    {"T": True, "nodes": ["a", "b"], "edges": [_EDGE]},
+    {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": None}]},
+    {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": [1.7]}]},
+    {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": "1"}]},
+    {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": [True]}]},
+], ids=["nodes-int", "nodes-str", "edges-dict", "T-null", "T-float",
+        "T-bool", "active-null", "slot-float", "active-str", "slot-bool"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--src", "a", "--dst", "b"],
+    ["survivable", "--src", "a", "--dst", "b", "--n", "1"],
+    ["simulate"]], ids=["analyze", "survivable", "simulate"])
+def test_wrongly_typed_graph_document_is_a_usage_error(tmp_path, capsys, doc,
+                                                       command):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed graph document" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_survivable(relay_file, capsys):

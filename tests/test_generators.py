@@ -1,5 +1,6 @@
 """Instance generators: random graphs, the hard family, path-packing inputs."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from tempocut import (WeightedDigraph, bledp_exact, bledp_expand,
                       exact_maxflow_delta, exact_mincut_delta,
                       gen_counterexample, gen_random_tvg,
                       gen_random_weighted_digraph, validate_graph)
+from tempocut import generators, verify
 
 
 def test_random_tvg_is_seed_determined():
@@ -59,6 +61,21 @@ def test_hard_family_separates_flow_from_cut(k, delta):
     g, s, d = gen_counterexample(k)
     assert exact_maxflow_delta(g, s, d, delta).count == 1
     assert exact_mincut_delta(g, s, d, delta).count == k
+
+
+def test_gapfamily_suite_reports_the_ladder_self_check(monkeypatch):
+    # gen_counterexample checks both oracles itself; the suite reports it
+    assert verify.suite_gapfamily().summary() == "gapfamily: 6 checks, all ok"
+    real = generators.exact_mincut_delta
+
+    def one_short(g, s, d, delta):
+        cut = real(g, s, d, delta)
+        return dataclasses.replace(cut, removals=cut.removals[1:])
+
+    monkeypatch.setattr(generators, "exact_mincut_delta", one_short)
+    res = verify.suite_gapfamily()
+    assert (res.checked, len(res.failures)) == (6, 3)
+    assert res.failures[1].startswith("k=2: ladder k=2 failed self-check")
 
 
 def test_hard_family_bounds():

@@ -23,6 +23,7 @@ from tempocut.mincut import (DEFAULT_HEAD_CAP, CutResult, _canonical_heads,
                              _exact_cut_search)
 from tempocut.tvg import (_contact_id, _footprint_ids, _interference_ids,
                           _min_hop_surviving, interfering_contacts)
+from test_tvg import graphs
 
 contact_sets = st.lists(
     st.builds(Contact,
@@ -88,6 +89,33 @@ def test_set_weights_relay(relay):
     assert all(v == Fraction(1, 2) for v in w2.values())
 
 
+def _weights_by_definition(g, delta):
+    """1 / the most same-edge contacts a delta-removal through the contact
+    takes out, trying every integer head in [t - delta + 1, t]."""
+    w = {}
+    for e in g.edges:
+        slots = g.active[e.eid]
+        for t in slots:
+            best = max(sum(h <= u < h + delta for u in slots)
+                       for h in range(t - delta + 1, t + 1))
+            w[Contact(e.eid, t)] = Fraction(1, best)
+    return w
+
+
+def test_set_weights_matches_the_definition():
+    for seed in range(100):
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        for delta in range(1, 9):
+            assert set_weights(g, delta) == _weights_by_definition(g, delta), \
+                (seed, delta)
+
+
+@given(graphs, st.integers(1, 8))
+@settings(max_examples=80, deadline=None)
+def test_set_weights_matches_the_definition_on_any_graph(g, delta):
+    assert set_weights(g, delta) == _weights_by_definition(g, delta)
+
+
 def test_weighted_mincut_1_relay(relay):
     value, cut = weighted_mincut_1(relay, set_weights(relay, 1), "s", "d")
     assert value == Fraction(2) and len(cut) == 2
@@ -127,6 +155,16 @@ def test_verify_cut_accepts_result_or_iterable(relay):
     assert not verify_cut(relay, [DeltaRemoval("e1", 1, 1)], "s", "d")
     assert verify_cut(relay, exact_mincut_delta(relay, "s", "d", 1), "s", "d")
     assert not verify_cut(relay, [], "s", "d")
+
+
+def test_verify_cut_rejects_bad_input(relay):
+    with pytest.raises(ValueError, match="unknown edge 'zz'"):
+        verify_cut(relay, [DeltaRemoval("zz", 1, 1)], "s", "d")
+    with pytest.raises(ValueError, match="duration must be positive"):
+        verify_cut(relay, [DeltaRemoval("e1", 1, 2), DeltaRemoval("e1", 2, 0)],
+                   "s", "d")
+    with pytest.raises(ValueError, match="unknown node 'zz'"):
+        verify_cut(relay, [DeltaRemoval("e1", 1, 2)], "s", "zz")
 
 
 def test_minweight_cut_certificates(relay):
