@@ -5,22 +5,27 @@ delta slots of each other. greedy_maxflow_delta peels min-hop journeys off
 the graph and blanks out everything that interferes with them; it is
 fast, order-deterministic, and carries a provable worst-case certificate
 (greedy_bound_certificate). exact_maxflow_delta is the desk-scale oracle:
-maximum independent set over the journey conflict graph, branch and bound
-seeded with the greedy incumbent and stopped at a ceiling on the optimum:
-MaxFlow_1 on its own, the exact cut inside mincut.analyze_exact. At
-delta = 1 its answer is the unit max flow's path decomposition instead.
+maximum independent set over the conflict graph of candidate journeys,
+kept as contact-id tuples with conflict bitmasks built per contact id
+until one family is reported; branch and bound seeded with the greedy
+incumbent, stopped at a ceiling on the optimum: MaxFlow_1 on its own, the
+exact cut inside mincut.analyze_exact. At delta = 1 its answer is the unit
+max flow's path decomposition instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
+from typing import Callable
 
 from .linegraph import (build_line_graph, min_hop_path, node_disjoint_maxflow,
                         time_expanded_maxflow)
-from .tvg import (Contact, InstanceTooLargeError, Journey, TimeVaryingGraph,
-                  _contact_index, _contacts_reaching, _interference_ids,
-                  contacts)
+from .tvg import (DeltaRemoval, InstanceTooLargeError, Journey,
+                  TimeVaryingGraph, _contact_index, _contacts_reaching,
+                  _footprint_ids, _interference_ids, contacts)
 
 DEFAULT_JOURNEY_CAP = 25_000
 
@@ -70,13 +75,13 @@ def greedy_maxflow_delta(g: TimeVaryingGraph, s: str, d: str,
 
 
 def _simple_journeys(g: TimeVaryingGraph, s: str, d: str,
-                     cap: int) -> list[Journey]:
-    """All node-simple s->d journeys, depth-first in (slot, edge) order.
+                     cap: int) -> list[tuple[int, ...]]:
+    """All node-simple s->d journeys, as tuples of contact ids.
 
     Walks the contact index: the contacts leaving s, then from each
     contact the presorted suffix of its head's start list that departs
-    after it, which is that order. A journey ends at its first contact
-    into d.
+    after it, which is depth-first (slot, edge) order. A journey ends at
+    its first contact into d.
 
     Sufficient for the oracle: splicing loops out of any journey yields a
     node-simple journey over a subset of its contacts, so an optimal
@@ -84,11 +89,10 @@ def _simple_journeys(g: TimeVaryingGraph, s: str, d: str,
     """
     ix = _contact_index(g)
     starts, after, head = ix.starts, ix.after, ix.head
-    clist = contacts(g)
     can_reach = _contacts_reaching(g, d)
-    live = [c in can_reach for c in clist]
-    results: list[Journey] = []
-    stack: list[Contact] = []
+    live = [c in can_reach for c in contacts(g)]
+    results: list[tuple[int, ...]] = []
+    stack: list[int] = []
     visited = {s}
 
     def walk(ids) -> None:
@@ -96,12 +100,12 @@ def _simple_journeys(g: TimeVaryingGraph, s: str, d: str,
             h = head[i]
             if h in visited or not live[i]:
                 continue
-            stack.append(clist[i])
+            stack.append(i)
             if h == d:
                 if len(results) >= cap:
                     raise InstanceTooLargeError(
                         f"instance too large for exact oracle: more than {cap} candidate journeys")
-                results.append(Journey(tuple(stack)))
+                results.append(tuple(stack))
             else:
                 # a live contact not into d has a later departure at its head
                 visited.add(h)
@@ -113,68 +117,59 @@ def _simple_journeys(g: TimeVaryingGraph, s: str, d: str,
     return results
 
 
-def _conflict_masks(g: TimeVaryingGraph, journeys: list[Journey],
-                    delta: int) -> list[int]:
-    """conflict[i] = bitmask of journeys interfering with journey i (i excluded)."""
-    m = len(journeys)
-    users: dict[str, dict[int, int]] = {}  # edge -> slot -> user bitmask
-    for i, j in enumerate(journeys):
-        bit = 1 << i
-        for e, t in j.hops:
-            users.setdefault(e, {}).setdefault(t, 0)
-            users[e][t] |= bit
-
-    window: dict[str, dict[int, int]] = {}
-    for e, per_slot in users.items():
-        slots = sorted(per_slot)
-        win: dict[int, int] = {}
-        for t in slots:
-            mask = 0
-            for t2 in slots:
-                if abs(t2 - t) < delta:
-                    mask |= per_slot[t2]
-            win[t] = mask
-        window[e] = win
-
-    conflict = [0] * m
-    for i, j in enumerate(journeys):
-        mask = 0
-        for e, t in j.hops:
-            mask |= window[e][t]
-        conflict[i] = mask & ~(1 << i)
-    return conflict
+def _closed_masks(g: TimeVaryingGraph, cands: list[tuple[int, ...]],
+                  delta: int) -> list[int]:
+    """closed[k] = bitmask of the cands (contact-id tuples) interfering with
+    cands[k], k included. Each used contact id ORs the masks of the
+    candidates using its interference run (same edge, within delta slots)
+    into a window; each candidate ORs its hops' windows."""
+    users = [0] * g.contact_count
+    for k, ids in enumerate(cands):
+        for i in ids:
+            users[i] |= 1 << k
+    ix = _contact_index(g)
+    window = [0] * len(users)
+    for i, u in enumerate(users):
+        if u:
+            run = _footprint_ids(g, DeltaRemoval(
+                g.edges[ix.edge_pos[i]].eid, ix.slot[i] - delta + 1,
+                2 * delta - 1))
+            window[i] = reduce(or_, map(users.__getitem__, run))
+    return [reduce(or_, map(window.__getitem__, ids)) for ids in cands]
 
 
-def _drop_dominated(conflict: list[int]) -> list[int]:
-    """Prune journeys that can never beat a sibling in a maximum packing.
+def _drop_dominated(closed: list[int]) -> list[int]:
+    """Prune journeys that can never beat a sibling in a maximum packing,
+    given their closed conflict neighborhoods; survivors in index order.
 
-    If journey i's closed conflict neighborhood is a subset of j's, any
-    packing using j can swap j for i, so j is dropped. A dominated j must
-    itself conflict with its dominator, hence only neighbors get the subset
-    test and the whole pass costs about one pass over the conflict arcs.
-    Survivors are returned in index order; ties keep the lower index, so the
-    result is deterministic.
+    If i's closed neighborhood is a subset of j's, any packing using j can
+    swap j for i, so j is dropped. The survivors are the lowest index of
+    each closed class (twins: equal sets) that has no strict subset among
+    the others, whatever the order of processing: below a class with a
+    strict subset lies a minimal one, whose lowest index is never dropped
+    and drops it. So twins are merged first, then the classes go in
+    popcount order. Each live one tests only live neighbours not yet
+    taken: a dominated set holds its dominator, and a taken one is no larger.
     """
-    m = len(conflict)
-    closed = [conflict[i] | (1 << i) for i in range(m)]
-    alive = (1 << m) - 1
-    for i in sorted(range(m), key=lambda v: closed[v].bit_count()):
-        if not (alive >> i) & 1:
+    first: dict[int, int] = {}
+    for v, c in enumerate(closed):
+        first.setdefault(c, v)
+    pending = sum(1 << v for v in first.values())
+    out = []
+    for i in sorted(first.values(), key=lambda v: closed[v].bit_count()):
+        bit = 1 << i
+        if not pending & bit:
             continue
+        pending ^= bit
+        out.append(i)
         ci = closed[i]
-        cand = conflict[i] & alive
+        cand = ci & pending
         while cand:
             b = cand & -cand
             cand ^= b
-            j = b.bit_length() - 1
-            if ci & ~closed[j] == 0 and (ci != closed[j] or i < j):
-                alive &= ~b
-    out = []
-    while alive:
-        b = alive & -alive
-        alive ^= b
-        out.append(b.bit_length() - 1)
-    return out
+            if ci & ~closed[b.bit_length() - 1] == 0:
+                pending ^= b
+    return sorted(out)
 
 
 def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
@@ -182,55 +177,54 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
     """Maximum-cardinality pairwise delta-disjoint journey set (exact).
 
     Runs _exact_flow_search with the greedy as its incumbent and MaxFlow_1,
-    which dominates every MaxFlow_delta, as its ceiling; only that value is
-    needed, so it comes from the sparser time-expanded network.
+    which dominates every MaxFlow_delta, from the sparser time-expanded
+    network as its ceiling; both only where the search reads them.
     """
     if delta < 1:
         raise ValueError("delta must be positive")
-    ceiling = int(time_expanded_maxflow(g, s, d).value)
-    greedy = greedy_maxflow_delta(g, s, d, delta)
-    return _exact_flow_search(g, s, d, delta, greedy, ceiling, cap)
+    return _exact_flow_search(g, s, d, delta, lambda: (
+        greedy_maxflow_delta(g, s, d, delta),
+        int(time_expanded_maxflow(g, s, d).value)), cap)
 
 
 def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
-                       greedy: FlowResult, ceiling: int,
+                       bounds: Callable[[], tuple[FlowResult, int]],
                        cap: int) -> FlowResult:
-    """exact_maxflow_delta's search, given the greedy family and a ceiling
-    on the optimum. delta = 1 reduces to unit-weight node-disjoint max flow
-    on the line graph, whose path decomposition (in Edmonds-Karp's
-    augmenting order) is an optimal 1-disjoint family. At delta >= 2 it
-    enumerates candidate journeys and runs branch and bound over the
-    conflict graph, greedy incumbent first; the reported set comes out in
-    enumeration order, so results are reproducible. The incumbent is only
-    ever replaced by a larger family, so stopping at the first family that
-    reaches a valid ceiling returns what the full search would: the family
-    found does not depend on the ceiling, only the time taken to prove it.
-    A greedy family that already reaches the ceiling is returned without
-    enumerating anything.
+    """exact_maxflow_delta's search, given bounds() -> (the greedy family,
+    a ceiling on the optimum), called only at delta >= 2. delta = 1
+    reduces to unit-weight node-disjoint max flow on the line graph, whose
+    path decomposition (in Edmonds-Karp's augmenting order) is an optimal
+    1-disjoint family. At delta >= 2 it enumerates candidate journeys as
+    contact-id tuples, masks their conflicts per contact id, drops
+    dominated ones and runs branch and bound over the survivors, greedy
+    incumbent first; only the family it reports becomes Journeys, in
+    enumeration order. The incumbent is only ever replaced by a larger
+    family, so stopping at the first family that reaches a valid ceiling
+    returns what the full search would: the family found does not depend
+    on the ceiling, only the time taken to prove it. A greedy family that
+    already reaches the ceiling is returned without enumerating anything.
     """
     if delta == 1:
         flow = node_disjoint_maxflow(build_line_graph(g, s, d))
         return FlowResult(tuple(Journey(p) for p in flow.paths), delta,
                           exact=True)
+    greedy, ceiling = bounds()
     if greedy.count >= ceiling:
         return FlowResult(greedy.journeys, delta, exact=True)
-    enum_journeys = _simple_journeys(g, s, d, cap)
-    if not enum_journeys:
-        return FlowResult((), delta, exact=True)
-    raw = _conflict_masks(g, enum_journeys, delta)
+    cands = _simple_journeys(g, s, d, cap)
+    closed = _closed_masks(g, cands, delta)
 
-    keep = _drop_dominated(raw)
-    keep_mask = 0
-    for v in keep:
-        keep_mask |= 1 << v
+    keep = _drop_dominated(closed)
+    keep_mask = sum(1 << v for v in keep)
 
     # survivors reordered most-conflicting first: the greedy clique
     # partitions bounding the search get markedly tighter that way
-    order0 = sorted(keep, key=lambda v: -(raw[v] & keep_mask).bit_count())
-    conflict = _conflict_masks(g, [enum_journeys[v] for v in order0], delta)
+    order0 = sorted(keep, key=lambda v: -(closed[v] & keep_mask).bit_count())
+    conflict = [c & ~(1 << k) for k, c in enumerate(
+        _closed_masks(g, [cands[v] for v in order0], delta))]
 
-    best_journeys = greedy.journeys
     best = greedy.count
+    best_ids: list[int] = []
     chosen: list[int] = []
 
     def extend(alive: int, size: int) -> bool:
@@ -242,7 +236,7 @@ def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
         monotonically along the loop. Returns True to stop early once the
         ceiling is reached.
         """
-        nonlocal best, best_journeys
+        nonlocal best, best_ids
         order: list[int] = []
         limit: list[int] = []
         cliques = 0
@@ -265,8 +259,7 @@ def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
             chosen.append(v)
             if size + 1 > best:
                 best = size + 1
-                best_journeys = tuple(
-                    enum_journeys[u] for u in sorted(order0[w] for w in chosen))
+                best_ids = sorted(order0[w] for w in chosen)
                 if best >= ceiling:
                     chosen.pop()
                     return True
@@ -278,7 +271,9 @@ def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
         return False
 
     extend((1 << len(order0)) - 1, 0)
-    return FlowResult(best_journeys, delta, exact=True)
+    clist = contacts(g)
+    found = tuple(Journey(tuple(clist[i] for i in cands[u])) for u in best_ids)
+    return FlowResult(found or greedy.journeys, delta, exact=True)
 
 
 def greedy_bound_certificate(alg_count: int, opt_count: int, edge_count: int,

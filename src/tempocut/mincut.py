@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil
 
 from .linegraph import time_expanded_maxflow
@@ -72,6 +73,7 @@ def set_weights(g: TimeVaryingGraph, delta: int) -> WeightMap:
         raise ValueError("delta must be positive")
     # removal windows may run past the horizon, so delta > T is fine
     w: WeightMap = {}
+    unit = cache(lambda k: Fraction(1, k))  # one 1/K per distinct K
     for e in g.edges:
         slots = g.active[e.eid]
         # footprint size per active head; the densest removal through slot t
@@ -80,7 +82,7 @@ def set_weights(g: TimeVaryingGraph, delta: int) -> WeightMap:
                 for i, t in enumerate(slots)]
         for i, t in enumerate(slots):
             lo = bisect_right(slots, t - delta)
-            w[Contact(e.eid, t)] = Fraction(1, max(size[lo:i + 1]))
+            w[Contact(e.eid, t)] = unit(max(size[lo:i + 1]))
     return w
 
 
@@ -297,7 +299,7 @@ def analyze_exact(g: TimeVaryingGraph, s: str, d: str, delta: int,
     greedy = greedy_maxflow_delta(g, s, d, delta)
     rounded = minweight_mincut_delta(g, s, d, delta)
     cut = _exact_cut_search(g, s, d, delta, rounded, greedy.count, head_cap)
-    flow = _exact_flow_search(g, s, d, delta, greedy, cut.count, cap)
+    flow = _exact_flow_search(g, s, d, delta, lambda: (greedy, cut.count), cap)
     certificates = {
         "flow": {
             "greedy": greedy.count,

@@ -182,10 +182,13 @@ class TimeVaryingGraph:
         # type(...) is int: JSON true and false are not slots
         if not (isinstance(nodes, list) and isinstance(edges, list)
                 and type(horizon) is int
-                and all(isinstance(a, list) and all(type(t) is int for t in a)
-                        for _, _, a in raw_edges)):
+                and all(isinstance(n, str) for n in nodes)
+                and all(type(u) is type(v) is str and isinstance(a, list)
+                        and all(type(t) is int for t in a)
+                        for u, v, a in raw_edges)):
             raise ValueError("malformed graph document: nodes, edges and "
-                             "active must be lists, T and slots integers")
+                             "active must be lists, T and slots integers, "
+                             "node names and endpoints strings")
         g = cls(nodes, raw_edges, horizon)
         report = validate_graph(g)
         if not report.ok:

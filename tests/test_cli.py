@@ -304,8 +304,12 @@ _EDGE = {"from": "a", "to": "b", "active": [1]}
     {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": [1.7]}]},
     {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": "1"}]},
     {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": [True]}]},
+    {"T": 3, "nodes": [[1], {}, 2, None],
+     "edges": [{"from": [1], "to": 2, "active": [1]}]},
+    {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "to": None}]},
 ], ids=["nodes-int", "nodes-str", "edges-dict", "T-null", "T-float",
-        "T-bool", "active-null", "slot-float", "active-str", "slot-bool"])
+        "T-bool", "active-null", "slot-float", "active-str", "slot-bool",
+        "names-nonstr", "endpoint-null"])
 @pytest.mark.parametrize("command", [
     ["analyze", "--src", "a", "--dst", "b"],
     ["survivable", "--src", "a", "--dst", "b", "--n", "1"],

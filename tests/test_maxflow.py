@@ -11,8 +11,9 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       greedy_bound_certificate, greedy_maxflow_delta,
                       interferes, is_valid_journey, Journey, min_hop_path,
                       node_disjoint_maxflow, parse_contact_trace)
-from tempocut.maxflow import _simple_journeys
-from tempocut.tvg import interfering_contacts
+from tempocut import maxflow
+from tempocut.maxflow import _closed_masks, _drop_dominated, _simple_journeys
+from tempocut.tvg import contacts, interfering_contacts
 from test_acceptance import _anchor_trace
 
 graphs = st.builds(
@@ -82,6 +83,14 @@ def test_greedy_matches_rebuilding_reference():
                         _rebuilding_greedy(g, s, d, delta)
 
 
+def _simple_journey_objects(g, s, d):
+    """_simple_journeys' contact-id tuples as Journeys, ids mapped through
+    contacts(g)."""
+    clist = contacts(g)
+    return [Journey(tuple(clist[i] for i in ids))
+            for ids in _simple_journeys(g, s, d, 100_000)]
+
+
 def test_simple_journeys_are_the_node_simple_enumerated_ones():
     """The oracle's contact-index walk lists exactly the node-simple journeys
     of the independent enumerator, in the same order. The medium corpus's
@@ -99,7 +108,7 @@ def test_simple_journeys_are_the_node_simple_enumerated_ones():
             nodes = [s] + [g.edge(c.edge).dst for c in j.hops]
             if len(set(nodes)) == len(nodes):
                 simple.append(j)
-        assert _simple_journeys(g, s, d, 100_000) == simple
+        assert _simple_journey_objects(g, s, d) == simple
 
 
 def _node_simple_journeys(g, s, d):
@@ -139,10 +148,180 @@ def test_simple_journeys_on_the_medium_corpus():
     for seed in range(100):
         g = gen_random_tvg(10, 12, 0.5, seed)
         want = _node_simple_journeys(g, "n1", "n10")
-        assert _simple_journeys(g, "n1", "n10", 100_000) == want, seed
+        assert _simple_journey_objects(g, "n1", "n10") == want, seed
         total += len(want)
         most = max(most, len(want))
     assert (total, most) == (58_873, 2_099)
+
+
+def _conflict_masks(g, journeys, delta):
+    """conflict[i] = bitmask of journeys interfering with journey i (i excluded).
+
+    The reference: the exact flow's conflict masks as first written, from
+    Journeys, per edge and slot."""
+    m = len(journeys)
+    users = {}  # edge -> slot -> user bitmask
+    for i, j in enumerate(journeys):
+        bit = 1 << i
+        for e, t in j.hops:
+            users.setdefault(e, {}).setdefault(t, 0)
+            users[e][t] |= bit
+
+    window = {}
+    for e, per_slot in users.items():
+        slots = sorted(per_slot)
+        win = {}
+        for t in slots:
+            mask = 0
+            for t2 in slots:
+                if abs(t2 - t) < delta:
+                    mask |= per_slot[t2]
+            win[t] = mask
+        window[e] = win
+
+    conflict = [0] * m
+    for i, j in enumerate(journeys):
+        mask = 0
+        for e, t in j.hops:
+            mask |= window[e][t]
+        conflict[i] = mask & ~(1 << i)
+    return conflict
+
+
+def _drop_dominated_in_popcount_order(conflict):
+    """The reference domination pass as first written, over open conflict
+    masks: every live journey in popcount order tests all its live
+    neighbours, and twins keep the lower index."""
+    m = len(conflict)
+    closed = [conflict[i] | (1 << i) for i in range(m)]
+    alive = (1 << m) - 1
+    for i in sorted(range(m), key=lambda v: closed[v].bit_count()):
+        if not (alive >> i) & 1:
+            continue
+        ci = closed[i]
+        cand = conflict[i] & alive
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            j = b.bit_length() - 1
+            if ci & ~closed[j] == 0 and (ci != closed[j] or i < j):
+                alive &= ~b
+    out = []
+    while alive:
+        b = alive & -alive
+        alive ^= b
+        out.append(b.bit_length() - 1)
+    return out
+
+
+def _closed_class_survivors(closed):
+    """The survivors by definition: the lowest index of each closed class
+    whose set has no strict subset among the others'."""
+    return [v for v, c in enumerate(closed)
+            if closed.index(c) == v
+            and not any(o != c and o & ~c == 0 for o in closed)]
+
+
+def test_domination_matches_the_reference_on_the_medium_corpus():
+    """Contact-id masks and the twin-merging pass keep the survivors of the
+    reference pass over Journey masks: same indices, same order."""
+    for seed in range(100):
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        cands = _simple_journeys(g, "n1", "n10", 100_000)
+        journeys = _simple_journey_objects(g, "n1", "n10")
+        for delta in (2, 3, 5):
+            conflict = _conflict_masks(g, journeys, delta)
+            closed = _closed_masks(g, cands, delta)
+            assert closed == [c | (1 << k) for k, c in enumerate(conflict)]
+            assert _drop_dominated(closed) == \
+                _drop_dominated_in_popcount_order(conflict), (seed, delta)
+
+
+@st.composite
+def conflict_graphs(draw):
+    """Random symmetric conflict graphs (open masks), some vertices cloned
+    with or without the arc to their original, so twins of both kinds and
+    strict dominations occur."""
+    m = draw(st.integers(0, 14))
+    conflict = [0] * m
+    for i in range(m):
+        for k in range(i + 1, m):
+            if draw(st.booleans()):
+                conflict[i] |= 1 << k
+                conflict[k] |= 1 << i
+    for _ in range(draw(st.integers(0, 6)) if m else 0):
+        v = draw(st.integers(0, len(conflict) - 1))
+        new = len(conflict)
+        nbrs = conflict[v]
+        if draw(st.booleans()):
+            nbrs |= 1 << v
+        conflict.append(nbrs)
+        while nbrs:
+            b = nbrs & -nbrs
+            nbrs ^= b
+            conflict[b.bit_length() - 1] |= 1 << new
+    return conflict
+
+
+@given(conflict_graphs())
+@settings(max_examples=300, deadline=None)
+def test_domination_pass_is_the_closed_class_definition(conflict):
+    closed = [c | (1 << k) for k, c in enumerate(conflict)]
+    got = _drop_dominated(closed)
+    assert got == _drop_dominated_in_popcount_order(conflict)
+    assert got == _closed_class_survivors(closed)
+
+
+@given(graphs, st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_closed_masks_are_pairwise_interference(g, delta):
+    s, d = g.nodes[0], g.nodes[-1]
+    cands = _simple_journeys(g, s, d, 100_000)
+    journeys = _simple_journey_objects(g, s, d)
+    closed = _closed_masks(g, cands, delta)
+    for k, jk in enumerate(journeys):
+        want = sum(1 << i for i, ji in enumerate(journeys)
+                   if i == k or interferes(jk, ji, delta))
+        assert closed[k] == want
+
+
+def test_closed_masks_are_pairwise_interference_on_the_medium_corpus():
+    for seed in (5, 11, 14, 18):
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        cands = _simple_journeys(g, "n1", "n10", 100_000)
+        journeys = _simple_journey_objects(g, "n1", "n10")
+        for delta in (2, 3, 5):
+            closed = _closed_masks(g, cands, delta)
+            for k, jk in enumerate(journeys):
+                want = sum(1 << i for i, ji in enumerate(journeys)
+                           if i == k or interferes(jk, ji, delta))
+                assert closed[k] == want, (seed, delta, k)
+
+
+def test_journey_cap_trips_at_the_candidate_count():
+    """Medium instance 11 at delta 2: the greedy's 4 journeys fall short of
+    MaxFlow_1 = 6, so the search enumerates its 53 candidates to prove them
+    optimal."""
+    g = gen_random_tvg(10, 12, 0.5, 11)
+    with pytest.raises(InstanceTooLargeError,
+                       match="^instance too large for exact oracle: more "
+                             "than 52 candidate journeys$"):
+        exact_maxflow_delta(g, "n1", "n10", 2, cap=52)
+    assert exact_maxflow_delta(g, "n1", "n10", 2, cap=53).count == 4
+
+
+def test_exact_flow_at_delta_1_skips_the_greedy_and_the_ceiling(
+        relay, monkeypatch):
+    """At delta = 1 the answer is the unit max flow's decomposition, which
+    reads neither the greedy incumbent nor the MaxFlow_1 ceiling."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("bound computed at delta = 1")
+
+    monkeypatch.setattr(maxflow, "greedy_maxflow_delta", refuse)
+    monkeypatch.setattr(maxflow, "time_expanded_maxflow", refuse)
+    assert exact_maxflow_delta(relay, "s", "d", 1).count == 2
+    with pytest.raises(AssertionError, match="bound computed"):
+        exact_maxflow_delta(relay, "s", "d", 2)
 
 
 def test_greedy_at_80_nodes_is_pinned():
