@@ -176,6 +176,8 @@ class WeightedDigraph:
         for u, v, l in self.arcs:
             if u not in node_set or v not in node_set:
                 out.append(f"arc {u}->{v} has endpoint outside node set")
+            if u == v:
+                out.append(f"arc {u}->{v} is a self-loop")
             if l < 1:
                 out.append(f"arc {u}->{v} has nonpositive length {l}")
             elif l > self.bound:

@@ -10,13 +10,17 @@ where its path decomposition or an independent reference is wanted.
 min_hop_path runs the line graph's BFS without building it, on the contact
 index's presorted start lists (see tvg._contact_index).
 
-The time-expanded network has O(contacts) arcs: one hub per departure,
-waiting arcs between a node's consecutive departures, and one arc per
-contact (time_expanded_maxflow). Its min contact cuts are the line
-graph's, so it serves every max flow that needs only a value or a cut. The
-unit-flow path decomposition, which depends on the augmenting order, stays
-on the line graph. Both networks run the same augmenting loop
-(_Residual.augment).
+The time-expanded network has O(contacts) arcs: one node per arrival
+event (the first departure a contact's arrival can go on by), waiting arcs
+between a node's consecutive arrival events, and one arc per contact
+(_time_expanded_network). A departure that no arrival reaches shares the
+node of the arrival event before it; departures before a node's first
+arrival are dropped. Its min contact cuts are the line graph's, so it
+serves every max flow that needs only a value or a cut
+(time_expanded_maxflow, and the rounded cut through _time_expanded_flow
+with integer capacities by contact id). The unit-flow path decomposition,
+which depends on the augmenting order, stays on the line graph. Both
+networks run the same augmenting loop (_Residual.augment).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .tvg import (Contact, Journey, TimeVaryingGraph, _check_nodes,
-                  _contact_index, contacts)
+                  _contact_index, _contacts_of)
 
 SRC = 0  # node index of the source terminal
 DST = 1  # node index of the destination terminal
@@ -79,7 +83,7 @@ def build_line_graph(g: TimeVaryingGraph, s: str, d: str) -> LineGraph:
     for head, k in zip(ix.head, ix.after):
         arcs = starts[head][k:] if head in starts else ()
         succ.append((DST,) + arcs if head == d else arcs)
-    return LineGraph(tuple(contacts(g)), tuple(succ))
+    return LineGraph(ix.contacts, tuple(succ))
 
 
 def min_hop_path(g: TimeVaryingGraph, s: str, d: str,
@@ -119,9 +123,7 @@ def min_hop_path(g: TimeVaryingGraph, s: str, d: str,
                 while parent[c] != c:
                     c = parent[c]
                     hops.append(c)
-                return Journey(tuple(
-                    Contact(g.edges[ix.edge_pos[i]].eid, ix.slot[i])
-                    for i in reversed(hops)))
+                return Journey(tuple(_contacts_of(g, reversed(hops))))
         nxt = []
         for u in frontier:
             h, k = head[u], after[u]
@@ -179,46 +181,100 @@ def time_expanded_maxflow(g: TimeVaryingGraph, s: str, d: str,
                           ) -> NodeCutResult:
     """node_disjoint_maxflow's value and cut on a network with O(contacts) arcs.
 
-    Node i + 2 is the hub of contact id i: its departure position at its
-    tail. Uncapacitated waiting arcs chain the hubs of each node in the
-    contact index's (slot, edge order), and SRC feeds the first hub of s.
-    Contact i is one arc carrying its scaled weight, to DST if its head is
-    d, else to the hub of the first contact leaving its head after it; it
-    is dropped when there is none. So s->d paths are the journeys that stop
-    at their first arrival at d, and the contact cuts are the line graph's.
-    The cut is every contact whose hub the last, failed augmenting search
-    reached and whose arc head it did not, in contacts(g) order. The
-    source-closest min cut is unique, so it equals node_disjoint_maxflow's
-    on build_line_graph(g, s, d). No paths are returned.
+    The network is _time_expanded_network(g, s, d); contact arcs carry the
+    scaled weights (see _scaled_caps). s->d paths are the journeys that
+    stop at their first arrival at d, so the contact cuts are the line
+    graph's. The cut is every contact whose tail node the last, failed
+    augmenting search reached and whose arc head it did not, in contacts(g)
+    order. The source-closest min cut is unique, so it equals
+    node_disjoint_maxflow's on build_line_graph(g, s, d). No paths are
+    returned.
     """
-    _check_pair(g, s, d)
-    clist = contacts(g)
+    clist = _contact_index(g).contacts
     _, scale, caps = _scaled_caps(clist, weights)
-    ix = _contact_index(g)
-    starts = ix.starts
+    value, cut = _time_expanded_flow(g, s, d, caps)
+    return NodeCutResult(value=Fraction(value, scale),
+                         cut=tuple(clist[i] for i in cut), paths=())
 
-    net = _Residual(2 + len(caps))
+
+def _time_expanded_flow(g: TimeVaryingGraph, s: str, d: str,
+                        caps: Sequence[int]) -> tuple[int, list[int]]:
+    """(max flow value, source-closest min cut as contact ids in id order)
+    on _time_expanded_network(g, s, d), contact id i carrying caps[i]."""
+    size, waits, arcs = _time_expanded_network(g, s, d)
+    net = _Residual(size)
     add_arc = net.add_arc
     total = sum(caps) + 1  # effectively infinite
-    if starts.get(s):
-        add_arc(SRC, starts[s][0] + 2, total)
-    for ids in starts.values():
-        for a, b in zip(ids, ids[1:]):
-            add_arc(a + 2, b + 2, total)
-    to = [-1] * len(caps)  # node contact i's arc enters, -1 if dropped
-    for i, (head, k) in enumerate(zip(ix.head, ix.after)):
-        if head == d:
-            to[i] = DST
-        elif k < len(starts.get(head, ())):
-            to[i] = starts[head][k] + 2
-        else:
-            continue
-        add_arc(i + 2, to[i], caps[i])
-
+    for u, v in waits:
+        add_arc(u, v, total)
+    for i, u, v in arcs:
+        add_arc(u, v, caps[i])
     value, pred = net.augment()
-    cut = tuple(c for i, c in enumerate(clist)
-                if to[i] >= 0 and pred[i + 2] != -1 and pred[to[i]] == -1)
-    return NodeCutResult(value=Fraction(value, scale), cut=cut, paths=())
+    return value, [i for i, u, v in arcs if pred[u] != -1 and pred[v] == -1]
+
+
+def _time_expanded_network(g: TimeVaryingGraph, s: str, d: str
+                           ) -> tuple[int, list[tuple[int, int]],
+                                      list[tuple[int, int, int]]]:
+    """(node count, uncapacitated arcs, contact arcs (id, tail, head)) of
+    the time-expanded network for s->d: one node per arrival event.
+
+    Contact i arrives at its head and can go on by the first contact
+    leaving the head after it, starts[head][after[i]]: its arc enters that
+    departure's hub, or DST when the head is d, and is dropped when the
+    head offers no later departure. SRC enters the first departure of s.
+    Hubs, one per departure in the contact index's (slot, edge order), are
+    chained per node by uncapacitated waiting arcs; only the entered ones
+    become nodes, numbered from 2. A hub that no arc enters takes the node
+    of the entered hub before it, and the hubs before a node's first
+    entered one are dropped with their contact arcs.
+
+    The merge keeps the value and the source-closest min cut of the
+    network with every hub. There, a hub whose only in-arc is the waiting
+    arc from the hub before it is reached by the last, failed augmenting
+    search iff that hub is: one way along the infinite arc; the other
+    because it is reached along that arc or back along an out-arc carrying
+    flow, and that flow came in along the waiting arc, whose reverse leads
+    back. So the cut closest to the source keeps each such pair on one
+    side. Contracting a pair removes only cuts that split it, so the
+    minimum stays, and so does the cut closest to the source. Dropped hubs
+    are never reached and carry no flow, so their arcs cross no cut. A
+    node entered only by arcs of dropped hubs stays, never reached.
+    """
+    _check_pair(g, s, d)
+    ix = _contact_index(g)
+    starts, after, head = ix.starts, ix.after, ix.head
+    n = len(head)
+    # nxt[i]: the departure contact i's arc enters, n for DST, -1 if none
+    nxt = [-1] * n
+    entered = [False] * n
+    if starts.get(s):
+        entered[starts[s][0]] = True
+    for i, (h, k) in enumerate(zip(head, after)):
+        if h == d:
+            nxt[i] = n
+        else:
+            leaving = starts.get(h, ())
+            if k < len(leaving):
+                nxt[i] = leaving[k]
+                entered[leaving[k]] = True
+    node = [-1] * n + [DST]  # id -> network node of its hub, -1 if dropped
+    waits: list[tuple[int, int]] = []
+    size = 2
+    for ids in starts.values():
+        cur = -1
+        for i in ids:
+            if entered[i]:
+                if cur != -1:
+                    waits.append((cur, size))
+                cur = size
+                size += 1
+            node[i] = cur
+    if starts.get(s):
+        waits.append((SRC, node[starts[s][0]]))
+    arcs = [(i, node[i], node[j]) for i, j in enumerate(nxt)
+            if j != -1 and node[i] != -1]
+    return size, waits, arcs
 
 
 def _scaled_caps(clist: Sequence[Contact],

@@ -24,8 +24,8 @@ from typing import Callable
 from .linegraph import (build_line_graph, min_hop_path, node_disjoint_maxflow,
                         time_expanded_maxflow)
 from .tvg import (DeltaRemoval, InstanceTooLargeError, Journey,
-                  TimeVaryingGraph, _contact_index, _contacts_reaching,
-                  _footprint_ids, _interference_ids, contacts)
+                  TimeVaryingGraph, _contact_index, _contacts_of,
+                  _contacts_reaching, _footprint_ids, _interference_ids)
 
 DEFAULT_JOURNEY_CAP = 25_000
 
@@ -89,8 +89,7 @@ def _simple_journeys(g: TimeVaryingGraph, s: str, d: str,
     """
     ix = _contact_index(g)
     starts, after, head = ix.starts, ix.after, ix.head
-    can_reach = _contacts_reaching(g, d)
-    live = [c in can_reach for c in contacts(g)]
+    live = _contacts_reaching(g, d)
     results: list[tuple[int, ...]] = []
     stack: list[int] = []
     visited = {s}
@@ -271,8 +270,7 @@ def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
         return False
 
     extend((1 << len(order0)) - 1, 0)
-    clist = contacts(g)
-    found = tuple(Journey(tuple(clist[i] for i in cands[u])) for u in best_ids)
+    found = tuple(Journey(tuple(_contacts_of(g, cands[u]))) for u in best_ids)
     return FlowResult(found or greedy.journeys, delta, exact=True)
 
 

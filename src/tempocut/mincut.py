@@ -3,18 +3,19 @@
 A delta-removal knocks one edge out for delta consecutive slots. The
 disruption number is the fewest removals that disconnect a pair. The
 approximation pipeline: weight each contact by the reciprocal of the
-densest same-edge delta-window through it, solve the weighted contact cut
-as a max flow over the time-expanded network (one hub per departure, one
-arc per contact), then round the cut to removals with a per-edge stabbing
-cover. exact_mincut_delta is the desk-scale oracle (iterative-deepening
-hitting-set search over canonical removal heads, branching on the hops of
-tvg._min_hop_surviving's journey, the chosen removals kept as a count per
-contact id), seeded with the rounded cut as its ceiling and, as its floor,
-the greedy journey count or the rounded cut's weight rounded up, whichever
-is larger. The same greedy bound prunes every search node: a branch with b
-removals left whose residual still yields b + 1 delta-disjoint journeys,
-peeled off min-hop first as the greedy does, holds no cut and is dropped
-without branching.
+densest same-edge delta-window through it, solve the weighted contact
+cut as a max flow over the time-expanded network (one node per arrival
+event, one arc per contact; each contact id's capacity is the lcm of the
+window sizes divided by its own), then round the cut to removals with a
+per-edge stabbing cover. exact_mincut_delta is the desk-scale oracle
+(iterative-deepening hitting-set search over canonical removal heads,
+branching on the hops of tvg._min_hop_surviving's journey, the chosen
+removals kept as a count per contact id), seeded with the rounded cut as
+its ceiling and, as its floor, the greedy journey count or the rounded
+cut's weight rounded up, whichever is larger. The same greedy bound
+prunes every search node: a branch with b removals left whose residual
+still yields b + 1 delta-disjoint journeys, peeled off min-hop first as
+the greedy does, holds no cut and is dropped without branching.
 analyze_exact computes the four answers for one pair (greedy and exact
 flow, rounded and exact cut) with their certificates, each once. At every
 delta the cut goes first and caps the exact flow by weak duality, so a
@@ -29,14 +30,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil
+from math import ceil, lcm
 
-from .linegraph import time_expanded_maxflow
+from .linegraph import _time_expanded_flow, time_expanded_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, _exact_flow_search,
                       greedy_bound_certificate, greedy_maxflow_delta)
 from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
                   TimeVaryingGraph, _check_nodes, _check_removal,
-                  _footprint_ids, _interference_ids, _min_hop_surviving)
+                  _contact_index, _contacts_of, _footprint_ids,
+                  _interference_ids, _min_hop_surviving)
 
 DEFAULT_HEAD_CAP = 2000
 
@@ -68,12 +70,19 @@ class CutResult:
 
 def set_weights(g: TimeVaryingGraph, delta: int) -> WeightMap:
     """Per-contact weight 1/K, K = most same-edge contacts any single
-    delta-removal covering this contact can take out."""
+    delta-removal covering this contact can take out (_window_sizes)."""
+    unit = cache(lambda k: Fraction(1, k))  # one 1/K per distinct K
+    return dict(zip(_contact_index(g).contacts,
+                    map(unit, _window_sizes(g, delta))))
+
+
+def _window_sizes(g: TimeVaryingGraph, delta: int) -> list[int]:
+    """Per contact id, the most same-edge contacts any single delta-removal
+    covering the contact can take out: set_weights' K."""
     if delta < 1:
         raise ValueError("delta must be positive")
     # removal windows may run past the horizon, so delta > T is fine
-    w: WeightMap = {}
-    unit = cache(lambda k: Fraction(1, k))  # one 1/K per distinct K
+    out: list[int] = []
     for e in g.edges:
         slots = g.active[e.eid]
         # footprint size per active head; the densest removal through slot t
@@ -82,8 +91,8 @@ def set_weights(g: TimeVaryingGraph, delta: int) -> WeightMap:
                 for i, t in enumerate(slots)]
         for i, t in enumerate(slots):
             lo = bisect_right(slots, t - delta)
-            w[Contact(e.eid, t)] = unit(max(size[lo:i + 1]))
-    return w
+            out.append(max(size[lo:i + 1]))
+    return out
 
 
 def weighted_mincut_1(g: TimeVaryingGraph, weights: WeightMap, s: str,
@@ -150,12 +159,16 @@ def minweight_mincut_delta(g: TimeVaryingGraph, s: str, d: str,
     """Approximate disruption set: weighted contact cut, rounded to
     delta-removals. Guaranteed within a factor delta of optimal, and the
     weight of the cut is itself a lower bound on the optimum."""
-    w = set_weights(g, delta)
-    value, cut = weighted_mincut_1(g, w, s, d)
-    removals = delta_cover(cut, delta)
+    # weighted_mincut_1 on set_weights(g, delta), with capacities scale / K
+    # per contact id, scale being the lcm of the window sizes K
+    sizes = _window_sizes(g, delta)
+    scale = lcm(*set(sizes))
+    flow, cut = _time_expanded_flow(g, s, d, [scale // k for k in sizes])
+    removals = delta_cover(_contacts_of(g, cut), delta)
     if not verify_cut(g, removals, s, d):
         raise AssertionError("rounded cut failed to disconnect; this is a bug")
-    return CutResult(removals, delta, exact=False, weight_lower_bound=value)
+    return CutResult(removals, delta, exact=False,
+                     weight_lower_bound=Fraction(flow, scale))
 
 
 def _canonical_heads(g: TimeVaryingGraph, c: Contact, delta: int) -> list[int]:

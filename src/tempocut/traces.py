@@ -50,6 +50,9 @@ def parse_contact_trace(text: str) -> list[ContactRecord]:
         if not a or not b:
             errors.append(f"line {no}: empty node identifier")
             continue
+        if a == b:
+            errors.append(f"line {no}: node {a!r} in contact with itself")
+            continue
         records.append(ContactRecord(a, b, start, dur))
     if errors:
         raise ValueError("malformed trace: " + "; ".join(errors))
@@ -62,8 +65,9 @@ def discretize(records, window_start: int, horizon: int) -> TimeVaryingGraph:
     A record (a, b, start, dur) covers absolute seconds [start, start+dur-1]
     and activates both directed edges; second w maps to slot
     w - window_start + 1, clipped to [1, horizon]. Nodes are every
-    identifier seen in the trace; edges exist only for pairs with at least
-    one in-window slot.
+    identifier seen in the trace; edges exist only for pairs of distinct
+    nodes with at least one in-window slot, so a record of a node with
+    itself (which parse_contact_trace rejects) activates nothing.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
@@ -74,7 +78,7 @@ def discretize(records, window_start: int, horizon: int) -> TimeVaryingGraph:
         nodes.add(rec.node_b)
         lo = max(rec.start, window_start)
         hi = min(rec.start + rec.duration - 1, window_start + horizon - 1)
-        if hi < lo:
+        if hi < lo or rec.node_a == rec.node_b:
             continue
         slots = range(lo - window_start + 1, hi - window_start + 2)
         for key in ((rec.node_a, rec.node_b), (rec.node_b, rec.node_a)):

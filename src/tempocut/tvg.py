@@ -14,11 +14,11 @@ enumerate_journeys (every journey, revisits included; the tests'
 independent reference).
 
 Each graph keeps a contact index, built on first use: integer contact ids
-in contacts(g) order, and per node the ids leaving it presorted by (slot,
-edge order). _min_hop_surviving walks that index, banned contacts given as
-a mask over the ids; so do the greedy's min-hop search and the exact
-flow's journey enumerator, and the line graphs and the time-expanded
-network build their arcs from it.
+in contacts(g) order with the contact each stands for, and per node the
+ids leaving it presorted by (slot, edge order). _min_hop_surviving walks
+that index, banned contacts given as a mask over the ids; so do the
+greedy's min-hop search and the exact flow's journey enumerator, and the
+line graphs and the time-expanded network build their arcs from it.
 """
 
 from __future__ import annotations
@@ -84,23 +84,22 @@ class TimeVaryingGraph:
     Edge ids are assigned "e1".."eN" in declaration order; that order also
     fixes the deterministic contact ordering used everywhere downstream.
     The constructor normalizes active slot lists (sorted, deduplicated) but
-    does not reject invalid data; use validate_graph / from_json_dict for that.
+    does not reject invalid data, repeated node names included; use
+    validate_graph / from_json_dict for that. contact_count is counted once
+    here.
 
     _contact_ix holds the contact index (see _contact_index), built on
     first use. It lives and dies with the graph and takes no part in
     equality, hashing or serialization.
     """
 
-    __slots__ = ("horizon", "nodes", "edges", "active", "_by_id", "_index",
-                 "_out", "_node_set", "_contact_ix")
+    __slots__ = ("horizon", "nodes", "edges", "active", "contact_count",
+                 "_by_id", "_index", "_out", "_node_set", "_contact_ix")
 
     def __init__(self, nodes: Iterable[str],
                  edges: Iterable[tuple[str, str, Iterable[int]]],
                  horizon: int):
-        seen: dict[str, None] = {}
-        for n in nodes:
-            seen.setdefault(str(n))
-        self.nodes: tuple[str, ...] = tuple(seen)
+        self.nodes: tuple[str, ...] = tuple(str(n) for n in nodes)
         self._node_set = frozenset(self.nodes)
         self.horizon = int(horizon)
 
@@ -112,6 +111,7 @@ class TimeVaryingGraph:
             active[eid] = tuple(sorted(set(int(t) for t in slots)))
         self.edges: tuple[EdgeDef, ...] = tuple(defs)
         self.active: dict[str, tuple[int, ...]] = active
+        self.contact_count = sum(map(len, active.values()))
 
         self._by_id = {e.eid: e for e in defs}
         self._index = {e.eid: i for i, e in enumerate(defs)}
@@ -134,10 +134,6 @@ class TimeVaryingGraph:
 
     def out_edges(self, node: str) -> tuple[EdgeDef, ...]:
         return self._out.get(node, ())
-
-    @property
-    def contact_count(self) -> int:
-        return sum(len(s) for s in self.active.values())
 
     # -- equality (used heavily by tests) --------------------------------
 
@@ -218,8 +214,16 @@ def validate_graph(g: TimeVaryingGraph) -> ValidationReport:
     violations: list[str] = []
     if g.horizon < 1:
         violations.append(f"horizon must be a positive integer, got {g.horizon}")
+    if len(g._node_set) != len(g.nodes):
+        seen: set[str] = set()
+        for n in g.nodes:
+            if n in seen:
+                violations.append(f"node {n!r} listed more than once")
+            seen.add(n)
     pairs: set[tuple[str, str]] = set()
     for e in g.edges:
+        if e.src == e.dst:
+            violations.append(f"{e.eid}: self-loop {e.src!r}->{e.dst!r}")
         if e.src not in g._node_set:
             violations.append(f"{e.eid}: endpoint {e.src!r} not in node set")
         if e.dst not in g._node_set:
@@ -235,19 +239,18 @@ def validate_graph(g: TimeVaryingGraph) -> ValidationReport:
 
 def contacts(g: TimeVaryingGraph) -> list[Contact]:
     """All contacts in deterministic (edge declaration, slot) order."""
-    out: list[Contact] = []
-    for e in g.edges:
-        for t in g.active[e.eid]:
-            out.append(Contact(e.eid, t))
-    return out
+    return list(_contact_index(g).contacts)
 
 
-class _ContactIndex(NamedTuple):
+@dataclass(slots=True)
+class _ContactIndex:
     """Integer contact ids of one graph; pair-independent, linear in size.
 
-    Ids follow contacts(g) order, so the contacts of edge e are the ids
-    first[e], first[e] + 1, ... in slot order, and on one edge a smaller id
-    is an earlier slot.
+    Ids follow (edge declaration, slot) order, contacts(g)'s, so the
+    contacts of edge e are the ids first[e], first[e] + 1, ... in slot
+    order, and on one edge a smaller id is an earlier slot. The contacts
+    tuple, for callers that need every contact, is built on first use and
+    kept; callers that report a few ids build those alone (_contacts_of).
     """
 
     starts: dict[str, tuple[int, ...]]  # node -> ids leaving it, (slot, edge order)
@@ -256,7 +259,17 @@ class _ContactIndex(NamedTuple):
     edge_pos: list[int]  # id -> position of its edge in g.edges
     head: list[str]  # id -> node the contact arrives at
     rank: list[int]  # id -> position in (slot, edge order) over all ids
-    first: dict[str, int]  # edge id -> id of its first contact
+    first: dict[str, int]  # edge id -> id of its first contact, edge order
+    _contacts: tuple[Contact, ...] | None = None
+
+    @property
+    def contacts(self) -> tuple[Contact, ...]:
+        """id -> contact."""
+        if self._contacts is None:
+            eids = tuple(self.first)
+            self._contacts = tuple(map(Contact, map(eids.__getitem__,
+                                                    self.edge_pos), self.slot))
+        return self._contacts
 
 
 def _contact_index(g: TimeVaryingGraph) -> _ContactIndex:
@@ -289,6 +302,12 @@ def _contact_index(g: TimeVaryingGraph) -> _ContactIndex:
     ix = _ContactIndex(starts, after, slot, edge_pos, head, rank, first)
     g._contact_ix = ix
     return ix
+
+
+def _contacts_of(g: TimeVaryingGraph, ids: Iterable[int]) -> list[Contact]:
+    """The contacts with the given ids, in that order."""
+    ix = _contact_index(g)
+    return [Contact(g.edges[ix.edge_pos[i]].eid, ix.slot[i]) for i in ids]
 
 
 def _contact_id(g: TimeVaryingGraph, c: Contact) -> int | None:
@@ -429,10 +448,9 @@ def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
             if head[c] == d:
                 hops = []
                 while c != -1:
-                    hops.append(Contact(g.edges[edge_pos[c]].eid, slot[c]))
+                    hops.append(c)
                     c = parent[c]
-                hops.reverse()
-                return Journey(tuple(hops))
+                return Journey(tuple(_contacts_of(g, reversed(hops))))
         nxt: list[int] = []
         for c in frontier:
             leaving = starts.get(head[c])
@@ -467,7 +485,8 @@ def enumerate_journeys(g: TimeVaryingGraph, s: str, d: str,
         raise ValueError("cap must be positive")
 
     # contacts that can still reach d, ignoring revisit structure: sound prune
-    can_reach = _contacts_reaching(g, d)
+    can_reach = {c for c, ok in zip(_contact_index(g).contacts,
+                                    _contacts_reaching(g, d)) if ok}
 
     results: list[Journey] = []
     stack: list[Contact] = []
@@ -499,18 +518,22 @@ def enumerate_journeys(g: TimeVaryingGraph, s: str, d: str,
     return results
 
 
-def _contacts_reaching(g: TimeVaryingGraph, d: str) -> set[Contact]:
-    """Contacts from which d is reachable by some journey suffix."""
-    # scan contacts by decreasing slot; latest_departure[v] = latest slot at
-    # which leaving v can still make it to d
+def _contacts_reaching(g: TimeVaryingGraph, d: str) -> list[bool]:
+    """Per contact id: True iff d is reachable from it by some journey
+    suffix."""
+    # scan contacts by decreasing slot; latest[v] = latest slot at which
+    # leaving v can still make it to d
+    ix = _contact_index(g)
+    slot, head, edge_pos = ix.slot, ix.head, ix.edge_pos
     latest: dict[str, int] = {d: g.horizon + 1}
-    good: set[Contact] = set()
-    for c in sorted(contacts(g), key=lambda c: -c.slot):
-        e = g.edge(c.edge)
-        if e.dst in latest and latest[e.dst] > c.slot:
-            good.add(c)
-            if e.src not in latest or latest[e.src] < c.slot:
-                latest[e.src] = c.slot
+    good = [False] * len(slot)
+    for i in sorted(range(len(slot)), key=slot.__getitem__, reverse=True):
+        t = slot[i]
+        if head[i] in latest and latest[head[i]] > t:
+            good[i] = True
+            tail = g.edges[edge_pos[i]].src
+            if tail not in latest or latest[tail] < t:
+                latest[tail] = t
     return good
 
 

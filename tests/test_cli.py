@@ -325,6 +325,46 @@ def test_wrongly_typed_graph_document_is_a_usage_error(tmp_path, capsys, doc,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"T": 3, "nodes": ["a", "b", "a"], "edges": [_EDGE]},
+     "node 'a' listed more than once"),
+    ({"T": 3, "nodes": ["a", "b"],
+      "edges": [_EDGE, {**_EDGE, "to": "a"}]}, "e2: self-loop 'a'->'a'"),
+], ids=["repeated-node", "self-loop"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--src", "a", "--dst", "b"],
+    ["survivable", "--src", "a", "--dst", "b", "--n", "1"],
+    ["simulate"]], ids=["analyze", "survivable", "simulate"])
+def test_invalid_graph_document_is_a_usage_error(tmp_path, capsys, doc,
+                                                 message, command):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid graph" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_self_contact_trace_and_self_loop_arc_are_usage_errors(tmp_path,
+                                                               capsys):
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text(TRACE + "c,c,4,2\n")
+    wd_path = tmp_path / "wd.json"
+    wd_path.write_text(json.dumps({
+        "nodes": ["v1", "v2"],
+        "arcs": [{"from": "v1", "to": "v2", "len": 1},
+                 {"from": "v2", "to": "v2", "len": 2}],
+        "s": "v1", "d": "v2", "L": 3}))
+    for argv, message in (
+            (["ingest", str(trace_path)], "line 5: node 'c' in contact with itself"),
+            (["gen", "bledp-expand", str(wd_path)], "arc v2->v2 is a self-loop")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_survivable(relay_file, capsys):
     assert main(["survivable", relay_file, "--src", "s", "--dst", "d",
                  "--n", "1", "--exact"]) == 0

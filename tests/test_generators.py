@@ -95,6 +95,11 @@ def test_weighted_digraph_validation():
             "nodes": ["a", "b", "c"],
             "arcs": [{"from": "a", "to": "b", "len": 1}],
             "s": "a", "d": "b", "L": 2})
+    with pytest.raises(ValueError, match="arc b->b is a self-loop"):
+        WeightedDigraph.from_json_dict({
+            "nodes": ["a", "b"], "arcs": [{"from": "a", "to": "b", "len": 1},
+                                          {"from": "b", "to": "b", "len": 2}],
+            "s": "a", "d": "b", "L": 2})
     with pytest.raises(ValueError, match="terminals"):
         WeightedDigraph.from_json_dict({
             "nodes": ["a", "b"], "arcs": [{"from": "a", "to": "b", "len": 1}],

@@ -15,7 +15,7 @@ from tempocut import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
                       node_disjoint_maxflow, reachable, set_weights,
                       time_expanded_maxflow, weighted_mincut_1)
 from tempocut import verify
-from tempocut.linegraph import DST, SRC
+from tempocut.linegraph import DST, SRC, _time_expanded_network
 from tempocut.tvg import contacts
 
 graphs = st.builds(
@@ -367,6 +367,41 @@ def test_time_expanded_flow_relay(relay):
                                            ("d", "s", [])], 2)
     for s, d in (("s", "d"), ("d", "a")):
         assert _engines_agree(g, s, d) == 0
+
+
+def test_time_expanded_network_has_one_node_per_arrival_event():
+    # a departs at 1 before its first arrival (2), and departs on two
+    # edges at 3 and at 5; d's departure is never reached
+    g = TimeVaryingGraph(["s", "a", "b", "d"], [
+        ("s", "a", [2, 4]), ("a", "d", [1, 3, 5]), ("a", "b", [3, 5]),
+        ("b", "d", [4, 6]), ("s", "b", [1]), ("d", "a", [2])], 6)
+    size, waits, arcs = _time_expanded_network(g, "s", "d")
+    # hubs: s's first departure; a at 3 and 5; b at 4 and 6
+    assert size == 2 + 1 + 2 + 2
+    assert len(waits) == 3  # SRC -> s, a@3 -> a@5, b@4 -> b@6
+    # every contact but a->d@1 and d->a@2, whose hubs are dropped
+    clist = contacts(g)
+    assert sorted(clist[i] for i, _, _ in arcs) == sorted(
+        set(clist) - {Contact("e2", 1), Contact("e6", 2)})
+    for w in [None] + [set_weights(g, delta) for delta in (2, 3)]:
+        for s in g.nodes:
+            for d in g.nodes:
+                if s != d:
+                    _engines_agree(g, s, d, w)
+    assert time_expanded_maxflow(g, "s", "d").value == 3
+
+
+def test_time_expanded_network_size_is_pinned():
+    # the medium corpus, n1->n10: one node per arrival event gives 8,007
+    # nodes and 23,046 arcs in all, where one hub per departure gave
+    # 20,690 and 38,294
+    nodes = arcs = 0
+    for seed in range(100):
+        size, waits, contact_arcs = _time_expanded_network(
+            gen_random_tvg(10, 12, 0.5, seed), "n1", "n10")
+        nodes += size
+        arcs += len(waits) + len(contact_arcs)
+    assert (nodes, arcs) == (8_007, 23_046)
 
 
 def test_engines_suite_compares_the_two_max_flows(monkeypatch):

@@ -19,8 +19,9 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       survivability_bounds, verify_cut, weighted_mincut_1)
 from tempocut import mincut, verify
 from tempocut.simulate import sweep
+from tempocut.linegraph import build_line_graph, node_disjoint_maxflow
 from tempocut.mincut import (DEFAULT_HEAD_CAP, CutResult, _canonical_heads,
-                             _exact_cut_search)
+                             _exact_cut_search, _window_sizes)
 from tempocut.tvg import (_contact_id, _footprint_ids, _interference_ids,
                           _min_hop_surviving, interfering_contacts)
 from test_tvg import graphs
@@ -102,18 +103,38 @@ def _weights_by_definition(g, delta):
     return w
 
 
+def _weights_agree(g, delta):
+    """set_weights equals the definition, and the per-id window sizes the
+    rounded cut scales by are its denominators, in contact-id order."""
+    w = set_weights(g, delta)
+    assert w == _weights_by_definition(g, delta)
+    assert _window_sizes(g, delta) == [v.denominator for v in w.values()]
+
+
 def test_set_weights_matches_the_definition():
     for seed in range(100):
         g = gen_random_tvg(10, 12, 0.5, seed)
         for delta in range(1, 9):
-            assert set_weights(g, delta) == _weights_by_definition(g, delta), \
-                (seed, delta)
+            _weights_agree(g, delta)
 
 
 @given(graphs, st.integers(1, 8))
 @settings(max_examples=80, deadline=None)
 def test_set_weights_matches_the_definition_on_any_graph(g, delta):
-    assert set_weights(g, delta) == _weights_by_definition(g, delta)
+    _weights_agree(g, delta)
+
+
+def test_rounded_cut_is_the_line_graph_weighted_cut():
+    # minweight_mincut_delta scales capacities by contact id; its weight
+    # and removals are those of the line graph's flow on set_weights
+    for seed in range(100):
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        lg = build_line_graph(g, "n1", "n10")
+        for delta in (1, 2, 3, 5):
+            want = node_disjoint_maxflow(lg, weights=set_weights(g, delta))
+            got = minweight_mincut_delta(g, "n1", "n10", delta)
+            assert got.weight_lower_bound == want.value, (seed, delta)
+            assert got.removals == delta_cover(want.cut, delta), (seed, delta)
 
 
 def test_weighted_mincut_1_relay(relay):

@@ -56,6 +56,20 @@ def test_parse_collects_row_errors_with_line_numbers():
     assert "line 5: start and duration must be integers" in msg
 
 
+def test_parse_rejects_a_self_contact_by_line():
+    with pytest.raises(ValueError,
+                       match="line 3: node 'b' in contact with itself"):
+        parse_contact_trace(HEADER + "\na,b,5,3\nb,b,0,1\n")
+
+
+def test_discretize_links_no_node_to_itself():
+    g = discretize([ContactRecord("a", "a", 0, 3),
+                    ContactRecord("a", "b", 1, 1)], 0, 5)
+    assert g.nodes == ("a", "b")
+    assert [(e.src, e.dst) for e in g.edges] == [("a", "b"), ("b", "a")]
+    assert validate_graph(g).ok
+
+
 def test_discretize_window_and_directions():
     recs = parse_contact_trace(TRACE)
     g = discretize(recs, 3, 10)  # seconds 3..12 become slots 1..10

@@ -11,7 +11,8 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
                       enumerate_journeys, gen_random_tvg, interferes,
                       is_valid_journey, reachable, removal_footprint,
                       validate_graph)
-from tempocut.tvg import _min_hop_surviving, interfering_contacts
+from tempocut.tvg import (_contacts_reaching, _min_hop_surviving,
+                          interfering_contacts)
 
 graphs = st.builds(
     gen_random_tvg,
@@ -76,6 +77,16 @@ def test_validate_flags_unknown_endpoint_and_bad_slot():
     report = validate_graph(g)
     assert any("not in node set" in v for v in report.violations)
     assert any("outside 1..3" in v for v in report.violations)
+
+
+def test_validate_flags_repeated_node_and_self_loop():
+    g = TimeVaryingGraph(["a", "b", "a", "a"], [("a", "a", [1]),
+                                                ("a", "b", [1])], 3)
+    assert g.nodes == ("a", "b", "a", "a")
+    report = validate_graph(g)
+    assert report.violations == ("node 'a' listed more than once",
+                                 "node 'a' listed more than once",
+                                 "e1: self-loop 'a'->'a'")
 
 
 def test_loads_rejects_invalid_document():
@@ -184,6 +195,29 @@ def test_reachable_builds_the_contact_index_but_no_arcs(no_line_graph):
     assert reachable(g, "n1", "n12")
     assert g._contact_ix is not None
     assert g == TimeVaryingGraph.loads(g.dumps())
+
+
+def _reaching_by_definition(g, d):
+    """Per contact, True iff it is into d or some later contact leaving
+    its head reaches d."""
+    memo = {}
+
+    def reaches(c):
+        if c not in memo:
+            head = g.edge(c.edge).dst
+            memo[c] = head == d or any(
+                reaches(Contact(e.eid, t)) for e in g.out_edges(head)
+                for t in g.active[e.eid] if t > c.slot)
+        return memo[c]
+
+    return [reaches(c) for c in contacts(g)]
+
+
+@given(graphs)
+@settings(max_examples=60)
+def test_contacts_reaching_is_the_suffix_definition(g):
+    for d in g.nodes:
+        assert _contacts_reaching(g, d) == _reaching_by_definition(g, d)
 
 
 def test_removal_footprint_window(relay):
