@@ -57,12 +57,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.graph.nodes) < 2:
+            raise ValueError("simulation needs a graph of at least two nodes "
+                             "to draw packet pairs from, got "
+                             f"{len(self.graph.nodes)}")
         if self.n < 1:
             raise ValueError("need at least one copy per packet")
-        if not 1 <= self.delta <= self.deadline:
-            raise ValueError("delta must lie in [1, deadline]")
         if not 1 <= self.deadline <= self.graph.horizon:
             raise ValueError("deadline must lie in [1, graph horizon]")
+        if not 1 <= self.delta <= self.deadline:
+            raise ValueError("delta must lie in [1, deadline]")
         if self.packet_count < 1:
             raise ValueError("packet_count must be positive")
 
@@ -106,6 +110,10 @@ def _onsets(g: TimeVaryingGraph, p: float, d_max: int, rng: random.Random,
     the stream matches draw for draw, d_max = 0 included. The draws of an
     edge never depend on later edges, so stopping early leaves every
     yielded onset as a full scan would give it.
+
+    This is the one full-draw definition: sample_failures draws through
+    it, and _fused_delivered repeats its draws inline, which the tests
+    check against it draw for draw.
     """
     if p <= 0.0:
         return
@@ -216,24 +224,59 @@ def _fused_delivered(g: TimeVaryingGraph, plan: _PlanHops, p: float,
     """journeys_delivered(g, journeys, _sample_onsets(g, p, d_max, rng)),
     drawing only what can change the answer.
 
-    Onsets are drawn edge by edge up to the last planned edge and each is
-    tested against that edge's planned hops; the draws stop once every
-    copy is dead, and a packet with no copy draws nothing. The skipped
-    draws all come after the ones taken, so the outcome is the same.
+    The draws are _onsets's, made inline (no generator, no onset tuple)
+    edge by edge up to the last planned edge; an onset is tested only on
+    an edge that carries planned hops. The draws stop once every copy is
+    dead, and a packet with no copy draws nothing. The skipped draws all
+    come after the ones taken, so the outcome is the same.
     """
-    if not plan.arrivals:
+    arrivals = plan.arrivals
+    if not arrivals:
         return False, None
-    alive = [True] * len(plan.arrivals)
+    if p <= 0.0:
+        return True, min(arrivals)
+    alive = [True] * len(arrivals)
     left = len(alive)
-    hops = plan.hops
-    for pos, head, dur in _onsets(g, p, d_max, rng, len(hops)):
-        for t, copy in hops[pos]:
-            if alive[copy] and head <= t < head + dur:
-                alive[copy] = False
-                left -= 1
-                if not left:
-                    return False, None
-    return True, min(a for a, up in zip(plan.arrivals, alive) if up)
+    horizon = g.horizon
+    log_q = math.log1p(-p) if p < 1.0 else None
+    random_, getrandbits, log = rng.random, rng.getrandbits, math.log
+    span = d_max + 1
+    bits = span.bit_length()
+    for edge_hops in plan.hops:
+        slot = 1
+        while slot <= horizon:
+            if log_q is not None:
+                slot += int(log(1.0 - random_()) / log_q)
+                if slot > horizon:
+                    break
+            dur = getrandbits(bits)
+            while dur >= span:
+                dur = getrandbits(bits)
+            if dur and edge_hops:
+                end = slot + dur
+                for t, copy in edge_hops:
+                    if slot <= t < end and alive[copy]:
+                        alive[copy] = False
+                        left -= 1
+                        if not left:
+                            return False, None
+            slot += 1
+    return True, min(a for a, up in zip(arrivals, alive) if up)
+
+
+def _draw_pair(rng: random.Random, count: int) -> tuple[int, int]:
+    """Two distinct indices below count, drawn as rng.randrange(count)
+    draws them (getrandbits of count's bit length, redrawn until below
+    count), the second redrawn while it equals the first."""
+    getrandbits = rng.getrandbits
+    bits = count.bit_length()
+    src = getrandbits(bits)
+    while src >= count:
+        src = getrandbits(bits)
+    dst = getrandbits(bits)
+    while dst >= count or dst == src:
+        dst = getrandbits(bits)
+    return src, dst
 
 
 def run_simulation(cfg: SimConfig, _plan_cache: dict | None = None) -> SimReport:
@@ -245,16 +288,19 @@ def run_simulation(cfg: SimConfig, _plan_cache: dict | None = None) -> SimReport
     sees the whole graph and sweep points share workloads exactly).
     Per packet a stream seeded from cfg.seed and the packet index (never
     cfg.failures.seed) draws src, dst, then failures, in that order; the
-    order is load-bearing for reproducibility. Routing is memoized per
-    (window start, pair) since the failure-free plan never changes. A
-    sweep passes a shared plan cache: plans depend on delta but not n.
+    order is load-bearing for reproducibility. The run keeps one generator
+    and reseeds it per packet, which for an int seed gives the state a
+    fresh random.Random(seed) would; the pair is drawn as randrange draws
+    it (_draw_pair). Routing is memoized per (window start, pair) since
+    the failure-free plan never changes. A sweep passes a shared plan
+    cache: plans depend on delta but not n.
 
-    Failures are drawn and tested in one pass (_fused_delivered), which
-    skips the draws after the last edge, in g.edges order, that a planned
-    copy uses, and those after every copy is dead; a packet with no copy
-    draws none. The packet's stream is never read after its failures, so
-    the skipped draws are its last: the stream and every outcome are those
-    of journeys_delivered over all sampled failures.
+    Failures are drawn and tested in one inline pass (_fused_delivered),
+    which skips the draws after the last edge, in g.edges order, that a
+    planned copy uses, and those after every copy is dead; a packet with
+    no copy draws none. The packet's stream is never read after its
+    failures, so the skipped draws are its last: the stream and every
+    outcome are those of journeys_delivered over all sampled failures.
     """
     g = cfg.graph
     wrap = g.horizon - cfg.deadline + 1
@@ -264,12 +310,11 @@ def run_simulation(cfg: SimConfig, _plan_cache: dict | None = None) -> SimReport
     indexed: dict[tuple, _PlanHops] = {}  # plan key -> its first n copies
     records: list[PacketRecord] = []
     clock = 1
+    rng = random.Random()
     for idx in range(cfg.packet_count):
-        rng = random.Random(_derive_seed(cfg.seed, idx))
-        src = nodes[rng.randrange(len(nodes))]
-        dst = nodes[rng.randrange(len(nodes))]
-        while dst == src:
-            dst = nodes[rng.randrange(len(nodes))]
+        rng.seed(_derive_seed(cfg.seed, idx))
+        a, b = _draw_pair(rng, len(nodes))
+        src, dst = nodes[a], nodes[b]
         start = (clock - 1) % wrap + 1
         if start not in windows:
             windows[start] = _carve_window(g, start, cfg.deadline)

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tempocut
 from tempocut import TimeVaryingGraph, gen_counterexample, gen_random_tvg
 from tempocut.cli import _build_parser, _parse_int_list, main
 
@@ -386,6 +390,38 @@ def test_simulate_csv(tmp_path, capsys):
     assert len(lines) == 7
     main(argv)
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("doc,count", [
+    ({"T": 1, "nodes": [], "edges": []}, 0),  # ingest of a header-only trace
+    ({"T": 3, "nodes": ["a"], "edges": []}, 1),
+], ids=["no-node", "one-node"])
+def test_simulate_on_a_graph_without_a_pair_is_a_usage_error(tmp_path, doc,
+                                                             count):
+    # Run in a child process under a timeout: a pair draw on fewer than two
+    # nodes would never end.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tempocut.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tempocut.cli", "simulate", str(path),
+         "--packets", "5"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"at least two nodes to draw packet pairs from, got {count}" \
+        in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_zero_deadline_names_the_deadline(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(gen_random_tvg(4, 5, 0.5, 1).dumps())
+    assert main(["simulate", str(path), "--ddl", "0", "--packets", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: deadline must lie in [1, graph horizon]\n"
 
 
 def test_ingest_fits_horizon(tmp_path, capsys):

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, FailureModel, SimConfig,
-                      djr_route, gen_random_tvg, interferes,
+                      TimeVaryingGraph, djr_route, gen_random_tvg, interferes,
                       journeys_delivered, removal_footprint, run_simulation,
                       sample_failures, sweep, sweep_to_csv)
-from tempocut.simulate import (_carve_window, _derive_seed, _fused_delivered,
-                               _plan_hops, _sample_onsets, packets_to_jsonl)
+from tempocut.simulate import (_carve_window, _derive_seed, _draw_pair,
+                               _fused_delivered, _plan_hops, _sample_onsets,
+                               packets_to_jsonl)
 
 
 def _arena(seed=0):
@@ -38,6 +39,49 @@ def test_sim_config_validation(relay):
         SimConfig(**{**ok, "deadline": 9})
     with pytest.raises(ValueError, match="packet_count"):
         SimConfig(**{**ok, "packet_count": 0})
+    # the deadline is checked before the delta that must fit inside it
+    with pytest.raises(ValueError,
+                       match=r"^deadline must lie in \[1, graph horizon\]$"):
+        SimConfig(**{**ok, "deadline": 0})
+
+
+@pytest.mark.parametrize("nodes", [(), ("a",)], ids=["no-node", "one-node"])
+def test_sim_config_needs_two_nodes(nodes):
+    # one node leaves no pair to draw (the destination redraw would never
+    # end) and none leaves not even a source
+    g = TimeVaryingGraph(nodes, [], 3)
+    with pytest.raises(ValueError,
+                       match=f"at least two nodes .*, got {len(nodes)}$"):
+        SimConfig(g, 3, 1, 1, 5, FailureModel(0.1, 2))
+
+
+def test_pair_draw_matches_randrange():
+    # _draw_pair inlines rng.randrange(n); the stream must match draw for
+    # draw, at powers of two (no redraw) and just past them (most redraws)
+    for n in range(2, 18):
+        for seed in range(30):
+            ours, ref = random.Random(seed), random.Random(seed)
+            src = ref.randrange(n)
+            dst = ref.randrange(n)
+            while dst == src:
+                dst = ref.randrange(n)
+            assert _draw_pair(ours, n) == (src, dst)
+            assert ours.getstate() == ref.getstate()
+
+
+def test_reseeded_generator_matches_a_fresh_one():
+    # run_simulation reseeds one generator per packet instead of building
+    # random.Random(seed); both must start the same stream
+    rng = random.Random()
+    for seed in [0, 1, 7, 2**32 - 1, 2**32, _derive_seed(5, 3),
+                 _derive_seed(0, 2499), 2**64 - 1]:
+        rng.random()  # leave state behind that the reseed must wipe
+        rng.seed(seed)
+        fresh = random.Random(seed)
+        assert rng.getstate() == fresh.getstate()
+        assert [rng.getrandbits(4) for _ in range(50)] == \
+            [fresh.getrandbits(4) for _ in range(50)]
+        assert rng.random() == fresh.random()
 
 
 def test_derive_seed_spreads():
