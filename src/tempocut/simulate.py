@@ -10,6 +10,7 @@ streams, so every sweep is exactly reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -96,10 +97,10 @@ class SimReport:
         return lost / len(self.packets)
 
 
-def _onsets(g: TimeVaryingGraph, p: float, d_max: int, rng: random.Random,
-            edge_count: int) -> Iterator[tuple[int, int, int]]:
-    """Failure onsets on the first edge_count edges of g, in g.edges order,
-    as (edge position, slot, duration) for every nonzero duration.
+def _onsets(g: TimeVaryingGraph, p: float, d_max: int,
+            rng: random.Random) -> Iterator[tuple[int, int, int]]:
+    """Failure onsets on g, edge by edge in g.edges order, as (edge
+    position, slot, duration) for every nonzero duration.
 
     An onset strikes each (edge, slot) with probability p and lasts
     uniformly 0..d_max slots; zero-duration onsets draw from the stream
@@ -107,14 +108,11 @@ def _onsets(g: TimeVaryingGraph, p: float, d_max: int, rng: random.Random,
     sampled geometrically, which is distribution-identical to a per-slot
     scan. Durations are drawn exactly as rng.randint(0, d_max) draws them
     (getrandbits of the range's bit length, redrawn until in range), so
-    the stream matches draw for draw, d_max = 0 included. The draws of an
-    edge never depend on later edges, so stopping early leaves every
-    yielded onset as a full scan would give it.
-
-    This is the one full-draw definition: sample_failures draws through
-    it, and _fused_delivered repeats its draws inline, which the tests
-    check against it draw for draw.
-    """
+    the stream matches draw for draw, d_max = 0 included. An edge's draws
+    never depend on later edges, so a walk that stops early has drawn the
+    onsets a full scan gives. This is the one full-draw definition:
+    sample_failures draws through it and _walk repeats its draws inline for
+    every point of a lockstep run, which the tests check draw for draw."""
     if p <= 0.0:
         return
     horizon = g.horizon
@@ -122,7 +120,7 @@ def _onsets(g: TimeVaryingGraph, p: float, d_max: int, rng: random.Random,
     random_, getrandbits, log = rng.random, rng.getrandbits, math.log
     span = d_max + 1
     bits = span.bit_length()
-    for pos in range(edge_count):
+    for pos in range(len(g.edges)):
         slot = 1
         while slot <= horizon:
             if log_q is not None:
@@ -143,7 +141,7 @@ def _sample_onsets(g: TimeVaryingGraph, p: float, d_max: int,
     """Every failure onset on g (see _onsets), as removals."""
     edges = g.edges
     return [DeltaRemoval(edges[pos].eid, slot, dur)
-            for pos, slot, dur in _onsets(g, p, d_max, rng, len(edges))]
+            for pos, slot, dur in _onsets(g, p, d_max, rng)]
 
 
 def sample_failures(g: TimeVaryingGraph, fm: FailureModel) -> list[DeltaRemoval]:
@@ -200,49 +198,57 @@ def _carve_window(g: TimeVaryingGraph, start: int,
     return TimeVaryingGraph(g.nodes, edges, deadline)
 
 
-class _PlanHops(NamedTuple):
-    """A packet's planned copies, indexed for the fused failure check."""
+class _Walk(NamedTuple):
+    """One packet's copies at every point of a lockstep run, indexed for
+    the failure walk. Points sending the same plan share its copies."""
 
     arrivals: tuple[int, ...]  # per copy
     hops: tuple[tuple[tuple[int, int], ...], ...]  # edge pos -> (slot, copy)
+    spans: tuple[range, ...]  # per point: the copies it sends
+    best: tuple[int | None, ...]  # per point: its arrival if no copy fails
 
 
-def _plan_hops(g: TimeVaryingGraph, journeys) -> _PlanHops:
-    """Index the journeys' hops by edge position, up to the last planned
-    edge; failures beyond it cannot touch a copy."""
-    by_pos: dict[int, list[tuple[int, int]]] = {}
-    for copy, j in enumerate(journeys):
-        for e, t in j.hops:
-            by_pos.setdefault(g.edge_index(e), []).append((t, copy))
-    edge_count = max(by_pos, default=-1) + 1
-    hops = tuple(tuple(by_pos.get(pos, ())) for pos in range(edge_count))
-    return _PlanHops(tuple(j.arrival for j in journeys), hops)
+def _index_copies(g: TimeVaryingGraph, plans) -> _Walk:
+    """Index every point's copies, given per point as (plan, n): it sends
+    the plan's first n journeys. Hops go by edge position, up to the last
+    planned edge; failures beyond it cannot touch a copy."""
+    need: dict[tuple[Journey, ...], int] = {}
+    for plan, n in plans:
+        need[plan] = max(need.get(plan, 0), min(n, len(plan)))
+    first, arrivals, by_pos = {}, [], {}
+    for plan, count in need.items():
+        first[plan] = len(arrivals)
+        for copy, j in enumerate(plan[:count], len(arrivals)):
+            for e, t in j.hops:
+                by_pos.setdefault(g.edge_index(e), []).append((t, copy))
+            arrivals.append(j.arrival)
+    spans = tuple(range(first[plan], first[plan] + min(n, len(plan)))
+                  for plan, n in plans)
+    hops = tuple(tuple(by_pos.get(pos, ()))
+                 for pos in range(max(by_pos, default=-1) + 1))
+    return _Walk(tuple(arrivals), hops, spans,
+                 tuple(min(arrivals[s.start:s.stop], default=None)
+                       for s in spans))
 
 
-def _fused_delivered(g: TimeVaryingGraph, plan: _PlanHops, p: float,
-                     d_max: int, rng: random.Random) -> tuple[bool, int | None]:
-    """journeys_delivered(g, journeys, _sample_onsets(g, p, d_max, rng)),
-    drawing only what can change the answer.
-
-    The draws are _onsets's, made inline (no generator, no onset tuple)
-    edge by edge up to the last planned edge; an onset is tested only on
-    an edge that carries planned hops. The draws stop once every copy is
-    dead, and a packet with no copy draws nothing. The skipped draws all
-    come after the ones taken, so the outcome is the same.
-    """
-    arrivals = plan.arrivals
-    if not arrivals:
-        return False, None
-    if p <= 0.0:
-        return True, min(arrivals)
-    alive = [True] * len(arrivals)
-    left = len(alive)
-    horizon = g.horizon
+def _walk(w: _Walk, horizon: int, p: float, d_max: int,
+          rng: random.Random) -> tuple[int | None, ...]:
+    """Per point, the earliest arrival of a copy that dodges the failures
+    rng draws next, or None: journeys_delivered over _sample_onsets(window,
+    p, d_max, rng). The draws are _onsets's, made inline edge by edge up to
+    the last edge a copy uses; they stop once every copy of every point is
+    dead, and no copy or p = 0 draws nothing. The skipped draws all come
+    after the ones taken, so no answer changes."""
+    copies = len(w.arrivals)
+    if not copies or p <= 0.0:
+        return w.best
+    alive = [True] * copies
+    left = copies
     log_q = math.log1p(-p) if p < 1.0 else None
     random_, getrandbits, log = rng.random, rng.getrandbits, math.log
     span = d_max + 1
     bits = span.bit_length()
-    for edge_hops in plan.hops:
+    for edge_hops in w.hops:
         slot = 1
         while slot <= horizon:
             if log_q is not None:
@@ -259,9 +265,12 @@ def _fused_delivered(g: TimeVaryingGraph, plan: _PlanHops, p: float,
                         alive[copy] = False
                         left -= 1
                         if not left:
-                            return False, None
+                            return (None,) * len(w.spans)
             slot += 1
-    return True, min(a for a, up in zip(arrivals, alive) if up)
+    if left == copies:
+        return w.best
+    return tuple(min((w.arrivals[c] for c in s if alive[c]), default=None)
+                 for s in w.spans)
 
 
 def _draw_pair(rng: random.Random, count: int) -> tuple[int, int]:
@@ -279,85 +288,76 @@ def _draw_pair(rng: random.Random, count: int) -> tuple[int, int]:
     return src, dst
 
 
-def run_simulation(cfg: SimConfig, _plan_cache: dict | None = None) -> SimReport:
-    """Sequential packet loop per the back-to-back traffic model.
-
-    Each packet is generated the slot after the previous one delivers or
-    expires; its window start cycles over the trace (wrapping so every
-    window fits the horizon whole; when deadline == horizon every packet
-    sees the whole graph and sweep points share workloads exactly).
-    Per packet a stream seeded from cfg.seed and the packet index (never
-    cfg.failures.seed) draws src, dst, then failures, in that order; the
-    order is load-bearing for reproducibility. The run keeps one generator
-    and reseeds it per packet, which for an int seed gives the state a
-    fresh random.Random(seed) would; the pair is drawn as randrange draws
-    it (_draw_pair). Routing is memoized per (window start, pair) since
-    the failure-free plan never changes. A sweep passes a shared plan
-    cache: plans depend on delta but not n.
-
-    Failures are drawn and tested in one inline pass (_fused_delivered),
-    which skips the draws after the last edge, in g.edges order, that a
-    planned copy uses, and those after every copy is dead; a packet with
-    no copy draws none. The packet's stream is never read after its
-    failures, so the skipped draws are its last: the stream and every
-    outcome are those of journeys_delivered over all sampled failures.
-    """
-    g = cfg.graph
-    wrap = g.horizon - cfg.deadline + 1
+def _lockstep(points: list[SimConfig]) -> list[SimReport]:
+    """run_simulation of points that differ only in n and delta. A packet
+    draws one pair and one set of failures for all of them, whatever their
+    window starts; each point keeps its own clock, plans and records."""
+    head = points[0]
+    g, deadline = head.graph, head.deadline
+    p, d_max = head.failures.p, head.failures.d_max
+    wrap = g.horizon - deadline + 1
     nodes = list(g.nodes)
-    windows: dict[int, TimeVaryingGraph] = {}
-    plans = _plan_cache if _plan_cache is not None else {}
-    indexed: dict[tuple, _PlanHops] = {}  # plan key -> its first n copies
-    records: list[PacketRecord] = []
-    clock = 1
+    window = functools.cache(lambda start: _carve_window(g, start, deadline))
+
+    @functools.cache
+    def plan(start: int, delta: int, src: str, dst: str):
+        return greedy_maxflow_delta(window(start), src, dst, delta).journeys
+
+    # room for every pair at one set of window starts
+    @functools.lru_cache(maxsize=len(nodes) * (len(nodes) - 1))
+    def walk(src: str, dst: str, starts: tuple[int, ...]) -> _Walk:
+        return _index_copies(g, [(plan(start, cfg.delta, src, dst), cfg.n)
+                                 for cfg, start in zip(points, starts)])
+
+    records: list[list[PacketRecord]] = [[] for _ in points]
+    clocks = [1] * len(points)
     rng = random.Random()
-    for idx in range(cfg.packet_count):
-        rng.seed(_derive_seed(cfg.seed, idx))
+    for idx in range(head.packet_count):
+        rng.seed(_derive_seed(head.seed, idx))
         a, b = _draw_pair(rng, len(nodes))
         src, dst = nodes[a], nodes[b]
-        start = (clock - 1) % wrap + 1
-        if start not in windows:
-            windows[start] = _carve_window(g, start, cfg.deadline)
-        window = windows[start]
-        key = (cfg.deadline, cfg.delta, start, src, dst)
-        plan = indexed.get(key)
-        if plan is None:
-            if key not in plans:
-                plans[key] = greedy_maxflow_delta(window, src, dst,
-                                                  cfg.delta).journeys
-            plan = indexed[key] = _plan_hops(window, plans[key][:cfg.n])
-        delivered, arrival = _fused_delivered(
-            window, plan, cfg.failures.p, cfg.failures.d_max, rng)
-        records.append(PacketRecord(idx, src, dst, len(plan.arrivals),
-                                    delivered, arrival))
-        if delivered:
-            clock = start + arrival  # the slot after the successful last hop
-        else:
-            clock = start + cfg.deadline  # expiry
-    return SimReport(cfg.n, cfg.delta, cfg.deadline, cfg.failures.p,
-                     cfg.failures.d_max, cfg.seed, tuple(records))
+        starts = tuple((clock - 1) % wrap + 1 for clock in clocks)
+        w = walk(src, dst, starts)
+        for i, arrival in enumerate(_walk(w, deadline, p, d_max, rng)):
+            records[i].append(PacketRecord(idx, src, dst, len(w.spans[i]),
+                                           arrival is not None, arrival))
+            # the slot after the successful last hop, or expiry
+            clocks[i] = starts[i] + (deadline if arrival is None else arrival)
+    return [SimReport(cfg.n, cfg.delta, deadline, p, d_max, head.seed,
+                      tuple(recs)) for cfg, recs in zip(points, records)]
+
+
+def run_simulation(cfg: SimConfig) -> SimReport:
+    """Sequential packet loop per the back-to-back traffic model, run as a
+    _lockstep of one point. Each packet is generated the slot after the
+    previous one delivers or expires; its window start cycles over the
+    trace (wrapping so every window fits the horizon whole). Per packet one
+    reseeded generator (the state a fresh random.Random gives) on a seed
+    from cfg.seed and the packet index (never cfg.failures.seed) draws src,
+    dst as randrange would, then failures, in that order. _walk stops the
+    failure draws once no copy can change, and the stream is never read
+    after them, so every outcome is journeys_delivered's over them all."""
+    return _lockstep([cfg])[0]
 
 
 def sweep(g: TimeVaryingGraph, ns, deltas, deadlines, packet_count: int,
           p: float, d_max: int, seed: int) -> list[SimReport]:
-    """Cross-product of (n, delta, deadline) in deterministic row order.
-
-    Points at the same deadline share a derived seed, so packets draw the
-    same pair and failure streams; when deadline == horizon the windows
-    coincide too and comparing loss across n or delta compares identical
-    traffic, not fresh noise.
-    """
-    reports = []
-    plan_cache: dict = {}
-    for n in ns:
-        for delta in deltas:
-            for deadline in deadlines:
-                point_seed = _derive_seed(seed, deadline)
-                cfg = SimConfig(g, deadline, n, delta, packet_count,
-                                FailureModel(p, d_max, point_seed),
-                                seed=point_seed)
-                reports.append(run_simulation(cfg, _plan_cache=plan_cache))
-    return reports
+    """Cross-product of (n, delta, deadline) in deterministic row order,
+    every point validated before any packet runs. Points at the same
+    deadline share a derived seed, so packets draw the same pair and
+    failure streams (when deadline == horizon the windows coincide too, so
+    loss across n or delta compares identical traffic, not fresh noise).
+    They run in lockstep, one failure walk per packet for all of them, and
+    each report is its point's run_simulation."""
+    points = [SimConfig(g, deadline, n, delta, packet_count,
+                        FailureModel(p, d_max, _derive_seed(seed, deadline)),
+                        seed=_derive_seed(seed, deadline))
+              for n in ns for delta in deltas for deadline in deadlines]
+    reports: dict[int, SimReport] = {}
+    for deadline in dict.fromkeys(cfg.deadline for cfg in points):
+        rows = [r for r, cfg in enumerate(points) if cfg.deadline == deadline]
+        reports.update(zip(rows, _lockstep([points[r] for r in rows])))
+    return [reports[r] for r in range(len(points))]
 
 
 def sweep_to_csv(reports) -> str:

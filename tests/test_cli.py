@@ -424,6 +424,22 @@ def test_simulate_zero_deadline_names_the_deadline(tmp_path, capsys):
     assert captured.err == "error: deadline must lie in [1, graph horizon]\n"
 
 
+def test_simulate_bad_last_delta_fails_before_any_point_runs(tmp_path,
+                                                             capsys,
+                                                             monkeypatch):
+    path = tmp_path / "g.json"
+    path.write_text(gen_random_tvg(4, 5, 0.5, 1).dumps())
+    planned = []
+    monkeypatch.setattr(tempocut.simulate, "greedy_maxflow_delta",
+                        lambda *args: planned.append(args))
+    assert main(["simulate", str(path), "--delta", "1,2,99",
+                 "--packets", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: delta must lie in [1, deadline]\n"
+    assert planned == []
+
+
 def test_ingest_fits_horizon(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     trace_path.write_text(TRACE)

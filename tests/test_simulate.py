@@ -7,12 +7,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tempocut.simulate
 from tempocut import (Contact, DeltaRemoval, FailureModel, SimConfig,
-                      TimeVaryingGraph, djr_route, gen_random_tvg, interferes,
-                      journeys_delivered, removal_footprint, run_simulation,
-                      sample_failures, sweep, sweep_to_csv)
+                      TimeVaryingGraph, djr_route, gen_random_tvg,
+                      greedy_maxflow_delta, interferes, journeys_delivered,
+                      removal_footprint, run_simulation, sample_failures,
+                      sweep, sweep_to_csv)
 from tempocut.simulate import (_carve_window, _derive_seed, _draw_pair,
-                               _fused_delivered, _plan_hops, _sample_onsets,
+                               _index_copies, _sample_onsets, _walk,
                                packets_to_jsonl)
 
 
@@ -189,32 +191,42 @@ def test_journeys_delivered_matches_footprint_reference():
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
 @pytest.mark.parametrize("d_max", [0, 1, 10])
 def test_fused_check_matches_the_full_draw(p, d_max):
-    # run_simulation's fused check draws only up to the last planned edge
-    # and stops once every copy is dead; from the same stream it must give
-    # what journeys_delivered gives over every sampled failure
+    # one failure walk serves every point of a lockstep run: it draws only
+    # up to the last edge any copy uses and stops once every copy of every
+    # point is dead. From the same stream each point must get what
+    # journeys_delivered gives over every failure sampled on its own window,
+    # whether its plan walks alone or with plans from other windows, deltas
+    # and copy counts (repeats included)
     outcomes = set()
     empty = 0
     for seed in range(4):
         g = gen_random_tvg(8, 12, 0.3, seed)
-        for deadline in (12, 7):  # the whole horizon, and a carved window
-            window = _carve_window(g, 1 + 3 * seed % (13 - deadline),
-                                   deadline)
+        for deadline in (12, 7):  # the whole horizon, and carved windows
+            wrap = 13 - deadline
+            windows = [_carve_window(g, start, deadline)
+                       for start in sorted({1, 1 + 3 * seed % wrap, wrap})]
             pairs = random.Random(seed)
             for _ in range(12):
-                s, d = pairs.sample(window.nodes, 2)
-                plan = djr_route(window, s, d, 3, pairs.randint(1, 3))
-                empty += not plan
-                for n in (1, 2, 3):
-                    stream = pairs.getrandbits(64)
-                    fused = _fused_delivered(window,
-                                             _plan_hops(window, plan[:n]),
-                                             p, d_max, random.Random(stream))
-                    full = journeys_delivered(
-                        window, plan[:n],
-                        _sample_onsets(window, p, d_max,
-                                       random.Random(stream)))
-                    assert fused == full
-                    outcomes.add(fused[0])
+                s, d = pairs.sample(g.nodes, 2)
+                points = [(w, greedy_maxflow_delta(w, s, d, delta).journeys, n)
+                          for w in windows
+                          for delta in sorted({1, pairs.randint(1, 3)})
+                          for n in (1, 2, 3, 2)]
+                empty += sum(not plan for _, plan, _ in points)
+                stream = pairs.getrandbits(64)
+                full = [journeys_delivered(
+                            w, plan[:n], _sample_onsets(w, p, d_max,
+                                                        random.Random(stream)))
+                        for w, plan, n in points]
+                checks = [([point], [want])
+                          for point, want in zip(points, full)]
+                for group, want in checks + [(points, full)]:
+                    index = _index_copies(g, [(plan, n)
+                                              for _, plan, n in group])
+                    got = _walk(index, deadline, p, d_max,
+                                random.Random(stream))
+                    assert [(a is not None, a) for a in got] == want
+                outcomes.update(ok for ok, _ in full)
     assert empty > 0
     if 0.0 < p < 1.0 and d_max > 0:
         assert outcomes == {True, False}
@@ -335,6 +347,46 @@ def test_sweep_layout_and_determinism():
                                      seed=2))
     for r in reports:
         assert 0.0 <= r.loss_rate <= 1.0
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("d_max", [0, 3])
+def test_sweep_equals_separate_runs(p, d_max):
+    # sweep runs the points of a deadline in lockstep, one failure walk per
+    # packet; each report must be the point's own run_simulation, record
+    # for record. Deadlines below the horizon let the windows drift apart
+    # between points, n repeats, and the sparse graph leaves pairs unrouted
+    g = gen_random_tvg(8, 12, 0.25, 6)
+    ns, deltas, deadlines = [1, 2, 1], [1, 3], [12, 7, 5]
+    reports = sweep(g, ns, deltas, deadlines, 120, p, d_max, 4)
+    alone = [run_simulation(SimConfig(g, deadline, n, delta, 120,
+                                      FailureModel(p, d_max), seed=seed))
+             for n in ns for delta in deltas for deadline in deadlines
+             for seed in [_derive_seed(4, deadline)]]
+    assert reports == alone
+    assert any(r.copies == 0 for rep in reports for r in rep.packets)
+    # points whose outcomes differ at a deadline below the horizon move
+    # their clocks apart, and with them their windows
+    arrivals = {tuple(r.arrival for r in rep.packets)
+                for rep in reports if rep.deadline == 7}
+    assert len(arrivals) > 1
+
+
+def test_sweep_rejects_a_bad_point_before_any_plan(monkeypatch):
+    # every point is validated in row order before the first packet runs,
+    # and the first bad row names the error
+    def no_plan(*args):
+        raise AssertionError("planned before the last point was validated")
+
+    monkeypatch.setattr(tempocut.simulate, "greedy_maxflow_delta", no_plan)
+    g = _arena()
+    t = g.horizon
+    with pytest.raises(ValueError, match="^need at least one copy"):
+        sweep(g, [2, 1, 0], [1], [t], 50, 0.1, 3, 1)
+    with pytest.raises(ValueError, match=r"^deadline must lie in \[1, graph"):
+        sweep(g, [1, 2], [1, 99], [t, t + 1], 50, 0.1, 3, 1)
+    with pytest.raises(ValueError, match=r"^delta must lie in \[1, deadline"):
+        sweep(g, [1], [1, 2, 99], [t], 50, 0.1, 3, 1)
 
 
 @given(st.integers(0, 10**6))
