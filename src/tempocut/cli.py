@@ -15,8 +15,8 @@ import sys
 
 from .generators import (WeightedDigraph, bledp_expand, gen_counterexample,
                          gen_random_tvg)
-from .maxflow import DEFAULT_JOURNEY_CAP, greedy_maxflow_delta
-from .mincut import (DEFAULT_HEAD_CAP, analyze_exact, minweight_mincut_delta,
+from .maxflow import DEFAULT_JOURNEY_CAP
+from .mincut import (DEFAULT_HEAD_CAP, _approximations, analyze_exact,
                      survivability_bounds)
 from .simulate import sweep, sweep_to_csv
 from .traces import (contact_stats, discretize, histogram_csv,
@@ -104,8 +104,9 @@ def cmd_analyze(args) -> int:
         report["mincut"] = res.cut.to_json_dict()
         report["certificates"] = res.certificates
     else:
-        report["maxflow"] = greedy_maxflow_delta(g, s, d, delta).to_json_dict()
-        report["mincut"] = minweight_mincut_delta(g, s, d, delta).to_json_dict()
+        greedy, rounded = _approximations(g, s, d, delta)
+        report["maxflow"] = greedy.to_json_dict()
+        report["mincut"] = rounded.to_json_dict()
     _emit(_dump(report, args), args)
     return 0
 

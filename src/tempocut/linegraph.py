@@ -8,7 +8,9 @@ from BFS and 1-slot-disjoint packing comes from node-capacitated max flow.
 The line graph has O(contacts^2) arcs, so it is built per call and only
 where its path decomposition or an independent reference is wanted.
 min_hop_path runs the line graph's BFS without building it, on the contact
-index's presorted start lists (see tvg._contact_index).
+index's presorted start lists (see tvg._contact_index); its core,
+_min_hop_ids, returns the journey as contact ids, which is what the greedy
+keeps.
 
 The time-expanded network has O(contacts) arcs: one node per arrival
 event (the first departure a contact's arrival can go on by), waiting arcs
@@ -18,9 +20,10 @@ node of the arrival event before it; departures before a node's first
 arrival are dropped. Its min contact cuts are the line graph's, so it
 serves every max flow that needs only a value or a cut
 (time_expanded_maxflow, and the rounded cut through _time_expanded_flow
-with integer capacities by contact id). The unit-flow path decomposition,
-which depends on the augmenting order, stays on the line graph. Both
-networks run the same augmenting loop (_Residual.augment).
+with integer capacities by contact id, its flow started from the greedy
+family). The unit-flow path decomposition, which depends on the
+augmenting order, stays on the line graph. Both networks run the same
+augmenting loop (_Residual.augment).
 """
 
 from __future__ import annotations
@@ -90,40 +93,48 @@ def min_hop_path(g: TimeVaryingGraph, s: str, d: str,
                  dead: Sequence[object] | None = None) -> Journey | None:
     """Fewest-hop s->d journey, ties broken by smallest (slot, edge order).
 
-    The line graph's BFS, run on g's contact index: FIFO order,
-    first-discovery parents, the contacts leaving s as sources, and the
-    first frontier contact into d as the answer. A contact's successors
-    are the suffix of its head's presorted start list that departs after
-    it, so the tie-break comes for free. Once a suffix of a start list has
-    been scanned, every contact in it is discovered or dead; lo[h] keeps
-    the lowest position of h's start list scanned so far, and each
-    expansion scans only the positions below it. So every contact is
-    scanned once, and the parents are the line graph's. Contacts whose
-    `dead` entry (indexed by contact id) is truthy are never entered,
-    which finds the same journey as a graph without them.
+    The line graph's BFS (_min_hop_ids), run on g's contact index.
+    Contacts whose `dead` entry (indexed by contact id) is truthy are never
+    entered, which finds the same journey as a graph without them.
     """
     _check_pair(g, s, d)
+    if dead is None:
+        parent = [-1] * g.contact_count
+    else:
+        parent = [-2 if x else -1 for x in dead]
+    ids = _min_hop_ids(g, s, d, parent)
+    return None if ids is None else Journey(tuple(_contacts_of(g, ids)))
+
+
+def _min_hop_ids(g: TimeVaryingGraph, s: str, d: str,
+                 parent: list[int]) -> tuple[int, ...] | None:
+    """min_hop_path's journey as contact ids, for a pair already checked.
+
+    `parent` holds -1 per contact id, or -2 for a dead contact, which
+    reads as already discovered and so is never entered; the search fills
+    in the parents. FIFO order, first-discovery parents, the contacts
+    leaving s as sources. A contact's successors are the suffix of its
+    head's presorted start list that departs after it, so the tie-break
+    comes for free. The line graph's BFS answers with the first contact
+    into d in the first frontier that holds one; frontiers are in
+    discovery order and the ones before held none, so that is the first
+    contact into d discovered, and the search stops there. Once a suffix
+    of a start list has been scanned, every contact in it is discovered or
+    dead; lo[h] keeps the lowest position of h's start list scanned so
+    far, and each expansion scans only the positions below it. So every
+    contact is scanned once, and the parents are the line graph's.
+    """
     ix = _contact_index(g)
     starts, after, head = ix.starts, ix.after, ix.head
-    if dead is None:
-        parent = [-1] * len(head)
-    else:
-        # -2 reads as already discovered, so dead contacts are never entered
-        parent = [-2 if x else -1 for x in dead]
     frontier = []
     for c in starts.get(s, ()):
         if parent[c] == -1:
             parent[c] = c  # a root is its own parent
+            if head[c] == d:
+                return _path_to(parent, c)
             frontier.append(c)
     lo = {s: 0}
     while frontier:
-        for c in frontier:
-            if head[c] == d:
-                hops = [c]
-                while parent[c] != c:
-                    c = parent[c]
-                    hops.append(c)
-                return Journey(tuple(_contacts_of(g, reversed(hops))))
         nxt = []
         for u in frontier:
             h, k = head[u], after[u]
@@ -133,10 +144,21 @@ def min_hop_path(g: TimeVaryingGraph, s: str, d: str,
                 for c in leaving[k:top]:
                     if parent[c] == -1:
                         parent[c] = u
+                        if head[c] == d:
+                            return _path_to(parent, c)
                         nxt.append(c)
                 lo[h] = k
         frontier = nxt
     return None
+
+
+def _path_to(parent: list[int], c: int) -> tuple[int, ...]:
+    """The ids from a root (its own parent) down to c."""
+    hops = [c]
+    while parent[c] != c:
+        c = parent[c]
+        hops.append(c)
+    return tuple(reversed(hops))
 
 
 def node_disjoint_maxflow(lg: LineGraph,
@@ -198,19 +220,58 @@ def time_expanded_maxflow(g: TimeVaryingGraph, s: str, d: str,
 
 
 def _time_expanded_flow(g: TimeVaryingGraph, s: str, d: str,
-                        caps: Sequence[int]) -> tuple[int, list[int]]:
+                        caps: Sequence[int],
+                        family: Sequence[Sequence[int]] = ()
+                        ) -> tuple[int, list[int]]:
     """(max flow value, source-closest min cut as contact ids in id order)
-    on _time_expanded_network(g, s, d), contact id i carrying caps[i]."""
+    on _time_expanded_network(g, s, d), contact id i carrying caps[i].
+
+    `family` holds pairwise contact-disjoint s->d journeys as contact-id
+    tuples (the greedy's). Each is pushed first, by its smallest capacity,
+    along SRC, the waiting chain to each hop's tail and the hop's arc;
+    then the augmenting loop runs from that flow. No waiting arc binds:
+    its flow stays below the sum of the capacities. A max flow has one
+    value, and the last, failed search in the residual of any max flow
+    reaches exactly the source side of the source-closest min cut, so the
+    family changes neither, only the number of augmenting searches.
+    """
     size, waits, arcs = _time_expanded_network(g, s, d)
-    net = _Residual(size)
-    add_arc = net.add_arc
     total = sum(caps) + 1  # effectively infinite
-    for u, v in waits:
-        add_arc(u, v, total)
+    net = _Residual(size)
+    graph, arc_to, res = net.graph, net.arc_to, net.res
+    wait_arc = {}  # node -> its waiting arc out; a node has at most one
+    for u, v in waits:  # as _Residual.add_arc does, inline
+        wait_arc[u] = len(arc_to)
+        graph[u].append(len(arc_to))
+        graph[v].append(len(arc_to) + 1)
+        arc_to += (v, u)
+        res += (total, 0)
+    hop_arc = {}  # contact id -> its arc
     for i, u, v in arcs:
-        add_arc(u, v, caps[i])
-    value, pred = net.augment()
-    return value, [i for i, u, v in arcs if pred[u] != -1 and pred[v] == -1]
+        hop_arc[i] = len(arc_to)
+        graph[u].append(len(arc_to))
+        graph[v].append(len(arc_to) + 1)
+        arc_to += (v, u)
+        res += (caps[i], 0)
+    value = 0
+    for ids in family:
+        path = []
+        node = SRC
+        for i in ids:
+            a = hop_arc[i]
+            while node != arc_to[a ^ 1]:  # wait for the hop's tail
+                path.append(wait_arc[node])
+                node = arc_to[path[-1]]
+            path.append(a)
+            node = arc_to[a]
+        pushed = min(caps[i] for i in ids)
+        for a in path:
+            res[a] -= pushed
+            res[a ^ 1] += pushed
+        value += pushed
+    more, pred = net.augment()
+    return value + more, [i for i, u, v in arcs
+                          if pred[u] != -1 and pred[v] == -1]
 
 
 def _time_expanded_network(g: TimeVaryingGraph, s: str, d: str

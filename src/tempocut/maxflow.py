@@ -21,11 +21,11 @@ from functools import reduce
 from operator import or_
 from typing import Callable
 
-from .linegraph import (build_line_graph, min_hop_path, node_disjoint_maxflow,
-                        time_expanded_maxflow)
-from .tvg import (DeltaRemoval, InstanceTooLargeError, Journey,
-                  TimeVaryingGraph, _contact_index, _contacts_of,
-                  _contacts_reaching, _footprint_ids, _interference_ids)
+from .linegraph import (_check_pair, _min_hop_ids, build_line_graph,
+                        node_disjoint_maxflow, time_expanded_maxflow)
+from .tvg import (InstanceTooLargeError, Journey, TimeVaryingGraph,
+                  _contact_index, _contacts_of, _contacts_reaching,
+                  _run_table)
 
 DEFAULT_JOURNEY_CAP = 25_000
 
@@ -54,24 +54,25 @@ def greedy_maxflow_delta(g: TimeVaryingGraph, s: str, d: str,
     """Iteratively take the min-hop journey, then delete all contacts that
     interfere with it; stop when the pair disconnects.
 
-    Deleted contacts are marked in one dead mask over contact ids, which
-    the min-hop search never enters, so each round finds the journey a
-    search over the shrunken graph would. Output journeys are pairwise
-    delta-disjoint and valid in the original graph.
+    The family is kept as contact-id tuples. The contacts interfering with
+    hop i, its run in the delta run table (tvg._run_table), are marked dead
+    in one template of the min-hop search's parent array
+    (linegraph._min_hop_ids). Each round searches a copy and never enters
+    a dead contact, so it finds the journey a search over the shrunken
+    graph would. Journeys are built once, for the result; they are
+    pairwise delta-disjoint and valid in the original graph.
     """
-    if delta < 1:
-        raise ValueError("delta must be positive")
-    dead = [False] * g.contact_count
-    found: list[Journey] = []
-    while True:
-        j = min_hop_path(g, s, d, dead)
-        if j is None:
-            break
-        found.append(j)
-        for ids in _interference_ids(g, j, delta):
-            for i in ids:
-                dead[i] = True
-    return FlowResult(tuple(found), delta, exact=False)
+    back, reach = _run_table(g, delta)
+    _check_pair(g, s, d)
+    blank = [-1] * g.contact_count  # -2 marks a dead contact
+    found: list[tuple[int, ...]] = []
+    while (ids := _min_hop_ids(g, s, d, blank[:])) is not None:
+        found.append(ids)
+        for i in ids:
+            for x in range(back[i], reach[i]):
+                blank[x] = -2
+    return FlowResult(tuple(Journey(tuple(_contacts_of(g, ids)))
+                            for ids in found), delta, exact=False)
 
 
 def _simple_journeys(g: TimeVaryingGraph, s: str, d: str,
@@ -126,14 +127,11 @@ def _closed_masks(g: TimeVaryingGraph, cands: list[tuple[int, ...]],
     for k, ids in enumerate(cands):
         for i in ids:
             users[i] |= 1 << k
-    ix = _contact_index(g)
+    back, reach = _run_table(g, delta)
     window = [0] * len(users)
     for i, u in enumerate(users):
         if u:
-            run = _footprint_ids(g, DeltaRemoval(
-                g.edges[ix.edge_pos[i]].eid, ix.slot[i] - delta + 1,
-                2 * delta - 1))
-            window[i] = reduce(or_, map(users.__getitem__, run))
+            window[i] = reduce(or_, users[back[i]:reach[i]])
     return [reduce(or_, map(window.__getitem__, ids)) for ids in cands]
 
 

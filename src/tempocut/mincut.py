@@ -7,26 +7,29 @@ densest same-edge delta-window through it, solve the weighted contact
 cut as a max flow over the time-expanded network (one node per arrival
 event, one arc per contact; each contact id's capacity is the lcm of the
 window sizes divided by its own), then round the cut to removals with a
-per-edge stabbing cover. exact_mincut_delta is the desk-scale oracle
-(iterative-deepening hitting-set search over canonical removal heads,
-branching on the hops of tvg._min_hop_surviving's journey, the chosen
-removals kept as a count per contact id), seeded with the rounded cut as
-its ceiling and, as its floor, the greedy journey count or the rounded
-cut's weight rounded up, whichever is larger. The same greedy bound
-prunes every search node: a branch with b removals left whose residual
-still yields b + 1 delta-disjoint journeys, peeled off min-hop first as
-the greedy does, holds no cut and is dropped without branching.
-analyze_exact computes the four answers for one pair (greedy and exact
-flow, rounded and exact cut) with their certificates, each once. At every
-delta the cut goes first and caps the exact flow by weak duality, so a
-greedy family as large as the cut needs no journey enumeration at all. At
-delta = 1 every contact weighs 1, so the rounded cut's weight is its count
-and the search never branches.
+per-edge stabbing cover. Where the greedy family is at hand the max flow
+starts from it (_approximations). exact_mincut_delta is the desk-scale
+oracle (iterative-deepening hitting-set search over canonical removal
+heads, branching on the hops of tvg._min_hop_surviving's journey), seeded
+with the rounded cut as its ceiling and, as its floor, the greedy journey
+count or the rounded cut's weight rounded up, whichever is larger. The
+search runs on contact ids: candidates are head ids read off the delta
+run table (tvg._run_table), the chosen removals are kept as a count per
+contact id, and DeltaRemovals are built only for the cut reported. The
+same greedy bound prunes every search node: a branch with b removals left
+whose residual still yields b + 1 delta-disjoint journeys holds no cut and
+is dropped without branching. A node's family starts from the one its
+parent peeled, less the journeys the branch's removal hits, and grows by
+min-hop journeys as the greedy does. analyze_exact computes the four
+answers for one pair (greedy and exact flow, rounded and exact cut) with
+their certificates, each once. At every delta the cut goes first and caps
+the exact flow by weak duality, so a greedy family as large as the cut
+needs no journey enumeration at all. At delta = 1 every contact weighs 1,
+so the rounded cut's weight is its count and the search never branches.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -35,10 +38,10 @@ from math import ceil, lcm
 from .linegraph import _time_expanded_flow, time_expanded_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, _exact_flow_search,
                       greedy_bound_certificate, greedy_maxflow_delta)
-from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
+from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError,
                   TimeVaryingGraph, _check_nodes, _check_removal,
-                  _contact_index, _contacts_of, _footprint_ids,
-                  _interference_ids, _min_hop_surviving)
+                  _contact_id, _contact_index, _contacts_of, _footprint_ids,
+                  _min_hop_surviving, _run_table)
 
 DEFAULT_HEAD_CAP = 2000
 
@@ -78,21 +81,12 @@ def set_weights(g: TimeVaryingGraph, delta: int) -> WeightMap:
 
 def _window_sizes(g: TimeVaryingGraph, delta: int) -> list[int]:
     """Per contact id, the most same-edge contacts any single delta-removal
-    covering the contact can take out: set_weights' K."""
-    if delta < 1:
-        raise ValueError("delta must be positive")
-    # removal windows may run past the horizon, so delta > T is fine
-    out: list[int] = []
-    for e in g.edges:
-        slots = g.active[e.eid]
-        # footprint size per active head; the densest removal through slot t
-        # has its head on an active slot in (t - delta, t] (_canonical_heads)
-        size = [bisect_right(slots, t + delta - 1) - i
-                for i, t in enumerate(slots)]
-        for i, t in enumerate(slots):
-            lo = bisect_right(slots, t - delta)
-            out.append(max(size[lo:i + 1]))
-    return out
+    covering the contact can take out: set_weights' K. The densest removal
+    through contact i is headed at one of ids back[i]..i and takes out
+    range(h, reach[h]) (tvg._run_table)."""
+    back, reach = _run_table(g, delta)
+    size = [r - h for h, r in enumerate(reach)]
+    return [max(size[b:i + 1]) for i, b in enumerate(back)]
 
 
 def weighted_mincut_1(g: TimeVaryingGraph, weights: WeightMap, s: str,
@@ -159,11 +153,20 @@ def minweight_mincut_delta(g: TimeVaryingGraph, s: str, d: str,
     """Approximate disruption set: weighted contact cut, rounded to
     delta-removals. Guaranteed within a factor delta of optimal, and the
     weight of the cut is itself a lower bound on the optimum."""
+    return _rounded_cut(g, s, d, delta, [])
+
+
+def _rounded_cut(g: TimeVaryingGraph, s: str, d: str, delta: int,
+                 family: list[tuple[int, ...]]) -> CutResult:
+    """minweight_mincut_delta, its max flow started from `family`, pairwise
+    delta-disjoint s->d journeys as contact-id tuples, so contact-disjoint
+    ones (linegraph._time_expanded_flow: same value, same cut)."""
     # weighted_mincut_1 on set_weights(g, delta), with capacities scale / K
     # per contact id, scale being the lcm of the window sizes K
     sizes = _window_sizes(g, delta)
     scale = lcm(*set(sizes))
-    flow, cut = _time_expanded_flow(g, s, d, [scale // k for k in sizes])
+    flow, cut = _time_expanded_flow(g, s, d, [scale // k for k in sizes],
+                                    family)
     removals = delta_cover(_contacts_of(g, cut), delta)
     if not verify_cut(g, removals, s, d):
         raise AssertionError("rounded cut failed to disconnect; this is a bug")
@@ -171,14 +174,14 @@ def minweight_mincut_delta(g: TimeVaryingGraph, s: str, d: str,
                      weight_lower_bound=Fraction(flow, scale))
 
 
-def _canonical_heads(g: TimeVaryingGraph, c: Contact, delta: int) -> list[int]:
-    """Heads of delta-removals on c.edge that take out c, restricted to
-    active slots: sliding a head right onto the first active slot only
-    grows the footprint, so inactive heads are never needed."""
-    slots = g.active[c.edge]
-    lo = bisect_right(slots, c.slot - delta)
-    hi = bisect_right(slots, c.slot)
-    return list(slots[lo:hi])
+def _approximations(g: TimeVaryingGraph, s: str, d: str,
+                    delta: int) -> tuple[FlowResult, CutResult]:
+    """greedy_maxflow_delta and minweight_mincut_delta for one pair, the
+    rounded cut's max flow started from the greedy family."""
+    greedy = greedy_maxflow_delta(g, s, d, delta)
+    family = [tuple(_contact_id(g, c) for c in j.hops)
+              for j in greedy.journeys]
+    return greedy, _rounded_cut(g, s, d, delta, family)
 
 
 def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
@@ -192,15 +195,15 @@ def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
     whichever is larger. At each depth: find a min-hop surviving journey,
     branch on the canonical removals hitting it; left-to-right forbidden
     sets keep branches from revisiting permutations. Before branching with
-    b removals left, peel up to b more journeys off the residual, each
-    avoiding the contacts that interfere with the ones before; b + 1 of
-    them are pairwise delta-disjoint, no b removals hit them all, and the
-    branch is dropped. The approximation's cover is both the depth ceiling
-    and the fallback.
+    b removals left, peel journeys off the residual: those its parent
+    peeled that the branch's removal missed, then min-hop ones, each
+    avoiding the contacts that interfere with the ones before; once b + 1
+    pairwise delta-disjoint journeys are found, no b removals hit them all
+    and the branch is dropped. The approximation's cover is both the depth
+    ceiling and the fallback.
     """
-    rounded = minweight_mincut_delta(g, s, d, delta)
-    lower = greedy_maxflow_delta(g, s, d, delta).count
-    return _exact_cut_search(g, s, d, delta, rounded, lower, head_cap)
+    greedy, rounded = _approximations(g, s, d, delta)
+    return _exact_cut_search(g, s, d, delta, rounded, greedy.count, head_cap)
 
 
 def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
@@ -211,7 +214,15 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     below the optimum fails, so the cut found does not depend on the bound,
     only the time taken to find it. The peel drops only branches that hold
     no cut, whatever their forbidden set, and leaves the depth-first order
-    of the rest alone, so it too changes the time, not the cut found."""
+    of the rest alone, so it too changes the time, not the cut found.
+
+    A removal is its head's contact id h, taking out range(h, reach[h]);
+    the heads that take out contact i are back[i]..i (tvg._run_table).
+    Each node passes its children the family it peeled. A child removal
+    with footprint F grew the dead mask by F alone, so the members F does
+    not hit still survive, pairwise delta-disjoint; with more of them than
+    removals left the child is dropped before any search.
+    """
     upper = rounded.count
     if upper == 0:
         return CutResult((), delta, exact=True)
@@ -220,62 +231,82 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
         raise InstanceTooLargeError(
             f"instance too large for exact oracle: more than {head_cap} removal heads")
 
+    back, reach = _run_table(g, delta)
     # dead[i] counts the chosen removals and peel masks that take out
     # contact i; a count, not a flag, since they can overlap
     dead = [0] * g.contact_count
 
-    def peels(j: Journey, budget: int) -> bool:
-        """True iff the residual holds budget + 1 pairwise delta-disjoint
-        journeys, j first, each found min-hop once the earlier ones'
-        interference windows are masked. No budget removals hit them all."""
-        masked: list[range] = []
-        for _ in range(budget):
-            for ids in _interference_ids(g, j, delta):
-                masked.append(ids)
-                for i in ids:
-                    dead[i] += 1
-            j = _min_hop_surviving(g, s, d, dead)
-            if j is None:
-                break
-        for ids in masked:
-            for i in ids:
-                dead[i] -= 1
-        return j is not None
+    def mask(ids: tuple[int, ...], step: int) -> None:
+        """Add step to dead over the interference runs of ids' hops."""
+        for i in ids:
+            for x in range(back[i], reach[i]):
+                dead[x] += step
 
-    def search(k: int, chosen: list[DeltaRemoval],
-               forbidden: frozenset[DeltaRemoval]) -> tuple[DeltaRemoval, ...] | None:
+    def peel(j: tuple[int, ...], carried: list[tuple[int, ...]],
+             budget: int) -> list[tuple[int, ...]]:
+        """Pairwise delta-disjoint surviving journeys, at most budget + 1:
+        the carried ones, then j if it interferes with none of them, then
+        min-hop journeys found once the earlier ones' interference runs
+        are masked. If there are budget + 1, no budget removals hit them
+        all."""
+        family = list(carried)
+        for f in family:
+            mask(f, 1)
+        f = j if not any(dead[i] for i in j) else _min_hop_surviving(
+            g, s, d, dead)
+        while f is not None and len(family) < budget:
+            family.append(f)
+            mask(f, 1)
+            f = _min_hop_surviving(g, s, d, dead)
+        for m in family:
+            mask(m, -1)
+        if f is not None:
+            family.append(f)
+        return family
+
+    def search(k: int, chosen: list[int], forbidden: frozenset[int],
+               carried: list[tuple[int, ...]]) -> list[int] | None:
+        budget = k - len(chosen)
+        if len(carried) > budget:  # they survive; no budget removals cut them
+            return None
         j = _min_hop_surviving(g, s, d, dead)
         if j is None:
-            return tuple(chosen)
-        if len(chosen) == k or peels(j, k - len(chosen)):
+            return list(chosen)
+        if budget == 0:
             return None
-        candidates: list[DeltaRemoval] = []
-        seen: set[DeltaRemoval] = set()
-        for c in j.hops:
-            for h in _canonical_heads(g, c, delta):
-                r = DeltaRemoval(c.edge, h, delta)
-                if r not in seen and r not in forbidden:
-                    seen.add(r)
-                    candidates.append(r)
+        family = peel(j, carried, budget)
+        if len(family) > budget:
+            return None
+        candidates: list[int] = []
+        seen: set[int] = set()
+        for i in j:
+            for h in range(back[i], i + 1):
+                if h not in seen and h not in forbidden:
+                    seen.add(h)
+                    candidates.append(h)
         blocked = set(forbidden)
-        for r in candidates:
-            ids = _footprint_ids(g, r)
-            for i in ids:
-                dead[i] += 1
-            chosen.append(r)
-            got = search(k, chosen, frozenset(blocked))
+        for h in candidates:
+            end = reach[h]
+            for x in range(h, end):
+                dead[x] += 1
+            chosen.append(h)
+            got = search(k, chosen, frozenset(blocked),
+                         [f for f in family
+                          if not any(h <= i < end for i in f)])
             chosen.pop()
-            for i in ids:
-                dead[i] -= 1
+            for x in range(h, end):
+                dead[x] -= 1
             if got is not None:
                 return got
-            blocked.add(r)
+            blocked.add(h)
         return None
 
     floor = max(lower, ceil(rounded.weight_lower_bound), 1)
     for k in range(floor, upper):
-        got = search(k, [], frozenset())
-        if got is not None:
+        heads = search(k, [], frozenset(), [])
+        if heads is not None:
+            got = [DeltaRemoval(e, t, delta)
+                   for e, t in _contacts_of(g, heads)]
             break
     else:
         got = rounded.removals
@@ -309,8 +340,7 @@ def analyze_exact(g: TimeVaryingGraph, s: str, d: str, delta: int,
     cut and candidate journeys are enumerated. At delta = 1 the exact flow
     is the unit max flow's path decomposition (see _exact_flow_search).
     """
-    greedy = greedy_maxflow_delta(g, s, d, delta)
-    rounded = minweight_mincut_delta(g, s, d, delta)
+    greedy, rounded = _approximations(g, s, d, delta)
     cut = _exact_cut_search(g, s, d, delta, rounded, greedy.count, head_cap)
     flow = _exact_flow_search(g, s, d, delta, lambda: (greedy, cut.count), cap)
     certificates = {
@@ -358,8 +388,8 @@ def survivability_bounds(g: TimeVaryingGraph, s: str, d: str, n: int,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lower = greedy_maxflow_delta(g, s, d, delta).count
-    cut = minweight_mincut_delta(g, s, d, delta)
+    greedy, cut = _approximations(g, s, d, delta)
+    lower = greedy.count
     if exact:
         cut = _exact_cut_search(g, s, d, delta, cut, lower, head_cap)
         lower = cut.count

@@ -16,16 +16,22 @@ independent reference).
 Each graph keeps a contact index, built on first use: integer contact ids
 in contacts(g) order with the contact each stands for, and per node the
 ids leaving it presorted by (slot, edge order). _min_hop_surviving walks
-that index, banned contacts given as a mask over the ids; so do the
-greedy's min-hop search and the exact flow's journey enumerator, and the
-line graphs and the time-expanded network build their arcs from it.
+that index, banned contacts given as a mask over the ids, and returns a
+journey as a tuple of ids; so do the greedy's min-hop search and the
+exact flow's journey enumerator, and the line graphs and the
+time-expanded network build their arcs from it. Per delta the index also
+keeps a run table (_run_table): for each id, where its same-edge delta
+window starts and ends. Interference runs, canonical removal heads and
+removal footprints are ranges of ids read off it, so the searches and
+the greedy stay on ids, and Contact, Journey and DeltaRemoval objects are
+built only for what is reported.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -251,6 +257,7 @@ class _ContactIndex:
     order, and on one edge a smaller id is an earlier slot. The contacts
     tuple, for callers that need every contact, is built on first use and
     kept; callers that report a few ids build those alone (_contacts_of).
+    runs holds the run table of each delta asked for (_run_table).
     """
 
     starts: dict[str, tuple[int, ...]]  # node -> ids leaving it, (slot, edge order)
@@ -261,6 +268,7 @@ class _ContactIndex:
     rank: list[int]  # id -> position in (slot, edge order) over all ids
     first: dict[str, int]  # edge id -> id of its first contact, edge order
     _contacts: tuple[Contact, ...] | None = None
+    runs: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
 
     @property
     def contacts(self) -> tuple[Contact, ...]:
@@ -323,21 +331,50 @@ def _contact_id(g: TimeVaryingGraph, c: Contact) -> int | None:
 
 
 def _footprint_ids(g: TimeVaryingGraph, r: DeltaRemoval) -> range:
-    """Ids of the contacts r takes out: one edge, so one run of ids."""
+    """Ids of the contacts r takes out: one edge, so one run of ids. For
+    any removal; one headed at a contact is a run-table range."""
     slots = g.active[r.edge]
     base = _contact_index(g).first[r.edge]
     return range(base + bisect_left(slots, r.head),
                  base + bisect_right(slots, r.head + r.delta - 1))
 
 
-def _interference_ids(g: TimeVaryingGraph, j: Journey,
-                      delta: int) -> list[range]:
-    """Ids of interfering_contacts(g, j, delta), one run per hop: the
-    contacts of the hop's edge within delta slots of it, which is the
-    footprint of a (2 * delta - 1)-slot removal centred on the hop. Runs of
-    hops on one edge may overlap."""
-    return [_footprint_ids(g, DeltaRemoval(e, t - delta + 1, 2 * delta - 1))
-            for e, t in j.hops]
+def _run_table(g: TimeVaryingGraph,
+               delta: int) -> tuple[list[int], list[int]]:
+    """(back, reach) for delta, built once per delta on g's contact index.
+
+    For contact id i on edge e at slot t, back[i] is the first id of e
+    with slot > t - delta and reach[i] is one past the last id of e with
+    slot < t + delta. On one edge ids order like slots, so:
+    - range(back[i], reach[i]) is i's interference run, the contacts a
+      journey delta-disjoint from one using i may not use;
+    - back[i]..i are the heads of the delta-removals that take i out,
+      restricted to active slots (sliding a head right onto the first
+      active slot only grows its footprint);
+    - range(h, reach[h]) is the footprint of the removal headed at h.
+    Removal windows may run past the horizon, so delta > T is fine.
+    """
+    if delta < 1:
+        raise ValueError("delta must be positive")
+    ix = _contact_index(g)
+    table = ix.runs.get(delta)
+    if table is not None:
+        return table
+    slot = ix.slot
+    back: list[int] = []
+    reach: list[int] = []
+    for e in g.edges:  # two pointers over the ids of e
+        lo = b = r = ix.first[e.eid]
+        hi = lo + len(g.active[e.eid])
+        for t in slot[lo:hi]:
+            while slot[b] <= t - delta:
+                b += 1
+            while r < hi and slot[r] < t + delta:
+                r += 1
+            back.append(b)
+            reach.append(r)
+    table = ix.runs[delta] = (back, reach)
+    return table
 
 
 def is_valid_journey(g: TimeVaryingGraph, j: Journey, s: str, d: str) -> bool:
@@ -414,9 +451,10 @@ def reachable(g: TimeVaryingGraph, s: str, d: str,
 
 
 def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
-                       dead: Sequence[int]) -> Journey | None:
+                       dead: Sequence[int]) -> tuple[int, ...] | None:
     """Min-hop journey avoiding the contacts whose `dead` entry is nonzero,
-    or None. `dead` is indexed by contact id (see _contact_index).
+    as a tuple of contact ids, or None. `dead` is indexed by contact id
+    (see _contact_index).
 
     BFS over contact states, level by level in (slot, edge order); the
     first level holding a contact into d returns its first such contact.
@@ -427,6 +465,10 @@ def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
     slots, so the test compares ids. Expanding a contact walks the
     presorted suffix of its head's start list that departs after it; the
     dominance test alone keeps the first live contact of each edge there.
+    Once a suffix has been scanned, each contact in it is dead or has
+    best[e] at most its id, so a rescan would enter nothing: lo[h] keeps
+    the lowest position of h's start list scanned so far, and each
+    expansion scans only the positions below it.
     """
     ix = _contact_index(g)
     starts, after, slot = ix.starts, ix.after, ix.slot
@@ -437,11 +479,13 @@ def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
     frontier: list[int] = []
     for c in starts.get(s, ()):
         e = edge_pos[c]
-        # a slot below 1 starts no journey (see is_valid_journey)
+        # a slot below 1 starts no journey (see is_valid_journey), and no
+        # later expansion reaches one, so s's whole list counts as scanned
         if not dead[c] and best[e] > c and slot[c] > 0:
             best[e] = c
             parent[c] = -1
             frontier.append(c)
+    lo = {s: 0}
 
     while frontier:
         for c in frontier:
@@ -450,13 +494,15 @@ def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
                 while c != -1:
                     hops.append(c)
                     c = parent[c]
-                return Journey(tuple(_contacts_of(g, reversed(hops))))
+                return tuple(reversed(hops))
         nxt: list[int] = []
         for c in frontier:
-            leaving = starts.get(head[c])
-            if not leaving:
+            h, k = head[c], after[c]
+            leaving = starts.get(h, ())
+            top = lo.get(h, len(leaving))
+            if k >= top:
                 continue
-            for c2 in leaving[after[c]:]:
+            for c2 in leaving[k:top]:
                 if dead[c2]:
                     continue
                 e = edge_pos[c2]
@@ -465,6 +511,7 @@ def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
                 best[e] = c2
                 parent[c2] = c
                 nxt.append(c2)
+            lo[h] = k
         nxt.sort(key=ix.rank.__getitem__)
         frontier = nxt
     return None

@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
                       apply_removals, build_line_graph, enumerate_journeys,
-                      gen_counterexample, gen_random_tvg, min_hop_path,
+                      gen_counterexample, gen_random_tvg,
+                      greedy_maxflow_delta, min_hop_path,
                       node_disjoint_maxflow, reachable, set_weights,
                       time_expanded_maxflow, weighted_mincut_1)
 from tempocut import verify
-from tempocut.linegraph import DST, SRC, _time_expanded_network
-from tempocut.tvg import contacts
+from tempocut.linegraph import (DST, SRC, _scaled_caps, _time_expanded_flow,
+                                _time_expanded_network)
+from tempocut.tvg import _contact_id, contacts
 
 graphs = st.builds(
     gen_random_tvg,
@@ -402,6 +404,81 @@ def test_time_expanded_network_size_is_pinned():
         nodes += size
         arcs += len(waits) + len(contact_arcs)
     assert (nodes, arcs) == (8_007, 23_046)
+
+
+def _greedy_family(g, s, d, delta):
+    return [tuple(_contact_id(g, c) for c in j.hops)
+            for j in greedy_maxflow_delta(g, s, d, delta).journeys]
+
+
+def _enumerated_family(g, s, d):
+    """Contact-disjoint journeys taken in enumeration order, revisits
+    included; each arrives at d only at its end, as the network's paths
+    do."""
+    used: set[int] = set()
+    family = []
+    for j in enumerate_journeys(g, s, d):
+        ids = [_contact_id(g, c) for c in j.hops]
+        if all(g.edge(e).dst != d for e, _ in j.hops[:-1]) and \
+                used.isdisjoint(ids):
+            used.update(ids)
+            family.append(tuple(ids))
+    return family
+
+
+def _warm_start_agrees(g, s, d, delta, families):
+    """_time_expanded_flow from each family equals it from zero flow, with
+    unit capacities and with the rounded cut's at delta. Returns (value,
+    journeys in the families that revisit a node)."""
+    revisits = 0
+    for caps in ([1] * g.contact_count,
+                 _scaled_caps(contacts(g), set_weights(g, delta))[2]):
+        want = _time_expanded_flow(g, s, d, caps)
+        for family in families:
+            assert _time_expanded_flow(g, s, d, caps, family) == want, (
+                s, d, delta, family)
+    clist = contacts(g)
+    for family in families:
+        for ids in family:
+            heads = {g.edge(clist[i].edge).dst for i in ids}
+            revisits += len(heads | {s}) <= len(ids)
+    return want[0], revisits
+
+
+def test_warm_started_flow_keeps_value_and_cut():
+    """The greedy's family on the medium corpus at delta 1, 2, 3 and 5;
+    on small graphs, every ordered pair with the greedy's family and an
+    enumerated one, so pairs with no journey and journeys that come back
+    to a node at a later slot are covered."""
+    for seed in range(100):
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        for delta in (1, 2, 3, 5):
+            _warm_start_agrees(g, "n1", "n10", delta,
+                               [_greedy_family(g, "n1", "n10", delta)])
+    empty = revisits = 0
+    for seed in range(40):
+        g = gen_random_tvg(3 + seed % 4, 3 + seed % 5, 0.5, seed)
+        for s in g.nodes:
+            for d in g.nodes:
+                if s != d:
+                    delta = 1 + seed % 3
+                    value, back = _warm_start_agrees(g, s, d, delta, [
+                        _greedy_family(g, s, d, delta),
+                        _enumerated_family(g, s, d)])
+                    empty += value == 0
+                    revisits += back
+    assert empty and revisits, (empty, revisits)
+
+
+@given(graphs, st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_warm_started_flow_keeps_value_and_cut_on_any_graph(g, delta):
+    for s in g.nodes:
+        for d in g.nodes:
+            if s != d:
+                _warm_start_agrees(g, s, d, delta, [
+                    _greedy_family(g, s, d, delta),
+                    _enumerated_family(g, s, d)])
 
 
 def test_engines_suite_compares_the_two_max_flows(monkeypatch):

@@ -1,6 +1,7 @@
 """Disruption number: weighted relaxation, rounding, exact oracle, verdicts."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import sys
@@ -20,11 +21,11 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
 from tempocut import mincut, verify
 from tempocut.simulate import sweep
 from tempocut.linegraph import build_line_graph, node_disjoint_maxflow
-from tempocut.mincut import (DEFAULT_HEAD_CAP, CutResult, _canonical_heads,
-                             _exact_cut_search, _window_sizes)
-from tempocut.tvg import (_contact_id, _footprint_ids, _interference_ids,
-                          _min_hop_surviving, interfering_contacts)
-from test_tvg import graphs
+from tempocut.mincut import (DEFAULT_HEAD_CAP, CutResult, _exact_cut_search,
+                             _window_sizes)
+from tempocut.tvg import (_contact_id, _footprint_ids, _min_hop_surviving,
+                          _run_table, interfering_contacts)
+from test_tvg import _canonical_heads, graphs
 
 contact_sets = st.lists(
     st.builds(Contact,
@@ -248,6 +249,7 @@ def _unpruned_cut_search(g, s, d, delta, rounded, lower, head_cap):
     # dead[i] counts the chosen removals that take out contact i; a count,
     # not a flag, since removals on one edge can overlap
     dead = [0] * g.contact_count
+    clist = contacts(g)
 
     def search(k: int, chosen: list[DeltaRemoval],
                forbidden: frozenset[DeltaRemoval]) -> tuple[DeltaRemoval, ...] | None:
@@ -258,7 +260,7 @@ def _unpruned_cut_search(g, s, d, delta, rounded, lower, head_cap):
             return None
         candidates: list[DeltaRemoval] = []
         seen: set[DeltaRemoval] = set()
-        for c in j.hops:
+        for c in map(clist.__getitem__, j):
             for h in _canonical_heads(g, c, delta):
                 r = DeltaRemoval(c.edge, h, delta)
                 if r not in seen and r not in forbidden:
@@ -292,7 +294,8 @@ def _unpruned_cut_search(g, s, d, delta, rounded, lower, head_cap):
 
 
 def _count_searches(monkeypatch, module):
-    """Count the surviving-journey searches `module` makes from now on."""
+    """Count the surviving-journey searches `module` makes from now on:
+    _min_hop_surviving, the one search _exact_cut_search calls."""
     calls = [0]
     inner = module._min_hop_surviving
 
@@ -329,14 +332,33 @@ def test_peel_keeps_every_cut_of_the_unpruned_search(monkeypatch):
             if i < len(medium) and delta in (2, 3):
                 spent[0] += pruned[0] - before[0]
                 spent[1] += unpruned[0] - before[1]
+    assert spent[0] > 0 and spent[1] > 0, spent
     assert 5 * spent[0] < spent[1], spent
 
 
+def test_exact_cut_at_scale_is_pinned():
+    """Count and removals of exact_mincut_delta on 20-node, 60-slot graphs
+    (2.2k contacts, above the default head cap), where the peel's carried
+    family changes most of the pruning; removals as a sha-256 prefix of
+    "edge@head" joined by spaces."""
+    pins = {(0, 2): (40, "829eb0cf114ca55f"), (0, 3): (30, "d9c397b85935aba2"),
+            (0, 5): (19, "3b32ff6999226213"), (1, 2): (39, "ba071a38b42bc34b"),
+            (1, 3): (28, "f61ea72fdcf01810"), (1, 5): (20, "384e7a95c1423885")}
+    for (seed, delta), (count, digest) in pins.items():
+        g = gen_random_tvg(20, 60, 0.5, seed)
+        res = exact_mincut_delta(g, "n1", "n20", delta,
+                                 head_cap=g.contact_count)
+        text = " ".join(f"{r.edge}@{r.head}" for r in res.removals)
+        assert (res.count, hashlib.sha256(text.encode()).hexdigest()[:16]) \
+            == (count, digest), (seed, delta)
+
+
 def test_interference_ids_are_the_interfering_contacts():
-    """The ids the peel masks for a journey are those of
-    tvg.interfering_contacts, on greedy journeys and on enumerated ones:
-    windows reaching below slot 1, delta above the horizon, and journeys
-    using one edge twice (their windows overlap) included."""
+    """The ids the greedy and the peel mask for a journey, the run-table
+    runs of its hops, are those of tvg.interfering_contacts, on greedy
+    journeys and on enumerated ones: windows reaching below slot 1, delta
+    above the horizon, and journeys using one edge twice (their windows
+    overlap) included."""
     below = beyond = twice = 0
     for seed in range(80):
         rng = random.Random(seed)
@@ -345,12 +367,14 @@ def test_interference_ids_are_the_interfering_contacts():
         s, d = g.nodes[0], g.nodes[-1]
         walks = enumerate_journeys(g, s, d)
         for delta in range(1, 6):
+            back, reach = _run_table(g, delta)
             greedy = greedy_maxflow_delta(g, s, d, delta).journeys
             for j in walks + list(greedy):
                 want = {_contact_id(g, c)
                         for c in interfering_contacts(g, j, delta)}
-                got = [i for ids in _interference_ids(g, j, delta)
-                       for i in ids]
+                got = [x for c in j.hops
+                       for x in range(back[_contact_id(g, c)],
+                                      reach[_contact_id(g, c)])]
                 assert set(got) == want, (seed, delta, j)
                 below += j.hops[0].slot < delta
                 beyond += delta > g.horizon

@@ -12,7 +12,7 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
                       is_valid_journey, reachable, removal_footprint,
                       validate_graph)
 from tempocut.tvg import (_contacts_reaching, _min_hop_surviving,
-                          interfering_contacts)
+                          _run_table, interfering_contacts)
 
 graphs = st.builds(
     gen_random_tvg,
@@ -336,9 +336,56 @@ def test_indexed_search_returns_the_sorting_search_journey():
             banned = frozenset(c for c in ids if rng.random() < q)
             want = _sorting_search(g, s, d, banned)
             got = _min_hop_surviving(g, s, d, [c in banned for c in ids])
+            if got is not None:  # contact ids, which index contacts(g)
+                got = Journey(tuple(ids[i] for i in got))
             assert got == want, (seed, s, d, sorted(banned))
             foreign = banned | {Contact("e999", 1), Contact(g.edges[0].eid, 99)}
             assert reachable(g, s, d, foreign) == (want is not None)
             cases += 1
             found += want is not None
     assert cases == 6600 and 1000 < found < 6000
+
+
+def _canonical_heads(g, c, delta):
+    """Slots heading the delta-removals on c.edge that take out c,
+    restricted to active slots: those in (c.slot - delta, c.slot]."""
+    slots = g.active[c.edge]
+    return list(slots[bisect_right(slots, c.slot - delta):
+                      bisect_right(slots, c.slot)])
+
+
+def _run_table_agrees(g, delta):
+    """Every id's runs against bisect and filter references: heads
+    back[i]..i, footprint range(i, reach[i]) and interference run
+    range(back[i], reach[i])."""
+    back, reach = _run_table(g, delta)
+    clist = contacts(g)
+    ids = {c: i for i, c in enumerate(clist)}.__getitem__
+    assert len(back) == len(reach) == len(clist)
+    assert _run_table(g, delta) is _run_table(g, delta)  # kept per delta
+    for i, c in enumerate(clist):
+        heads = clist[back[i]:i + 1]
+        assert {h.edge for h in heads} == {c.edge}, (delta, c)
+        assert [h.slot for h in heads] == _canonical_heads(g, c, delta)
+        footprint = removal_footprint(g, DeltaRemoval(c.edge, c.slot, delta))
+        assert list(range(i, reach[i])) == list(map(ids, footprint)), c
+        near = interfering_contacts(g, Journey((c,)), delta)
+        assert list(range(back[i], reach[i])) == list(map(ids, near)), c
+
+
+def test_run_table_matches_the_bisect_references():
+    """Every fourth graph of the medium corpus at delta 1..T+1 (delta > T
+    included); the references cost O(edges) per id."""
+    for seed in range(0, 100, 4):
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        for delta in range(1, g.horizon + 2):
+            _run_table_agrees(g, delta)
+    with pytest.raises(ValueError, match="positive"):
+        _run_table(g, 0)
+
+
+@given(graphs)
+@settings(max_examples=80, deadline=None)
+def test_run_table_matches_the_bisect_references_on_any_graph(g):
+    for delta in range(1, g.horizon + 2):
+        _run_table_agrees(g, delta)
