@@ -25,8 +25,14 @@ from .tvg import InstanceTooLargeError, load_tvg
 from .verify import SUITES, run_suites
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated values, each a plain int or an a..b range."""
+def _parse_int_list(text: str, bounds: tuple[int, int] | None = None,
+                    error: str = "") -> list[int]:
+    """Comma-separated values, each a plain int or an a..b range.
+
+    With bounds (lo, hi), a value or range endpoint outside [lo, hi] raises
+    ValueError(error) before any range is expanded, so a huge range fails
+    at once instead of filling memory.
+    """
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -35,9 +41,13 @@ def _parse_int_list(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ValueError(f"empty range {token!r}")
-            out.extend(range(lo, hi + 1))
         elif token:
-            out.append(int(token))
+            lo = hi = int(token)
+        else:
+            continue
+        if bounds and not bounds[0] <= lo <= hi <= bounds[1]:
+            raise ValueError(error)
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"no values in {text!r}")
     return out
@@ -123,8 +133,12 @@ def cmd_survivable(args) -> int:
 def cmd_simulate(args) -> int:
     g = load_tvg(args.input)
     ns = _parse_int_list(args.n)
-    deltas = _parse_int_list(args.delta)
-    deadlines = _parse_int_list(args.ddl) if args.ddl else [g.horizon]
+    # SimConfig's range checks, made before the lists are expanded
+    deadlines = (_parse_int_list(args.ddl, (1, g.horizon),
+                                 "deadline must lie in [1, graph horizon]")
+                 if args.ddl else [g.horizon])
+    deltas = _parse_int_list(args.delta, (1, min(deadlines)),
+                             "delta must lie in [1, deadline]")
     reports = sweep(g, ns, deltas, deadlines, args.packets, args.p,
                     args.dmax, args.seed)
     _emit(sweep_to_csv(reports), args)

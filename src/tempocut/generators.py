@@ -153,13 +153,24 @@ class WeightedDigraph:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WeightedDigraph":
+        """Build from the document format; rejects invalid digraphs."""
         try:
-            nodes = tuple(str(x) for x in obj["nodes"])
-            arcs = tuple((str(a["from"]), str(a["to"]), int(a["len"]))
-                         for a in obj["arcs"])
-            wd = cls(nodes, arcs, str(obj["s"]), str(obj["d"]), int(obj["L"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            nodes, raw_arcs, bound = obj["nodes"], obj["arcs"], obj["L"]
+            s, d = obj["s"], obj["d"]
+            arcs = [(a["from"], a["to"], a["len"]) for a in raw_arcs]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid weighted digraph: {exc}") from exc
+        # type(...) is int: JSON true and false are not lengths
+        if not (isinstance(nodes, list) and isinstance(raw_arcs, list)
+                and type(bound) is int
+                and all(type(n) is str for n in nodes)
+                and type(s) is type(d) is str
+                and all(type(u) is type(v) is str and type(l) is int
+                        for u, v, l in arcs)):
+            raise ValueError("invalid weighted digraph: nodes and arcs must "
+                             "be lists, L and len integers, node names, "
+                             "endpoints and terminals strings")
+        wd = cls(tuple(nodes), tuple(arcs), s, d, bound)
         problems = wd.problems()
         if problems:
             raise ValueError("invalid weighted digraph: " + "; ".join(problems))
@@ -172,6 +183,11 @@ class WeightedDigraph:
     def problems(self) -> list[str]:
         out = []
         node_set = set(self.nodes)
+        seen: set[str] = set()
+        for n in self.nodes:
+            if n in seen:
+                out.append(f"node {n!r} listed more than once")
+            seen.add(n)
         touched: set[str] = set()
         for u, v, l in self.arcs:
             if u not in node_set or v not in node_set:

@@ -23,15 +23,17 @@ serves every max flow that needs only a value or a cut
 with integer capacities by contact id, its flow started from the greedy
 family). The unit-flow path decomposition, which depends on the
 augmenting order, stays on the line graph. Both networks run the same
-augmenting loop (_Residual.augment).
+residual network builder (_residual) and augmenting loop (_augment).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .tvg import (Contact, Journey, TimeVaryingGraph, _check_nodes,
                   _contact_index, _contacts_of)
@@ -180,18 +182,14 @@ def node_disjoint_maxflow(lg: LineGraph,
     # node split: contact i, line-graph node v = i + 2, becomes in-half
     # 2 + 2i = 2v - 2 and out-half 3 + 2i = 2v - 1; the terminals keep
     # single nodes SRC and DST
-    net = _Residual(2 + 2 * len(caps))
-    add_arc = net.add_arc
     total = sum(caps) + 1  # effectively infinite
-    for i, cap in enumerate(caps):
-        add_arc(2 + 2 * i, 3 + 2 * i, cap)
-    for v in lg.succ[SRC]:
-        add_arc(SRC, 2 * v - 2, total)
-    for u in range(2, lg.node_count):
-        for v in lg.succ[u]:
-            add_arc(2 * u - 1, DST if v == DST else 2 * v - 2, total)
-
-    value, pred = net.augment()
+    net = _residual(2 + 2 * len(caps), chain(
+        ((2 + 2 * i, 3 + 2 * i) for i in range(len(caps))),
+        ((SRC, 2 * v - 2) for v in lg.succ[SRC]),
+        ((2 * u - 1, DST if v == DST else 2 * v - 2)
+         for u in range(2, lg.node_count) for v in lg.succ[u])),
+        caps, total)
+    value, pred = _augment(*net)
     cut = tuple(c for i, c in enumerate(lg.contact_list)
                 if pred[2 + 2 * i] != -1 and pred[3 + 2 * i] == -1)
     paths = _decompose_unit_paths(lg, net, value) if unit else ()
@@ -227,49 +225,38 @@ def _time_expanded_flow(g: TimeVaryingGraph, s: str, d: str,
     on _time_expanded_network(g, s, d), contact id i carrying caps[i].
 
     `family` holds pairwise contact-disjoint s->d journeys as contact-id
-    tuples (the greedy's). Each is pushed first, by its smallest capacity,
-    along SRC, the waiting chain to each hop's tail and the hop's arc;
-    then the augmenting loop runs from that flow. No waiting arc binds:
-    its flow stays below the sum of the capacities. A max flow has one
-    value, and the last, failed search in the residual of any max flow
-    reaches exactly the source side of the source-closest min cut, so the
-    family changes neither, only the number of augmenting searches.
+    tuples (the greedy's). Each is pushed first along SRC, the waiting
+    chain to each hop's tail and the hop's arc, by the path's smallest
+    residual capacity. That is the journey's smallest capacity: no earlier
+    journey used its hops, and no waiting arc binds, its flow staying
+    below the sum of the capacities. Then the augmenting loop runs from
+    that flow. A max flow has one value, and the last, failed search in
+    the residual of any max flow reaches exactly the source side of the
+    source-closest min cut, so the family changes neither, only the
+    number of augmenting searches.
     """
     size, waits, arcs = _time_expanded_network(g, s, d)
     total = sum(caps) + 1  # effectively infinite
-    net = _Residual(size)
-    graph, arc_to, res = net.graph, net.arc_to, net.res
-    wait_arc = {}  # node -> its waiting arc out; a node has at most one
-    for u, v in waits:  # as _Residual.add_arc does, inline
-        wait_arc[u] = len(arc_to)
-        graph[u].append(len(arc_to))
-        graph[v].append(len(arc_to) + 1)
-        arc_to += (v, u)
-        res += (total, 0)
-    hop_arc = {}  # contact id -> its arc
-    for i, u, v in arcs:
-        hop_arc[i] = len(arc_to)
-        graph[u].append(len(arc_to))
-        graph[v].append(len(arc_to) + 1)
-        arc_to += (v, u)
-        res += (caps[i], 0)
+    net = _residual(size, waits + [(u, v) for _, u, v in arcs],
+                    [total] * len(waits) + [caps[i] for i, _, _ in arcs])
+    _, arc_to, res = net
     value = 0
-    for ids in family:
-        path = []
-        node = SRC
-        for i in ids:
-            a = hop_arc[i]
-            while node != arc_to[a ^ 1]:  # wait for the hop's tail
-                path.append(wait_arc[node])
-                node = arc_to[path[-1]]
-            path.append(a)
-            node = arc_to[a]
-        pushed = min(caps[i] for i in ids)
-        for a in path:
-            res[a] -= pushed
-            res[a ^ 1] += pushed
-        value += pushed
-    more, pred = net.augment()
+    if family:
+        # waiting arc k is arc 2k; contact arc k, in contact-id order, is
+        # arc 2 (len(waits) + k)
+        wait_arc = {u: 2 * k for k, (u, _) in enumerate(waits)}
+        for ids in family:
+            path = []
+            node = SRC
+            for i in ids:
+                a = 2 * (len(waits) + bisect_left(arcs, (i,)))
+                while node != arc_to[a ^ 1]:  # wait for the hop's tail
+                    path.append(wait_arc[node])
+                    node = arc_to[path[-1]]
+                path.append(a)
+                node = arc_to[a]
+            value += _push(res, path)
+    more, pred = _augment(*net)
     return value + more, [i for i, u, v in arcs
                           if pred[u] != -1 and pred[v] == -1]
 
@@ -277,8 +264,9 @@ def _time_expanded_flow(g: TimeVaryingGraph, s: str, d: str,
 def _time_expanded_network(g: TimeVaryingGraph, s: str, d: str
                            ) -> tuple[int, list[tuple[int, int]],
                                       list[tuple[int, int, int]]]:
-    """(node count, uncapacitated arcs, contact arcs (id, tail, head)) of
-    the time-expanded network for s->d: one node per arrival event.
+    """(node count, uncapacitated arcs, contact arcs (id, tail, head) in id
+    order) of the time-expanded network for s->d: one node per arrival
+    event.
 
     Contact i arrives at its head and can go on by the first contact
     leaving the head after it, starts[head][after[i]]: its arc enters that
@@ -357,67 +345,75 @@ def _scaled_caps(clist: Sequence[Contact],
     return scale == 1 and all(cap == 1 for cap in caps), scale, caps
 
 
-class _Residual:
-    """A residual network: per-node arc ids, arc heads and capacities, where
-    arc a ^ 1 reverses arc a."""
+def _residual(size: int, ends: Iterable[tuple[int, int]],
+              caps: Sequence[int], fill: int = 0
+              ) -> tuple[list[list[int]], list[int], list[int]]:
+    """(per-node arc ids, arc heads, residual capacities) of a network on
+    `size` nodes. The k-th of `ends` is arc k's (tail, head); its capacity
+    is caps[k], or `fill` past the end of caps. Arc k becomes arc id 2k
+    and its reverse, of capacity 0, arc id 2k + 1, so arc a ^ 1 reverses
+    arc a. The capacities go in by one slice assignment, not arc by arc."""
+    graph: list[list[int]] = [[] for _ in range(size)]
+    arc_to: list[int] = []
+    a = 0
+    for u, v in ends:
+        graph[u].append(a)
+        graph[v].append(a + 1)
+        arc_to += v, u
+        a += 2
+    res = [fill, 0] * (a // 2)
+    res[:2 * len(caps):2] = caps  # raises if there are more caps than arcs
+    return graph, arc_to, res
 
-    __slots__ = ("graph", "arc_to", "res")
 
-    def __init__(self, size: int) -> None:
-        self.graph: list[list[int]] = [[] for _ in range(size)]
-        self.arc_to: list[int] = []
-        self.res: list[int] = []
+def _augment(graph: list[list[int]], arc_to: list[int], res: list[int]
+             ) -> tuple[int, list[int]]:
+    """Push SRC->DST flow along BFS paths until none is left (Edmonds-Karp).
 
-    def add_arc(self, u: int, v: int, cap: int) -> None:
-        graph, arc_to, res = self.graph, self.arc_to, self.res
-        graph[u].append(len(arc_to))
-        arc_to.append(v)
-        res.append(cap)
-        graph[v].append(len(arc_to))
-        arc_to.append(u)
-        res.append(0)
+    Returns the flow value and the last, failed search's arc into each
+    node: -1 marks exactly the nodes the source no longer reaches.
+    """
+    value = 0
+    while True:
+        pred = [-1] * len(graph)  # arc id used to reach each node
+        pred[SRC] = -2
+        queue = [SRC]
+        for u in queue:
+            for a in graph[u]:
+                v = arc_to[a]
+                if pred[v] == -1 and res[a] > 0:
+                    pred[v] = a
+                    queue.append(v)
+            if pred[DST] != -1:
+                break
+        if pred[DST] == -1:
+            return value, pred
+        path = []
+        v = DST
+        while v != SRC:
+            path.append(pred[v])
+            v = arc_to[pred[v] ^ 1]
+        value += _push(res, path)
 
-    def augment(self) -> tuple[int, list[int]]:
-        """Push SRC->DST flow along BFS paths until none is left (Edmonds-Karp).
 
-        Returns the flow value and the last, failed search's arc into each
-        node: -1 marks exactly the nodes the source no longer reaches.
-        """
-        graph, arc_to, res = self.graph, self.arc_to, self.res
-        value = 0
-        while True:
-            pred = [-1] * len(graph)  # arc id used to reach each node
-            pred[SRC] = -2
-            queue = [SRC]
-            for u in queue:
-                for a in graph[u]:
-                    v = arc_to[a]
-                    if pred[v] == -1 and res[a] > 0:
-                        pred[v] = a
-                        queue.append(v)
-                if pred[DST] != -1:
-                    break
-            if pred[DST] == -1:
-                return value, pred
-            path = []
-            v = DST
-            while v != SRC:
-                path.append(pred[v])
-                v = arc_to[pred[v] ^ 1]
-            pushed = min(res[a] for a in path)
-            for a in path:
-                res[a] -= pushed
-                res[a ^ 1] += pushed
-            value += pushed
+def _push(res: list[int], path: list[int]) -> int:
+    """Push the path's smallest residual capacity along its arcs; returns
+    that amount."""
+    pushed = min(res[a] for a in path)
+    for a in path:
+        res[a] -= pushed
+        res[a ^ 1] += pushed
+    return pushed
 
 
 def _decompose_unit_paths(lg, net, value):
     """Walk unit flow from the source into node-disjoint contact paths.
 
-    A forward arc carries flow while its reverse arc has residual capacity;
-    walking it takes that unit back, so no arc is walked twice.
+    `net` is the residual network _augment left. A forward arc carries
+    flow while its reverse arc has residual capacity; walking it takes that
+    unit back, so no arc is walked twice.
     """
-    graph, arc_to, res = net.graph, net.arc_to, net.res
+    graph, arc_to, res = net
     paths = []
     for _ in range(value):
         path: list[Contact] = []

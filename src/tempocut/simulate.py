@@ -15,7 +15,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .maxflow import greedy_maxflow_delta
 from .tvg import DeltaRemoval, Journey, TimeVaryingGraph
@@ -97,14 +97,14 @@ class SimReport:
         return lost / len(self.packets)
 
 
-def _onsets(g: TimeVaryingGraph, p: float, d_max: int,
-            rng: random.Random) -> Iterator[tuple[int, int, int]]:
-    """Failure onsets on g, edge by edge in g.edges order, as (edge
-    position, slot, duration) for every nonzero duration.
+def _sample_onsets(g: TimeVaryingGraph, p: float, d_max: int,
+                   rng: random.Random) -> list[DeltaRemoval]:
+    """Every failure onset on g, edge by edge in g.edges order, as a
+    removal for every nonzero duration.
 
     An onset strikes each (edge, slot) with probability p and lasts
     uniformly 0..d_max slots; zero-duration onsets draw from the stream
-    but have no footprint and are not yielded. Gaps between onsets are
+    but have no footprint and are not kept. Gaps between onsets are
     sampled geometrically, which is distribution-identical to a per-slot
     scan. Durations are drawn exactly as rng.randint(0, d_max) draws them
     (getrandbits of the range's bit length, redrawn until in range), so
@@ -113,14 +113,15 @@ def _onsets(g: TimeVaryingGraph, p: float, d_max: int,
     onsets a full scan gives. This is the one full-draw definition:
     sample_failures draws through it and _walk repeats its draws inline for
     every point of a lockstep run, which the tests check draw for draw."""
+    out: list[DeltaRemoval] = []
     if p <= 0.0:
-        return
+        return out
     horizon = g.horizon
     log_q = math.log1p(-p) if p < 1.0 else None
     random_, getrandbits, log = rng.random, rng.getrandbits, math.log
     span = d_max + 1
     bits = span.bit_length()
-    for pos in range(len(g.edges)):
+    for e in g.edges:
         slot = 1
         while slot <= horizon:
             if log_q is not None:
@@ -132,16 +133,9 @@ def _onsets(g: TimeVaryingGraph, p: float, d_max: int,
             while dur >= span:
                 dur = getrandbits(bits)
             if dur > 0:
-                yield pos, slot, dur
+                out.append(DeltaRemoval(e.eid, slot, dur))
             slot += 1
-
-
-def _sample_onsets(g: TimeVaryingGraph, p: float, d_max: int,
-                   rng: random.Random) -> list[DeltaRemoval]:
-    """Every failure onset on g (see _onsets), as removals."""
-    edges = g.edges
-    return [DeltaRemoval(edges[pos].eid, slot, dur)
-            for pos, slot, dur in _onsets(g, p, d_max, rng)]
+    return out
 
 
 def sample_failures(g: TimeVaryingGraph, fm: FailureModel) -> list[DeltaRemoval]:
@@ -235,8 +229,8 @@ def _walk(w: _Walk, horizon: int, p: float, d_max: int,
           rng: random.Random) -> tuple[int | None, ...]:
     """Per point, the earliest arrival of a copy that dodges the failures
     rng draws next, or None: journeys_delivered over _sample_onsets(window,
-    p, d_max, rng). The draws are _onsets's, made inline edge by edge up to
-    the last edge a copy uses; they stop once every copy of every point is
+    p, d_max, rng), whose draws this makes inline, edge by edge up to the
+    last edge a copy uses; they stop once every copy of every point is
     dead, and no copy or p = 0 draws nothing. The skipped draws all come
     after the ones taken, so no answer changes."""
     copies = len(w.arrivals)

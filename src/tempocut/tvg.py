@@ -24,7 +24,9 @@ keeps a run table (_run_table): for each id, where its same-edge delta
 window starts and ends. Interference runs, canonical removal heads and
 removal footprints are ranges of ids read off it, so the searches and
 the greedy stay on ids, and Contact, Journey and DeltaRemoval objects are
-built only for what is reported.
+built only for what is reported. One round trip is left:
+mincut._approximations turns the greedy's reported Journeys back into
+contact ids to start the rounded cut's max flow.
 """
 
 from __future__ import annotations

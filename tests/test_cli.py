@@ -31,6 +31,10 @@ def test_parse_int_list():
     assert _parse_int_list("2") == [2]
     with pytest.raises(ValueError, match="empty range"):
         _parse_int_list("5..2")
+    assert _parse_int_list("1..3,5", (1, 5), "out of range") == [1, 2, 3, 5]
+    for text in ("2,0", "2..6"):
+        with pytest.raises(ValueError, match="^out of range$"):
+            _parse_int_list(text, (1, 5), "out of range")
 
 
 def test_gen_random_roundtrips(capsys):
@@ -369,6 +373,41 @@ def test_self_contact_trace_and_self_loop_arc_are_usage_errors(tmp_path,
         assert message in captured.err and "Traceback" not in captured.err
 
 
+def _wd_text(**fields):
+    """A weighted-digraph document v1 -> v2, with `fields` replaced."""
+    return json.dumps({"nodes": ["v1", "v2"],
+                       "arcs": [{"from": "v1", "to": "v2", "len": 1}],
+                       "s": "v1", "d": "v2", "L": 2, **fields})
+
+
+@pytest.mark.parametrize("text,message", [
+    (_wd_text(arcs=[{"from": "v1", "to": "v2", "len": 1.9}]),
+     "L and len integers"),
+    (_wd_text(arcs=[{"from": "v1", "to": "v2", "len": True}]),
+     "L and len integers"),
+    (_wd_text(arcs=[{"from": "v1", "to": "v2", "len": "2"}]),
+     "L and len integers"),
+    (_wd_text().replace('"len": 1', '"len": 1e400'), "L and len integers"),
+    (_wd_text(L=2.5), "L and len integers"),
+    (_wd_text(nodes=[7, "v2"], s="7",
+              arcs=[{"from": "7", "to": "v2", "len": 1}]), "node names"),
+    (_wd_text(nodes="ab", s="a", d="b",
+              arcs=[{"from": "a", "to": "b", "len": 1}]),
+     "nodes and arcs must be lists"),
+    (_wd_text(nodes=["v1", "v2", "v1"]), "node 'v1' listed more than once"),
+], ids=["len-float", "len-bool", "len-string", "len-overflow", "bound-float",
+        "node-int", "nodes-string", "repeated-node"])
+def test_invalid_weighted_digraph_is_a_usage_error(tmp_path, capsys, text,
+                                                   message):
+    path = tmp_path / "wd.json"
+    path.write_text(text)
+    assert main(["gen", "bledp-expand", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid weighted digraph" in captured.err
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_survivable(relay_file, capsys):
     assert main(["survivable", relay_file, "--src", "s", "--dst", "d",
                  "--n", "1", "--exact"]) == 0
@@ -438,6 +477,30 @@ def test_simulate_bad_last_delta_fails_before_any_point_runs(tmp_path,
     assert captured.out == ""
     assert captured.err == "error: delta must lie in [1, deadline]\n"
     assert planned == []
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--delta", "delta must lie in [1, deadline]"),
+    ("--ddl", "deadline must lie in [1, graph horizon]"),
+])
+def test_simulate_huge_range_fails_before_it_is_expanded(tmp_path, flag,
+                                                         message):
+    # Run in a child process under a 1 GB address-space limit: expanding
+    # the range before checking it runs out of memory there, not here.
+    path = tmp_path / "g.json"
+    path.write_text(gen_random_tvg(4, 5, 0.5, 1).dumps())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tempocut.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from tempocut.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "simulate", str(path),
+         flag, "1..10000000000", "--packets", "5"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {message}\n")
 
 
 def test_ingest_fits_horizon(tmp_path, capsys):

@@ -104,6 +104,14 @@ def test_weighted_digraph_validation():
         WeightedDigraph.from_json_dict({
             "nodes": ["a", "b"], "arcs": [{"from": "a", "to": "b", "len": 1}],
             "s": "a", "d": "zz", "L": 2})
+    with pytest.raises(ValueError, match="node 'a' listed more than once"):
+        WeightedDigraph.from_json_dict({
+            "nodes": ["a", "b", "a"],
+            "arcs": [{"from": "a", "to": "b", "len": 1}],
+            "s": "a", "d": "b", "L": 2})
+    with pytest.raises(ValueError, match="node 'a' listed more than once"):
+        bledp_expand(WeightedDigraph(("a", "b", "a"), (("a", "b", 1),),
+                                     "a", "b", 2))
 
 
 def test_weighted_digraph_roundtrip():

@@ -335,6 +335,25 @@ def test_greedy_at_80_nodes_is_pinned():
     assert digest.startswith("ef0b86f7780e5e8b")
 
 
+def test_unit_flow_decomposition_is_pinned():
+    """At delta = 1 the exact flow's journeys are the path decomposition of
+    the unit max flow on the node-split line graph, which depends on the
+    network's arc order. Pinned over the medium corpus and every ordered
+    pair of five small graphs."""
+    h = hashlib.sha256()
+    for seed in range(100):
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        h.update(repr(exact_maxflow_delta(g, "n1", "n10", 1).journeys).encode())
+    for seed in range(5):
+        g = gen_random_tvg(8, 10, 0.5, seed)
+        for s in g.nodes:
+            for d in g.nodes:
+                if s != d:
+                    h.update(repr(exact_maxflow_delta(g, s, d, 1).journeys)
+                             .encode())
+    assert h.hexdigest().startswith("6427233be2ae60cc")
+
+
 def test_relay_flow_values(relay):
     assert exact_maxflow_delta(relay, "s", "d", 1).count == 2
     assert exact_maxflow_delta(relay, "s", "d", 2).count == 1
