@@ -8,6 +8,7 @@ loss curve bottoms out. CSV rows go to --csv for plotting.
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -51,6 +52,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=4242)
     ap.add_argument("--csv", help="write the sweep rows to this file")
     args = ap.parse_args(argv)
+    # SimConfig's range checks, made before the lists are expanded
+    try:
+        ns = _parse_int_list(args.ns, (1, math.inf),
+                             "need at least one copy per packet")
+        deltas = _parse_int_list(args.deltas, (1, args.deadline),
+                                 "delta must lie in [1, deadline]")
+    except ValueError as exc:
+        ap.error(str(exc))
 
     if args.trace:
         with open(args.trace) as fh:
@@ -58,8 +67,6 @@ def main(argv=None) -> int:
     else:
         text = star_core_trace(args.deadline)
     g = discretize(parse_contact_trace(text), 0, args.deadline)
-    ns = _parse_int_list(args.ns)
-    deltas = _parse_int_list(args.deltas)
     print(f"trace window: {len(g.nodes)} nodes, {len(g.edges)} edges, "
           f"{g.contact_count} contacts, T={g.horizon}")
 

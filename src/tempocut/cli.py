@@ -25,13 +25,13 @@ from .tvg import InstanceTooLargeError, load_tvg
 from .verify import SUITES, run_suites
 
 
-def _parse_int_list(text: str, bounds: tuple[int, int] | None = None,
+def _parse_int_list(text: str, bounds: tuple[int, float] | None = None,
                     error: str = "") -> list[int]:
     """Comma-separated values, each a plain int or an a..b range.
 
-    With bounds (lo, hi), a value or range endpoint outside [lo, hi] raises
-    ValueError(error) before any range is expanded, so a huge range fails
-    at once instead of filling memory.
+    With bounds (lo, hi), hi possibly math.inf, a value or range endpoint
+    outside [lo, hi] raises ValueError(error) before any range is expanded,
+    so a huge range fails at once instead of filling memory.
     """
     out: list[int] = []
     for token in text.split(","):

@@ -7,10 +7,11 @@ fast, order-deterministic, and carries a provable worst-case certificate
 (greedy_bound_certificate). exact_maxflow_delta is the desk-scale oracle:
 maximum independent set over the conflict graph of candidate journeys,
 kept as contact-id tuples with conflict bitmasks built per contact id
-until one family is reported; branch and bound seeded with the greedy
-incumbent, stopped at a ceiling on the optimum: MaxFlow_1 on its own, the
-exact cut inside mincut.analyze_exact. At delta = 1 its answer is the unit
-max flow's path decomposition instead.
+until one family is reported. Dominated candidates go first, each closed
+class tested only against the survivors inside it; then branch and bound
+seeded with the greedy incumbent, stopped at a ceiling on the optimum:
+MaxFlow_1 on its own, the exact cut inside mincut.analyze_exact. At
+delta = 1 its answer is the unit max flow's path decomposition instead.
 """
 
 from __future__ import annotations
@@ -142,31 +143,30 @@ def _drop_dominated(closed: list[int]) -> list[int]:
     If i's closed neighborhood is a subset of j's, any packing using j can
     swap j for i, so j is dropped. The survivors are the lowest index of
     each closed class (twins: equal sets) that has no strict subset among
-    the others, whatever the order of processing: below a class with a
-    strict subset lies a minimal one, whose lowest index is never dropped
-    and drops it. So twins are merged first, then the classes go in
-    popcount order. Each live one tests only live neighbours not yet
-    taken: a dominated set holds its dominator, and a taken one is no larger.
+    the others. So twins are merged first, then the classes go in popcount
+    order, and a class c is tested only against the survivors kept so far
+    whose own bit is in c, the last dominator found first. Below a class
+    with a strict subset lies a minimal one: never dropped, of lower
+    popcount, so kept before c is tested, and holding its own bit, so in c.
     """
     first: dict[int, int] = {}
     for v, c in enumerate(closed):
         first.setdefault(c, v)
-    pending = sum(1 << v for v in first.values())
-    out = []
+    kept = 0  # one bit per survivor
+    last = -1  # the last dominator found; -1 is a subset of no class
     for i in sorted(first.values(), key=lambda v: closed[v].bit_count()):
-        bit = 1 << i
-        if not pending & bit:
+        c = closed[i]
+        if last | c == c:
             continue
-        pending ^= bit
-        out.append(i)
-        ci = closed[i]
-        cand = ci & pending
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            if ci & ~closed[b.bit_length() - 1] == 0:
-                pending ^= b
-    return sorted(out)
+        inside = bin(c & kept)[:1:-1]  # bit j at position j
+        j = inside.find("1")
+        while j >= 0 and closed[j] | c != c:
+            j = inside.find("1", j + 1)
+        if j >= 0:
+            last = closed[j]
+        else:
+            kept |= 1 << i
+    return [j for j, b in enumerate(bin(kept)[:1:-1]) if b == "1"]
 
 
 def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
