@@ -129,11 +129,13 @@ def test_cap_below_one_is_a_usage_error(relay_file, capsys, monkeypatch, cap):
 
 
 def test_analyze_exact_output_is_pinned(tmp_path, capsys):
-    # One digest over exit code, stdout and stderr of `analyze --exact`:
+    # Digests over exit code, stdout and stderr of `analyze --exact`:
     # medium instances at delta 1, 2, 3 and 5, c11's graph, the gap ladder,
-    # and --cap runs tripping the journey cap (m13), the head cap (m0 at
-    # delta 1) and neither (m0 and m5 at delta 2, whose greedy meets the
-    # exact cut, so no journey is enumerated).
+    # and --cap runs tripping the journey cap (m13) and neither (m0 and m5
+    # at delta 2, whose greedy meets the exact cut, so no journey is
+    # enumerated; m0 at delta 1, whose greedy meets the rounded cut, so no
+    # removal head is searched). The delta = 1 runs have their own digest:
+    # their journeys are the time-expanded unit flow's decomposition.
     def saved(name, g):
         path = tmp_path / f"{name}.json"
         path.write_text(g.dumps())
@@ -152,21 +154,27 @@ def test_analyze_exact_output_is_pinned(tmp_path, capsys):
               (medium[5], "n1", "n10", 2, ["--cap", "300"]),
               (saved("m13", gen_random_tvg(10, 12, 0.5, 13)), "n1", "n10", 2,
                ["--cap", "300"])]
-    h = hashlib.sha256()
+    unit, rest = hashlib.sha256(), hashlib.sha256()
     for path, s, d, delta, extra in cases:
         code = main(["analyze", path, "--src", s, "--dst", d,
                      "--delta", str(delta), "--exact"] + extra)
         out, err = capsys.readouterr()
-        h.update(json.dumps([code, out, err]).encode() + b"\n")
-    assert h.hexdigest() == \
-        "abc67436392b075d8f7efe36948a542c24acf4589235d06373182ffa30eb69b0"
+        (unit if delta == 1 else rest).update(
+            json.dumps([code, out, err]).encode() + b"\n")
+    assert rest.hexdigest() == \
+        "861f0f304d971e69d8ff7b1f6babe90b403076746dcfc0f5a620b0e9e8f20111"
+    assert unit.hexdigest() == \
+        "c30a47d720ff673c324abff4226c4b49c9535da83ab700146b4aae084fa04416"
 
 
 def test_survivable_output_is_pinned(tmp_path, capsys):
-    # One digest over exit code, stdout and stderr of `survivable`, with and
+    # Digests over exit code, stdout and stderr of `survivable`, with and
     # without --exact: medium instances at delta 1, 2, 3 and 5 and n 0..3, 6
-    # and 9 (n 6 and 9 reach every verdict, both modes), and --cap 50 runs,
-    # which trip the head cap only under --exact.
+    # and 9 (n 6 and 9 reach every verdict, both modes), and --cap 50 runs.
+    # Under --exact only m0 at delta 3 trips the head cap; the other three
+    # (m0 at delta 1, m13 at delta 1 and 3) have a greedy count or weight
+    # bound that meets the rounded cut, so they answer without a search,
+    # and have their own digest.
     medium = []
     for seed in range(20):
         path = tmp_path / f"m{seed}.json"
@@ -177,14 +185,20 @@ def test_survivable_output_is_pinned(tmp_path, capsys):
     cases += [(medium[seed], delta, 2, exact + ["--cap", "50"])
               for seed in (0, 13) for delta in (1, 3)
               for exact in ([], ["--exact"])]
-    h = hashlib.sha256()
+    answered = {(medium[0], 1), (medium[13], 1), (medium[13], 3)}
+    capped, rest = hashlib.sha256(), hashlib.sha256()
     for path, delta, n, extra in cases:
         code = main(["survivable", path, "--src", "n1", "--dst", "n10",
                      "--delta", str(delta), "--n", str(n)] + extra)
         out, err = capsys.readouterr()
-        h.update(json.dumps([code, out, err]).encode() + b"\n")
-    assert h.hexdigest() == \
-        "107a4279361f65d5f82ee229636578fb870dc76811a1e597cd2257b1b2aa3aae"
+        split = "--exact" in extra and "--cap" in extra and \
+            (path, delta) in answered
+        (capped if split else rest).update(
+            json.dumps([code, out, err]).encode() + b"\n")
+    assert rest.hexdigest() == \
+        "8ebb9a42b8ade6ec025c42a6af451b4ef9eb12ed9168f0e56bf5c9c62d61e83e"
+    assert capped.hexdigest() == \
+        "a5baade3e788398fcb6073a1c41a57d371c40209a98fc8a493ba59eb35c98079"
 
 
 def test_journey_cap_binds_only_when_the_flow_enumerates(tmp_path, capsys):
