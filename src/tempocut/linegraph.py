@@ -1,29 +1,23 @@
 """Static expansions of a time-varying graph for one source/destination pair.
 
 The line graph: each contact becomes a node; an arc joins two contact nodes
-exactly when traversing them back to back is time-feasible. s->d journeys of
-the original graph then correspond one to one with s->d paths here, which
-turns journey questions into static path questions: min-hop journeys come
-from BFS and 1-slot-disjoint packing comes from node-capacitated max flow.
-The line graph has O(contacts^2) arcs, so it is built per call and only
-where its path decomposition or an independent reference is wanted.
-min_hop_path runs the line graph's BFS without building it, on the contact
-index's presorted start lists (see tvg._contact_index); its core,
-_min_hop_ids, returns the journey as contact ids, which is what the greedy
-keeps.
+exactly when traversing them back to back is time-feasible, so s->d
+journeys correspond one to one with s->d paths. It has O(contacts^2) arcs,
+so no answer builds it; build_line_graph and node_disjoint_maxflow stay as
+the reference that tempocut verify and the tests compare against.
+min_hop_path runs its BFS without building it, on the contact index's
+presorted start lists (see tvg._contact_index); its core, _min_hop_ids,
+returns the journey as contact ids, which is what the greedy keeps.
 
 The time-expanded network has O(contacts) arcs: one node per arrival
 event (the first departure a contact's arrival can go on by), waiting arcs
 between a node's consecutive arrival events, and one arc per contact
-(_time_expanded_network). A departure that no arrival reaches shares the
-node of the arrival event before it; departures before a node's first
-arrival are dropped. Its min contact cuts are the line graph's, so it
-serves every max flow that needs only a value or a cut
-(time_expanded_maxflow, and the rounded cut through _time_expanded_flow
-with integer capacities by contact id, its flow started from the greedy
-family). The unit-flow path decomposition, which depends on the
-augmenting order, stays on the line graph. Both networks run the same
-residual network builder (_residual) and augmenting loop (_augment).
+(_time_expanded_network). Its min contact cuts are the line graph's, so it
+serves every max flow: time_expanded_maxflow, the rounded cut (integer
+capacities by contact id, started from the greedy family) and the delta =
+1 exact flow (the unit flow's walks), all through _time_expanded_flow.
+Both networks run one residual builder (_residual) and one augmenting loop
+(_augment).
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .tvg import (Contact, Journey, TimeVaryingGraph, _check_nodes,
                   _contact_index, _contacts_of)
@@ -62,7 +56,6 @@ class LineGraph:
 class NodeCutResult:
     value: Fraction
     cut: tuple[Contact, ...]
-    paths: tuple[tuple[Contact, ...], ...]  # node_disjoint_maxflow, all-ones weights
 
 
 def _check_pair(g: TimeVaryingGraph, s: str, d: str) -> None:
@@ -173,11 +166,9 @@ def node_disjoint_maxflow(lg: LineGraph,
     failed augmenting search marks exactly the nodes the source still
     reaches; the cut is every contact whose in-half it marked and whose
     out-half it did not, which is the min cut closest to the source and so
-    unique. When every weight is 1 the flow decomposes into that many
-    internally node-disjoint paths, which are returned as contact sequences;
-    which paths depends on the augmenting order.
+    unique.
     """
-    unit, scale, caps = _scaled_caps(lg.contact_list, weights)
+    scale, caps = _scaled_caps(lg.contact_list, weights)
 
     # node split: contact i, line-graph node v = i + 2, becomes in-half
     # 2 + 2i = 2v - 2 and out-half 3 + 2i = 2v - 1; the terminals keep
@@ -192,8 +183,7 @@ def node_disjoint_maxflow(lg: LineGraph,
     value, pred = _augment(*net)
     cut = tuple(c for i, c in enumerate(lg.contact_list)
                 if pred[2 + 2 * i] != -1 and pred[3 + 2 * i] == -1)
-    paths = _decompose_unit_paths(lg, net, value) if unit else ()
-    return NodeCutResult(value=Fraction(value, scale), cut=cut, paths=paths)
+    return NodeCutResult(value=Fraction(value, scale), cut=cut)
 
 
 def time_expanded_maxflow(g: TimeVaryingGraph, s: str, d: str,
@@ -207,22 +197,23 @@ def time_expanded_maxflow(g: TimeVaryingGraph, s: str, d: str,
     graph's. The cut is every contact whose tail node the last, failed
     augmenting search reached and whose arc head it did not, in contacts(g)
     order. The source-closest min cut is unique, so it equals
-    node_disjoint_maxflow's on build_line_graph(g, s, d). No paths are
-    returned.
+    node_disjoint_maxflow's on build_line_graph(g, s, d).
     """
     clist = _contact_index(g).contacts
-    _, scale, caps = _scaled_caps(clist, weights)
-    value, cut = _time_expanded_flow(g, s, d, caps)
+    scale, caps = _scaled_caps(clist, weights)
+    value, cut, _ = _time_expanded_flow(g, s, d, caps)
     return NodeCutResult(value=Fraction(value, scale),
-                         cut=tuple(clist[i] for i in cut), paths=())
+                         cut=tuple(clist[i] for i in cut))
 
 
 def _time_expanded_flow(g: TimeVaryingGraph, s: str, d: str,
                         caps: Sequence[int],
                         family: Sequence[Sequence[int]] = ()
-                        ) -> tuple[int, list[int]]:
-    """(max flow value, source-closest min cut as contact ids in id order)
-    on _time_expanded_network(g, s, d), contact id i carrying caps[i].
+                        ) -> tuple[int, list[int],
+                                   Callable[[], list[tuple[int, ...]]]]:
+    """(max flow value, source-closest min cut as contact ids in id order,
+    walks) on _time_expanded_network(g, s, d), contact id i carrying
+    caps[i].
 
     `family` holds pairwise contact-disjoint s->d journeys as contact-id
     tuples (the greedy's). Each is pushed first along SRC, the waiting
@@ -234,12 +225,18 @@ def _time_expanded_flow(g: TimeVaryingGraph, s: str, d: str,
     the residual of any max flow reaches exactly the source side of the
     source-closest min cut, so the family changes neither, only the
     number of augmenting searches.
+
+    walks() splits this flow into `value` SRC->DST walks (contact-id
+    tuples), each leaving a node by its first arc still carrying flow and
+    taking one unit off it: contact arcs are the hops, waiting arcs keep
+    time order. The network is acyclic, so each walk is a journey ending at
+    its first arrival at d; with unit capacities no two share a contact.
     """
     size, waits, arcs = _time_expanded_network(g, s, d)
     total = sum(caps) + 1  # effectively infinite
     net = _residual(size, waits + [(u, v) for _, u, v in arcs],
                     [total] * len(waits) + [caps[i] for i, _, _ in arcs])
-    _, arc_to, res = net
+    graph, arc_to, res = net
     value = 0
     if family:
         # waiting arc k is arc 2k; contact arc k, in contact-id order, is
@@ -257,8 +254,26 @@ def _time_expanded_flow(g: TimeVaryingGraph, s: str, d: str,
                 node = arc_to[a]
             value += _push(res, path)
     more, pred = _augment(*net)
-    return value + more, [i for i, u, v in arcs
-                          if pred[u] != -1 and pred[v] == -1]
+    value += more
+
+    def walks() -> list[tuple[int, ...]]:
+        flow = res[1::2]  # flow[k]: the units arc 2k carries
+        first = len(waits)  # arc 2k, k >= first, is arcs[k - first]
+        found = []
+        for _ in range(value):
+            ids, node = [], SRC
+            while node != DST:
+                k = next(a // 2 for a in graph[node]
+                         if a % 2 == 0 and flow[a // 2])
+                flow[k] -= 1
+                if k >= first:
+                    ids.append(arcs[k - first][0])
+                node = arc_to[2 * k]
+            found.append(tuple(ids))
+        return found
+
+    return value, [i for i, u, v in arcs
+                   if pred[u] != -1 and pred[v] == -1], walks
 
 
 def _time_expanded_network(g: TimeVaryingGraph, s: str, d: str
@@ -328,21 +343,21 @@ def _time_expanded_network(g: TimeVaryingGraph, s: str, d: str
 
 def _scaled_caps(clist: Sequence[Contact],
                  weights: Mapping[Contact, Fraction | int] | None
-                 ) -> tuple[bool, int, list[int]]:
-    """(all weights 1, scale, integer capacities) for the contacts in order.
+                 ) -> tuple[int, list[int]]:
+    """(scale, integer capacities) for the contacts in order.
 
     Weights default to 1; they are rationals with small denominators, so
     scaling by the lcm of their denominators makes every one an integer.
     """
     if weights is None:
-        return True, 1, [1] * len(clist)
+        return 1, [1] * len(clist)
     ws = [weights[c] for c in clist]
     scale = lcm(*(w.denominator for w in ws))
     caps = [w.numerator * (scale // w.denominator) for w in ws]
     for c, cap in zip(clist, caps):
         if cap <= 0:  # denominators are positive
             raise ValueError(f"nonpositive weight for contact {c}")
-    return scale == 1 and all(cap == 1 for cap in caps), scale, caps
+    return scale, caps
 
 
 def _residual(size: int, ends: Iterable[tuple[int, int]],
@@ -405,28 +420,3 @@ def _push(res: list[int], path: list[int]) -> int:
         res[a ^ 1] += pushed
     return pushed
 
-
-def _decompose_unit_paths(lg, net, value):
-    """Walk unit flow from the source into node-disjoint contact paths.
-
-    `net` is the residual network _augment left. A forward arc carries
-    flow while its reverse arc has residual capacity; walking it takes that
-    unit back, so no arc is walked twice.
-    """
-    graph, arc_to, res = net
-    paths = []
-    for _ in range(value):
-        path: list[Contact] = []
-        node = SRC
-        while node != DST:
-            for a in graph[node]:
-                if a % 2 == 0 and res[a ^ 1] > 0:
-                    res[a ^ 1] -= 1
-                    node = arc_to[a]
-                    break
-            else:
-                raise AssertionError("flow decomposition ran dry")
-            if node >= 2 and node % 2 == 0:  # an in-half: record its contact
-                path.append(lg.contact_list[(node - 2) // 2])
-        paths.append(tuple(path))
-    return tuple(paths)

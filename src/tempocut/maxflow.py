@@ -11,7 +11,7 @@ until one family is reported. Dominated candidates go first, each closed
 class tested only against the survivors inside it; then branch and bound
 seeded with the greedy incumbent, stopped at a ceiling on the optimum:
 MaxFlow_1 on its own, the exact cut inside mincut.analyze_exact. At
-delta = 1 its answer is the unit max flow's path decomposition instead.
+delta = 1 its answer is the time-expanded unit max flow's walks instead.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from functools import reduce
 from operator import or_
 from typing import Callable
 
-from .linegraph import (_check_pair, _min_hop_ids, build_line_graph,
-                        node_disjoint_maxflow, time_expanded_maxflow)
+from .linegraph import (_check_pair, _min_hop_ids, _time_expanded_flow,
+                        time_expanded_maxflow)
 from .tvg import (InstanceTooLargeError, Journey, TimeVaryingGraph,
                   _contact_index, _contacts_of, _contacts_reaching,
                   _run_table)
@@ -188,23 +188,22 @@ def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
                        bounds: Callable[[], tuple[FlowResult, int]],
                        cap: int) -> FlowResult:
     """exact_maxflow_delta's search, given bounds() -> (the greedy family,
-    a ceiling on the optimum), called only at delta >= 2. delta = 1
-    reduces to unit-weight node-disjoint max flow on the line graph, whose
-    path decomposition (in Edmonds-Karp's augmenting order) is an optimal
-    1-disjoint family. At delta >= 2 it enumerates candidate journeys as
-    contact-id tuples, masks their conflicts per contact id, drops
-    dominated ones and runs branch and bound over the survivors, greedy
-    incumbent first; only the family it reports becomes Journeys, in
-    enumeration order. The incumbent is only ever replaced by a larger
+    a ceiling on the optimum), called only at delta >= 2. At delta = 1 the
+    answer is the time-expanded unit max flow's walks
+    (linegraph._time_expanded_flow). At delta >= 2 it enumerates candidate
+    journeys as contact-id tuples, masks their conflicts per contact id,
+    drops dominated ones and runs branch and bound over the survivors,
+    greedy incumbent first; only the family it reports becomes Journeys,
+    in enumeration order. The incumbent is only ever replaced by a larger
     family, so stopping at the first family that reaches a valid ceiling
     returns what the full search would: the family found does not depend
     on the ceiling, only the time taken to prove it. A greedy family that
     already reaches the ceiling is returned without enumerating anything.
     """
     if delta == 1:
-        flow = node_disjoint_maxflow(build_line_graph(g, s, d))
-        return FlowResult(tuple(Journey(p) for p in flow.paths), delta,
-                          exact=True)
+        _, _, walks = _time_expanded_flow(g, s, d, [1] * g.contact_count)
+        return FlowResult(tuple(Journey(tuple(_contacts_of(g, ids)))
+                                for ids in walks()), delta, exact=True)
     greedy, ceiling = bounds()
     if greedy.count >= ceiling:
         return FlowResult(greedy.journeys, delta, exact=True)

@@ -25,7 +25,8 @@ answers for one pair (greedy and exact flow, rounded and exact cut) with
 their certificates, each once. At every delta the cut goes first and caps
 the exact flow by weak duality, so a greedy family as large as the cut
 needs no journey enumeration at all. At delta = 1 every contact weighs 1,
-so the rounded cut's weight is its count and the search never branches.
+so the rounded cut's weight is its count and the search never runs; the
+head cap binds only where it runs.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def _rounded_cut(g: TimeVaryingGraph, s: str, d: str, delta: int,
     # per contact id, scale being the lcm of the window sizes K
     sizes = _window_sizes(g, delta)
     scale = lcm(*set(sizes))
-    flow, cut = _time_expanded_flow(g, s, d, [scale // k for k in sizes],
-                                    family)
+    flow, cut, _ = _time_expanded_flow(g, s, d,
+                                       [scale // k for k in sizes], family)
     removals = delta_cover(_contacts_of(g, cut), delta)
     if not verify_cut(g, removals, s, d):
         raise AssertionError("rounded cut failed to disconnect; this is a bug")
@@ -214,7 +215,9 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     below the optimum fails, so the cut found does not depend on the bound,
     only the time taken to find it. The peel drops only branches that hold
     no cut, whatever their forbidden set, and leaves the depth-first order
-    of the rest alone, so it too changes the time, not the cut found.
+    of the rest alone, so it too changes the time, not the cut found. The
+    head cap is checked only when the floor is below the rounded cut: at
+    the floor the rounded cut is already proven optimal.
 
     A removal is its head's contact id h, taking out range(h, reach[h]);
     the heads that take out contact i are back[i]..i (tvg._run_table).
@@ -227,7 +230,8 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     if upper == 0:
         return CutResult((), delta, exact=True)
 
-    if g.contact_count > head_cap:
+    floor = max(lower, ceil(rounded.weight_lower_bound), 1)
+    if floor < upper and g.contact_count > head_cap:
         raise InstanceTooLargeError(
             f"instance too large for exact oracle: more than {head_cap} removal heads")
 
@@ -301,7 +305,6 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
             blocked.add(h)
         return None
 
-    floor = max(lower, ceil(rounded.weight_lower_bound), 1)
     for k in range(floor, upper):
         heads = search(k, [], frozenset(), [])
         if heads is not None:
@@ -337,8 +340,10 @@ def analyze_exact(g: TimeVaryingGraph, s: str, d: str, delta: int,
     duality: a removal hits at most one journey of a delta-disjoint
     family). So an exceeded head cap is reported before an exceeded journey
     cap, and the journey cap binds only when the greedy falls short of the
-    cut and candidate journeys are enumerated. At delta = 1 the exact flow
-    is the unit max flow's path decomposition (see _exact_flow_search).
+    cut and candidate journeys are enumerated, and the head cap only when
+    the greedy and the weight bound fall short of the rounded cut. At
+    delta = 1 the exact flow is the time-expanded unit max flow's
+    decomposition into journeys (see _exact_flow_search).
     """
     greedy, rounded = _approximations(g, s, d, delta)
     cut = _exact_cut_search(g, s, d, delta, rounded, greedy.count, head_cap)

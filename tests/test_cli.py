@@ -26,6 +26,15 @@ def relay_file(tmp_path, relay):
     return str(path)
 
 
+@pytest.fixture
+def m0_file(tmp_path):
+    """A medium instance whose exact cut searches at delta 3 (greedy 5,
+    rounded 6) over 200 contacts, so a head cap of 50 trips it."""
+    path = tmp_path / "m0.json"
+    path.write_text(gen_random_tvg(10, 12, 0.5, 0).dumps())
+    return str(path)
+
+
 def test_parse_int_list():
     assert _parse_int_list("1,3..5,9") == [1, 3, 4, 5, 9]
     assert _parse_int_list("2") == [2]
@@ -110,10 +119,11 @@ def test_missing_input_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cap_flag_trips_size_guard(relay_file, capsys):
-    assert main(["analyze", relay_file, "--src", "s", "--dst", "d",
-                 "--delta", "2", "--exact", "--cap", "1"]) == 3
-    assert "too large" in capsys.readouterr().err
+def test_cap_flag_trips_size_guard(m0_file, capsys):
+    assert main(["analyze", m0_file, "--src", "n1", "--dst", "n10",
+                 "--delta", "3", "--exact", "--cap", "50"]) == 3
+    err = capsys.readouterr().err
+    assert "too large" in err and "more than 50 removal heads" in err
 
 
 @pytest.mark.parametrize("cap", ["0", "-3", "many"])
@@ -164,7 +174,7 @@ def test_analyze_exact_output_is_pinned(tmp_path, capsys):
     assert rest.hexdigest() == \
         "861f0f304d971e69d8ff7b1f6babe90b403076746dcfc0f5a620b0e9e8f20111"
     assert unit.hexdigest() == \
-        "c30a47d720ff673c324abff4226c4b49c9535da83ab700146b4aae084fa04416"
+        "6dc9c7d0600853778d2f30409c5108f589cb0034efc27d19e3f1e9f241673563"
 
 
 def test_survivable_output_is_pinned(tmp_path, capsys):
@@ -198,7 +208,7 @@ def test_survivable_output_is_pinned(tmp_path, capsys):
     assert rest.hexdigest() == \
         "8ebb9a42b8ade6ec025c42a6af451b4ef9eb12ed9168f0e56bf5c9c62d61e83e"
     assert capped.hexdigest() == \
-        "a5baade3e788398fcb6073a1c41a57d371c40209a98fc8a493ba59eb35c98079"
+        "8a0eb58d3b74ce228b51955c0fbc6624d7aaa360c6149e8b1eebfbdc51face5c"
 
 
 def test_journey_cap_binds_only_when_the_flow_enumerates(tmp_path, capsys):
@@ -261,11 +271,11 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     assert _build_parser.cache_info().misses == 1
 
 
-def test_cap_env_var(relay_file, capsys, monkeypatch):
-    monkeypatch.setenv("TEMPOCUT_CAP", "1")
-    assert main(["analyze", relay_file, "--src", "s", "--dst", "d",
-                 "--delta", "2", "--exact"]) == 3
-    capsys.readouterr()
+def test_cap_env_var(m0_file, capsys, monkeypatch):
+    monkeypatch.setenv("TEMPOCUT_CAP", "50")
+    assert main(["analyze", m0_file, "--src", "n1", "--dst", "n10",
+                 "--delta", "3", "--exact"]) == 3
+    assert "more than 50 removal heads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-4", "abc"])
@@ -278,18 +288,19 @@ def test_cap_env_var_must_be_a_positive_int(relay_file, capsys, monkeypatch,
     assert "TEMPOCUT_CAP" in err and "Traceback" not in err
 
 
-def test_survivable_exact_honours_the_cap(relay_file, capsys, monkeypatch):
-    # the exact cut sees 4 removal heads on the relay, so a cap of 1 trips it
-    argv = ["survivable", relay_file, "--src", "s", "--dst", "d", "--n", "1",
-            "--exact"]
-    monkeypatch.setenv("TEMPOCUT_CAP", "1")
-    assert main(argv) == 3  # as `analyze --exact` exits under TEMPOCUT_CAP=1
-    assert "more than 1 removal heads" in capsys.readouterr().err
-    assert main(argv + ["--cap", "4"]) == 0
+def test_survivable_exact_honours_the_cap(m0_file, capsys, monkeypatch):
+    # the exact cut searches 200 removal heads on m0 at delta 3, so a cap
+    # of 50 trips it
+    argv = ["survivable", m0_file, "--src", "n1", "--dst", "n10", "--n", "1",
+            "--delta", "3", "--exact"]
+    monkeypatch.setenv("TEMPOCUT_CAP", "50")
+    assert main(argv) == 3  # as `analyze --exact` exits under TEMPOCUT_CAP=50
+    assert "more than 50 removal heads" in capsys.readouterr().err
+    assert main(argv + ["--cap", "200"]) == 0
     capsys.readouterr()
     monkeypatch.delenv("TEMPOCUT_CAP")
-    assert main(argv + ["--cap", "1"]) == 3
-    assert "more than 1 removal heads" in capsys.readouterr().err
+    assert main(argv + ["--cap", "50"]) == 3
+    assert "more than 50 removal heads" in capsys.readouterr().err
     monkeypatch.setenv("TEMPOCUT_CAP", "-2")
     assert main(argv) == 2
     assert "TEMPOCUT_CAP" in capsys.readouterr().err

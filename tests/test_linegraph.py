@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from tempocut import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
                       apply_removals, build_line_graph, enumerate_journeys,
                       gen_counterexample, gen_random_tvg,
-                      greedy_maxflow_delta, min_hop_path,
+                      greedy_maxflow_delta, is_valid_journey, min_hop_path,
                       node_disjoint_maxflow, reachable, set_weights,
                       time_expanded_maxflow, weighted_mincut_1)
 from tempocut import verify
 from tempocut.linegraph import (DST, SRC, _scaled_caps, _time_expanded_flow,
                                 _time_expanded_network)
-from tempocut.tvg import _contact_id, contacts
+from tempocut.tvg import _contact_id, _contacts_of, contacts
 
 graphs = st.builds(
     gen_random_tvg,
@@ -219,14 +219,30 @@ def test_min_hop_path_none_when_disconnected():
     assert min_hop_path(g, "s", "d") is None
 
 
+def _unit_walks(g, s, d):
+    """The time-expanded unit max flow's walks, as Journeys."""
+    _, _, walks = _time_expanded_flow(g, s, d, [1] * g.contact_count)
+    return [Journey(tuple(_contacts_of(g, ids))) for ids in walks()]
+
+
+def _check_walks(g, s, d, walks):
+    """The walks are valid s->d journeys, each ending at its first arrival
+    at d, and no two share a contact."""
+    hops = [c for j in walks for c in j.hops]
+    assert len(hops) == len(set(hops))  # contact-disjoint
+    for j in walks:
+        assert is_valid_journey(g, j, s, d), j
+        assert all(g.edge(e).dst != d for e, _ in j.hops[:-1]), j
+
+
 def test_unit_flow_relay(relay):
     lg = build_line_graph(relay, "s", "d")
     res = node_disjoint_maxflow(lg)
     assert res.value == Fraction(2)
-    assert len(res.paths) == 2
-    interior = [c for p in res.paths for c in p]
-    assert len(interior) == len(set(interior))  # node-disjoint
     assert set(res.cut) == {Contact("e1", 1), Contact("e1", 2)}
+    walks = _unit_walks(relay, "s", "d")
+    assert len(walks) == 2
+    _check_walks(relay, "s", "d", walks)
 
 
 def test_weighted_flow_scales(relay):
@@ -234,7 +250,6 @@ def test_weighted_flow_scales(relay):
     half = {c: Fraction(1, 2) for c in lg.contact_list}
     res = node_disjoint_maxflow(lg, weights=half)
     assert res.value == Fraction(1)
-    assert res.paths == ()  # decomposition only for unit weights
     assert sum(half[c] for c in res.cut) == Fraction(1)
 
 
@@ -243,7 +258,22 @@ def test_weighted_flow_scales(relay):
 def test_unit_flow_value_equals_cut_size(g):
     s, d = g.nodes[0], g.nodes[-1]
     res = node_disjoint_maxflow(build_line_graph(g, s, d))
-    assert res.value == len(res.cut) == len(res.paths)
+    assert res.value == len(res.cut) == len(_unit_walks(g, s, d))
+
+
+@given(graphs)
+@settings(max_examples=80)
+def test_unit_flow_walks_match_the_line_graph(g):
+    """On every ordered pair: as many walks as the line graph's unit max
+    flow, each a valid journey ending at its first arrival at d, no two
+    sharing a contact."""
+    for s in g.nodes:
+        for d in g.nodes:
+            if s != d:
+                walks = _unit_walks(g, s, d)
+                unit = node_disjoint_maxflow(build_line_graph(g, s, d))
+                assert len(walks) == unit.value, (s, d)
+                _check_walks(g, s, d, walks)
 
 
 def _split_graph(nx, g, s, d):
@@ -296,7 +326,6 @@ def _engines_agree(g, s, d, weights=None):
     want = node_disjoint_maxflow(build_line_graph(g, s, d), weights=weights)
     got = time_expanded_maxflow(g, s, d, weights=weights)
     assert (got.value, got.cut) == (want.value, want.cut), (s, d, weights)
-    assert got.paths == ()
     return got.value
 
 
@@ -428,15 +457,19 @@ def _enumerated_family(g, s, d):
 
 def _warm_start_agrees(g, s, d, delta, families):
     """_time_expanded_flow from each family equals it from zero flow, with
-    unit capacities and with the rounded cut's at delta. Returns (value,
-    journeys in the families that revisit a node)."""
+    unit capacities and with the rounded cut's at delta; from each family
+    the unit flow's walks are still contact-disjoint journeys. Returns
+    (value, journeys in the families that revisit a node)."""
     revisits = 0
-    for caps in ([1] * g.contact_count,
-                 _scaled_caps(contacts(g), set_weights(g, delta))[2]):
-        want = _time_expanded_flow(g, s, d, caps)
+    unit = [1] * g.contact_count
+    for caps in (unit, _scaled_caps(contacts(g), set_weights(g, delta))[1]):
+        want = _time_expanded_flow(g, s, d, caps)[:2]
         for family in families:
-            assert _time_expanded_flow(g, s, d, caps, family) == want, (
-                s, d, delta, family)
+            value, cut, walks = _time_expanded_flow(g, s, d, caps, family)
+            assert (value, cut) == want, (s, d, delta, family)
+            if caps is unit:
+                _check_walks(g, s, d, [Journey(tuple(_contacts_of(g, ids)))
+                                       for ids in walks()])
     clist = contacts(g)
     for family in families:
         for ids in family:

@@ -363,23 +363,23 @@ def test_greedy_at_80_nodes_is_pinned():
     assert digest.startswith("ef0b86f7780e5e8b")
 
 
-def test_unit_flow_decomposition_is_pinned():
-    """At delta = 1 the exact flow's journeys are the path decomposition of
-    the unit max flow on the node-split line graph, which depends on the
-    network's arc order. Pinned over the medium corpus and every ordered
-    pair of five small graphs."""
+def test_time_expanded_unit_flow_journeys_are_pinned():
+    """At delta = 1 the exact flow's journeys are the walks of the unit max
+    flow on the time-expanded network, which depend on the network's arc
+    order. Each count is the line graph's unit max flow. Pinned over the
+    medium corpus and every ordered pair of five small graphs."""
     h = hashlib.sha256()
-    for seed in range(100):
-        g = gen_random_tvg(10, 12, 0.5, seed)
-        h.update(repr(exact_maxflow_delta(g, "n1", "n10", 1).journeys).encode())
+    pairs = [(gen_random_tvg(10, 12, 0.5, seed), "n1", "n10")
+             for seed in range(100)]
     for seed in range(5):
         g = gen_random_tvg(8, 10, 0.5, seed)
-        for s in g.nodes:
-            for d in g.nodes:
-                if s != d:
-                    h.update(repr(exact_maxflow_delta(g, s, d, 1).journeys)
-                             .encode())
-    assert h.hexdigest().startswith("6427233be2ae60cc")
+        pairs += [(g, s, d) for s in g.nodes for d in g.nodes if s != d]
+    for g, s, d in pairs:
+        res = exact_maxflow_delta(g, s, d, 1)
+        assert res.count == node_disjoint_maxflow(
+            build_line_graph(g, s, d)).value, (s, d)
+        h.update(repr(res.journeys).encode())
+    assert h.hexdigest().startswith("81a1401e029998ce")
 
 
 def test_exact_flow_on_the_medium_corpus_is_pinned():

@@ -15,7 +15,7 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       analyze_exact, contacts, delta_cover,
                       enumerate_journeys, exact_maxflow_delta,
                       exact_mincut_delta, gen_counterexample, gen_random_tvg,
-                      greedy_maxflow_delta, sandwich_check,
+                      greedy_maxflow_delta, is_valid_journey, sandwich_check,
                       minweight_mincut_delta, set_weights,
                       survivability_bounds, verify_cut, weighted_mincut_1)
 from tempocut import mincut, verify
@@ -422,9 +422,10 @@ def test_cut_capped_flow_matches_the_standalone_oracles():
 
 
 def test_hot_paths_build_no_line_graph(request):
-    """The greedy, analyze_exact at delta >= 2 (greedy meeting the cut, and
-    falling short so that journeys are enumerated) and the simulator answer
-    as before with build_line_graph made to raise."""
+    """The greedy, analyze_exact at delta 1, 2 and 3 (greedy meeting the
+    cut, and falling short so that journeys are enumerated), the delta = 1
+    exact flow and the simulator answer as before with build_line_graph
+    made to raise."""
     medium = [gen_random_tvg(10, 12, 0.5, seed) for seed in (0, 1, 19)]
     arena = gen_random_tvg(8, 10, 0.5, 11)
 
@@ -432,24 +433,53 @@ def test_hot_paths_build_no_line_graph(request):
         out = [greedy_maxflow_delta(g, "n1", "n10", delta)
                for g in medium for delta in (1, 2, 3)]
         out += [analyze_exact(g, "n1", "n10", delta)
-                for g in medium for delta in (2, 3)]
+                for g in medium for delta in (1, 2, 3)]
+        out += [exact_maxflow_delta(g, "n1", "n10", 1) for g in medium]
         out.append(sweep(arena, [1, 2], [1, 2, 3], [10], 100, 0.08, 3, 5))
         return out
 
     want = answers()
-    runs = want[9:15]
+    runs = want[9:18]
     assert any(r.greedy.count == r.cut.count for r in runs)
     assert any(r.greedy.count < r.flow.count for r in runs)
     refused = request.getfixturevalue("no_line_graph")
-    with pytest.raises(refused):  # the guard reaches the delta = 1 flow
-        exact_maxflow_delta(medium[0], "n1", "n10", 1)
+    with pytest.raises(refused):  # the guard reaches the reference suite
+        verify.suite_engines(1)
     assert answers() == want
 
 
+def test_unit_flow_at_80_nodes_builds_no_line_graph(no_line_graph):
+    """80 nodes, T = 100, 15,709 contacts: the line graph would have about
+    3M arcs. The delta = 1 exact flow and analyze_exact answer on the
+    time-expanded network, well under a second."""
+    g = gen_random_tvg(80, 100, 0.5, 0)
+    res = exact_maxflow_delta(g, "n1", "n80", 1)
+    assert res.count == 100 and res.exact
+    for j in res.journeys:
+        assert is_valid_journey(g, j, "n1", "n80")
+    hops = [c for j in res.journeys for c in j.hops]
+    assert len(hops) == len(set(hops))  # pairwise contact-disjoint
+    exact = analyze_exact(g, "n1", "n80", 1)
+    assert (exact.flow, exact.cut.count) == (res, 100)
+
+
 def test_exact_respects_head_cap():
-    g = gen_random_tvg(6, 6, 0.8, 1)
+    """The head cap binds only where the search runs: on m0 at delta 3
+    (greedy 5 < rounded 6), not where the greedy count or the weight
+    bound already meets the rounded cut, as on m0 at delta 1 and 2 and on
+    40 x 60 (4,580 contacts, over the default cap) at delta 1, 2 and 3."""
+    g = gen_random_tvg(10, 12, 0.5, 0)
     with pytest.raises(InstanceTooLargeError, match="removal heads"):
-        exact_mincut_delta(g, "n1", "n6", 2, head_cap=3)
+        exact_mincut_delta(g, "n1", "n10", 3, head_cap=50)
+    assert exact_mincut_delta(g, "n1", "n10", 3, head_cap=200).count == 5
+    for delta, count in ((1, 9), (2, 7)):
+        res = exact_mincut_delta(g, "n1", "n10", delta, head_cap=1)
+        assert (res.exact, res.count) == (True, count)
+    g = gen_random_tvg(40, 60, 0.5, 0)
+    assert g.contact_count > DEFAULT_HEAD_CAP
+    for delta, count in ((1, 57), (2, 38), (3, 28)):
+        res = analyze_exact(g, "n1", "n40", delta)
+        assert (res.cut.count, res.flow.count) == (count, count)
 
 
 def test_survivability_verdicts(relay):
