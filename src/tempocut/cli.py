@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -132,8 +133,9 @@ def cmd_survivable(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = load_tvg(args.input)
-    ns = _parse_int_list(args.n)
     # SimConfig's range checks, made before the lists are expanded
+    ns = _parse_int_list(args.n, (1, math.inf),
+                         "need at least one copy per packet")
     deadlines = (_parse_int_list(args.ddl, (1, g.horizon),
                                  "deadline must lie in [1, graph horizon]")
                  if args.ddl else [g.horizon])

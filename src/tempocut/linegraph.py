@@ -4,10 +4,12 @@ The line graph: each contact becomes a node; an arc joins two contact nodes
 exactly when traversing them back to back is time-feasible, so s->d
 journeys correspond one to one with s->d paths. It has O(contacts^2) arcs,
 so no answer builds it; build_line_graph and node_disjoint_maxflow stay as
-the reference that tempocut verify and the tests compare against.
-min_hop_path runs its BFS without building it, on the contact index's
-presorted start lists (see tvg._contact_index); its core, _min_hop_ids,
-returns the journey as contact ids, which is what the greedy keeps.
+the reference that tempocut verify and the tests compare against, and
+build_line_graph reads g alone, not the contact index that everything it
+checks is built on. min_hop_path runs the line graph's BFS without building
+it, on the contact index's presorted start lists (see tvg._contact_index);
+its core, _min_hop_ids, returns the journey as contact ids, which is what
+the greedy keeps.
 
 The time-expanded network has O(contacts) arcs: one node per arrival
 event (the first departure a contact's arrival can go on by), waiting arcs
@@ -67,21 +69,26 @@ def _check_pair(g: TimeVaryingGraph, s: str, d: str) -> None:
 def build_line_graph(g: TimeVaryingGraph, s: str, d: str) -> LineGraph:
     """Expand every contact of g into a node, terminals s and d included.
 
-    Contact i of g's contact index is node i + 2. The source terminal's
-    arcs go to the contacts leaving s, in the index's (slot, edge order);
-    a contact's arcs go to the suffix of its head's presorted start list
-    that departs after it, with DST first when its head is d. So the
-    successor lists are those of a from-scratch expansion, in the same
-    order. Built on every call: O(contacts^2) arcs.
+    Contacts go in contacts(g) order, contact i as node i + 2. The source
+    terminal's arcs go to the contacts leaving s, a contact's arcs to the
+    contacts leaving its head at a later slot, with DST first when its head
+    is d; each list runs in (slot, edge order). Built from g alone, on every
+    call, sharing nothing with the contact index that the time-expanded
+    network and the searches it checks are built on: O(contacts^2) arcs.
     """
     _check_pair(g, s, d)
-    ix = _contact_index(g)
-    starts = {n: tuple(i + 2 for i in ids) for n, ids in ix.starts.items()}
-    succ = [starts.get(s, ()), ()]
-    for head, k in zip(ix.head, ix.after):
-        arcs = starts[head][k:] if head in starts else ()
+    clist = tuple(Contact(e.eid, t) for e in g.edges for t in g.active[e.eid])
+    leaving: dict[str, list[tuple[int, int]]] = {}  # node -> (slot, node no.)
+    for v, (eid, t) in enumerate(clist, 2):
+        leaving.setdefault(g.edge(eid).src, []).append((t, v))
+    for out in leaving.values():
+        out.sort()  # (slot, edge order), as node numbers follow edge order
+    succ = [tuple(v for _, v in leaving.get(s, ())), ()]
+    for eid, t in clist:
+        head = g.edge(eid).dst
+        arcs = tuple(v for u, v in leaving.get(head, ()) if u > t)
         succ.append((DST,) + arcs if head == d else arcs)
-    return LineGraph(ix.contacts, tuple(succ))
+    return LineGraph(clist, tuple(succ))
 
 
 def min_hop_path(g: TimeVaryingGraph, s: str, d: str,

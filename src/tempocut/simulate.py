@@ -15,10 +15,11 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .maxflow import greedy_maxflow_delta
-from .tvg import DeltaRemoval, Journey, TimeVaryingGraph
+from .tvg import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
+                  removal_footprint)
 
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio increment
 
@@ -103,35 +104,25 @@ def _sample_onsets(g: TimeVaryingGraph, p: float, d_max: int,
     removal for every nonzero duration.
 
     An onset strikes each (edge, slot) with probability p and lasts
-    uniformly 0..d_max slots; zero-duration onsets draw from the stream
+    rng.randint(0, d_max) slots; zero-duration onsets draw from the stream
     but have no footprint and are not kept. Gaps between onsets are
     sampled geometrically, which is distribution-identical to a per-slot
-    scan. Durations are drawn exactly as rng.randint(0, d_max) draws them
-    (getrandbits of the range's bit length, redrawn until in range), so
-    the stream matches draw for draw, d_max = 0 included. An edge's draws
-    never depend on later edges, so a walk that stops early has drawn the
-    onsets a full scan gives. This is the one full-draw definition:
-    sample_failures draws through it and _walk repeats its draws inline for
-    every point of a lockstep run, which the tests check draw for draw."""
+    scan. An edge's draws never depend on later edges, so a walk that
+    stops early has drawn the onsets a full scan gives. This is the
+    full-draw definition: sample_failures draws through it, and _walk
+    repeats its draws inline, which the tests check draw for draw."""
     out: list[DeltaRemoval] = []
     if p <= 0.0:
         return out
-    horizon = g.horizon
     log_q = math.log1p(-p) if p < 1.0 else None
-    random_, getrandbits, log = rng.random, rng.getrandbits, math.log
-    span = d_max + 1
-    bits = span.bit_length()
     for e in g.edges:
         slot = 1
-        while slot <= horizon:
+        while slot <= g.horizon:
             if log_q is not None:
-                gap = int(log(1.0 - random_()) / log_q)
-                slot += gap
-                if slot > horizon:
+                slot += int(math.log(1.0 - rng.random()) / log_q)
+                if slot > g.horizon:
                     break
-            dur = getrandbits(bits)
-            while dur >= span:
-                dur = getrandbits(bits)
+            dur = rng.randint(0, d_max)
             if dur > 0:
                 out.append(DeltaRemoval(e.eid, slot, dur))
             slot += 1
@@ -152,32 +143,17 @@ def djr_route(g: TimeVaryingGraph, s: str, d: str, n: int,
     return list(found[:n])
 
 
-def journeys_delivered(g: TimeVaryingGraph, journeys,
-                       failures) -> tuple[bool, int | None]:
-    """(delivered, earliest arrival among surviving journeys).
-
-    A journey is lost when a hop (e, t) lies in [head, head+delta-1] of a
-    failure on e. The failures are grouped into those intervals per edge
-    and only the journeys' hops are tested; no footprint is built. For a
-    hop that is a contact of g, as every routed journey's hops are, the
-    interval test is exactly membership in the failure's removal_footprint.
-    """
-    down: dict[str, list[tuple[int, int]]] = {}
-    for edge, head, dur in failures:
-        if dur < 1:
-            raise ValueError("removal duration must be positive")
-        spans = down.get(edge)
-        if spans is None:
-            if not g.has_edge(edge):
-                raise ValueError(f"unknown edge {edge!r}")
-            spans = down[edge] = []
-        spans.append((head, head + dur - 1))
-    arrival = None
-    for j in journeys:
-        if any(lo <= t <= hi for e, t in j.hops for lo, hi in down.get(e, ())):
-            continue
-        if arrival is None or j.arrival < arrival:
-            arrival = j.arrival
+def journeys_delivered(g: TimeVaryingGraph, journeys: Iterable[Journey],
+                       failures: Iterable[DeltaRemoval]
+                       ) -> tuple[bool, int | None]:
+    """(delivered, earliest arrival among surviving journeys), for
+    journeys of g: a journey is lost iff one of its hops lies in some
+    failure's removal_footprint."""
+    dead: set[Contact] = set()
+    for r in failures:
+        dead.update(removal_footprint(g, r))
+    arrival = min((j.arrival for j in journeys if dead.isdisjoint(j.hops)),
+                  default=None)
     return arrival is not None, arrival
 
 
@@ -229,10 +205,14 @@ def _walk(w: _Walk, horizon: int, p: float, d_max: int,
           rng: random.Random) -> tuple[int | None, ...]:
     """Per point, the earliest arrival of a copy that dodges the failures
     rng draws next, or None: journeys_delivered over _sample_onsets(window,
-    p, d_max, rng), whose draws this makes inline, edge by edge up to the
-    last edge a copy uses; they stop once every copy of every point is
-    dead, and no copy or p = 0 draws nothing. The skipped draws all come
-    after the ones taken, so no answer changes."""
+    p, d_max, rng). The simulator's one hot loop, so both are inlined: a
+    duration is drawn as rng.randint(0, d_max) draws it (getrandbits of
+    the range's bit length, redrawn until in range), and an onset kills
+    the copies with a hop on its edge in [slot, slot + duration), which for
+    hops that are contacts is footprint membership. The draws go edge by
+    edge up to the last edge a copy uses; they stop once every copy of
+    every point is dead, and no copy or p = 0 draws nothing. The skipped
+    draws all come after the ones taken, so no answer changes."""
     copies = len(w.arrivals)
     if not copies or p <= 0.0:
         return w.best
@@ -330,7 +310,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     from cfg.seed and the packet index (never cfg.failures.seed) draws src,
     dst as randrange would, then failures, in that order. _walk stops the
     failure draws once no copy can change, and the stream is never read
-    after them, so every outcome is journeys_delivered's over them all."""
+    after them, so every outcome is journeys_delivered's over the whole
+    _sample_onsets draw of the packet's window."""
     return _lockstep([cfg])[0]
 
 

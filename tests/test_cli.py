@@ -507,11 +507,14 @@ def test_simulate_bad_last_delta_fails_before_any_point_runs(tmp_path,
 @pytest.mark.parametrize("flag,message", [
     ("--delta", "delta must lie in [1, deadline]"),
     ("--ddl", "deadline must lie in [1, graph horizon]"),
+    ("--n", "need at least one copy per packet"),
 ])
 def test_simulate_huge_range_fails_before_it_is_expanded(tmp_path, flag,
                                                          message):
     # Run in a child process under a 1 GB address-space limit: expanding
     # the range before checking it runs out of memory there, not here.
+    # Copies have no upper bound, so the --n range starts out of bounds.
+    values = "0..10000000000" if flag == "--n" else "1..10000000000"
     path = tmp_path / "g.json"
     path.write_text(gen_random_tvg(4, 5, 0.5, 1).dumps())
     src = os.path.dirname(os.path.dirname(os.path.abspath(tempocut.__file__)))
@@ -522,7 +525,7 @@ def test_simulate_huge_range_fails_before_it_is_expanded(tmp_path, flag,
              "sys.exit(main(sys.argv[1:]))\n")
     proc = subprocess.run(
         [sys.executable, "-c", child, "simulate", str(path),
-         flag, "1..10000000000", "--packets", "5"],
+         flag, values, "--packets", "5"],
         capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"error: {message}\n")

@@ -56,42 +56,6 @@ def test_build_line_graph_rejects_bad_pairs(relay):
         build_line_graph(relay, "s", "s")
 
 
-def _reference_line_graph(g, s, d):
-    """The contact expansion built from scratch for one pair: every arc
-    found by scanning the start list of each contact's head node."""
-    clist = contacts(g)
-    index = {c: i + 2 for i, c in enumerate(clist)}
-    by_start = {}
-    for c in clist:
-        by_start.setdefault(g.edge(c.edge).src, []).append(c)
-    for lst in by_start.values():
-        lst.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
-    succ = [tuple(index[c] for c in by_start.get(s, ())), ()]
-    for c in clist:
-        e = g.edge(c.edge)
-        nxt = [DST] if e.dst == d else []
-        nxt += [index[c2] for c2 in by_start.get(e.dst, ()) if c2.slot > c.slot]
-        succ.append(tuple(nxt))
-    return tuple(clist), tuple(succ)
-
-
-def test_line_graph_matches_a_per_pair_build():
-    # every pair of one graph object, in shuffled order, so all but the
-    # first build reuse the contact index kept on the graph
-    for seed in range(30):
-        g = gen_random_tvg(8, 10, 0.5, seed)
-        pairs = [(s, d) for s in g.nodes for d in g.nodes if s != d]
-        random.Random(seed).shuffle(pairs)
-        for s, d in pairs:
-            lg = build_line_graph(g, s, d)
-            clist, succ = _reference_line_graph(g, s, d)
-            assert lg.contact_list == clist
-            assert lg.succ == succ
-        # the kept index takes no part in equality or hashing
-        copy = TimeVaryingGraph.loads(g.dumps())
-        assert g == copy and hash(g) == hash(copy)
-
-
 @given(graphs)
 @settings(max_examples=60)
 def test_paths_correspond_to_journeys(g):
@@ -320,13 +284,17 @@ def test_weighted_flow_cut_and_value_against_networkx():
                 assert res.value * scale == want
 
 
-def _engines_agree(g, s, d, weights=None):
-    """Both max flows on one pair: equal value and equal cut tuple. Returns
-    the value."""
-    want = node_disjoint_maxflow(build_line_graph(g, s, d), weights=weights)
-    got = time_expanded_maxflow(g, s, d, weights=weights)
-    assert (got.value, got.cut) == (want.value, want.cut), (s, d, weights)
-    return got.value
+def _engines_agree(g, s, d, weightings=(None,)):
+    """Both max flows on one pair under each weighting: equal value and
+    equal cut tuple. Returns how many of the values are nonzero."""
+    lg = build_line_graph(g, s, d)
+    nonzero = 0
+    for weights in weightings:
+        want = node_disjoint_maxflow(lg, weights=weights)
+        got = time_expanded_maxflow(g, s, d, weights=weights)
+        assert (got.value, got.cut) == (want.value, want.cut), (s, d, weights)
+        nonzero += got.value > 0
+    return nonzero
 
 
 def _weightings(g):
@@ -339,9 +307,9 @@ def test_time_expanded_flow_matches_the_line_graph():
     # the medium corpus
     for seed in range(100):
         g = gen_random_tvg(10, 12, 0.5, seed)
-        for w in _weightings(g):
-            cases += 1
-            nonzero += _engines_agree(g, "n1", "n10", w) > 0
+        ws = _weightings(g)
+        cases += len(ws)
+        nonzero += _engines_agree(g, "n1", "n10", ws)
     # every ordered pair, so terminals sit anywhere in the graph
     for seed in range(5):
         g = gen_random_tvg(8, 10, 0.5, seed)
@@ -349,14 +317,13 @@ def test_time_expanded_flow_matches_the_line_graph():
         for s in g.nodes:
             for d in g.nodes:
                 if s != d:
-                    for w in ws:
-                        cases += 1
-                        nonzero += _engines_agree(g, s, d, w) > 0
+                    cases += len(ws)
+                    nonzero += _engines_agree(g, s, d, ws)
     for k in (1, 2, 3):
         g, s, d = gen_counterexample(k)
-        for w in _weightings(g):
-            cases += 1
-            nonzero += _engines_agree(g, s, d, w) > 0
+        ws = _weightings(g)
+        cases += len(ws)
+        nonzero += _engines_agree(g, s, d, ws)
     assert cases == 1_532
     assert nonzero > cases // 2
 
@@ -369,7 +336,7 @@ def test_time_expanded_flow_matches_the_line_graph_on_any_graph(g, delta,
     for s in g.nodes:
         for d in g.nodes:
             if s != d:
-                _engines_agree(g, s, d, w)
+                _engines_agree(g, s, d, [w])
 
 
 def test_time_expanded_flow_rejects_what_the_line_graph_rejects(relay):
@@ -414,11 +381,11 @@ def test_time_expanded_network_has_one_node_per_arrival_event():
     clist = contacts(g)
     assert sorted(clist[i] for i, _, _ in arcs) == sorted(
         set(clist) - {Contact("e2", 1), Contact("e6", 2)})
-    for w in [None] + [set_weights(g, delta) for delta in (2, 3)]:
-        for s in g.nodes:
-            for d in g.nodes:
-                if s != d:
-                    _engines_agree(g, s, d, w)
+    ws = [None] + [set_weights(g, delta) for delta in (2, 3)]
+    for s in g.nodes:
+        for d in g.nodes:
+            if s != d:
+                _engines_agree(g, s, d, ws)
     assert time_expanded_maxflow(g, "s", "d").value == 3
 
 

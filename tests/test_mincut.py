@@ -51,6 +51,14 @@ def _brute_cover_size(contact_set, delta):
     raise AssertionError("unreachable")
 
 
+def _check_cover_is_optimal(contact_set, delta):
+    """delta_cover's removals cover every contact, and no cover is smaller."""
+    cover = delta_cover(contact_set, delta)
+    assert all(any(r.edge == c.edge and r.head <= c.slot < r.head + delta
+                   for r in cover) for c in contact_set)
+    assert len(cover) == _brute_cover_size(contact_set, delta)
+
+
 def _brute_mincut(g, s, d, delta):
     """Reference optimum by exhausting head combinations; tiny inputs only.
 
@@ -158,13 +166,7 @@ def test_delta_cover_pinned():
 @given(contact_sets, st.integers(1, 5))
 @settings(max_examples=80, deadline=None)
 def test_delta_cover_is_optimal(cs, delta):
-    greedy = delta_cover(cs, delta)
-    covered = set()
-    for r in greedy:
-        covered.update(c for c in cs
-                       if c.edge == r.edge and r.head <= c.slot <= r.head + delta - 1)
-    assert covered == set(cs)
-    assert len(greedy) == _brute_cover_size(cs, delta)
+    _check_cover_is_optimal(cs, delta)
 
 
 def test_sandwich_relay(relay):

@@ -197,6 +197,15 @@ def test_reachable_builds_the_contact_index_but_no_arcs(no_line_graph):
     assert g == TimeVaryingGraph.loads(g.dumps())
 
 
+def test_kept_index_takes_no_part_in_equality_or_hashing():
+    for seed in range(5):
+        g = gen_random_tvg(8, 10, 0.5, seed)
+        _run_table(g, 2)  # builds the contact index and keeps a run table
+        copy = TimeVaryingGraph.loads(g.dumps())
+        assert g._contact_ix.runs and copy._contact_ix is None
+        assert g == copy and hash(g) == hash(copy)
+
+
 def _reaching_by_definition(g, d):
     """Per contact, True iff it is into d or some later contact leaving
     its head reaches d."""
@@ -226,6 +235,12 @@ def test_removal_footprint_window(relay):
     assert removal_footprint(relay, DeltaRemoval("e1", 2, 2)) == [
         Contact("e1", 2)]
     assert removal_footprint(relay, DeltaRemoval("e2", 9, 3)) == []
+    # a head before slot 1, and a window past the horizon (3)
+    assert removal_footprint(relay, DeltaRemoval("e1", -1, 3)) == [
+        Contact("e1", 1)]
+    assert removal_footprint(relay, DeltaRemoval("e1", -2, 2)) == []
+    assert removal_footprint(relay, DeltaRemoval("e2", 3, 5)) == [
+        Contact("e2", 3)]
     with pytest.raises(ValueError, match="positive"):
         removal_footprint(relay, DeltaRemoval("e1", 1, 0))
     with pytest.raises(ValueError, match="unknown edge"):
