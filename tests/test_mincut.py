@@ -339,20 +339,27 @@ def test_peel_keeps_every_cut_of_the_unpruned_search(monkeypatch):
 
 
 def test_exact_cut_at_scale_is_pinned():
-    """Count and removals of exact_mincut_delta on 20-node, 60-slot graphs
-    (2.2k contacts, above the default head cap), where the peel's carried
-    family changes most of the pruning; removals as a sha-256 prefix of
+    """Count and removals of exact_mincut_delta on 20-node graphs of 40 and
+    60 slots (1.5k and 2.2k contacts, above the default head cap), where
+    the peel's carried family changes most of the pruning and where
+    starting each depth from the greedy family moves the search time most
+    (40 slots, seed 0, delta 3); removals as a sha-256 prefix of
     "edge@head" joined by spaces."""
-    pins = {(0, 2): (40, "829eb0cf114ca55f"), (0, 3): (30, "d9c397b85935aba2"),
-            (0, 5): (19, "3b32ff6999226213"), (1, 2): (39, "ba071a38b42bc34b"),
-            (1, 3): (28, "f61ea72fdcf01810"), (1, 5): (20, "384e7a95c1423885")}
-    for (seed, delta), (count, digest) in pins.items():
-        g = gen_random_tvg(20, 60, 0.5, seed)
+    pins = {
+        (40, 0, 2): (25, "abc3d63e67448cb2"), (40, 0, 3): (19, "127ddedb96e1c21e"),
+        (40, 1, 2): (26, "6f27add047dfc6fd"), (40, 1, 3): (18, "b1565189c7ffda49"),
+        (40, 2, 2): (23, "32aef9a09a7410a1"), (40, 2, 3): (18, "fa819d34b3e2f408"),
+        (60, 0, 2): (40, "829eb0cf114ca55f"), (60, 0, 3): (30, "d9c397b85935aba2"),
+        (60, 0, 5): (19, "3b32ff6999226213"), (60, 1, 2): (39, "ba071a38b42bc34b"),
+        (60, 1, 3): (28, "f61ea72fdcf01810"), (60, 1, 5): (20, "384e7a95c1423885"),
+    }
+    for (horizon, seed, delta), (count, digest) in pins.items():
+        g = gen_random_tvg(20, horizon, 0.5, seed)
         res = exact_mincut_delta(g, "n1", "n20", delta,
                                  head_cap=g.contact_count)
         text = " ".join(f"{r.edge}@{r.head}" for r in res.removals)
         assert (res.count, hashlib.sha256(text.encode()).hexdigest()[:16]) \
-            == (count, digest), (seed, delta)
+            == (count, digest), (horizon, seed, delta)
 
 
 def test_interference_ids_are_the_interfering_contacts():
