@@ -12,9 +12,10 @@ import math
 import sys
 import time
 
-from tempocut import (discretize, greedy_maxflow_delta, parse_contact_trace,
-                      sweep, sweep_to_csv)
-from tempocut.cli import _parse_int_list
+from tempocut import (InstanceTooLargeError, discretize, greedy_maxflow_delta,
+                      parse_contact_trace, sweep, sweep_to_csv)
+from tempocut.cli import (DEFAULT_MAX_POINTS, _expand_sweep, _parse_int_list,
+                          _positive_int)
 from tempocut.traces import HEADER
 
 
@@ -51,8 +52,12 @@ def main(argv=None) -> int:
     ap.add_argument("--dmax", type=int, default=10)
     ap.add_argument("--seed", type=int, default=4242)
     ap.add_argument("--csv", help="write the sweep rows to this file")
+    ap.add_argument("--max-points", type=_positive_int,
+                    default=DEFAULT_MAX_POINTS,
+                    help="most sweep points (copies x spacings) to run")
     args = ap.parse_args(argv)
-    # SimConfig's range checks, made before the lists are expanded
+    # SimConfig's range checks and the sweep's size, checked before the
+    # lists are expanded
     try:
         ns = _parse_int_list(args.ns, (1, math.inf),
                              "need at least one copy per packet")
@@ -60,6 +65,10 @@ def main(argv=None) -> int:
                                  "delta must lie in [1, deadline]")
     except ValueError as exc:
         ap.error(str(exc))
+    try:
+        ns, deltas = _expand_sweep(args.max_points, ns, deltas)
+    except InstanceTooLargeError as exc:
+        ap.exit(3, f"{ap.prog}: error: {exc}\n")
 
     if args.trace:
         with open(args.trace) as fh:

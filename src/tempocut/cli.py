@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 bad input (files, flags, parameters), 3 instance
-too large for a desk-scale exact oracle, 4 internal invariant failure.
+too large for a desk-scale exact oracle or a simulate sweep of more points
+than --max-points, 4 internal invariant failure.
 Output is machine-readable JSON/CSV by default; --pretty indents JSON.
 """
 
@@ -26,15 +27,18 @@ from .tvg import InstanceTooLargeError, load_tvg
 from .verify import SUITES, run_suites
 
 
+DEFAULT_MAX_POINTS = 1000
+
+
 def _parse_int_list(text: str, bounds: tuple[int, float] | None = None,
-                    error: str = "") -> list[int]:
-    """Comma-separated values, each a plain int or an a..b range.
+                    error: str = "") -> list[range]:
+    """Comma-separated values, each a plain int or an a..b range, as one
+    range per value or range, none of them expanded.
 
     With bounds (lo, hi), hi possibly math.inf, a value or range endpoint
-    outside [lo, hi] raises ValueError(error) before any range is expanded,
-    so a huge range fails at once instead of filling memory.
+    outside [lo, hi] raises ValueError(error).
     """
-    out: list[int] = []
+    out: list[range] = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
@@ -48,10 +52,23 @@ def _parse_int_list(text: str, bounds: tuple[int, float] | None = None,
             continue
         if bounds and not bounds[0] <= lo <= hi <= bounds[1]:
             raise ValueError(error)
-        out.extend(range(lo, hi + 1))
+        out.append(range(lo, hi + 1))
     if not out:
         raise ValueError(f"no values in {text!r}")
     return out
+
+
+def _expand_sweep(max_points: int, *axes: list[range]) -> list[list[int]]:
+    """The value lists of a sweep over the cross product of axes (parsed by
+    _parse_int_list), expanded only once the number of points they make is
+    known to be at most max_points; more raises InstanceTooLargeError. So
+    a huge range fails at once instead of filling memory."""
+    count = math.prod(sum(map(len, axis)) for axis in axes)
+    if count > max_points:
+        raise InstanceTooLargeError(
+            f"sweep too large: {count} points, more than {max_points} "
+            f"(--max-points)")
+    return [[v for r in axis for v in r] for axis in axes]
 
 
 def _positive_int(text: str) -> int:
@@ -115,7 +132,7 @@ def cmd_analyze(args) -> int:
         report["mincut"] = res.cut.to_json_dict()
         report["certificates"] = res.certificates
     else:
-        greedy, rounded = _approximations(g, s, d, delta)
+        greedy, rounded, _ = _approximations(g, s, d, delta)
         report["maxflow"] = greedy.to_json_dict()
         report["mincut"] = rounded.to_json_dict()
     _emit(_dump(report, args), args)
@@ -133,14 +150,17 @@ def cmd_survivable(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = load_tvg(args.input)
-    # SimConfig's range checks, made before the lists are expanded
+    # SimConfig's range checks and the sweep's size, checked before the
+    # lists are expanded
     ns = _parse_int_list(args.n, (1, math.inf),
                          "need at least one copy per packet")
     deadlines = (_parse_int_list(args.ddl, (1, g.horizon),
                                  "deadline must lie in [1, graph horizon]")
-                 if args.ddl else [g.horizon])
-    deltas = _parse_int_list(args.delta, (1, min(deadlines)),
+                 if args.ddl else [range(g.horizon, g.horizon + 1)])
+    deltas = _parse_int_list(args.delta, (1, min(r[0] for r in deadlines)),
                              "delta must lie in [1, deadline]")
+    ns, deltas, deadlines = _expand_sweep(args.max_points, ns, deltas,
+                                          deadlines)
     reports = sweep(g, ns, deltas, deadlines, args.packets, args.p,
                     args.dmax, args.seed)
     _emit(sweep_to_csv(reports), args)
@@ -262,6 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="max failure duration (slots)")
     p.add_argument("--packets", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-points", type=_positive_int,
+                   default=DEFAULT_MAX_POINTS,
+                   help="most sweep points (copies x spacings x deadlines) "
+                        f"to run (default {DEFAULT_MAX_POINTS})")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ingest", help="contact trace CSV to graph JSON")

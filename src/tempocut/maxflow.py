@@ -5,13 +5,16 @@ delta slots of each other. greedy_maxflow_delta peels min-hop journeys off
 the graph and blanks out everything that interferes with them; it is
 fast, order-deterministic, and carries a provable worst-case certificate
 (greedy_bound_certificate). exact_maxflow_delta is the desk-scale oracle:
-maximum independent set over the conflict graph of candidate journeys,
-kept as contact-id tuples with conflict bitmasks built per contact id
-until one family is reported. Dominated candidates go first, each closed
-class tested only against the survivors inside it; then branch and bound
-seeded with the greedy incumbent, stopped at a ceiling on the optimum:
-MaxFlow_1 on its own, the exact cut inside mincut.analyze_exact. At
-delta = 1 its answer is the time-expanded unit max flow's walks instead.
+maximum independent set over the conflict graph of candidate journeys.
+One depth-first pass lists the candidates as a tree of contact ids and
+builds their conflict bitmasks from it, one index range per tree node;
+contact-id tuples are rebuilt only for the candidates that survive
+domination, and Journeys only for the family reported. Dominated
+candidates go first, each closed class tested only against the survivors
+inside it; then branch and bound seeded with the greedy incumbent,
+stopped at a ceiling on the optimum: MaxFlow_1 on its own, the exact cut
+inside mincut.analyze_exact. At delta = 1 its answer is the time-expanded
+unit max flow's walks instead.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .linegraph import (_check_pair, _min_hop_ids, _time_expanded_flow,
                         time_expanded_maxflow)
@@ -76,63 +79,123 @@ def greedy_maxflow_delta(g: TimeVaryingGraph, s: str, d: str,
                             for ids in found), delta, exact=False)
 
 
-def _simple_journeys(g: TimeVaryingGraph, s: str, d: str,
-                     cap: int) -> list[tuple[int, ...]]:
-    """All node-simple s->d journeys, as tuples of contact ids.
+class _JourneyTree(NamedTuple):
+    """_journey_tree's candidates as their depth-first tree, in preorder:
+    one node per journey prefix that some candidate extends. Node n ends
+    with hop contact[n] and extends the prefix of node up[n] (-1: the
+    empty prefix); candidate k is the prefix of node leaf[k]."""
+    contact: list[int]
+    up: list[int]
+    leaf: list[int]
+
+    def hops(self, k: int) -> tuple[int, ...]:
+        """Candidate k as a tuple of contact ids."""
+        out = []
+        n = self.leaf[k]
+        while n >= 0:
+            out.append(self.contact[n])
+            n = self.up[n]
+        return tuple(reversed(out))
+
+
+def _journey_tree(g: TimeVaryingGraph, s: str, d: str, delta: int,
+                  cap: int) -> tuple[_JourneyTree, list[int]]:
+    """All node-simple s->d journeys, the candidates, and their closed
+    conflict masks, in one depth-first pass: (the tree, closed), closed[k]
+    the bitmask of the candidates interfering with candidate k, k
+    included, as _closed_masks gives it from the candidates' hops.
 
     Walks the contact index: the contacts leaving s, then from each
     contact the presorted suffix of its head's start list that departs
     after it, which is depth-first (slot, edge) order. A journey ends at
-    its first contact into d.
+    its first contact into d. Each contact's live successors, those from
+    which d stays reachable, are listed once; a node no candidate extends
+    is dropped on the way back up.
 
     Sufficient for the oracle: splicing loops out of any journey yields a
     node-simple journey over a subset of its contacts, so an optimal
     delta-disjoint family always exists among these.
+
+    The candidates below a tree node form one index range, so users[i],
+    the bitmask of the candidates using contact i, takes one range per
+    node ending with hop i instead of one bit per candidate and hop. Each
+    used contact's window ORs the users of its interference run (same
+    edge, within delta slots); a node's mask is its parent's OR its last
+    hop's window, and a candidate's closed mask is its leaf's.
     """
     ix = _contact_index(g)
     starts, after, head = ix.starts, ix.after, ix.head
     live = _contacts_reaching(g, d)
-    results: list[tuple[int, ...]] = []
-    stack: list[int] = []
+    tree = _JourneyTree([], [], [])
+    contact, up, leaf = tree
+    users = [0] * g.contact_count
+    succ: dict[int, list[int]] = {}
     visited = {s}
 
-    def walk(ids) -> None:
+    def walk(ids: list[int], parent: int) -> None:
         for i in ids:
             h = head[i]
-            if h in visited or not live[i]:
+            if h in visited:
                 continue
-            stack.append(i)
+            n = len(contact)
+            contact.append(i)
+            up.append(parent)
+            k = len(leaf)
             if h == d:
-                if len(results) >= cap:
+                if k >= cap:
                     raise InstanceTooLargeError(
                         f"instance too large for exact oracle: more than {cap} candidate journeys")
-                results.append(tuple(stack))
-            else:
+                leaf.append(n)
+                users[i] |= 1 << k
+                continue
+            nxt = succ.get(i)
+            if nxt is None:
                 # a live contact not into d has a later departure at its head
-                visited.add(h)
-                walk(starts[h][after[i]:])
-                visited.discard(h)
-            stack.pop()
+                nxt = succ[i] = [c for c in starts[h][after[i]:] if live[c]]
+            visited.add(h)
+            walk(nxt, n)
+            visited.discard(h)
+            if len(leaf) == k:  # no candidate below: its subtree is gone too
+                contact.pop()
+                up.pop()
+            else:
+                users[i] |= (1 << len(leaf)) - (1 << k)
 
-    walk(starts.get(s, ()))
-    return results
+    walk([c for c in starts.get(s, ()) if live[c]], -1)
+    window = _windows(g, users, delta)
+    # in preorder the last node t - 1 hops deep is the parent of a node t
+    # hops deep, so path[t] holds the mask of the current t-hop prefix
+    depth = [0] * (len(contact) + 1)  # depth[-1] stays 0, the root's
+    path = [0] * (len(g.nodes) + 1)
+    closed = []
+    for n, i in enumerate(contact):
+        t = depth[n] = depth[up[n]] + 1
+        path[t] = path[t - 1] | window[i]
+        if head[i] == d:
+            closed.append(path[t])
+    return tree, closed
 
 
-def _closed_masks(g: TimeVaryingGraph, cands: list[tuple[int, ...]],
-                  delta: int) -> list[int]:
-    """closed[k] = bitmask of the cands (contact-id tuples) interfering with
-    cands[k], k included. Each used contact id ORs the masks of the
-    candidates using its interference run (same edge, within delta slots)
-    into a window; each candidate ORs its hops' windows."""
-    users = [0] * g.contact_count
-    for k, ids in enumerate(cands):
-        for i in ids:
-            users[i] |= 1 << k
+def _windows(g: TimeVaryingGraph, users: list[int], delta: int) -> list[int]:
+    """Per contact id i with users, the OR of the users of i's interference
+    run; users[x] is the bitmask of the journeys using contact x."""
     back, reach = _run_table(g, delta)
     window = [0] * len(users)
     for i, u in enumerate(users):
         if u:
             window[i] = reduce(or_, users[back[i]:reach[i]])
+    return window
+
+
+def _closed_masks(g: TimeVaryingGraph, cands: list[tuple[int, ...]],
+                  delta: int) -> list[int]:
+    """closed[k] = bitmask of the cands (contact-id tuples) interfering with
+    cands[k], k included: the OR of the windows of its hops."""
+    users = [0] * g.contact_count
+    for k, ids in enumerate(cands):
+        for i in ids:
+            users[i] |= 1 << k
+    window = _windows(g, users, delta)
     return [reduce(or_, map(window.__getitem__, ids)) for ids in cands]
 
 
@@ -187,17 +250,19 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
 def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
                        bounds: Callable[[], tuple[FlowResult, int]],
                        cap: int) -> FlowResult:
-    """exact_maxflow_delta's search, given bounds() -> (the greedy family,
-    a ceiling on the optimum), called only at delta >= 2. At delta = 1 the
+    """exact_maxflow_delta's search, given bounds() -> (the greedy family, a
+    ceiling on the optimum), called only at delta >= 2. At delta = 1 the
     answer is the time-expanded unit max flow's walks
-    (linegraph._time_expanded_flow). At delta >= 2 it enumerates candidate
-    journeys as contact-id tuples, masks their conflicts per contact id,
-    drops dominated ones and runs branch and bound over the survivors,
-    greedy incumbent first; only the family it reports becomes Journeys,
-    in enumeration order. The incumbent is only ever replaced by a larger
+    (linegraph._time_expanded_flow). At delta >= 2 it enumerates the
+    candidate journeys with their closed conflict masks in one pass
+    (_journey_tree), drops dominated ones and runs branch and bound over the
+    survivors, greedy incumbent first. Only the survivors' hops are rebuilt,
+    as contact-id tuples whose conflicts _closed_masks builds afresh in the
+    search's order, and only the family it reports becomes Journeys, in
+    enumeration order. The incumbent is only ever replaced by a larger
     family, so stopping at the first family that reaches a valid ceiling
-    returns what the full search would: the family found does not depend
-    on the ceiling, only the time taken to prove it. A greedy family that
+    returns what the full search would: the family found does not depend on
+    the ceiling, only the time taken to prove it. A greedy family that
     already reaches the ceiling is returned without enumerating anything.
     """
     if delta == 1:
@@ -207,8 +272,7 @@ def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     greedy, ceiling = bounds()
     if greedy.count >= ceiling:
         return FlowResult(greedy.journeys, delta, exact=True)
-    cands = _simple_journeys(g, s, d, cap)
-    closed = _closed_masks(g, cands, delta)
+    tree, closed = _journey_tree(g, s, d, delta, cap)
 
     keep = _drop_dominated(closed)
     keep_mask = sum(1 << v for v in keep)
@@ -216,8 +280,9 @@ def _exact_flow_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     # survivors reordered most-conflicting first: the greedy clique
     # partitions bounding the search get markedly tighter that way
     order0 = sorted(keep, key=lambda v: -(closed[v] & keep_mask).bit_count())
+    cands = {v: tree.hops(v) for v in order0}
     conflict = [c & ~(1 << k) for k, c in enumerate(
-        _closed_masks(g, [cands[v] for v in order0], delta))]
+        _closed_masks(g, list(cands.values()), delta))]
 
     best = greedy.count
     best_ids: list[int] = []

@@ -18,15 +18,16 @@ run table (tvg._run_table), the chosen removals are kept as a count per
 contact id, and DeltaRemovals are built only for the cut reported. The
 same greedy bound prunes every search node: a branch with b removals left
 whose residual still yields b + 1 delta-disjoint journeys holds no cut and
-is dropped without branching. A node's family starts from the one its
-parent peeled, less the journeys the branch's removal hits, and grows by
-min-hop journeys as the greedy does. analyze_exact computes the four
-answers for one pair (greedy and exact flow, rounded and exact cut) with
-their certificates, each once. At every delta the cut goes first and caps
-the exact flow by weak duality, so a greedy family as large as the cut
-needs no journey enumeration at all. At delta = 1 every contact weighs 1,
-so the rounded cut's weight is its count and the search never runs; the
-head cap binds only where it runs.
+is dropped without branching. Each depth's root starts its family from the
+greedy's, which _approximations passes on as contact-id tuples, and each
+other node from the one its parent peeled, less the journeys the branch's
+removal hits; either grows by min-hop journeys as the greedy does.
+analyze_exact computes the four answers for one pair (greedy and exact flow,
+rounded and exact cut) with their certificates, each once. At every delta
+the cut goes first and caps the exact flow by weak duality, so a greedy
+family as large as the cut needs no journey enumeration at all. At delta = 1
+every contact weighs 1, so the rounded cut's weight is its count and the
+search never runs; the head cap binds only where it runs.
 """
 
 from __future__ import annotations
@@ -175,14 +176,15 @@ def _rounded_cut(g: TimeVaryingGraph, s: str, d: str, delta: int,
                      weight_lower_bound=Fraction(flow, scale))
 
 
-def _approximations(g: TimeVaryingGraph, s: str, d: str,
-                    delta: int) -> tuple[FlowResult, CutResult]:
+def _approximations(g: TimeVaryingGraph, s: str, d: str, delta: int
+                    ) -> tuple[FlowResult, CutResult, list[tuple[int, ...]]]:
     """greedy_maxflow_delta and minweight_mincut_delta for one pair, the
-    rounded cut's max flow started from the greedy family."""
+    rounded cut's max flow started from the greedy family, and that family
+    as contact-id tuples, for the exact cut search to start from too."""
     greedy = greedy_maxflow_delta(g, s, d, delta)
     family = [tuple(_contact_id(g, c) for c in j.hops)
               for j in greedy.journeys]
-    return greedy, _rounded_cut(g, s, d, delta, family)
+    return greedy, _rounded_cut(g, s, d, delta, family), family
 
 
 def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
@@ -197,27 +199,32 @@ def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
     branch on the canonical removals hitting it; left-to-right forbidden
     sets keep branches from revisiting permutations. Before branching with
     b removals left, peel journeys off the residual: those its parent
-    peeled that the branch's removal missed, then min-hop ones, each
+    peeled that the branch's removal missed (at the root, the greedy's
+    journeys), then min-hop ones, each
     avoiding the contacts that interfere with the ones before; once b + 1
     pairwise delta-disjoint journeys are found, no b removals hit them all
     and the branch is dropped. The approximation's cover is both the depth
     ceiling and the fallback.
     """
-    greedy, rounded = _approximations(g, s, d, delta)
-    return _exact_cut_search(g, s, d, delta, rounded, greedy.count, head_cap)
+    _, rounded, family = _approximations(g, s, d, delta)
+    return _exact_cut_search(g, s, d, delta, rounded, family, head_cap)
 
 
 def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
-                      rounded: CutResult, lower: int,
+                      rounded: CutResult, family: list[tuple[int, ...]],
                       head_cap: int) -> CutResult:
-    """exact_mincut_delta's search, given the rounded cut and a lower bound
-    on the optimum, raised to ceil(rounded.weight_lower_bound). Every depth
-    below the optimum fails, so the cut found does not depend on the bound,
-    only the time taken to find it. The peel drops only branches that hold
-    no cut, whatever their forbidden set, and leaves the depth-first order
-    of the rest alone, so it too changes the time, not the cut found. The
-    head cap is checked only when the floor is below the rounded cut: at
-    the floor the rounded cut is already proven optimal.
+    """exact_mincut_delta's search, given the rounded cut and a family of
+    pairwise delta-disjoint s->d journeys as contact-id tuples, the
+    greedy's in every caller. The depth starts at the family's size or
+    ceil(rounded.weight_lower_bound), whichever is larger. Every depth
+    below the optimum fails, so the cut found does not depend on the
+    floor, only the time taken to find it. Each depth's root peels from
+    the family, which survives there since nothing is removed yet. The
+    peel drops only branches that hold no cut, whatever their forbidden
+    set and whichever journeys it starts from, and leaves the depth-first
+    order of the rest alone, so the family too changes the time, not the
+    cut found. The head cap is checked only when the floor is below the
+    rounded cut: at the floor the rounded cut is already proven optimal.
 
     A removal is its head's contact id h, taking out range(h, reach[h]);
     the heads that take out contact i are back[i]..i (tvg._run_table).
@@ -230,7 +237,7 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     if upper == 0:
         return CutResult((), delta, exact=True)
 
-    floor = max(lower, ceil(rounded.weight_lower_bound), 1)
+    floor = max(len(family), ceil(rounded.weight_lower_bound), 1)
     if floor < upper and g.contact_count > head_cap:
         raise InstanceTooLargeError(
             f"instance too large for exact oracle: more than {head_cap} removal heads")
@@ -306,7 +313,7 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
         return None
 
     for k in range(floor, upper):
-        heads = search(k, [], frozenset(), [])
+        heads = search(k, [], frozenset(), family)
         if heads is not None:
             got = [DeltaRemoval(e, t, delta)
                    for e, t in _contacts_of(g, heads)]
@@ -345,8 +352,8 @@ def analyze_exact(g: TimeVaryingGraph, s: str, d: str, delta: int,
     delta = 1 the exact flow is the time-expanded unit max flow's
     decomposition into journeys (see _exact_flow_search).
     """
-    greedy, rounded = _approximations(g, s, d, delta)
-    cut = _exact_cut_search(g, s, d, delta, rounded, greedy.count, head_cap)
+    greedy, rounded, family = _approximations(g, s, d, delta)
+    cut = _exact_cut_search(g, s, d, delta, rounded, family, head_cap)
     flow = _exact_flow_search(g, s, d, delta, lambda: (greedy, cut.count), cap)
     certificates = {
         "flow": {
@@ -393,10 +400,10 @@ def survivability_bounds(g: TimeVaryingGraph, s: str, d: str, n: int,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    greedy, cut = _approximations(g, s, d, delta)
+    greedy, cut, family = _approximations(g, s, d, delta)
     lower = greedy.count
     if exact:
-        cut = _exact_cut_search(g, s, d, delta, cut, lower, head_cap)
+        cut = _exact_cut_search(g, s, d, delta, cut, family, head_cap)
         lower = cut.count
     if lower > n:
         verdict = "survivable"

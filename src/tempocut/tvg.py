@@ -17,16 +17,18 @@ Each graph keeps a contact index, built on first use: integer contact ids
 in contacts(g) order with the contact each stands for, and per node the
 ids leaving it presorted by (slot, edge order). _min_hop_surviving walks
 that index, banned contacts given as a mask over the ids, and returns a
-journey as a tuple of ids; so do the greedy's min-hop search and the
-exact flow's journey enumerator, and the line graphs and the
-time-expanded network build their arcs from it. Per delta the index also
+journey as a tuple of ids; so does the greedy's min-hop search. The
+exact flow's journey enumerator walks it too, keeping its journeys as a
+tree of ids, and the line graphs and the time-expanded network build
+their arcs from it. Per delta the index also
 keeps a run table (_run_table): for each id, where its same-edge delta
 window starts and ends. Interference runs, canonical removal heads and
 removal footprints are ranges of ids read off it, so the searches and
 the greedy stay on ids, and Contact, Journey and DeltaRemoval objects are
 built only for what is reported. One round trip is left:
 mincut._approximations turns the greedy's reported Journeys back into
-contact ids to start the rounded cut's max flow.
+contact ids, once, to start the rounded cut's max flow and the exact cut
+search.
 """
 
 from __future__ import annotations

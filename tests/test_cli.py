@@ -9,8 +9,9 @@ import sys
 import pytest
 
 import tempocut
-from tempocut import TimeVaryingGraph, gen_counterexample, gen_random_tvg
-from tempocut.cli import _build_parser, _parse_int_list, main
+from tempocut import (InstanceTooLargeError, TimeVaryingGraph,
+                      gen_counterexample, gen_random_tvg)
+from tempocut.cli import _build_parser, _expand_sweep, _parse_int_list, main
 
 TRACE = """node_a,node_b,start,duration
 a,b,5,3
@@ -36,14 +37,23 @@ def m0_file(tmp_path):
 
 
 def test_parse_int_list():
-    assert _parse_int_list("1,3..5,9") == [1, 3, 4, 5, 9]
-    assert _parse_int_list("2") == [2]
+    assert _parse_int_list("1,3..5,9") == [range(1, 2), range(3, 6),
+                                           range(9, 10)]
+    assert _parse_int_list("2") == [range(2, 3)]
     with pytest.raises(ValueError, match="empty range"):
         _parse_int_list("5..2")
-    assert _parse_int_list("1..3,5", (1, 5), "out of range") == [1, 2, 3, 5]
+    assert _parse_int_list("1..3,5", (1, 5), "out of range") == [
+        range(1, 4), range(5, 6)]
     for text in ("2,0", "2..6"):
         with pytest.raises(ValueError, match="^out of range$"):
             _parse_int_list(text, (1, 5), "out of range")
+    # the sweep expands the lists only within its point budget
+    axes = _parse_int_list("1..2,4"), _parse_int_list("1,3..4")
+    assert _expand_sweep(9, *axes) == [[1, 2, 4], [1, 3, 4]]
+    with pytest.raises(InstanceTooLargeError,
+                       match=r"^sweep too large: 9 points, more than 8 "
+                             r"\(--max-points\)$"):
+        _expand_sweep(8, *axes)
 
 
 def test_gen_random_roundtrips(capsys):
@@ -454,6 +464,12 @@ def test_simulate_csv(tmp_path, capsys):
     assert len(lines) == 7
     main(argv)
     assert capsys.readouterr().out == first
+    # 2 copies x 3 spacings x 1 deadline: a budget of 6 points runs them
+    assert main(argv + ["--max-points", "6"]) == 0
+    assert capsys.readouterr().out == first
+    assert main(argv + ["--max-points", "5"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: sweep too large: 6 points, more than 5 (--max-points)\n")
 
 
 @pytest.mark.parametrize("doc,count", [
@@ -504,17 +520,20 @@ def test_simulate_bad_last_delta_fails_before_any_point_runs(tmp_path,
     assert planned == []
 
 
-@pytest.mark.parametrize("flag,message", [
-    ("--delta", "delta must lie in [1, deadline]"),
-    ("--ddl", "deadline must lie in [1, graph horizon]"),
-    ("--n", "need at least one copy per packet"),
+@pytest.mark.parametrize("flag,message,values,code", [
+    ("--delta", "delta must lie in [1, deadline]", "1..10000000000", 2),
+    ("--ddl", "deadline must lie in [1, graph horizon]", "1..10000000000", 2),
+    ("--n", "need at least one copy per packet", "0..10000000000", 2),
+    ("--n", "sweep too large: 10000000000 points, more than 1000 "
+            "(--max-points)", "1..10000000000", 3),
 ])
 def test_simulate_huge_range_fails_before_it_is_expanded(tmp_path, flag,
-                                                         message):
+                                                         message, values,
+                                                         code):
     # Run in a child process under a 1 GB address-space limit: expanding
     # the range before checking it runs out of memory there, not here.
-    # Copies have no upper bound, so the --n range starts out of bounds.
-    values = "0..10000000000" if flag == "--n" else "1..10000000000"
+    # Copies have no upper bound, so a huge --n range within bounds is
+    # stopped by the sweep's point budget.
     path = tmp_path / "g.json"
     path.write_text(gen_random_tvg(4, 5, 0.5, 1).dumps())
     src = os.path.dirname(os.path.dirname(os.path.abspath(tempocut.__file__)))
@@ -528,7 +547,7 @@ def test_simulate_huge_range_fails_before_it_is_expanded(tmp_path, flag,
          flag, values, "--packets", "5"],
         capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", f"error: {message}\n")
+        code, "", f"error: {message}\n")
 
 
 def test_ingest_fits_horizon(tmp_path, capsys):

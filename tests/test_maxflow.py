@@ -13,7 +13,7 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       Journey, min_hop_path, node_disjoint_maxflow,
                       parse_contact_trace)
 from tempocut import maxflow
-from tempocut.maxflow import _closed_masks, _drop_dominated, _simple_journeys
+from tempocut.maxflow import _closed_masks, _drop_dominated, _journey_tree
 from tempocut.tvg import contacts, interfering_contacts
 from test_acceptance import _anchor_trace
 
@@ -84,19 +84,27 @@ def test_greedy_matches_rebuilding_reference():
                         _rebuilding_greedy(g, s, d, delta)
 
 
+def _tree_candidates(g, s, d, delta=2):
+    """The journey tree's candidates as contact-id tuples, and their closed
+    masks at delta."""
+    tree, closed = _journey_tree(g, s, d, delta, 100_000)
+    return [tree.hops(k) for k in range(len(tree.leaf))], closed
+
+
 def _simple_journey_objects(g, s, d):
-    """_simple_journeys' contact-id tuples as Journeys, ids mapped through
+    """The journey tree's candidates as Journeys, ids mapped through
     contacts(g)."""
     clist = contacts(g)
     return [Journey(tuple(clist[i] for i in ids))
-            for ids in _simple_journeys(g, s, d, 100_000)]
+            for ids in _tree_candidates(g, s, d)[0]]
 
 
 def test_simple_journeys_are_the_node_simple_enumerated_ones():
-    """The oracle's contact-index walk lists exactly the node-simple journeys
-    of the independent enumerator, in the same order. The medium corpus's
-    10 nodes and density run at horizon 8: at its horizon 12 the
-    enumerator, revisits included, takes about two minutes."""
+    """The oracle's journey tree lists exactly the node-simple journeys of
+    the independent enumerator, and of the reference walk over g, in the
+    same order. The medium corpus's 10 nodes and density run at horizon 8:
+    at its horizon 12 the enumerator, revisits included, takes about two
+    minutes."""
     cases = [(gen_random_tvg(10, 8, 0.5, seed), "n1", "n10")
              for seed in range(100)]
     for seed in range(1500):
@@ -110,6 +118,7 @@ def test_simple_journeys_are_the_node_simple_enumerated_ones():
             if len(set(nodes)) == len(nodes):
                 simple.append(j)
         assert _simple_journey_objects(g, s, d) == simple
+        assert _node_simple_journeys(g, s, d) == simple
 
 
 def _node_simple_journeys(g, s, d):
@@ -142,7 +151,7 @@ def _node_simple_journeys(g, s, d):
 
 
 def test_simple_journeys_on_the_medium_corpus():
-    """The oracle's contact-index walk lists the node-simple journeys of the
+    """The oracle's journey tree lists the node-simple journeys of the
     medium corpus itself, horizon 12, in the order of a reference that
     drops revisits while walking g."""
     total = most = 0
@@ -224,15 +233,15 @@ def _closed_class_survivors(closed):
 
 
 def test_domination_matches_the_reference_on_the_medium_corpus():
-    """Contact-id masks and the twin-merging pass keep the survivors of the
-    reference pass over Journey masks: same indices, same order."""
+    """The journey tree's masks equal the reference's over Journeys, and the
+    twin-merging pass keeps the survivors of the reference pass: same
+    indices, same order."""
     for seed in range(100):
         g = gen_random_tvg(10, 12, 0.5, seed)
-        cands = _simple_journeys(g, "n1", "n10", 100_000)
         journeys = _simple_journey_objects(g, "n1", "n10")
         for delta in (2, 3, 5):
             conflict = _conflict_masks(g, journeys, delta)
-            closed = _closed_masks(g, cands, delta)
+            _, closed = _tree_candidates(g, "n1", "n10", delta)
             assert closed == [c | (1 << k) for k, c in enumerate(conflict)]
             assert _drop_dominated(closed) == \
                 _drop_dominated_in_popcount_order(conflict), (seed, delta)
@@ -300,30 +309,39 @@ def test_domination_pass_is_the_closed_class_definition(conflict):
     assert got == _closed_class_survivors(closed)
 
 
+def _check_closed_masks(g, s, d, deltas, rows=1):
+    """The journey tree's closed masks equal _closed_masks over its
+    candidates, and every rows-th of them holds exactly the candidates
+    whose Journeys interfere with its own, itself included."""
+    journeys = _simple_journey_objects(g, s, d)
+    for delta in deltas:
+        cands, closed = _tree_candidates(g, s, d, delta)
+        assert closed == _closed_masks(g, cands, delta), delta
+        for k in range(0, len(journeys), rows):
+            want = sum(1 << i for i, ji in enumerate(journeys)
+                       if i == k or interferes(journeys[k], ji, delta))
+            assert closed[k] == want, (delta, k)
+
+
 @given(graphs, st.integers(2, 4))
 @settings(max_examples=60, deadline=None)
 def test_closed_masks_are_pairwise_interference(g, delta):
-    s, d = g.nodes[0], g.nodes[-1]
-    cands = _simple_journeys(g, s, d, 100_000)
-    journeys = _simple_journey_objects(g, s, d)
-    closed = _closed_masks(g, cands, delta)
-    for k, jk in enumerate(journeys):
-        want = sum(1 << i for i, ji in enumerate(journeys)
-                   if i == k or interferes(jk, ji, delta))
-        assert closed[k] == want
+    _check_closed_masks(g, g.nodes[0], g.nodes[-1], [delta])
 
 
 def test_closed_masks_are_pairwise_interference_on_the_medium_corpus():
     for seed in (5, 11, 14, 18):
-        g = gen_random_tvg(10, 12, 0.5, seed)
-        cands = _simple_journeys(g, "n1", "n10", 100_000)
-        journeys = _simple_journey_objects(g, "n1", "n10")
-        for delta in (2, 3, 5):
-            closed = _closed_masks(g, cands, delta)
-            for k, jk in enumerate(journeys):
-                want = sum(1 << i for i, ji in enumerate(journeys)
-                           if i == k or interferes(jk, ji, delta))
-                assert closed[k] == want, (seed, delta, k)
+        _check_closed_masks(gen_random_tvg(10, 12, 0.5, seed), "n1", "n10",
+                            (2, 3, 5))
+
+
+def test_closed_masks_are_pairwise_interference_on_long_same_edge_runs():
+    """Three nodes over 400 slots: about 2,800 candidates of one or two
+    hops, a contact used by up to 80 of them, so the tree's range ORs and
+    the windows run over wide masks. Every 40th row is checked pairwise."""
+    for seed in range(3):
+        _check_closed_masks(gen_random_tvg(3, 400, 0.2, seed), "n1", "n3",
+                            (2, 3, 5), rows=40)
 
 
 def test_journey_cap_trips_at_the_candidate_count():
@@ -336,6 +354,17 @@ def test_journey_cap_trips_at_the_candidate_count():
                              "than 52 candidate journeys$"):
         exact_maxflow_delta(g, "n1", "n10", 2, cap=52)
     assert exact_maxflow_delta(g, "n1", "n10", 2, cap=53).count == 4
+    # the tree itself, at a cap of its candidate count and one below
+    cases = [(gen_random_tvg(10, 12, 0.5, seed), "n1", "n10")
+             for seed in (11, 18)]
+    cases.append((gen_random_tvg(3, 400, 0.2, 0), "n1", "n3"))
+    for g, s, d in cases:
+        m = len(_journey_tree(g, s, d, 2, 100_000)[0].leaf)
+        assert len(_journey_tree(g, s, d, 2, m)[0].leaf) == m
+        with pytest.raises(InstanceTooLargeError,
+                           match=f"^instance too large for exact oracle: "
+                                 f"more than {m - 1} candidate journeys$"):
+            _journey_tree(g, s, d, 2, m - 1)
 
 
 def test_exact_flow_at_delta_1_skips_the_greedy_and_the_ceiling(

@@ -15,16 +15,16 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       analyze_exact, contacts, delta_cover,
                       enumerate_journeys, exact_maxflow_delta,
                       exact_mincut_delta, gen_counterexample, gen_random_tvg,
-                      greedy_maxflow_delta, is_valid_journey, sandwich_check,
-                      minweight_mincut_delta, set_weights,
+                      greedy_maxflow_delta, is_valid_journey, Journey,
+                      sandwich_check, minweight_mincut_delta, set_weights,
                       survivability_bounds, verify_cut, weighted_mincut_1)
 from tempocut import mincut, verify
 from tempocut.simulate import sweep
 from tempocut.linegraph import build_line_graph, node_disjoint_maxflow
 from tempocut.mincut import (DEFAULT_HEAD_CAP, CutResult, _exact_cut_search,
                              _window_sizes)
-from tempocut.tvg import (_contact_id, _footprint_ids, _min_hop_surviving,
-                          _run_table, interfering_contacts)
+from tempocut.tvg import (_contact_id, _contacts_of, _footprint_ids,
+                          _min_hop_surviving, _run_table, interfering_contacts)
 from test_tvg import _canonical_heads, graphs
 
 contact_sets = st.lists(
@@ -236,9 +236,10 @@ def test_exact_cut_keeps_the_min_hop_tie_break():
                             DeltaRemoval("e8", 1, 5))
 
 
-def _unpruned_cut_search(g, s, d, delta, rounded, lower, head_cap):
+def _unpruned_cut_search(g, s, d, delta, rounded, family, head_cap):
     """_exact_cut_search before the peel: every branch runs until its
-    removals are spent or its pair is cut."""
+    removals are spent or its pair is cut. Of the family only its size is
+    read, as a floor on the depth."""
     upper = rounded.count
     if upper == 0:
         return CutResult((), delta, exact=True)
@@ -283,7 +284,7 @@ def _unpruned_cut_search(g, s, d, delta, rounded, lower, head_cap):
             blocked.add(r)
         return None
 
-    floor = max(lower, ceil(rounded.weight_lower_bound), 1)
+    floor = max(len(family), ceil(rounded.weight_lower_bound), 1)
     for k in range(floor, upper):
         got = search(k, [], frozenset())
         if got is not None:
@@ -311,8 +312,10 @@ def _count_searches(monkeypatch, module):
 
 def test_peel_keeps_every_cut_of_the_unpruned_search(monkeypatch):
     """The peel drops only branches that hold no cut, so the pruned search
-    returns the unpruned one's result, removals included, on every input;
-    and on the medium corpus at delta 2 and 3 it needs under a fifth of the
+    returns the unpruned one's result, removals included, on every input,
+    whether each depth's root starts from no family, from the greedy
+    family or from that family reversed; and on the medium corpus at delta
+    2 and 3, started from the greedy family, it needs under a fifth of the
     surviving-journey searches. The counterexample ladder has flow below
     cut, where the peel finds fewest journeys."""
     medium = [(gen_random_tvg(10, 12, 0.5, seed), "n1", "n10")
@@ -325,15 +328,23 @@ def test_peel_keeps_every_cut_of_the_unpruned_search(monkeypatch):
     spent = [0, 0]  # pruned, unpruned; medium corpus at delta 2 and 3
     for i, (g, s, d) in enumerate(medium + cases):
         for delta in (1, 2, 3, 5):
-            rounded = minweight_mincut_delta(g, s, d, delta)
-            lower = greedy_maxflow_delta(g, s, d, delta).count
-            args = (g, s, d, delta, rounded, lower, DEFAULT_HEAD_CAP)
-            before = pruned[0], unpruned[0]
-            assert _exact_cut_search(*args) == _unpruned_cut_search(*args), \
-                (i, delta)
+            greedy, rounded, family = mincut._approximations(g, s, d, delta)
+            assert rounded == minweight_mincut_delta(g, s, d, delta)
+            assert [Journey(tuple(_contacts_of(g, ids))) for ids in family] \
+                == list(greedy.journeys)
+            before = unpruned[0]
+            want = _unpruned_cut_search(g, s, d, delta, rounded, family,
+                                        DEFAULT_HEAD_CAP)
+            spent_unpruned = unpruned[0] - before
+            for root in ([], family[::-1]):
+                assert _exact_cut_search(g, s, d, delta, rounded, root,
+                                         DEFAULT_HEAD_CAP) == want, (i, delta)
+            before = pruned[0]
+            assert _exact_cut_search(g, s, d, delta, rounded, family,
+                                     DEFAULT_HEAD_CAP) == want, (i, delta)
             if i < len(medium) and delta in (2, 3):
-                spent[0] += pruned[0] - before[0]
-                spent[1] += unpruned[0] - before[1]
+                spent[0] += pruned[0] - before
+                spent[1] += spent_unpruned
     assert spent[0] > 0 and spent[1] > 0, spent
     assert 5 * spent[0] < spent[1], spent
 
