@@ -14,8 +14,7 @@ import time
 
 from tempocut import (InstanceTooLargeError, discretize, greedy_maxflow_delta,
                       parse_contact_trace, sweep, sweep_to_csv)
-from tempocut.cli import (DEFAULT_MAX_POINTS, _expand_sweep, _parse_int_list,
-                          _positive_int)
+from tempocut.cli import _expand_sweep, _parse_int_list
 from tempocut.traces import HEADER
 
 
@@ -52,9 +51,6 @@ def main(argv=None) -> int:
     ap.add_argument("--dmax", type=int, default=10)
     ap.add_argument("--seed", type=int, default=4242)
     ap.add_argument("--csv", help="write the sweep rows to this file")
-    ap.add_argument("--max-points", type=_positive_int,
-                    default=DEFAULT_MAX_POINTS,
-                    help="most sweep points (copies x spacings) to run")
     args = ap.parse_args(argv)
     # SimConfig's range checks and the sweep's size, checked before the
     # lists are expanded
@@ -66,7 +62,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         ap.error(str(exc))
     try:
-        ns, deltas = _expand_sweep(args.max_points, ns, deltas)
+        ns, deltas = _expand_sweep(ns, deltas)
     except InstanceTooLargeError as exc:
         ap.exit(3, f"{ap.prog}: error: {exc}\n")
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 bad input (files, flags, parameters), 3 instance
-too large for a desk-scale exact oracle or a simulate sweep of more points
-than --max-points, 4 internal invariant failure.
+too large for a desk-scale exact oracle or a simulate sweep of more than
+MAX_SWEEP_POINTS points, 4 internal invariant failure.
 Output is machine-readable JSON/CSV by default; --pretty indents JSON.
 """
 
@@ -27,7 +27,11 @@ from .tvg import InstanceTooLargeError, load_tvg
 from .verify import SUITES, run_suites
 
 
-DEFAULT_MAX_POINTS = 1000
+# A sweep keeps every point's report: at its cheapest (one packet on a
+# 4-node graph) a point costs about 9 us and 0.9 KB of peak RSS, and at the
+# default 2,000 packets about 220 KB. So a sweep past this many points
+# needs more than 0.9 GB even then, and more than 200 GB at the defaults.
+MAX_SWEEP_POINTS = 1_000_000
 
 
 def _parse_int_list(text: str, bounds: tuple[int, float] | None = None,
@@ -58,16 +62,15 @@ def _parse_int_list(text: str, bounds: tuple[int, float] | None = None,
     return out
 
 
-def _expand_sweep(max_points: int, *axes: list[range]) -> list[list[int]]:
+def _expand_sweep(*axes: list[range]) -> list[list[int]]:
     """The value lists of a sweep over the cross product of axes (parsed by
     _parse_int_list), expanded only once the number of points they make is
-    known to be at most max_points; more raises InstanceTooLargeError. So
-    a huge range fails at once instead of filling memory."""
+    known to be at most MAX_SWEEP_POINTS; more raises InstanceTooLargeError.
+    So a huge range fails at once instead of filling memory."""
     count = math.prod(sum(map(len, axis)) for axis in axes)
-    if count > max_points:
+    if count > MAX_SWEEP_POINTS:
         raise InstanceTooLargeError(
-            f"sweep too large: {count} points, more than {max_points} "
-            f"(--max-points)")
+            f"sweep too large: {count} points, more than {MAX_SWEEP_POINTS}")
     return [[v for r in axis for v in r] for axis in axes]
 
 
@@ -159,8 +162,7 @@ def cmd_simulate(args) -> int:
                  if args.ddl else [range(g.horizon, g.horizon + 1)])
     deltas = _parse_int_list(args.delta, (1, min(r[0] for r in deadlines)),
                              "delta must lie in [1, deadline]")
-    ns, deltas, deadlines = _expand_sweep(args.max_points, ns, deltas,
-                                          deadlines)
+    ns, deltas, deadlines = _expand_sweep(ns, deltas, deadlines)
     reports = sweep(g, ns, deltas, deadlines, args.packets, args.p,
                     args.dmax, args.seed)
     _emit(sweep_to_csv(reports), args)
@@ -282,10 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="max failure duration (slots)")
     p.add_argument("--packets", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-points", type=_positive_int,
-                   default=DEFAULT_MAX_POINTS,
-                   help="most sweep points (copies x spacings x deadlines) "
-                        f"to run (default {DEFAULT_MAX_POINTS})")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ingest", help="contact trace CSV to graph JSON")

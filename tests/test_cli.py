@@ -47,13 +47,16 @@ def test_parse_int_list():
     for text in ("2,0", "2..6"):
         with pytest.raises(ValueError, match="^out of range$"):
             _parse_int_list(text, (1, 5), "out of range")
-    # the sweep expands the lists only within its point budget
+
+
+def test_expand_sweep_stays_within_its_point_budget(monkeypatch):
     axes = _parse_int_list("1..2,4"), _parse_int_list("1,3..4")
-    assert _expand_sweep(9, *axes) == [[1, 2, 4], [1, 3, 4]]
+    monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", 9)
+    assert _expand_sweep(*axes) == [[1, 2, 4], [1, 3, 4]]
+    monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", 8)
     with pytest.raises(InstanceTooLargeError,
-                       match=r"^sweep too large: 9 points, more than 8 "
-                             r"\(--max-points\)$"):
-        _expand_sweep(8, *axes)
+                       match="^sweep too large: 9 points, more than 8$"):
+        _expand_sweep(*axes)
 
 
 def test_gen_random_roundtrips(capsys):
@@ -451,7 +454,7 @@ def test_survivable(relay_file, capsys):
                        "lower": 2, "upper": 2, "exact": True}
 
 
-def test_simulate_csv(tmp_path, capsys):
+def test_simulate_csv(tmp_path, capsys, monkeypatch):
     graph_path = tmp_path / "g.json"
     assert main(["gen", "random", "--nodes", "6", "--t", "10", "--seed", "4",
                  "-o", str(graph_path)]) == 0
@@ -465,11 +468,13 @@ def test_simulate_csv(tmp_path, capsys):
     main(argv)
     assert capsys.readouterr().out == first
     # 2 copies x 3 spacings x 1 deadline: a budget of 6 points runs them
-    assert main(argv + ["--max-points", "6"]) == 0
+    monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", 6)
+    assert main(argv) == 0
     assert capsys.readouterr().out == first
-    assert main(argv + ["--max-points", "5"]) == 3
+    monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", 5)
+    assert main(argv) == 3
     assert capsys.readouterr() == (
-        "", "error: sweep too large: 6 points, more than 5 (--max-points)\n")
+        "", "error: sweep too large: 6 points, more than 5\n")
 
 
 @pytest.mark.parametrize("doc,count", [
@@ -520,20 +525,9 @@ def test_simulate_bad_last_delta_fails_before_any_point_runs(tmp_path,
     assert planned == []
 
 
-@pytest.mark.parametrize("flag,message,values,code", [
-    ("--delta", "delta must lie in [1, deadline]", "1..10000000000", 2),
-    ("--ddl", "deadline must lie in [1, graph horizon]", "1..10000000000", 2),
-    ("--n", "need at least one copy per packet", "0..10000000000", 2),
-    ("--n", "sweep too large: 10000000000 points, more than 1000 "
-            "(--max-points)", "1..10000000000", 3),
-])
-def test_simulate_huge_range_fails_before_it_is_expanded(tmp_path, flag,
-                                                         message, values,
-                                                         code):
+def _simulate_under_1gb(tmp_path, flag, values):
     # Run in a child process under a 1 GB address-space limit: expanding
     # the range before checking it runs out of memory there, not here.
-    # Copies have no upper bound, so a huge --n range within bounds is
-    # stopped by the sweep's point budget.
     path = tmp_path / "g.json"
     path.write_text(gen_random_tvg(4, 5, 0.5, 1).dumps())
     src = os.path.dirname(os.path.dirname(os.path.abspath(tempocut.__file__)))
@@ -546,8 +540,27 @@ def test_simulate_huge_range_fails_before_it_is_expanded(tmp_path, flag,
         [sys.executable, "-c", child, "simulate", str(path),
          flag, values, "--packets", "5"],
         capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        code, "", f"error: {message}\n")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--delta", "delta must lie in [1, deadline]"),
+    ("--ddl", "deadline must lie in [1, graph horizon]"),
+    ("--n", "need at least one copy per packet"),
+])
+def test_simulate_huge_range_fails_before_it_is_expanded(tmp_path, flag,
+                                                         message):
+    # Copies have no upper bound, so the --n range starts out of bounds.
+    values = "0..10000000000" if flag == "--n" else "1..10000000000"
+    assert _simulate_under_1gb(tmp_path, flag, values) == (
+        2, "", f"error: {message}\n")
+
+
+def test_simulate_huge_sweep_fails_before_it_is_expanded(tmp_path):
+    # In bounds, a huge --n range is stopped by the sweep's point budget.
+    assert _simulate_under_1gb(tmp_path, "--n", "1..10000000000") == (
+        3, "", "error: sweep too large: 10000000000 points, "
+               "more than 1000000\n")
 
 
 def test_ingest_fits_horizon(tmp_path, capsys):

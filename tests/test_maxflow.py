@@ -233,16 +233,17 @@ def _closed_class_survivors(closed):
 
 
 def test_domination_matches_the_reference_on_the_medium_corpus():
-    """The journey tree's masks equal the reference's over Journeys, and the
-    twin-merging pass keeps the survivors of the reference pass: same
-    indices, same order."""
+    """The journey tree's masks and _closed_masks over its candidates equal
+    the reference's over Journeys, and the twin-merging pass keeps the
+    survivors of the reference pass: same indices, same order."""
     for seed in range(100):
         g = gen_random_tvg(10, 12, 0.5, seed)
         journeys = _simple_journey_objects(g, "n1", "n10")
         for delta in (2, 3, 5):
             conflict = _conflict_masks(g, journeys, delta)
-            _, closed = _tree_candidates(g, "n1", "n10", delta)
+            cands, closed = _tree_candidates(g, "n1", "n10", delta)
             assert closed == [c | (1 << k) for k, c in enumerate(conflict)]
+            assert _closed_masks(g, cands, delta) == closed, (seed, delta)
             assert _drop_dominated(closed) == \
                 _drop_dominated_in_popcount_order(conflict), (seed, delta)
 
