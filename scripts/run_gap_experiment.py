@@ -13,6 +13,24 @@ import time
 from tempocut import analyze_exact, gen_random_tvg
 
 
+def gap_cells(instances: int, nodes: int, horizon: int, p: float, deltas,
+              seed0: int) -> list[tuple]:
+    """One CSV row per (instance, delta) cell, instances seeded seed0,
+    seed0 + 1, ..., pair n1 -> n<nodes>: seed, delta, greedy and exact
+    flow, rounded and exact cut, and whether the greedy's certificate
+    holds."""
+    src, dst = "n1", f"n{nodes}"
+    cells = []
+    for seed in range(seed0, seed0 + instances):
+        g = gen_random_tvg(nodes, horizon, p, seed)
+        for delta in deltas:
+            res = analyze_exact(g, src, dst, delta)
+            cells.append((seed, delta, res.greedy.count, res.flow.count,
+                          res.rounded.count, res.cut.count,
+                          res.certificates["flow"]["within_ratio"]))
+    return cells
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=int, default=100)
@@ -25,16 +43,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     deltas = [int(x) for x in args.deltas.split(",")]
-    src, dst = "n1", f"n{args.nodes}"
-    cells = []
     t0 = time.perf_counter()
-    for i in range(args.instances):
-        g = gen_random_tvg(args.nodes, args.t, args.p, args.seed0 + i)
-        for delta in deltas:
-            res = analyze_exact(g, src, dst, delta)
-            cells.append((args.seed0 + i, delta, res.greedy.count,
-                          res.flow.count, res.rounded.count, res.cut.count,
-                          res.certificates["flow"]["within_ratio"]))
+    cells = gap_cells(args.instances, args.nodes, args.t, args.p, deltas,
+                      args.seed0)
     elapsed = time.perf_counter() - t0
 
     if args.csv:

@@ -15,37 +15,26 @@ import time
 import pytest
 
 import tempocut
-from tempocut import (DeltaRemoval, analyze_exact, discretize, djr_route,
-                      gen_random_tvg, greedy_bound_certificate,
-                      greedy_maxflow_delta, journeys_delivered,
+from tempocut import (DeltaRemoval, discretize, djr_route, gen_random_tvg,
+                      greedy_bound_certificate, journeys_delivered,
                       parse_contact_trace, sweep)
 from tempocut.tvg import Contact
-from tempocut.traces import HEADER
 from tempocut.verify import (suite_duality, suite_gapfamily, suite_menger1,
                              suite_reduction, suite_sandwich)
+from run_gap_experiment import gap_cells
+from run_loss_sweep import routable_plateau, star_core_trace
 from test_mincut import _check_cover_is_optimal
 
 DELTAS = (1, 2, 3, 5)
 
 
 @pytest.fixture(scope="module")
-def medium_corpus():
-    """100 seeded instances, 10 nodes, horizon 12, density 0.5."""
-    return [(gen_random_tvg(10, 12, 0.5, seed), "n1", "n10")
-            for seed in range(100)]
-
-
-@pytest.fixture(scope="module")
-def medium_table(medium_corpus):
-    """Greedy and exact flow plus rounded and exact cut, per (instance, delta)."""
+def medium_cells():
+    """run_gap_experiment's cells on 100 seeded instances, 10 nodes, horizon
+    12, density 0.5: greedy and exact flow, rounded and exact cut."""
     t0 = time.perf_counter()
-    table = {}
-    for i, (g, s, d) in enumerate(medium_corpus):
-        for delta in DELTAS:
-            res = analyze_exact(g, s, d, delta)
-            table[i, delta] = (res.greedy.count, res.flow.count,
-                               res.rounded.count, res.cut.count)
-    return table, time.perf_counter() - t0
+    cells = gap_cells(100, 10, 12, 0.5, DELTAS, 0)
+    return cells, time.perf_counter() - t0
 
 
 def _run_suite(suite, *args) -> float:
@@ -74,35 +63,33 @@ def test_c03_weak_duality():
     print("criterion 3: maxflow <= mincut on 200 instances x 4 deltas")
 
 
-def test_c04_greedy_flow_quality(medium_corpus, medium_table):
-    table, build_time = medium_table
+def test_c04_greedy_flow_quality(medium_cells):
+    cells, build_time = medium_cells
     assert build_time < 300.0
     gaps = []
-    for i, (g, s, d) in enumerate(medium_corpus):
-        for delta in DELTAS:
-            alg, opt, _, _ = table[i, delta]
-            gaps.append((opt - alg) / max(alg, 1))
-            assert greedy_bound_certificate(alg, opt, len(g.edges),
-                                            g.horizon, delta)
+    for seed, delta, alg, opt, _, _, _ in cells:
+        g = gen_random_tvg(10, 12, 0.5, seed)
+        gaps.append((opt - alg) / max(alg, 1))
+        assert greedy_bound_certificate(alg, opt, len(g.edges),
+                                        g.horizon, delta)
     mean_gap = sum(gaps) / len(gaps)
     assert mean_gap <= 0.15
     print(f"criterion 4: greedy flow mean gap {mean_gap:.4f} <= 0.15, "
           f"certificates 400/400 (table {build_time:.1f}s)")
 
 
-def test_c05_rounded_cut_quality(medium_corpus, medium_table):
-    table, _ = medium_table
+def test_c05_rounded_cut_quality(medium_cells):
+    cells, _ = medium_cells
     gaps = []
-    for i in range(len(medium_corpus)):
-        assert table[i, 1][2] == table[i, 1][3]  # rounding exact at delta=1
-        for delta in DELTAS:
-            _, _, alg, opt = table[i, delta]
-            if opt == 0:
-                assert alg == 0
-            else:
-                assert alg <= delta * opt
-            if delta <= 3:
-                gaps.append((alg - opt) / opt if opt else 0.0)
+    for _, delta, _, _, alg, opt, _ in cells:
+        if delta == 1:
+            assert alg == opt  # rounding exact at delta=1
+        if opt == 0:
+            assert alg == 0
+        else:
+            assert alg <= delta * opt
+        if delta <= 3:
+            gaps.append((alg - opt) / opt if opt else 0.0)
     mean_gap = sum(gaps) / len(gaps)
     assert mean_gap <= 0.20
     print(f"criterion 5: cut exact at delta=1, ratio bound everywhere, "
@@ -158,26 +145,11 @@ def test_c09_spaced_copies_survive_adversarial_failures():
     print("criterion 9: 50/50 adversarial cases delivered")
 
 
-def _anchor_trace():
-    """Always-on core pair plus eight rim nodes that each flash up three
-    times, fifteen seconds apart; spacing larger than fifteen slots cannot
-    keep two copies."""
-    lines = [HEADER, "c1,c2,0,60"]
-    for i in range(1, 9):
-        for base in (9, 24, 39):
-            lines.append(f"x{i},c1,{base + i},1")
-    return "\n".join(lines) + "\n"
-
-
 def test_c10_loss_minimum_sits_at_routable_spacing():
-    g = discretize(parse_contact_trace(_anchor_trace()), 0, 60)
+    g = discretize(parse_contact_trace(star_core_trace(60)), 0, 60)
     assert len(g.nodes) == 10
 
-    pairs = [(u, v) for u in g.nodes for v in g.nodes if u != v]
-    dstar = max(
-        delta for delta in range(1, 21)
-        if min(greedy_maxflow_delta(g, u, v, delta).count
-               for u, v in pairs) >= 2)
+    dstar = routable_plateau(g, range(1, 21), 2)
     assert dstar == 15  # the rim return period fixes the routable plateau
 
     reports = sweep(g, [1, 2], list(range(1, 21)), [60], 2500, 0.05, 10,

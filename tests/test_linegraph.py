@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
                       apply_removals, build_line_graph, enumerate_journeys,
-                      gen_counterexample, gen_random_tvg,
-                      greedy_maxflow_delta, is_valid_journey, min_hop_path,
-                      node_disjoint_maxflow, reachable, set_weights,
-                      time_expanded_maxflow, weighted_mincut_1)
+                      exact_maxflow_delta, gen_counterexample, gen_random_tvg,
+                      is_valid_journey, min_hop_path, node_disjoint_maxflow,
+                      reachable, set_weights, time_expanded_maxflow,
+                      weighted_mincut_1)
 from tempocut import verify
 from tempocut.linegraph import (DST, SRC, _scaled_caps, _time_expanded_flow,
                                 _time_expanded_network)
+from tempocut.mincut import _approximations
 from tempocut.tvg import _contact_id, _contacts_of, contacts
 
 graphs = st.builds(
@@ -183,12 +184,6 @@ def test_min_hop_path_none_when_disconnected():
     assert min_hop_path(g, "s", "d") is None
 
 
-def _unit_walks(g, s, d):
-    """The time-expanded unit max flow's walks, as Journeys."""
-    _, _, walks = _time_expanded_flow(g, s, d, [1] * g.contact_count)
-    return [Journey(tuple(_contacts_of(g, ids))) for ids in walks()]
-
-
 def _check_walks(g, s, d, walks):
     """The walks are valid s->d journeys, each ending at its first arrival
     at d, and no two share a contact."""
@@ -204,7 +199,7 @@ def test_unit_flow_relay(relay):
     res = node_disjoint_maxflow(lg)
     assert res.value == Fraction(2)
     assert set(res.cut) == {Contact("e1", 1), Contact("e1", 2)}
-    walks = _unit_walks(relay, "s", "d")
+    walks = exact_maxflow_delta(relay, "s", "d", 1).journeys
     assert len(walks) == 2
     _check_walks(relay, "s", "d", walks)
 
@@ -222,7 +217,7 @@ def test_weighted_flow_scales(relay):
 def test_unit_flow_value_equals_cut_size(g):
     s, d = g.nodes[0], g.nodes[-1]
     res = node_disjoint_maxflow(build_line_graph(g, s, d))
-    assert res.value == len(res.cut) == len(_unit_walks(g, s, d))
+    assert res.value == len(res.cut) == exact_maxflow_delta(g, s, d, 1).count
 
 
 @given(graphs)
@@ -234,7 +229,7 @@ def test_unit_flow_walks_match_the_line_graph(g):
     for s in g.nodes:
         for d in g.nodes:
             if s != d:
-                walks = _unit_walks(g, s, d)
+                walks = exact_maxflow_delta(g, s, d, 1).journeys
                 unit = node_disjoint_maxflow(build_line_graph(g, s, d))
                 assert len(walks) == unit.value, (s, d)
                 _check_walks(g, s, d, walks)
@@ -402,11 +397,6 @@ def test_time_expanded_network_size_is_pinned():
     assert (nodes, arcs) == (8_007, 23_046)
 
 
-def _greedy_family(g, s, d, delta):
-    return [tuple(_contact_id(g, c) for c in j.hops)
-            for j in greedy_maxflow_delta(g, s, d, delta).journeys]
-
-
 def _enumerated_family(g, s, d):
     """Contact-disjoint journeys taken in enumeration order, revisits
     included; each arrives at d only at its end, as the network's paths
@@ -454,7 +444,7 @@ def test_warm_started_flow_keeps_value_and_cut():
         g = gen_random_tvg(10, 12, 0.5, seed)
         for delta in (1, 2, 3, 5):
             _warm_start_agrees(g, "n1", "n10", delta,
-                               [_greedy_family(g, "n1", "n10", delta)])
+                               [_approximations(g, "n1", "n10", delta)[2]])
     empty = revisits = 0
     for seed in range(40):
         g = gen_random_tvg(3 + seed % 4, 3 + seed % 5, 0.5, seed)
@@ -463,7 +453,7 @@ def test_warm_started_flow_keeps_value_and_cut():
                 if s != d:
                     delta = 1 + seed % 3
                     value, back = _warm_start_agrees(g, s, d, delta, [
-                        _greedy_family(g, s, d, delta),
+                        _approximations(g, s, d, delta)[2],
                         _enumerated_family(g, s, d)])
                     empty += value == 0
                     revisits += back
@@ -477,7 +467,7 @@ def test_warm_started_flow_keeps_value_and_cut_on_any_graph(g, delta):
         for d in g.nodes:
             if s != d:
                 _warm_start_agrees(g, s, d, delta, [
-                    _greedy_family(g, s, d, delta),
+                    _approximations(g, s, d, delta)[2],
                     _enumerated_family(g, s, d)])
 
 

@@ -15,7 +15,7 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
 from tempocut import maxflow
 from tempocut.maxflow import _closed_masks, _drop_dominated, _journey_tree
 from tempocut.tvg import contacts, interfering_contacts
-from test_acceptance import _anchor_trace
+from run_loss_sweep import star_core_trace
 
 graphs = st.builds(
     gen_random_tvg,
@@ -75,7 +75,7 @@ def test_greedy_matches_rebuilding_reference():
         for delta in (1, 2, 3, 4):
             assert greedy_maxflow_delta(g, "n1", "n10", delta).journeys == \
                 _rebuilding_greedy(g, "n1", "n10", delta)
-    g = discretize(parse_contact_trace(_anchor_trace()), 0, 60)
+    g = discretize(parse_contact_trace(star_core_trace(60)), 0, 60)
     for s in g.nodes:
         for d in g.nodes:
             if s != d:

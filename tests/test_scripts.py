@@ -1,7 +1,7 @@
 """The research scripts run end to end on small arguments and reject bad
 lists with a usage error."""
 
-import importlib.util
+import importlib
 import os
 import pathlib
 import subprocess
@@ -9,15 +9,9 @@ import sys
 
 import pytest
 
+import run_loss_sweep
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
-
-
-def _load(name, monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("name, argv, header, rows", [
@@ -26,10 +20,9 @@ def _load(name, monkeypatch):
     ("run_gap_experiment", ["--instances", "2", "--deltas", "1,2"],
      "seed,delta,flow_greedy,flow_opt,cut_rounded,cut_opt,certified", 2 * 2),
 ])
-def test_script_writes_its_csv(tmp_path, capsys, monkeypatch, name, argv,
-                               header, rows):
+def test_script_writes_its_csv(tmp_path, capsys, name, argv, header, rows):
     csv = tmp_path / "rows.csv"
-    assert _load(name, monkeypatch).main(argv + ["--csv", str(csv)]) == 0
+    assert importlib.import_module(name).main(argv + ["--csv", str(csv)]) == 0
     lines = csv.read_text().splitlines()
     assert lines[0] == header
     assert len(lines) == 1 + rows
@@ -42,10 +35,9 @@ def test_script_writes_its_csv(tmp_path, capsys, monkeypatch, name, argv,
     (["--deltas", "5..2"], "empty range '5..2'"),
     (["--ns", "0"], "need at least one copy per packet"),
 ])
-def test_loss_sweep_bad_list_is_a_usage_error(capsys, monkeypatch, argv,
-                                              message):
+def test_loss_sweep_bad_list_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        _load("run_loss_sweep", monkeypatch).main(argv)
+        run_loss_sweep.main(argv)
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert err.endswith(f"error: {message}\n")
