@@ -7,10 +7,12 @@ can dump the raw cells as CSV for plotting.
 """
 
 import argparse
+import math
 import sys
 import time
 
-from tempocut import analyze_exact, gen_random_tvg
+from tempocut import InstanceTooLargeError, analyze_exact, gen_random_tvg
+from tempocut.cli import _expand_sweep, _parse_int_list, _positive_int
 
 
 def gap_cells(instances: int, nodes: int, horizon: int, p: float, deltas,
@@ -33,27 +35,34 @@ def gap_cells(instances: int, nodes: int, horizon: int, p: float, deltas,
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--instances", type=int, default=100)
+    ap.add_argument("--instances", type=_positive_int, default=100)
     ap.add_argument("--nodes", type=int, default=10)
-    ap.add_argument("--t", type=int, default=12, help="horizon (slots)")
+    ap.add_argument("--t", type=_positive_int, default=12,
+                    help="horizon (slots)")
     ap.add_argument("--p", type=float, default=0.5)
     ap.add_argument("--deltas", default="1,2,3,5")
     ap.add_argument("--seed0", type=int, default=0, help="first seed")
     ap.add_argument("--csv", help="write per-cell rows to this file")
     args = ap.parse_args(argv)
 
-    deltas = [int(x) for x in args.deltas.split(",")]
-    t0 = time.perf_counter()
-    cells = gap_cells(args.instances, args.nodes, args.t, args.p, deltas,
-                      args.seed0)
-    elapsed = time.perf_counter() - t0
-
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("seed,delta,flow_greedy,flow_opt,cut_rounded,cut_opt,"
-                     "certified\n")
-            for row in cells:
-                fh.write(",".join(str(x) for x in row) + "\n")
+    try:
+        # a huge --deltas range is refused before it is expanded
+        (deltas,) = _expand_sweep(_parse_int_list(
+            args.deltas, (1, math.inf), "delta must be positive"))
+        t0 = time.perf_counter()
+        cells = gap_cells(args.instances, args.nodes, args.t, args.p, deltas,
+                          args.seed0)
+        elapsed = time.perf_counter() - t0
+        if args.csv:
+            with open(args.csv, "w") as fh:
+                fh.write("seed,delta,flow_greedy,flow_opt,cut_rounded,"
+                         "cut_opt,certified\n")
+                for row in cells:
+                    fh.write(",".join(str(x) for x in row) + "\n")
+    except InstanceTooLargeError as exc:
+        ap.exit(3, f"{ap.prog}: error: {exc}\n")
+    except (ValueError, OSError) as exc:
+        ap.error(str(exc))
 
     print(f"{args.instances} instances ({args.nodes} nodes, T={args.t}, "
           f"p={args.p}), deltas {deltas}, {elapsed:.1f}s")

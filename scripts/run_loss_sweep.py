@@ -12,14 +12,16 @@ import math
 import sys
 import time
 
-from tempocut import (InstanceTooLargeError, discretize, greedy_maxflow_delta,
-                      parse_contact_trace, sweep, sweep_to_csv)
-from tempocut.cli import _expand_sweep, _parse_int_list
+from tempocut import (FailureModel, InstanceTooLargeError, SimConfig,
+                      discretize, greedy_maxflow_delta, parse_contact_trace,
+                      sweep, sweep_to_csv)
+from tempocut.cli import _expand_sweep, _parse_int_list, _positive_int
 from tempocut.traces import HEADER
 
 
 def star_core_trace(deadline: int) -> str:
-    """Two always-on hubs plus eight rim nodes flashing up every 15 seconds."""
+    """Two always-on hubs plus eight rim nodes flashing up every 15 seconds,
+    so no spacing above 15 slots keeps two copies between every pair."""
     lines = [HEADER, f"c1,c2,0,{deadline}"]
     for i in range(1, 9):
         for base in (9, 24, 39):
@@ -46,32 +48,39 @@ def main(argv=None) -> int:
     ap.add_argument("--deadline", type=int, default=60)
     ap.add_argument("--ns", default="1,2")
     ap.add_argument("--deltas", default="1..20")
-    ap.add_argument("--packets", type=int, default=2500)
+    ap.add_argument("--packets", type=_positive_int, default=2500)
     ap.add_argument("--p", type=float, default=0.05)
     ap.add_argument("--dmax", type=int, default=10)
     ap.add_argument("--seed", type=int, default=4242)
     ap.add_argument("--csv", help="write the sweep rows to this file")
     args = ap.parse_args(argv)
-    # SimConfig's range checks and the sweep's size, checked before the
-    # lists are expanded
     try:
+        # SimConfig's range checks and the sweep's size, checked before the
+        # lists are expanded
         ns = _parse_int_list(args.ns, (1, math.inf),
                              "need at least one copy per packet")
         deltas = _parse_int_list(args.deltas, (1, args.deadline),
                                  "delta must lie in [1, deadline]")
-    except ValueError as exc:
-        ap.error(str(exc))
-    try:
         ns, deltas = _expand_sweep(ns, deltas)
+        if args.trace:
+            with open(args.trace) as fh:
+                text = fh.read()
+        else:
+            text = star_core_trace(args.deadline)
+        g = discretize(parse_contact_trace(text), 0, args.deadline)
+        # the sweep's own checks on one of its points, before the plateau
+        # search runs
+        SimConfig(g, args.deadline, ns[0], deltas[0], args.packets,
+                  FailureModel(args.p, args.dmax))
+        return _run(g, ns, deltas, args)
     except InstanceTooLargeError as exc:
         ap.exit(3, f"{ap.prog}: error: {exc}\n")
+    except (ValueError, OSError) as exc:
+        ap.error(str(exc))
 
-    if args.trace:
-        with open(args.trace) as fh:
-            text = fh.read()
-    else:
-        text = star_core_trace(args.deadline)
-    g = discretize(parse_contact_trace(text), 0, args.deadline)
+
+def _run(g, ns: list[int], deltas: list[int], args) -> int:
+    """The plateau search and the sweep on a checked trace window."""
     print(f"trace window: {len(g.nodes)} nodes, {len(g.edges)} edges, "
           f"{g.contact_count} contacts, T={g.horizon}")
 

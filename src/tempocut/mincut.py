@@ -196,8 +196,9 @@ def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
     delta-disjoint family, so f such journeys need f removals) or from the
     rounded cut's weight rounded up (a removal's footprint weighs at most 1),
     whichever is larger. At each depth: find a min-hop surviving journey,
-    branch on the canonical removals hitting it; left-to-right forbidden
-    sets keep branches from revisiting permutations. Before branching with
+    branch on the canonical removals hitting it; a head a node has tried
+    is banned in its later branches, so no branch revisits a permutation
+    of another's removals. Before branching with
     b removals left, peel journeys off the residual: those its parent
     peeled that the branch's removal missed (at the root, the greedy's
     journeys), then min-hop ones, each
@@ -220,23 +221,24 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     below the optimum fails, so the cut found does not depend on the
     floor, only the time taken to find it. Each depth's root peels from
     the family, which survives there since nothing is removed yet. The
-    peel drops only branches that hold no cut, whatever their forbidden
-    set and whichever journeys it starts from, and leaves the depth-first
+    peel drops only branches that hold no cut, whatever heads they ban
+    and whichever journeys it starts from, and leaves the depth-first
     order of the rest alone, so the family too changes the time, not the
     cut found. The head cap is checked only when the floor is below the
-    rounded cut: at the floor the rounded cut is already proven optimal.
+    rounded cut: at the floor the rounded cut is already proven optimal,
+    an empty one (no journey) included, which keeps its weight bound.
 
     A removal is its head's contact id h, taking out range(h, reach[h]);
     the heads that take out contact i are back[i]..i (tvg._run_table).
     Each node passes its children the family it peeled. A child removal
     with footprint F grew the dead mask by F alone, so the members F does
     not hit still survive, pairwise delta-disjoint; with more of them than
-    removals left the child is dropped before any search.
+    removals left the child is dropped before any search. A node raises
+    banned[h] once it has tried head h, skips banned heads (a head that
+    two hops share is tried once) and lowers its own before returning
+    None, so banned holds the heads tried on the current branch.
     """
     upper = rounded.count
-    if upper == 0:
-        return CutResult((), delta, exact=True)
-
     floor = max(len(family), ceil(rounded.weight_lower_bound), 1)
     if floor < upper and g.contact_count > head_cap:
         raise InstanceTooLargeError(
@@ -246,6 +248,7 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     # dead[i] counts the chosen removals and peel masks that take out
     # contact i; a count, not a flag, since they can overlap
     dead = [0] * g.contact_count
+    banned = [0] * g.contact_count
 
     def mask(ids: tuple[int, ...], step: int) -> None:
         """Add step to dead over the interference runs of ids' hops."""
@@ -275,7 +278,7 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
             family.append(f)
         return family
 
-    def search(k: int, chosen: list[int], forbidden: frozenset[int],
+    def search(k: int, chosen: list[int],
                carried: list[tuple[int, ...]]) -> list[int] | None:
         budget = k - len(chosen)
         if len(carried) > budget:  # they survive; no budget removals cut them
@@ -288,32 +291,30 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
         family = peel(j, carried, budget)
         if len(family) > budget:
             return None
-        candidates: list[int] = []
-        seen: set[int] = set()
+        tried: list[int] = []
         for i in j:
             for h in range(back[i], i + 1):
-                if h not in seen and h not in forbidden:
-                    seen.add(h)
-                    candidates.append(h)
-        blocked = set(forbidden)
-        for h in candidates:
-            end = reach[h]
-            for x in range(h, end):
-                dead[x] += 1
-            chosen.append(h)
-            got = search(k, chosen, frozenset(blocked),
-                         [f for f in family
-                          if not any(h <= i < end for i in f)])
-            chosen.pop()
-            for x in range(h, end):
-                dead[x] -= 1
-            if got is not None:
-                return got
-            blocked.add(h)
+                if banned[h]:  # tried here or by an ancestor
+                    continue
+                end = reach[h]
+                for x in range(h, end):
+                    dead[x] += 1
+                chosen.append(h)
+                got = search(k, chosen, [f for f in family
+                                         if not any(h <= c < end for c in f)])
+                chosen.pop()
+                for x in range(h, end):
+                    dead[x] -= 1
+                if got is not None:
+                    return got
+                banned[h] += 1
+                tried.append(h)
+        for h in tried:
+            banned[h] -= 1
         return None
 
     for k in range(floor, upper):
-        heads = search(k, [], frozenset(), family)
+        heads = search(k, [], family)
         if heads is not None:
             got = [DeltaRemoval(e, t, delta)
                    for e, t in _contacts_of(g, heads)]

@@ -9,8 +9,9 @@ import sys
 import pytest
 
 import tempocut
-from tempocut import (InstanceTooLargeError, TimeVaryingGraph,
+from tempocut import (CutResult, InstanceTooLargeError, TimeVaryingGraph,
                       gen_counterexample, gen_random_tvg)
+from tempocut import generators, mincut, verify
 from tempocut.cli import _build_parser, _expand_sweep, _parse_int_list, main
 
 TRACE = """node_a,node_b,start,duration
@@ -599,6 +600,52 @@ def test_verify_engines_suite(capsys):
     assert main(["verify", "--suite", "engines"]) == 0
     assert capsys.readouterr().out == (
         "engines: 480 checks, all ok\nall suites pass\n")
+
+
+def _no_cut(g, s, d, delta):
+    return CutResult((), delta, exact=True)
+
+
+@pytest.mark.parametrize("suite, args, module, name, fake, summary", [
+    ("menger1", (3,), verify, "exact_mincut_delta", _no_cut,
+     "menger1: 3/3 FAILED: seed 0: flow 9 != cut 0; seed 1: flow 11 != cut 0; "
+     "seed 2: flow 6 != cut 0"),
+    ("duality", (2, (2,)), verify, "exact_mincut_delta", _no_cut,
+     "duality: 2/2 FAILED: seed 0 delta 2: flow 7 > cut 0; "
+     "seed 1 delta 2: flow 6 > cut 0"),
+    ("sandwich", (3, (2, 3)), verify, "sandwich_check", lambda *args: False,
+     "sandwich: 6/6 FAILED: seed 300 delta 2: sandwich violated; "
+     "seed 300 delta 3: sandwich violated; seed 301 delta 2: sandwich "
+     "violated; seed 301 delta 3: sandwich violated; seed 302 delta 2: "
+     "sandwich violated (+1 more)"),
+    ("reduction", (2,), generators, "bledp_exact", lambda wd: -1,
+     "reduction: 2/2 FAILED: seed 900: packing -1 vs expansion 0; "
+     "seed 901: packing -1 vs expansion 0"),
+])
+def test_verify_suite_reports_its_failures(monkeypatch, suite, args, module,
+                                           name, fake, summary):
+    monkeypatch.setattr(module, name, fake)
+    res = verify.SUITES[suite](*args)
+    assert not res.passed
+    assert res.summary() == summary
+
+
+def test_verify_failure_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "sandwich_check", lambda *args: False)
+    assert main(["verify", "--suite", "gapfamily,sandwich"]) == 4
+    out = capsys.readouterr().out
+    assert out.startswith("gapfamily: 6 checks, all ok\n"
+                          "sandwich: 180/180 FAILED: seed 300 delta 2: "
+                          "sandwich violated; ")
+    assert out.endswith(" (+175 more)\n")
+
+
+def test_internal_error_exits_4(relay_file, capsys, monkeypatch):
+    """A broken invariant inside a command is exit 4 with no traceback."""
+    monkeypatch.setattr(mincut, "verify_cut", lambda *args: False)
+    assert main(["analyze", relay_file, "--src", "s", "--dst", "d"]) == 4
+    assert capsys.readouterr() == (
+        "", "internal error: rounded cut failed to disconnect; this is a bug\n")
 
 
 def test_verify_unknown_suite(capsys):

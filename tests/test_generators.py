@@ -166,3 +166,16 @@ def test_reduction_preserves_packing_number():
         g = bledp_expand(wd)
         assert bledp_exact(wd) == exact_maxflow_delta(
             g, wd.s, wd.d, wd.bound).count
+
+
+def test_reduction_preserves_packing_when_paths_share_arcs():
+    """Denser digraphs, where the packing is below the path count, so
+    bledp_exact's conflict loop runs: some paths share an arc."""
+    shared = 0
+    for seed in range(30):
+        wd = gen_random_weighted_digraph(6, 20, 5, seed)
+        want = bledp_exact(wd)
+        g = bledp_expand(wd)
+        assert exact_maxflow_delta(g, wd.s, wd.d, wd.bound).count == want
+        shared += want < len(generators._simple_bounded_paths(wd))
+    assert shared, "no instance has paths that share an arc"

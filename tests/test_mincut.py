@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
-                      analyze_exact, contacts, delta_cover,
+                      TimeVaryingGraph, analyze_exact, contacts, delta_cover,
                       enumerate_journeys, exact_maxflow_delta,
                       exact_mincut_delta, gen_counterexample, gen_random_tvg,
                       greedy_maxflow_delta, is_valid_journey, Journey,
@@ -241,9 +241,6 @@ def _unpruned_cut_search(g, s, d, delta, rounded, family, head_cap):
     removals are spent or its pair is cut. Of the family only its size is
     read, as a floor on the depth."""
     upper = rounded.count
-    if upper == 0:
-        return CutResult((), delta, exact=True)
-
     head_budget = sum(len(g.active[e.eid]) for e in g.edges)
     if head_budget > head_cap:
         raise InstanceTooLargeError(
@@ -347,6 +344,23 @@ def test_peel_keeps_every_cut_of_the_unpruned_search(monkeypatch):
                 spent[1] += spent_unpruned
     assert spent[0] > 0 and spent[1] > 0, spent
     assert 5 * spent[0] < spent[1], spent
+
+
+def test_exact_cut_of_a_disconnected_pair_keeps_its_weight_bound():
+    """No journey (s->a only at slot 2, a->d only at slot 1): the exact cut
+    is the rounded cut's empty one, weight bound included, as the rounded
+    cut and every connected exact cut print it."""
+    g = TimeVaryingGraph(("s", "a", "d"), [("s", "a", (2,)), ("a", "d", (1,))],
+                         2)
+    for delta in (1, 2, 3):
+        rounded = minweight_mincut_delta(g, "s", "d", delta)
+        want = CutResult((), delta, exact=True, weight_lower_bound=Fraction(0))
+        assert rounded == dataclasses.replace(want, exact=False)
+        assert exact_mincut_delta(g, "s", "d", delta) == want
+        assert analyze_exact(g, "s", "d", delta).cut == want
+        assert _unpruned_cut_search(g, "s", "d", delta, rounded, [],
+                                    DEFAULT_HEAD_CAP) == want
+        assert want.to_json_dict()["weight_lower_bound"] == "0"
 
 
 def test_exact_cut_at_scale_is_pinned():
