@@ -7,7 +7,7 @@ can dump the raw cells as CSV for plotting.
 """
 
 import argparse
-import math
+import os
 import sys
 import time
 
@@ -46,19 +46,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
-        # a huge --deltas range is refused before it is expanded
-        (deltas,) = _expand_sweep(_parse_int_list(
-            args.deltas, (1, math.inf), "delta must be positive"))
-        t0 = time.perf_counter()
-        cells = gap_cells(args.instances, args.nodes, args.t, args.p, deltas,
-                          args.seed0)
-        elapsed = time.perf_counter() - t0
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write("seed,delta,flow_greedy,flow_opt,cut_rounded,"
-                         "cut_opt,certified\n")
-                for row in cells:
-                    fh.write(",".join(str(x) for x in row) + "\n")
+        deltas = _parse_int_list(args.deltas)
+        if min(r[0] for r in deltas) < 1:  # before a huge range expands
+            raise ValueError("delta must be positive")
+        (deltas,) = _expand_sweep(deltas)
+        # the generator's checks, before the --csv file opens
+        gen_random_tvg(args.nodes, args.t, args.p, args.seed0)
+        with open(args.csv or os.devnull, "w") as csv:
+            t0 = time.perf_counter()
+            cells = gap_cells(args.instances, args.nodes, args.t, args.p,
+                              deltas, args.seed0)
+            elapsed = time.perf_counter() - t0
+            csv.write("seed,delta,flow_greedy,flow_opt,cut_rounded,"
+                      "cut_opt,certified\n")
+            for row in cells:
+                csv.write(",".join(str(x) for x in row) + "\n")
     except InstanceTooLargeError as exc:
         ap.exit(3, f"{ap.prog}: error: {exc}\n")
     except (ValueError, OSError) as exc:

@@ -8,13 +8,13 @@ loss curve bottoms out. CSV rows go to --csv for plotting.
 """
 
 import argparse
-import math
+import os
 import sys
 import time
 
-from tempocut import (FailureModel, InstanceTooLargeError, SimConfig,
-                      discretize, greedy_maxflow_delta, parse_contact_trace,
-                      sweep, sweep_to_csv)
+from tempocut import (InstanceTooLargeError, check_sweep, discretize,
+                      greedy_maxflow_delta, parse_contact_trace, sweep,
+                      sweep_to_csv)
 from tempocut.cli import _expand_sweep, _parse_int_list, _positive_int
 from tempocut.traces import HEADER
 
@@ -55,32 +55,29 @@ def main(argv=None) -> int:
     ap.add_argument("--csv", help="write the sweep rows to this file")
     args = ap.parse_args(argv)
     try:
-        # SimConfig's range checks and the sweep's size, checked before the
-        # lists are expanded
-        ns = _parse_int_list(args.ns, (1, math.inf),
-                             "need at least one copy per packet")
-        deltas = _parse_int_list(args.deltas, (1, args.deadline),
-                                 "delta must lie in [1, deadline]")
-        ns, deltas = _expand_sweep(ns, deltas)
+        ns, deltas = _parse_int_list(args.ns), _parse_int_list(args.deltas)
         if args.trace:
             with open(args.trace) as fh:
                 text = fh.read()
         else:
             text = star_core_trace(args.deadline)
         g = discretize(parse_contact_trace(text), 0, args.deadline)
-        # the sweep's own checks on one of its points, before the plateau
-        # search runs
-        SimConfig(g, args.deadline, ns[0], deltas[0], args.packets,
-                  FailureModel(args.p, args.dmax))
-        return _run(g, ns, deltas, args)
+        # every point's checks and the sweep's size, before any range
+        # expands, the --csv file opens or the plateau search runs
+        check_sweep(g, ns, deltas, [range(args.deadline, args.deadline + 1)],
+                    args.packets, args.p, args.dmax)
+        ns, deltas = _expand_sweep(ns, deltas)
+        with open(args.csv or os.devnull, "w") as csv:
+            return _run(g, ns, deltas, args, csv)
     except InstanceTooLargeError as exc:
         ap.exit(3, f"{ap.prog}: error: {exc}\n")
     except (ValueError, OSError) as exc:
         ap.error(str(exc))
 
 
-def _run(g, ns: list[int], deltas: list[int], args) -> int:
-    """The plateau search and the sweep on a checked trace window."""
+def _run(g, ns: list[int], deltas: list[int], args, csv) -> int:
+    """The plateau search and the sweep on a checked trace window, its rows
+    written to csv."""
     print(f"trace window: {len(g.nodes)} nodes, {len(g.edges)} edges, "
           f"{g.contact_count} contacts, T={g.horizon}")
 
@@ -94,9 +91,7 @@ def _run(g, ns: list[int], deltas: list[int], args) -> int:
                     args.dmax, args.seed)
     print(f"sweep of {len(reports)} points x {args.packets} packets: "
           f"{time.perf_counter() - t0:.1f}s")
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(sweep_to_csv(reports))
+    csv.write(sweep_to_csv(reports))
 
     loss = {(r.n, r.delta): r.loss_rate for r in reports}
     for n in ns:

@@ -21,9 +21,9 @@ from .mincut import (CutResult, ExactAnalysis, SurvivabilityVerdict,
 from .generators import (WeightedDigraph, bledp_exact, bledp_expand,
                          gen_counterexample, gen_random_tvg,
                          gen_random_weighted_digraph)
-from .simulate import (FailureModel, SimConfig, SimReport, djr_route,
-                       journeys_delivered, run_simulation, sample_failures,
-                       sweep, sweep_to_csv)
+from .simulate import (FailureModel, SimConfig, SimReport, check_sweep,
+                       djr_route, journeys_delivered, run_simulation,
+                       sample_failures, sweep, sweep_to_csv)
 from .traces import ContactRecord, contact_stats, discretize, parse_contact_trace
 from .verify import SUITES, SuiteResult, run_suites
 

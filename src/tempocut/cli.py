@@ -20,7 +20,7 @@ from .generators import (WeightedDigraph, bledp_expand, gen_counterexample,
 from .maxflow import DEFAULT_JOURNEY_CAP
 from .mincut import (DEFAULT_HEAD_CAP, _approximations, analyze_exact,
                      survivability_bounds)
-from .simulate import sweep, sweep_to_csv
+from .simulate import check_sweep, sweep, sweep_to_csv
 from .traces import (contact_stats, discretize, histogram_csv,
                      pairs_csv, parse_contact_trace)
 from .tvg import InstanceTooLargeError, load_tvg
@@ -34,14 +34,9 @@ from .verify import SUITES, run_suites
 MAX_SWEEP_POINTS = 1_000_000
 
 
-def _parse_int_list(text: str, bounds: tuple[int, float] | None = None,
-                    error: str = "") -> list[range]:
+def _parse_int_list(text: str) -> list[range]:
     """Comma-separated values, each a plain int or an a..b range, as one
-    range per value or range, none of them expanded.
-
-    With bounds (lo, hi), hi possibly math.inf, a value or range endpoint
-    outside [lo, hi] raises ValueError(error).
-    """
+    range per value or range, none of them expanded."""
     out: list[range] = []
     for token in text.split(","):
         token = token.strip()
@@ -54,8 +49,6 @@ def _parse_int_list(text: str, bounds: tuple[int, float] | None = None,
             lo = hi = int(token)
         else:
             continue
-        if bounds and not bounds[0] <= lo <= hi <= bounds[1]:
-            raise ValueError(error)
         out.append(range(lo, hi + 1))
     if not out:
         raise ValueError(f"no values in {text!r}")
@@ -153,18 +146,13 @@ def cmd_survivable(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = load_tvg(args.input)
-    # SimConfig's range checks and the sweep's size, checked before the
-    # lists are expanded
-    ns = _parse_int_list(args.n, (1, math.inf),
-                         "need at least one copy per packet")
-    deadlines = (_parse_int_list(args.ddl, (1, g.horizon),
-                                 "deadline must lie in [1, graph horizon]")
-                 if args.ddl else [range(g.horizon, g.horizon + 1)])
-    deltas = _parse_int_list(args.delta, (1, min(r[0] for r in deadlines)),
-                             "delta must lie in [1, deadline]")
-    ns, deltas, deadlines = _expand_sweep(ns, deltas, deadlines)
-    reports = sweep(g, ns, deltas, deadlines, args.packets, args.p,
-                    args.dmax, args.seed)
+    ns, deltas = _parse_int_list(args.n), _parse_int_list(args.delta)
+    deadlines = (_parse_int_list(args.ddl) if args.ddl
+                 else [range(g.horizon, g.horizon + 1)])
+    # every point's checks and the sweep's size, before any range expands
+    check_sweep(g, ns, deltas, deadlines, args.packets, args.p, args.dmax)
+    reports = sweep(g, *_expand_sweep(ns, deltas, deadlines), args.packets,
+                    args.p, args.dmax, args.seed)
     _emit(sweep_to_csv(reports), args)
     return 0
 

@@ -55,22 +55,20 @@ class CutResult:
     removals: tuple[DeltaRemoval, ...]
     delta: int
     exact: bool
-    weight_lower_bound: Fraction | None = None
+    weight_lower_bound: Fraction
 
     @property
     def count(self) -> int:
         return len(self.removals)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "delta": self.delta,
             "count": self.count,
             "exact": self.exact,
             "removals": [{"edge": r.edge, "head": r.head} for r in self.removals],
+            "weight_lower_bound": str(self.weight_lower_bound),
         }
-        if self.weight_lower_bound is not None:
-            out["weight_lower_bound"] = str(self.weight_lower_bound)
-        return out
 
 
 def set_weights(g: TimeVaryingGraph, delta: int) -> WeightMap:

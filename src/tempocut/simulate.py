@@ -34,12 +34,9 @@ def _derive_seed(master: int, *coords: int) -> int:
 
 @dataclass(frozen=True)
 class FailureModel:
-    """Onsets per (edge, slot) with probability p, lasting 0..d_max slots.
-    seed feeds sample_failures only; run_simulation never reads it and
-    draws each packet's failures from the stream SimConfig.seed derives."""
+    """Onsets per (edge, slot) with probability p, lasting 0..d_max slots."""
     p: float
     d_max: int
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -129,8 +126,9 @@ def _sample_onsets(g: TimeVaryingGraph, p: float, d_max: int,
     return out
 
 
-def sample_failures(g: TimeVaryingGraph, fm: FailureModel) -> list[DeltaRemoval]:
-    return _sample_onsets(g, fm.p, fm.d_max, random.Random(fm.seed))
+def sample_failures(g: TimeVaryingGraph, fm: FailureModel,
+                    seed: int = 0) -> list[DeltaRemoval]:
+    return _sample_onsets(g, fm.p, fm.d_max, random.Random(seed))
 
 
 def djr_route(g: TimeVaryingGraph, s: str, d: str, n: int,
@@ -307,12 +305,26 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     previous one delivers or expires; its window start cycles over the
     trace (wrapping so every window fits the horizon whole). Per packet one
     reseeded generator (the state a fresh random.Random gives) on a seed
-    from cfg.seed and the packet index (never cfg.failures.seed) draws src,
-    dst as randrange would, then failures, in that order. _walk stops the
-    failure draws once no copy can change, and the stream is never read
-    after them, so every outcome is journeys_delivered's over the whole
-    _sample_onsets draw of the packet's window."""
+    from cfg.seed and the packet index draws src, dst as randrange would,
+    then failures, in that order. _walk stops the failure draws once no
+    copy can change, and the stream is never read after them, so every
+    outcome is journeys_delivered's over the whole _sample_onsets draw of
+    the packet's window."""
     return _lockstep([cfg])[0]
+
+
+def check_sweep(g: TimeVaryingGraph, ns, deltas, deadlines,
+                packet_count: int, p: float, d_max: int) -> None:
+    """Raise the ValueError SimConfig raises for some point of the sweep
+    over ns, deltas and deadlines (lists of nonempty ascending ranges), if
+    any, without expanding them. Every check is one-sided in n, delta and
+    deadline, so two points decide: the least deadline with the largest
+    delta and the largest deadline with the least delta, each least n."""
+    fm, n = FailureModel(p, d_max), min(r[0] for r in ns)
+    SimConfig(g, min(r[0] for r in deadlines), n, max(r[-1] for r in deltas),
+              packet_count, fm)
+    SimConfig(g, max(r[-1] for r in deadlines), n, min(r[0] for r in deltas),
+              packet_count, fm)
 
 
 def sweep(g: TimeVaryingGraph, ns, deltas, deadlines, packet_count: int,
@@ -324,8 +336,8 @@ def sweep(g: TimeVaryingGraph, ns, deltas, deadlines, packet_count: int,
     loss across n or delta compares identical traffic, not fresh noise).
     They run in lockstep, one failure walk per packet for all of them, and
     each report is its point's run_simulation."""
-    points = [SimConfig(g, deadline, n, delta, packet_count,
-                        FailureModel(p, d_max, _derive_seed(seed, deadline)),
+    fm = FailureModel(p, d_max)
+    points = [SimConfig(g, deadline, n, delta, packet_count, fm,
                         seed=_derive_seed(seed, deadline))
               for n in ns for delta in deltas for deadline in deadlines]
     reports: dict[int, SimReport] = {}

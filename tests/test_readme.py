@@ -1,0 +1,25 @@
+"""README's Library example runs, and each of its `expression  # value`
+lines holds."""
+
+import ast
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_holds():
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```",
+                      README.read_text(), re.M | re.S).group(1)
+    lines = block.splitlines()
+    scope: dict = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        rest = lines[node.end_lineno - 1][node.end_col_offset:].strip()
+        if isinstance(node, ast.Expr) and rest.startswith("#"):
+            assert eval(code, scope) == eval(rest[1:], scope), code
+            checked += 1
+        else:
+            exec(code, scope)
+    assert checked == 6

@@ -13,6 +13,8 @@ import pytest
 import run_loss_sweep
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+FIRST_STEP = {"run_loss_sweep": "routable_plateau",
+              "run_gap_experiment": "gap_cells"}
 
 
 @pytest.mark.parametrize("name, argv, header, rows", [
@@ -67,14 +69,23 @@ def test_loss_sweep_bad_list_is_a_usage_error(capsys, argv, message):
     ("run_gap_experiment", ["--p", "2"], "p must be a probability"),
     ("run_gap_experiment", ["--instances", "1", "--csv", "{tmp}/no/x.csv"],
      "[Errno 2] No such file or directory: '{tmp}/no/x.csv'"),
+    ("run_loss_sweep", ["--packets", "20", "--deltas", "1..3",
+                        "--csv", "{tmp}/no/x.csv"],
+     "[Errno 2] No such file or directory: '{tmp}/no/x.csv'"),
 ])
-def test_script_bad_input_is_a_usage_error(tmp_path, capsys, name, argv,
-                                           message):
+def test_script_bad_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                           name, argv, message):
+    # every input, the --csv file included, is checked before the
+    # experiment's first step runs
+    script = importlib.import_module(name)
+    ran = []
+    monkeypatch.setattr(script, FIRST_STEP[name],
+                        lambda *args: ran.append(args))
     argv = [a.format(tmp=tmp_path) for a in argv]
     with pytest.raises(SystemExit) as exc:
-        importlib.import_module(name).main(argv)
+        script.main(argv)
     out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
+    assert (exc.value.code, out, ran) == (2, "", [])
     assert err.endswith(f"error: {message.format(tmp=tmp_path)}\n")
 
 

@@ -1,6 +1,7 @@
 """Trace-driven loss simulation: failure sampling, routing, pairing."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import tempocut.simulate
 from tempocut import (DeltaRemoval, FailureModel, SimConfig, TimeVaryingGraph,
-                      djr_route, gen_random_tvg, greedy_maxflow_delta,
-                      interferes, journeys_delivered, run_simulation,
-                      sample_failures, sweep, sweep_to_csv)
+                      check_sweep, djr_route, gen_random_tvg,
+                      greedy_maxflow_delta, interferes, journeys_delivered,
+                      run_simulation, sample_failures, sweep, sweep_to_csv)
 from tempocut.simulate import (_carve_window, _derive_seed, _draw_pair,
                                _index_copies, _sample_onsets, _walk,
                                packets_to_jsonl)
@@ -95,8 +96,8 @@ def test_sample_failures_edge_cases():
     g = _arena()
     assert sample_failures(g, FailureModel(0.0, 5)) == []
     assert sample_failures(g, FailureModel(1.0, 0)) == []
-    out = sample_failures(g, FailureModel(0.3, 4, seed=11))
-    assert out == sample_failures(g, FailureModel(0.3, 4, seed=11))
+    out = sample_failures(g, FailureModel(0.3, 4), seed=11)
+    assert out == sample_failures(g, FailureModel(0.3, 4), seed=11)
     assert out
     for r in out:
         assert g.has_edge(r.edge)
@@ -106,7 +107,7 @@ def test_sample_failures_edge_cases():
 
 def test_saturated_failures_scan_every_slot():
     g = _arena()
-    out = sample_failures(g, FailureModel(1.0, 1, seed=2))
+    out = sample_failures(g, FailureModel(1.0, 1), seed=2)
     per_edge = {}
     for r in out:
         assert r.delta == 1
@@ -182,7 +183,7 @@ def test_seed_stream_is_pinned():
                               3, 5))
            + sweep_to_csv(sweep(g, [1, 2], [2], [10], 300, 0.08, 0, 5)))
     rep = run_simulation(SimConfig(g, 6, 2, 2, 300,
-                                   FailureModel(0.08, 3, seed=5), seed=5))
+                                   FailureModel(0.08, 3), seed=5))
     assert hashlib.sha256(csv.encode()).hexdigest() == \
         "c093175bdd4cf0e1d4cd702cea4832d9198db803a2ef0d6279ab54c5951971ef"
     assert hashlib.sha256(packets_to_jsonl(rep).encode()).hexdigest() == \
@@ -223,28 +224,17 @@ def test_zero_failure_run_delivers_everything():
 
 def test_runs_are_reproducible():
     g = _arena(3)
-    cfg = SimConfig(g, 8, 2, 2, 150, FailureModel(0.1, 4, seed=5), seed=5)
+    cfg = SimConfig(g, 8, 2, 2, 150, FailureModel(0.1, 4), seed=5)
     a, b = run_simulation(cfg), run_simulation(cfg)
     assert a == b
     assert packets_to_jsonl(a) == packets_to_jsonl(b)
-
-
-def test_run_simulation_draws_failures_from_the_config_seed():
-    # FailureModel.seed feeds sample_failures only; run_simulation derives
-    # every packet's stream from SimConfig.seed
-    g = _arena(3)
-    a, b = (run_simulation(SimConfig(g, 8, 2, 2, 150,
-                                     FailureModel(0.1, 4, seed=fseed), seed=5))
-            for fseed in (5, 77))
-    assert a == b
-    assert 0.0 < a.loss_rate < 1.0
 
 
 def test_more_journeys_never_lose_a_delivered_packet():
     g = _arena(4)
     for seed in range(30):
         journeys = djr_route(g, g.nodes[0], g.nodes[-1], 3, 2)
-        failures = sample_failures(g, FailureModel(0.2, 4, seed=seed))
+        failures = sample_failures(g, FailureModel(0.2, 4), seed=seed)
         ok = [journeys_delivered(g, journeys[:n], failures)[0]
               for n in range(len(journeys) + 1)]
         assert ok == sorted(ok)  # once delivered, stays delivered
@@ -254,7 +244,7 @@ def test_extra_copies_never_hurt_a_packet():
     # deadline == horizon pins every window to the whole graph, so the
     # n=1 and n=2 runs see identical packets and failures
     g = gen_random_tvg(8, 8, 0.5, 4)
-    fm = FailureModel(0.15, 5, seed=9)
+    fm = FailureModel(0.15, 5)
     one = run_simulation(SimConfig(g, 8, 1, 2, 300, fm, seed=9))
     two = run_simulation(SimConfig(g, 8, 2, 2, 300, fm, seed=9))
     for r1, r2 in zip(one.packets, two.packets):
@@ -319,11 +309,42 @@ def test_sweep_rejects_a_bad_point_before_any_plan(monkeypatch):
         sweep(g, [1], [1, 2, 99], [t], 50, 0.1, 3, 1)
 
 
+# an axis as _parse_int_list gives it: nonempty ascending ranges, here with
+# values below 1 and past every deadline and horizon drawn
+_axis = st.lists(st.builds(lambda lo, extra: range(lo, lo + extra + 1),
+                           st.integers(-1, 4), st.integers(0, 2)),
+                 min_size=1, max_size=3)
+
+
+@given(st.integers(0, 4), st.integers(1, 5), _axis, _axis, _axis,
+       st.integers(0, 4), st.tuples(st.floats(0.0, 1.2), st.integers(-1, 4)))
+@settings(max_examples=500, deadline=None)
+def test_check_sweep_decides_the_whole_sweep(nodes, horizon, ns, deltas,
+                                             deadlines, packets, failures):
+    # check_sweep builds two points; it must raise exactly when some
+    # expanded point's SimConfig raises, and with one of their messages,
+    # so the message of the one rule broken when only one is
+    g = TimeVaryingGraph([f"v{i}" for i in range(nodes)], [], horizon)
+    errors = set()
+    for n, delta, deadline in itertools.product(
+            *([v for r in axis for v in r] for axis in (ns, deltas, deadlines))):
+        try:
+            SimConfig(g, deadline, n, delta, packets, FailureModel(*failures))
+        except ValueError as exc:
+            errors.add(str(exc))
+    try:
+        check_sweep(g, ns, deltas, deadlines, packets, *failures)
+    except ValueError as exc:
+        assert str(exc) in errors
+    else:
+        assert not errors
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=15, deadline=None)
 def test_loss_rate_matches_records(seed):
     g = _arena(seed % 7)
-    cfg = SimConfig(g, 6, 1, 1, 40, FailureModel(0.3, 3, seed=seed), seed=seed)
+    cfg = SimConfig(g, 6, 1, 1, 40, FailureModel(0.3, 3), seed=seed)
     rep = run_simulation(cfg)
     lost = sum(1 for r in rep.packets if not r.delivered)
     assert rep.loss_rate == lost / 40
