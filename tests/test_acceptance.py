@@ -18,11 +18,10 @@ import tempocut
 from tempocut import (DeltaRemoval, discretize, djr_route, gen_random_tvg,
                       greedy_bound_certificate, journeys_delivered,
                       parse_contact_trace, sweep)
+from tempocut.experiments import gap_cells, routable_plateau, star_core_trace
 from tempocut.tvg import Contact
 from tempocut.verify import (suite_duality, suite_gapfamily, suite_menger1,
                              suite_reduction, suite_sandwich)
-from run_gap_experiment import gap_cells
-from run_loss_sweep import routable_plateau, star_core_trace
 from test_mincut import _check_cover_is_optimal
 
 DELTAS = (1, 2, 3, 5)
@@ -30,8 +29,8 @@ DELTAS = (1, 2, 3, 5)
 
 @pytest.fixture(scope="module")
 def medium_cells():
-    """run_gap_experiment's cells on 100 seeded instances, 10 nodes, horizon
-    12, density 0.5: greedy and exact flow, rounded and exact cut."""
+    """`tempocut experiment gap`'s cells on 100 seeded instances, 10 nodes,
+    horizon 12, density 0.5: greedy and exact flow, rounded and exact cut."""
     t0 = time.perf_counter()
     cells = gap_cells(100, 10, 12, 0.5, DELTAS, 0)
     return cells, time.perf_counter() - t0

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 import tempocut
 from tempocut import (CutResult, InstanceTooLargeError, TimeVaryingGraph,
                       gen_counterexample, gen_random_tvg)
-from tempocut import generators, mincut, verify
+from tempocut import experiments, generators, mincut, verify
 from tempocut.cli import _build_parser, _expand_sweep, _parse_int_list, main
 
 TRACE = """node_a,node_b,start,duration
@@ -35,6 +36,13 @@ def m0_file(tmp_path):
     rounded 6) over 200 contacts, so a head cap of 50 trips it."""
     path = tmp_path / "m0.json"
     path.write_text(gen_random_tvg(10, 12, 0.5, 0).dumps())
+    return str(path)
+
+
+@pytest.fixture
+def g4_file(tmp_path):
+    path = tmp_path / "g4.json"
+    path.write_text(gen_random_tvg(4, 5, 0.5, 1).dumps())
     return str(path)
 
 
@@ -474,6 +482,21 @@ def test_simulate_csv(tmp_path, capsys, monkeypatch):
         "", "error: sweep too large: 6 points, more than 5\n")
 
 
+def _under_1gb(*argv):
+    """`python -m tempocut.cli argv` in a child process under a 60-s timeout
+    and a 1 GB address-space limit: expanding a range or filling a trace
+    window before checking its size runs out of memory there, not here.
+    Returns its exit code, stdout and stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tempocut.__file__)))
+    child = ("import resource, runpy\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "runpy.run_module('tempocut.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", child, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("doc,count", [
     ({"T": 1, "nodes": [], "edges": []}, 0),  # ingest of a header-only trace
     ({"T": 3, "nodes": ["a"], "edges": []}, 1),
@@ -484,37 +507,25 @@ def test_simulate_on_a_graph_without_a_pair_is_a_usage_error(tmp_path, doc,
     # nodes would never end.
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tempocut.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "tempocut.cli", "simulate", str(path),
-         "--packets", "5"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert f"at least two nodes to draw packet pairs from, got {count}" \
-        in proc.stderr
-    assert "Traceback" not in proc.stderr
+    code, out, err = _under_1gb("simulate", str(path), "--packets", "5")
+    assert (code, out) == (2, "")
+    assert f"at least two nodes to draw packet pairs from, got {count}" in err
+    assert "Traceback" not in err
 
 
-def test_simulate_zero_deadline_names_the_deadline(tmp_path, capsys):
-    path = tmp_path / "g.json"
-    path.write_text(gen_random_tvg(4, 5, 0.5, 1).dumps())
-    assert main(["simulate", str(path), "--ddl", "0", "--packets", "5"]) == 2
+def test_simulate_zero_deadline_names_the_deadline(g4_file, capsys):
+    assert main(["simulate", g4_file, "--ddl", "0", "--packets", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: deadline must lie in [1, graph horizon]\n"
 
 
-def test_simulate_bad_last_delta_fails_before_any_point_runs(tmp_path,
-                                                             capsys,
+def test_simulate_bad_last_delta_fails_before_any_point_runs(g4_file, capsys,
                                                              monkeypatch):
-    path = tmp_path / "g.json"
-    path.write_text(gen_random_tvg(4, 5, 0.5, 1).dumps())
     planned = []
     monkeypatch.setattr(tempocut.simulate, "greedy_maxflow_delta",
                         lambda *args: planned.append(args))
-    assert main(["simulate", str(path), "--delta", "1,2,99",
+    assert main(["simulate", g4_file, "--delta", "1,2,99",
                  "--packets", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -522,40 +533,23 @@ def test_simulate_bad_last_delta_fails_before_any_point_runs(tmp_path,
     assert planned == []
 
 
-def _simulate_under_1gb(tmp_path, flag, values):
-    # Run in a child process under a 1 GB address-space limit: expanding
-    # the range before checking it runs out of memory there, not here.
-    path = tmp_path / "g.json"
-    path.write_text(gen_random_tvg(4, 5, 0.5, 1).dumps())
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tempocut.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-             "from tempocut.cli import main\n"
-             "sys.exit(main(sys.argv[1:]))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "simulate", str(path),
-         flag, values, "--packets", "5"],
-        capture_output=True, text=True, env=env, timeout=60)
-    return proc.returncode, proc.stdout, proc.stderr
-
-
 @pytest.mark.parametrize("flag,message", [
     ("--delta", "delta must lie in [1, deadline]"),
     ("--ddl", "deadline must lie in [1, graph horizon]"),
     ("--n", "need at least one copy per packet"),
 ])
-def test_simulate_huge_range_fails_before_it_is_expanded(tmp_path, flag,
+def test_simulate_huge_range_fails_before_it_is_expanded(g4_file, flag,
                                                          message):
     # Copies have no upper bound, so the --n range starts out of bounds.
     values = "0..10000000000" if flag == "--n" else "1..10000000000"
-    assert _simulate_under_1gb(tmp_path, flag, values) == (
-        2, "", f"error: {message}\n")
+    assert _under_1gb("simulate", g4_file, flag, values, "--packets", "5") \
+        == (2, "", f"error: {message}\n")
 
 
-def test_simulate_huge_sweep_fails_before_it_is_expanded(tmp_path):
+def test_simulate_huge_sweep_fails_before_it_is_expanded(g4_file):
     # In bounds, a huge --n range is stopped by the sweep's point budget.
-    assert _simulate_under_1gb(tmp_path, "--n", "1..10000000000") == (
+    assert _under_1gb("simulate", g4_file, "--n", "1..10000000000",
+                      "--packets", "5") == (
         3, "", "error: sweep too large: 10000000000 points, "
                "more than 1000000\n")
 
@@ -570,6 +564,15 @@ def test_ingest_fits_horizon(tmp_path, capsys):
                  "--window-start", "3"]) == 0
     g = TimeVaryingGraph.loads(capsys.readouterr().out)
     assert g.horizon == 10
+
+
+def test_ingest_of_a_huge_window_fails_before_it_is_filled(tmp_path):
+    # Without --t the horizon fits the trace: 10^10 seconds, both directions.
+    path = tmp_path / "trace.csv"
+    path.write_text("node_a,node_b,start,duration\na,b,0,10000000000\n")
+    assert _under_1gb("ingest", str(path)) == (
+        3, "", "error: trace window too large: 20000000000 contacts, "
+               "more than 10000000\n")
 
 
 def test_stats_to_files(tmp_path, capsys):
@@ -647,3 +650,130 @@ def test_internal_error_exits_4(relay_file, capsys, monkeypatch):
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+
+def _exit(capsys, argv):
+    """main(argv)'s exit code, stdout and stderr, argparse's exits too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name, argv, header, rows", [
+    ("loss", ["--deltas", "1..3", "--packets", "50"],
+     "n,delta,deadline,p,d_max,seed,packets,loss_rate", 2 * 3),
+    ("gap", ["--instances", "2", "--deltas", "1,2"],
+     "seed,delta,flow_greedy,flow_opt,cut_rounded,cut_opt,certified", 2 * 2),
+    ("gap", ["--instances", "2", "--deltas", "1..3"],
+     "seed,delta,flow_greedy,flow_opt,cut_rounded,cut_opt,certified", 2 * 3),
+])
+def test_experiment_writes_its_csv(tmp_path, capsys, name, argv, header,
+                                   rows):
+    csv = tmp_path / "rows.csv"
+    assert main(["experiment", name, *argv, "--csv", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + rows
+    assert capsys.readouterr().out
+
+
+def test_experiment_output_is_pinned(tmp_path, capsys):
+    # sha256 of the CSV and of stdout, each elapsed time masked; the same
+    # digests as the research scripts these subcommands replaced
+    pins = {
+        ("gap", "--instances", "3", "--deltas", "1..3"): (
+            "59bb5f1e76afaeaef5230aef1314649f81b768d323d2d9bbbde92fea49c768b9",
+            "86562d32ca3e788e4eab0d72cccf092ababf97a9f66efbc7644f268034c043af"),
+        ("loss", "--deltas", "1..3", "--packets", "50"): (
+            "8ff1f242b86802846e49b30215ac14fdb1742e08cb462137ad9ed29327b6ac93",
+            "f65215b78f36da475e620f5bbaaf7d8d7bb125aaf8169a1a1d84e22c81a6cdbc"),
+    }
+    csv = tmp_path / "rows.csv"
+    for argv, digests in pins.items():
+        assert main(["experiment", *argv, "--csv", str(csv)]) == 0
+        out = re.sub(r"\d+\.\ds", "X.Xs", capsys.readouterr().out)
+        assert (hashlib.sha256(csv.read_bytes()).hexdigest(),
+                hashlib.sha256(out.encode()).hexdigest()) == digests, argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--deltas", "0"], "delta must lie in [1, deadline]"),
+    (["--deltas", "61"], "delta must lie in [1, deadline]"),
+    (["--deltas", "5..2"], "empty range '5..2'"),
+    (["--ns", "0"], "need at least one copy per packet"),
+])
+def test_experiment_loss_bad_list_is_a_usage_error(capsys, argv, message):
+    code, out, err = _exit(capsys, ["experiment", "loss", *argv])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("loss", ["--packets", "0"],
+     "argument --packets: must be at least 1, got 0"),
+    ("loss", ["--p", "2"], "p must be a probability"),
+    ("loss", ["--dmax", "-1"], "d_max must be nonnegative"),
+    ("loss", ["--trace", "{tmp}/missing.csv"],
+     "[Errno 2] No such file or directory: '{tmp}/missing.csv'"),
+    ("gap", ["--deltas", "0"], "delta must be positive"),
+    ("gap", ["--deltas", "x"], "invalid literal for int() with base 10: 'x'"),
+    ("gap", ["--deltas", "3..1"], "empty range '3..1'"),
+    ("gap", ["--deltas", ""], "no values in ''"),
+    ("gap", ["--instances", "0"],
+     "argument --instances: must be at least 1, got 0"),
+    ("gap", ["--instances", "-1"],
+     "argument --instances: must be at least 1, got -1"),
+    ("gap", ["--nodes", "1"], "need at least 2 nodes"),
+    ("gap", ["--t", "0"], "argument --t: must be at least 1, got 0"),
+    ("gap", ["--p", "2"], "p must be a probability"),
+    ("gap", ["--instances", "1", "--csv", "{tmp}/no/x.csv"],
+     "[Errno 2] No such file or directory: '{tmp}/no/x.csv'"),
+    ("loss", ["--packets", "20", "--deltas", "1..3",
+              "--csv", "{tmp}/no/x.csv"],
+     "[Errno 2] No such file or directory: '{tmp}/no/x.csv'"),
+])
+def test_experiment_bad_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                               name, argv, message):
+    # every input, the --csv file included, is checked before the
+    # experiment's first step runs
+    ran = []
+    first_step = {"loss": "routable_plateau", "gap": "gap_cells"}[name]
+    monkeypatch.setattr(experiments, first_step, lambda *a: ran.append(a))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = _exit(capsys, ["experiment", name, *argv])
+    assert (code, out, ran) == (2, "", [])
+    assert err.endswith(f"error: {message.format(tmp=tmp_path)}\n")
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--deltas", "1..10000000000", "delta must lie in [1, deadline]"),
+    ("--ns", "0..10000000000", "need at least one copy per packet"),
+])
+def test_experiment_loss_huge_range_fails_before_it_is_expanded(flag, text,
+                                                                message):
+    assert _under_1gb("experiment", "loss", flag, text, "--packets", "5") \
+        == (2, "", f"error: {message}\n")
+
+
+def test_experiment_loss_huge_sweep_fails_before_it_is_expanded():
+    # In bounds, a huge --ns range is stopped by the sweep's point budget.
+    assert _under_1gb("experiment", "loss", "--ns", "1..10000000000",
+                      "--packets", "5") == (
+        3, "", "error: sweep too large: 200000000000 points, "
+               "more than 1000000\n")
+
+
+def test_experiment_loss_huge_deadline_fails_before_the_window_fills():
+    # The built-in trace's hub pair is up until the deadline.
+    assert _under_1gb("experiment", "loss", "--deadline", "10000000000") == (
+        3, "", "error: trace window too large: 20000000048 contacts, "
+               "more than 10000000\n")
+
+
+def test_experiment_gap_huge_delta_range_fails_before_it_is_expanded():
+    assert _under_1gb("experiment", "gap", "--deltas", "1..10000000000") == (
+        3, "", "error: sweep too large: 10000000000 points, "
+               "more than 1000000\n")

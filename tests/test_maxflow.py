@@ -13,9 +13,9 @@ from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       Journey, min_hop_path, node_disjoint_maxflow,
                       parse_contact_trace)
 from tempocut import maxflow
+from tempocut.experiments import star_core_trace
 from tempocut.maxflow import _closed_masks, _drop_dominated, _journey_tree
 from tempocut.tvg import contacts, interfering_contacts
-from run_loss_sweep import star_core_trace
 
 graphs = st.builds(
     gen_random_tvg,

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tempocut import (ContactRecord, contact_stats, discretize,
-                      parse_contact_trace, validate_graph)
+from tempocut import (ContactRecord, InstanceTooLargeError, contact_stats,
+                      discretize, parse_contact_trace, validate_graph)
+from tempocut import traces
 from tempocut.traces import HEADER, histogram_csv, pairs_csv
 
 records = st.lists(
@@ -104,6 +105,19 @@ def test_discretize_always_yields_valid_graph(recs, window_start, horizon):
     assert validate_graph(g).ok
     for e in g.edges:
         assert all(1 <= t <= horizon for t in g.active[e.eid])
+
+
+def test_discretize_counts_the_window_before_filling_it(monkeypatch):
+    # In [0, 9]: a-b covers seconds 0-2 and 2-3, b-c second 9 of 9-13.
+    # The budget counts 3 + 2 + 1 seconds both ways; the graph has the
+    # overlap once.
+    recs = parse_contact_trace(HEADER + "\na,b,0,3\na,b,2,2\nb,c,9,5\n")
+    monkeypatch.setattr(traces, "MAX_WINDOW_CONTACTS", 12)
+    assert discretize(recs, 0, 10).contact_count == 10
+    monkeypatch.setattr(traces, "MAX_WINDOW_CONTACTS", 11)
+    with pytest.raises(InstanceTooLargeError, match="^trace window too "
+                       "large: 12 contacts, more than 11$"):
+        discretize(recs, 0, 10)
 
 
 def test_stats_and_csv():
