@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 bad input (files, flags, parameters), 3 instance
 too large for a desk-scale exact oracle, a sweep of more than
 MAX_SWEEP_POINTS points or a trace window of more than
 traces.MAX_WINDOW_CONTACTS contacts, 4 internal invariant failure.
-Output is machine-readable JSON/CSV by default; --pretty indents JSON.
+Output is machine-readable JSON/CSV by default; --pretty indents the JSON
+reports of analyze and survivable.
 `experiment gap|loss` print the paper's experiments as text tables and
 write their rows to --csv.
 """
@@ -95,13 +96,13 @@ def _cap(args, default: int) -> int:
 
 
 def _dump(obj, args) -> str:
-    if getattr(args, "pretty", False):
+    if args.pretty:
         return json.dumps(obj, indent=2) + "\n"
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def _emit(text: str, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -295,12 +296,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Worst-case survivability analysis of time-varying graphs")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, input_file=True):
+    def add_common(p, input_file=True, pretty=False):
         if input_file:
             p.add_argument("input", help="input file path")
         p.add_argument("-o", "--out", help="output file (default stdout)")
-        p.add_argument("--pretty", action="store_true",
-                       help="indent JSON output")
+        if pretty:
+            p.add_argument("--pretty", action="store_true",
+                           help="indent the JSON report")
 
     p = sub.add_parser("gen", help="generate instances")
     gsub = p.add_subparsers(dest="family", required=True)
@@ -322,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         x.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("analyze", help="journey packing and disruption number")
-    add_common(p)
+    add_common(p, pretty=True)
     p.add_argument("--delta", type=int, default=1, help="removal duration")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
@@ -334,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survivable",
                        help="verdict: does the pair ride out n removals")
-    add_common(p)
+    add_common(p, pretty=True)
     p.add_argument("--n", type=int, required=True,
                    help="simultaneous removal budget")
     p.add_argument("--delta", type=int, default=1)
@@ -377,8 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          description=cmd_experiment_gap.__doc__)
     pg.add_argument("--instances", type=_positive_int, default=100)
     pg.add_argument("--nodes", type=int, default=10)
-    pg.add_argument("--t", type=_positive_int, default=12,
-                    help="horizon (slots)")
+    pg.add_argument("--t", type=int, default=12, help="horizon (slots)")
     pg.add_argument("--p", type=float, default=0.5)
     pg.add_argument("--deltas", default="1,2,3,5")
     pg.add_argument("--seed0", type=int, default=0, help="first seed")
@@ -390,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--deadline", type=int, default=60)
     pl.add_argument("--ns", default="1,2")
     pl.add_argument("--deltas", default="1..20")
-    pl.add_argument("--packets", type=_positive_int, default=2500)
+    pl.add_argument("--packets", type=int, default=2500)
     pl.add_argument("--p", type=float, default=0.05)
     pl.add_argument("--dmax", type=int, default=10)
     pl.add_argument("--seed", type=int, default=4242)

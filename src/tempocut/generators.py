@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .maxflow import exact_maxflow_delta
 from .mincut import exact_mincut_delta
-from .tvg import TimeVaryingGraph
+from .tvg import InstanceTooLargeError, TimeVaryingGraph
 
 
 def gen_random_tvg(node_count: int, horizon: int, p: float,
@@ -306,12 +306,15 @@ def bledp_exact(wd: WeightedDigraph) -> int:
     by exhaustive packing over the simple-path list.
 
     Simple paths suffice: dropping a cycle from a path only shortens it
-    and releases arcs, so some optimal packing is cycle-free.
+    and releases arcs, so some optimal packing is cycle-free. More than
+    4,000 of them raise InstanceTooLargeError.
     """
     paths = _simple_bounded_paths(wd)
     m = len(paths)
     if m > 4000:
-        raise ValueError(f"too many candidate paths ({m}) for the brute force")
+        raise InstanceTooLargeError(
+            f"instance too large for exact oracle: {m} candidate paths, "
+            f"more than 4000")
     conflict = [0] * m
     for i in range(m):
         ai = set(paths[i])

@@ -19,7 +19,7 @@ serves every max flow: time_expanded_maxflow, the rounded cut (integer
 capacities by contact id, started from the greedy family) and the delta =
 1 exact flow (the unit flow's walks), all through _time_expanded_flow.
 Both networks run one residual builder (_residual) and one augmenting loop
-(_augment).
+(_augment). Each query on a pair checks it with tvg._check_pair.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import chain
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .tvg import (Contact, Journey, TimeVaryingGraph, _check_nodes,
+from .tvg import (Contact, Journey, TimeVaryingGraph, _check_pair,
                   _contact_index, _contacts_of)
 
 SRC = 0  # node index of the source terminal
@@ -58,12 +58,6 @@ class LineGraph:
 class NodeCutResult:
     value: Fraction
     cut: tuple[Contact, ...]
-
-
-def _check_pair(g: TimeVaryingGraph, s: str, d: str) -> None:
-    if s == d:
-        raise ValueError("source and destination must differ")
-    _check_nodes(g, s, d)
 
 
 def build_line_graph(g: TimeVaryingGraph, s: str, d: str) -> LineGraph:
@@ -186,7 +180,7 @@ def node_disjoint_maxflow(lg: LineGraph,
         ((SRC, 2 * v - 2) for v in lg.succ[SRC]),
         ((2 * u - 1, DST if v == DST else 2 * v - 2)
          for u in range(2, lg.node_count) for v in lg.succ[u])),
-        caps, total)
+        caps + [total] * lg.arc_count)
     value, pred = _augment(*net)
     cut = tuple(c for i, c in enumerate(lg.contact_list)
                 if pred[2 + 2 * i] != -1 and pred[3 + 2 * i] == -1)
@@ -368,13 +362,13 @@ def _scaled_caps(clist: Sequence[Contact],
 
 
 def _residual(size: int, ends: Iterable[tuple[int, int]],
-              caps: Sequence[int], fill: int = 0
+              caps: Sequence[int]
               ) -> tuple[list[list[int]], list[int], list[int]]:
     """(per-node arc ids, arc heads, residual capacities) of a network on
-    `size` nodes. The k-th of `ends` is arc k's (tail, head); its capacity
-    is caps[k], or `fill` past the end of caps. Arc k becomes arc id 2k
-    and its reverse, of capacity 0, arc id 2k + 1, so arc a ^ 1 reverses
-    arc a. The capacities go in by one slice assignment, not arc by arc."""
+    `size` nodes. The k-th of `ends` is arc k's (tail, head) and caps[k]
+    its capacity. Arc k becomes arc id 2k and its reverse, of capacity 0,
+    arc id 2k + 1, so arc a ^ 1 reverses arc a. The capacities go in by one
+    slice assignment, not arc by arc."""
     graph: list[list[int]] = [[] for _ in range(size)]
     arc_to: list[int] = []
     a = 0
@@ -383,8 +377,8 @@ def _residual(size: int, ends: Iterable[tuple[int, int]],
         graph[v].append(a + 1)
         arc_to += v, u
         a += 2
-    res = [fill, 0] * (a // 2)
-    res[:2 * len(caps):2] = caps  # raises if there are more caps than arcs
+    res = [0] * a
+    res[::2] = caps  # raises unless there is one cap per arc
     return graph, arc_to, res
 
 

@@ -25,11 +25,10 @@ from functools import reduce
 from operator import or_
 from typing import Callable, NamedTuple
 
-from .linegraph import (_check_pair, _min_hop_ids, _time_expanded_flow,
-                        time_expanded_maxflow)
+from .linegraph import _min_hop_ids, _time_expanded_flow, time_expanded_maxflow
 from .tvg import (InstanceTooLargeError, Journey, TimeVaryingGraph,
-                  _contact_index, _contacts_of, _contacts_reaching,
-                  _run_table)
+                  _check_pair, _contact_index, _contacts_of,
+                  _contacts_reaching, _run_table)
 
 DEFAULT_JOURNEY_CAP = 25_000
 
@@ -238,10 +237,9 @@ def exact_maxflow_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
 
     Runs _exact_flow_search with the greedy as its incumbent and MaxFlow_1,
     which dominates every MaxFlow_delta, from the sparser time-expanded
-    network as its ceiling; both only where the search reads them.
+    network as its ceiling; both only where the search reads them. A delta
+    below 1 is refused by the greedy's run table (tvg._run_table).
     """
-    if delta < 1:
-        raise ValueError("delta must be positive")
     return _exact_flow_search(g, s, d, delta, lambda: (
         greedy_maxflow_delta(g, s, d, delta),
         int(time_expanded_maxflow(g, s, d).value)), cap)

@@ -41,7 +41,7 @@ from .linegraph import _time_expanded_flow, time_expanded_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, _exact_flow_search,
                       greedy_bound_certificate, greedy_maxflow_delta)
 from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError,
-                  TimeVaryingGraph, _check_nodes, _check_removal,
+                  TimeVaryingGraph, _check_pair, _check_removal,
                   _contact_id, _contact_index, _contacts_of, _footprint_ids,
                   _min_hop_surviving, _run_table)
 
@@ -144,7 +144,7 @@ def verify_cut(g: TimeVaryingGraph, cut, s: str, d: str) -> bool:
         _check_removal(g, r)
         for i in _footprint_ids(g, r):
             dead[i] = True
-    _check_nodes(g, s, d)
+    _check_pair(g, s, d)
     return _min_hop_surviving(g, s, d, dead) is None
 
 

@@ -6,8 +6,9 @@ so a journey is a chain of contacts (edge, slot) with strictly increasing
 slots. A delta-removal knocks an edge out for delta consecutive slots.
 
 This module holds the model types plus the basic operations everything
-else is built on: validation, contact listing, journey checks, removal
-application, interference between journeys, and the two searches over g:
+else is built on: validation, the pair check of every pair query
+(_check_pair), contact listing, journey checks, removal application,
+interference between journeys, and the two searches over g:
 _min_hop_surviving (a min-hop journey avoiding banned contacts, behind
 reachable, mincut.verify_cut and the exact cut search) and
 enumerate_journeys (every journey, revisits included; the tests'
@@ -104,7 +105,7 @@ class TimeVaryingGraph:
     """
 
     __slots__ = ("horizon", "nodes", "edges", "active", "contact_count",
-                 "_by_id", "_index", "_out", "_node_set", "_contact_ix")
+                 "_index", "_out", "_node_set", "_contact_ix")
 
     def __init__(self, nodes: Iterable[str],
                  edges: Iterable[tuple[str, str, Iterable[int]]],
@@ -123,7 +124,6 @@ class TimeVaryingGraph:
         self.active: dict[str, tuple[int, ...]] = active
         self.contact_count = sum(map(len, active.values()))
 
-        self._by_id = {e.eid: e for e in defs}
         self._index = {e.eid: i for i, e in enumerate(defs)}
         out: dict[str, list[EdgeDef]] = {}
         for e in defs:
@@ -134,10 +134,10 @@ class TimeVaryingGraph:
     # -- lookups ---------------------------------------------------------
 
     def edge(self, eid: str) -> EdgeDef:
-        return self._by_id[eid]
+        return self.edges[self._index[eid]]
 
     def has_edge(self, eid: str) -> bool:
-        return eid in self._by_id
+        return eid in self._index
 
     def edge_index(self, eid: str) -> int:
         return self._index[eid]
@@ -406,8 +406,7 @@ def is_valid_journey(g: TimeVaryingGraph, j: Journey, s: str, d: str) -> bool:
 def removal_footprint(g: TimeVaryingGraph, r: DeltaRemoval) -> list[Contact]:
     """Contacts of r.edge disabled by r: active slots in [head, head+delta)."""
     _check_removal(g, r)
-    lo, hi = r.head, r.head + r.delta - 1
-    return [Contact(r.edge, t) for t in g.active[r.edge] if lo <= t <= hi]
+    return _contacts_of(g, _footprint_ids(g, r))
 
 
 def _check_removal(g: TimeVaryingGraph, r: DeltaRemoval) -> None:
@@ -432,8 +431,12 @@ def apply_removals(g: TimeVaryingGraph,
     return TimeVaryingGraph(g.nodes, new_edges, g.horizon)
 
 
-def _check_nodes(g: TimeVaryingGraph, *names: str) -> None:
-    for n in names:
+def _check_pair(g: TimeVaryingGraph, s: str, d: str) -> None:
+    """The one rule every pair query starts from: s and d are two distinct
+    nodes of g."""
+    if s == d:
+        raise ValueError("source and destination must differ")
+    for n in (s, d):
         if n not in g._node_set:
             raise ValueError(f"unknown node {n!r}")
 
@@ -445,7 +448,7 @@ def reachable(g: TimeVaryingGraph, s: str, d: str,
     `banned` contacts are treated as inactive (ones that are not contacts
     of g are ignored), without rebuilding the graph.
     """
-    _check_nodes(g, s, d)
+    _check_pair(g, s, d)
     dead = [False] * g.contact_count
     for c in banned or ():
         i = _contact_id(g, c)
@@ -529,9 +532,7 @@ def enumerate_journeys(g: TimeVaryingGraph, s: str, d: str,
     from the strictly increasing slots. Raises InstanceTooLargeError as soon
     as the count would exceed cap.
     """
-    _check_nodes(g, s, d)
-    if s == d:
-        raise ValueError("source and destination must differ")
+    _check_pair(g, s, d)
     if cap < 1:
         raise ValueError("cap must be positive")
 

@@ -125,6 +125,20 @@ def test_analyze_pretty_and_output_file(relay_file, tmp_path, capsys):
     json.loads(text)
 
 
+@pytest.mark.parametrize("command", [["gen", "random"], ["simulate", "GRAPH"],
+                                     ["ingest", "TRACE"], ["stats", "TRACE"]],
+                         ids=["gen", "simulate", "ingest", "stats"])
+def test_pretty_is_only_a_flag_of_the_json_reports(tmp_path, g4_file, capsys,
+                                                   command):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(TRACE)
+    files = {"GRAPH": g4_file, "TRACE": str(trace)}
+    argv = [files.get(a, a) for a in command] + ["--pretty"]
+    code, out, err = _exit(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --pretty\n")
+
+
 def test_analyze_rejects_bad_delta(relay_file, capsys):
     assert main(["analyze", relay_file, "--src", "s", "--dst", "d",
                  "--delta", "0"]) == 2
@@ -712,8 +726,7 @@ def test_experiment_loss_bad_list_is_a_usage_error(capsys, argv, message):
 
 
 @pytest.mark.parametrize("name, argv, message", [
-    ("loss", ["--packets", "0"],
-     "argument --packets: must be at least 1, got 0"),
+    ("loss", ["--packets", "0"], "packet_count must be positive"),
     ("loss", ["--p", "2"], "p must be a probability"),
     ("loss", ["--dmax", "-1"], "d_max must be nonnegative"),
     ("loss", ["--trace", "{tmp}/missing.csv"],
@@ -727,7 +740,7 @@ def test_experiment_loss_bad_list_is_a_usage_error(capsys, argv, message):
     ("gap", ["--instances", "-1"],
      "argument --instances: must be at least 1, got -1"),
     ("gap", ["--nodes", "1"], "need at least 2 nodes"),
-    ("gap", ["--t", "0"], "argument --t: must be at least 1, got 0"),
+    ("gap", ["--t", "0"], "horizon must be positive"),
     ("gap", ["--p", "2"], "p must be a probability"),
     ("gap", ["--instances", "1", "--csv", "{tmp}/no/x.csv"],
      "[Errno 2] No such file or directory: '{tmp}/no/x.csv'"),

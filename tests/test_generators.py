@@ -6,8 +6,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tempocut import (WeightedDigraph, bledp_exact, bledp_expand,
-                      exact_maxflow_delta, exact_mincut_delta,
+from tempocut import (InstanceTooLargeError, WeightedDigraph, bledp_exact,
+                      bledp_expand, exact_maxflow_delta, exact_mincut_delta,
                       gen_counterexample, gen_random_tvg,
                       gen_random_weighted_digraph, validate_graph)
 from tempocut import generators, verify
@@ -166,6 +166,19 @@ def test_reduction_preserves_packing_number():
         g = bledp_expand(wd)
         assert bledp_exact(wd) == exact_maxflow_delta(
             g, wd.s, wd.d, wd.bound).count
+
+
+def test_bledp_exact_past_its_path_budget_is_too_large():
+    # the complete 9-node digraph has 13,700 simple v1->v9 paths, none of
+    # them longer than 8 unit arcs
+    nodes = tuple(f"v{i}" for i in range(1, 10))
+    wd = WeightedDigraph(nodes, tuple((u, v, 1) for u in nodes
+                                      for v in nodes if u != v),
+                         "v1", "v9", 8)
+    assert len(generators._simple_bounded_paths(wd)) == 13_700
+    with pytest.raises(InstanceTooLargeError,
+                       match="13700 candidate paths, more than 4000"):
+        bledp_exact(wd)
 
 
 def test_reduction_preserves_packing_when_paths_share_arcs():

@@ -49,14 +49,6 @@ def test_expansion_shape(relay):
     assert lg.succ == ((2, 3), (), (4, 5), (5,), (1,), (1,))
 
 
-def test_build_line_graph_rejects_bad_pairs(relay):
-    for s, d in (("s", "zz"), ("zz", "d")):
-        with pytest.raises(ValueError, match="unknown node 'zz'"):
-            build_line_graph(relay, s, d)
-    with pytest.raises(ValueError, match="must differ"):
-        build_line_graph(relay, "s", "s")
-
-
 @given(graphs)
 @settings(max_examples=60)
 def test_paths_correspond_to_journeys(g):
@@ -158,14 +150,6 @@ def test_min_hop_path_relay(relay):
         Contact("e1", 2), Contact("e2", 3))
     dead[1] = True  # e1@2
     assert min_hop_path(relay, "s", "d", dead) is None
-
-
-def test_min_hop_path_rejects_bad_pairs(relay):
-    for s, d in (("s", "zz"), ("zz", "d")):
-        with pytest.raises(ValueError, match="unknown node 'zz'"):
-            min_hop_path(relay, s, d)
-    with pytest.raises(ValueError, match="must differ"):
-        min_hop_path(relay, "s", "s")
 
 
 @given(graphs, st.integers(0, 10**6))
@@ -335,11 +319,7 @@ def test_time_expanded_flow_matches_the_line_graph_on_any_graph(g, delta,
 
 
 def test_time_expanded_flow_rejects_what_the_line_graph_rejects(relay):
-    for s, d in (("s", "zz"), ("zz", "d")):
-        with pytest.raises(ValueError, match="unknown node 'zz'"):
-            time_expanded_maxflow(relay, s, d)
-    with pytest.raises(ValueError, match="must differ"):
-        time_expanded_maxflow(relay, "s", "s")
+    # bad pairs: test_tvg.py::test_every_pair_query_rejects_a_bad_pair
     weights = dict.fromkeys(contacts(relay), Fraction(1, 2))
     for bad in (0, Fraction(-1, 3)):
         weights[Contact("e2", 3)] = bad

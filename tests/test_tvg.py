@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
-                      TimeVaryingGraph, apply_removals, contacts,
-                      enumerate_journeys, gen_random_tvg, interferes,
-                      is_valid_journey, reachable, removal_footprint,
-                      validate_graph)
+                      TimeVaryingGraph, analyze_exact, apply_removals,
+                      build_line_graph, contacts, enumerate_journeys,
+                      exact_maxflow_delta, exact_mincut_delta, gen_random_tvg,
+                      greedy_maxflow_delta, interferes, is_valid_journey,
+                      load_tvg, min_hop_path, minweight_mincut_delta,
+                      reachable, removal_footprint, save_tvg,
+                      survivability_bounds, time_expanded_maxflow,
+                      validate_graph, verify_cut)
 from tempocut.tvg import (_contacts_reaching, _min_hop_surviving,
                           _run_table, interfering_contacts)
 
@@ -103,6 +107,13 @@ def test_json_roundtrip(g):
     assert TimeVaryingGraph.loads(g.dumps()) == g
 
 
+def test_save_tvg_writes_dumps_and_load_tvg_reads_it_back(tmp_path, relay):
+    path = tmp_path / "relay.json"
+    save_tvg(relay, str(path))
+    assert path.read_bytes() == relay.dumps().encode()
+    assert load_tvg(str(path)) == relay
+
+
 def test_enumerate_journeys_relay(relay):
     js = enumerate_journeys(relay, "s", "d")
     assert [j.to_json_obj() for j in js] == [
@@ -127,11 +138,6 @@ def test_enumerate_journeys_allows_revisits():
 def test_enumerate_journeys_cap(relay):
     with pytest.raises(InstanceTooLargeError, match="journeys"):
         enumerate_journeys(relay, "s", "d", cap=2)
-
-
-def test_enumerate_journeys_needs_distinct_endpoints(relay):
-    with pytest.raises(ValueError, match="must differ"):
-        enumerate_journeys(relay, "s", "s")
 
 
 def test_journey_requires_hops():
@@ -175,10 +181,31 @@ def test_reachable_agrees_with_enumeration_under_bans(case):
     assert reachable(g, s, d) == reachable(g, s, d, frozenset()) == bool(js)
 
 
-def test_reachable_rejects_unknown_nodes(relay):
-    for s, d in (("s", "zz"), ("zz", "d")):
-        with pytest.raises(ValueError, match="unknown node"):
-            reachable(relay, s, d)
+PAIR_QUERIES = {
+    "reachable": reachable,
+    "verify_cut": lambda g, s, d: verify_cut(g, [], s, d),
+    "enumerate_journeys": enumerate_journeys,
+    "build_line_graph": build_line_graph,
+    "min_hop_path": min_hop_path,
+    "time_expanded_maxflow": time_expanded_maxflow,
+    "greedy_maxflow_delta": lambda g, s, d: greedy_maxflow_delta(g, s, d, 2),
+    "exact_maxflow_delta": lambda g, s, d: exact_maxflow_delta(g, s, d, 2),
+    "minweight_mincut_delta":
+        lambda g, s, d: minweight_mincut_delta(g, s, d, 2),
+    "exact_mincut_delta": lambda g, s, d: exact_mincut_delta(g, s, d, 2),
+    "analyze_exact": lambda g, s, d: analyze_exact(g, s, d, 2),
+    "survivability_bounds":
+        lambda g, s, d: survivability_bounds(g, s, d, 1, 2),
+}
+
+
+@pytest.mark.parametrize("query", PAIR_QUERIES.values(), ids=list(PAIR_QUERIES))
+def test_every_pair_query_rejects_a_bad_pair(relay, query):
+    for s, d, message in (("s", "zz", "unknown node 'zz'"),
+                          ("zz", "d", "unknown node 'zz'"),
+                          ("s", "s", "source and destination must differ")):
+        with pytest.raises(ValueError, match=message):
+            query(relay, s, d)
 
 
 def test_reachable_respects_banned_contacts(relay):
