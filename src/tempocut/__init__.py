@@ -7,9 +7,9 @@ oracles, instance generators, a trace-driven loss simulator, and a CLI.
 """
 
 from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
-                  TimeVaryingGraph, apply_removals, contacts,
-                  enumerate_journeys, interferes, is_valid_journey, load_tvg,
-                  reachable, removal_footprint, save_tvg, validate_graph)
+                  TimeVaryingGraph, contacts, interferes, is_valid_journey,
+                  load_tvg, reachable, removal_footprint, save_tvg,
+                  validate_graph)
 from .linegraph import (build_line_graph, min_hop_path, node_disjoint_maxflow,
                         time_expanded_maxflow)
 from .maxflow import (FlowResult, exact_maxflow_delta,
@@ -22,8 +22,8 @@ from .generators import (WeightedDigraph, bledp_exact, bledp_expand,
                          gen_counterexample, gen_random_tvg,
                          gen_random_weighted_digraph)
 from .simulate import (FailureModel, SimConfig, SimReport, check_sweep,
-                       djr_route, journeys_delivered, run_simulation,
-                       sample_failures, sweep, sweep_to_csv)
+                       journeys_delivered, run_simulation, sample_failures,
+                       sweep, sweep_to_csv)
 from .traces import ContactRecord, contact_stats, discretize, parse_contact_trace
 from .verify import SUITES, SuiteResult, run_suites
 

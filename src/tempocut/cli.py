@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 bad input (files, flags, parameters), 3 instance
 too large for a desk-scale exact oracle, a sweep of more than
-MAX_SWEEP_POINTS points or a trace window of more than
+MAX_SWEEP_POINTS points or a trace window or random graph of more than
 traces.MAX_WINDOW_CONTACTS contacts, 4 internal invariant failure.
 Output is machine-readable JSON/CSV by default; --pretty indents the JSON
 reports of analyze and survivable.

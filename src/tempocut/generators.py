@@ -11,7 +11,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
+from . import traces
 from .maxflow import exact_maxflow_delta
 from .mincut import exact_mincut_delta
 from .tvg import InstanceTooLargeError, TimeVaryingGraph
@@ -22,7 +25,8 @@ def gen_random_tvg(node_count: int, horizon: int, p: float,
     """Random scale-free TVG: preferential attachment (2 attachments per
     new node, each undirected attachment realized as both directed edges),
     then each (edge, slot) activates independently with probability p.
-    Fully determined by the seed.
+    Fully determined by the seed. A graph of more than
+    traces.MAX_WINDOW_CONTACTS contacts raises InstanceTooLargeError.
     """
     if node_count < 2:
         raise ValueError("need at least 2 nodes")
@@ -44,10 +48,18 @@ def gen_random_tvg(node_count: int, horizon: int, p: float,
             pairs.append((new, t))
             urn.append(new)
             urn.append(t)
+    budget = traces.MAX_WINDOW_CONTACTS
     edges = []
     for a, b in pairs:
         for src, dst in ((a, b), (b, a)):
-            slots = [t for t in range(1, horizon + 1) if rng.random() < p]
+            # drawn lazily, so a huge horizon stops one contact past the budget
+            slots = list(islice((t for t in range(1, horizon + 1)
+                                 if rng.random() < p), budget + 1))
+            budget -= len(slots)
+            if budget < 0:
+                raise InstanceTooLargeError(
+                    f"random graph too large: more than "
+                    f"{traces.MAX_WINDOW_CONTACTS} contacts")
             edges.append((names[src], names[dst], slots))
     return TimeVaryingGraph(names, edges, horizon)
 
@@ -270,17 +282,16 @@ def bledp_expand(wd: WeightedDigraph) -> TimeVaryingGraph:
     return TimeVaryingGraph(nodes, edges, wd.bound)
 
 
-def _simple_bounded_paths(wd: WeightedDigraph) -> list[tuple[int, ...]]:
-    """All node-simple s->d arc sequences with total length <= bound,
-    as tuples of arc indices in lexicographic arc order."""
+def _simple_bounded_paths(wd: WeightedDigraph) -> Iterator[tuple[int, ...]]:
+    """Every node-simple s->d arc sequence with total length <= bound, as a
+    tuple of arc indices in lexicographic arc order, walked lazily."""
     out_arcs: dict[str, list[int]] = {}
     for i, (u, v, l) in enumerate(wd.arcs):
         out_arcs.setdefault(u, []).append(i)
-    paths: list[tuple[int, ...]] = []
     trail: list[int] = []
     visited = {wd.s}
 
-    def walk(node: str, used: int) -> None:
+    def walk(node: str, used: int) -> Iterator[tuple[int, ...]]:
         for i in out_arcs.get(node, ()):
             u, v, l = wd.arcs[i]
             if used + l > wd.bound:
@@ -289,16 +300,15 @@ def _simple_bounded_paths(wd: WeightedDigraph) -> list[tuple[int, ...]]:
                 continue
             trail.append(i)
             if v == wd.d:
-                paths.append(tuple(trail))
+                yield tuple(trail)
             else:
                 visited.add(v)
-                walk(v, used + l)
+                yield from walk(v, used + l)
                 visited.discard(v)
             trail.pop()
 
     if wd.s != wd.d:
-        walk(wd.s, 0)
-    return paths
+        yield from walk(wd.s, 0)
 
 
 def bledp_exact(wd: WeightedDigraph) -> int:
@@ -306,15 +316,15 @@ def bledp_exact(wd: WeightedDigraph) -> int:
     by exhaustive packing over the simple-path list.
 
     Simple paths suffice: dropping a cycle from a path only shortens it
-    and releases arcs, so some optimal packing is cycle-free. More than
-    4,000 of them raise InstanceTooLargeError.
+    and releases arcs, so some optimal packing is cycle-free. The walk
+    stops at the 4,001st path and raises InstanceTooLargeError.
     """
-    paths = _simple_bounded_paths(wd)
+    paths = list(islice(_simple_bounded_paths(wd), 4001))
     m = len(paths)
     if m > 4000:
         raise InstanceTooLargeError(
-            f"instance too large for exact oracle: {m} candidate paths, "
-            f"more than 4000")
+            "instance too large for exact oracle: more than 4000 candidate "
+            "paths")
     conflict = [0] * m
     for i in range(m):
         ai = set(paths[i])

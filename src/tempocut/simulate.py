@@ -131,16 +131,6 @@ def sample_failures(g: TimeVaryingGraph, fm: FailureModel,
     return _sample_onsets(g, fm.p, fm.d_max, random.Random(seed))
 
 
-def djr_route(g: TimeVaryingGraph, s: str, d: str, n: int,
-              delta: int) -> list[Journey]:
-    """Up to n pairwise delta-disjoint journeys on the failure-free graph
-    (supply-limited: fewer if the greedy finds fewer)."""
-    if n < 1:
-        raise ValueError("need at least one copy")
-    found = greedy_maxflow_delta(g, s, d, delta).journeys
-    return list(found[:n])
-
-
 def journeys_delivered(g: TimeVaryingGraph, journeys: Iterable[Journey],
                        failures: Iterable[DeltaRemoval]
                        ) -> tuple[bool, int | None]:

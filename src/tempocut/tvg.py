@@ -7,12 +7,10 @@ slots. A delta-removal knocks an edge out for delta consecutive slots.
 
 This module holds the model types plus the basic operations everything
 else is built on: validation, the pair check of every pair query
-(_check_pair), contact listing, journey checks, removal application,
-interference between journeys, and the two searches over g:
+(_check_pair), contact listing, journey checks, removal footprints,
+interference between journeys, and the search over g:
 _min_hop_surviving (a min-hop journey avoiding banned contacts, behind
-reachable, mincut.verify_cut and the exact cut search) and
-enumerate_journeys (every journey, revisits included; the tests'
-independent reference).
+reachable, mincut.verify_cut and the exact cut search).
 
 Each graph keeps a contact index, built on first use: integer contact ids
 in contacts(g) order with the contact each stands for, and per node the
@@ -105,7 +103,7 @@ class TimeVaryingGraph:
     """
 
     __slots__ = ("horizon", "nodes", "edges", "active", "contact_count",
-                 "_index", "_out", "_node_set", "_contact_ix")
+                 "_index", "_node_set", "_contact_ix")
 
     def __init__(self, nodes: Iterable[str],
                  edges: Iterable[tuple[str, str, Iterable[int]]],
@@ -125,10 +123,6 @@ class TimeVaryingGraph:
         self.contact_count = sum(map(len, active.values()))
 
         self._index = {e.eid: i for i, e in enumerate(defs)}
-        out: dict[str, list[EdgeDef]] = {}
-        for e in defs:
-            out.setdefault(e.src, []).append(e)
-        self._out = {n: tuple(es) for n, es in out.items()}
         self._contact_ix = None
 
     # -- lookups ---------------------------------------------------------
@@ -141,9 +135,6 @@ class TimeVaryingGraph:
 
     def edge_index(self, eid: str) -> int:
         return self._index[eid]
-
-    def out_edges(self, node: str) -> tuple[EdgeDef, ...]:
-        return self._out.get(node, ())
 
     # -- equality (used heavily by tests) --------------------------------
 
@@ -416,21 +407,6 @@ def _check_removal(g: TimeVaryingGraph, r: DeltaRemoval) -> None:
         raise ValueError(f"unknown edge {r.edge!r}")
 
 
-def apply_removals(g: TimeVaryingGraph,
-                   removals: Iterable[DeltaRemoval]) -> TimeVaryingGraph:
-    """Residual graph with every removal footprint deleted. Order-insensitive."""
-    dead: dict[str, set[int]] = {}
-    for r in removals:
-        for c in removal_footprint(g, r):
-            dead.setdefault(c.edge, set()).add(c.slot)
-    new_edges = []
-    for e in g.edges:
-        gone = dead.get(e.eid, ())
-        slots = [t for t in g.active[e.eid] if t not in gone]
-        new_edges.append((e.src, e.dst, slots))
-    return TimeVaryingGraph(g.nodes, new_edges, g.horizon)
-
-
 def _check_pair(g: TimeVaryingGraph, s: str, d: str) -> None:
     """The one rule every pair query starts from: s and d are two distinct
     nodes of g."""
@@ -522,52 +498,6 @@ def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
         nxt.sort(key=ix.rank.__getitem__)
         frontier = nxt
     return None
-
-
-def enumerate_journeys(g: TimeVaryingGraph, s: str, d: str,
-                       cap: int = 50_000) -> list[Journey]:
-    """Every valid s->d journey, depth-first in (slot, edge) order.
-
-    Journeys may revisit nodes and edges at later slots; termination comes
-    from the strictly increasing slots. Raises InstanceTooLargeError as soon
-    as the count would exceed cap.
-    """
-    _check_pair(g, s, d)
-    if cap < 1:
-        raise ValueError("cap must be positive")
-
-    # contacts that can still reach d, ignoring revisit structure: sound prune
-    can_reach = {c for c, ok in zip(_contact_index(g).contacts,
-                                    _contacts_reaching(g, d)) if ok}
-
-    results: list[Journey] = []
-    stack: list[Contact] = []
-
-    def successors(node: str, after: int) -> list[Contact]:
-        succ = []
-        for e in g.out_edges(node):
-            slots = g.active[e.eid]
-            for k in range(bisect_right(slots, after), len(slots)):
-                succ.append(Contact(e.eid, slots[k]))
-        succ.sort(key=lambda c: (c.slot, g.edge_index(c.edge)))
-        return succ
-
-    def walk(node: str, after: int) -> None:
-        for c in successors(node, after):
-            if c not in can_reach:
-                continue
-            e = g.edge(c.edge)
-            stack.append(c)
-            if e.dst == d:
-                if len(results) >= cap:
-                    raise InstanceTooLargeError(
-                        f"instance too large for exact oracle: more than {cap} journeys")
-                results.append(Journey(tuple(stack)))
-            walk(e.dst, c.slot)
-            stack.pop()
-
-    walk(s, 0)
-    return results
 
 
 def _contacts_reaching(g: TimeVaryingGraph, d: str) -> list[bool]:

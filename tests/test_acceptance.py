@@ -15,9 +15,9 @@ import time
 import pytest
 
 import tempocut
-from tempocut import (DeltaRemoval, discretize, djr_route, gen_random_tvg,
-                      greedy_bound_certificate, journeys_delivered,
-                      parse_contact_trace, sweep)
+from tempocut import (DeltaRemoval, discretize, gen_random_tvg,
+                      greedy_bound_certificate, greedy_maxflow_delta,
+                      journeys_delivered, parse_contact_trace, sweep)
 from tempocut.experiments import gap_cells, routable_plateau, star_core_trace
 from tempocut.tvg import Contact
 from tempocut.verify import (suite_duality, suite_gapfamily, suite_menger1,
@@ -127,7 +127,7 @@ def test_c09_spaced_copies_survive_adversarial_failures():
         seed += 1
         g = gen_random_tvg(10, 12, 0.5, 5000 + seed)
         delta = (1, 2, 3)[seed % 3]
-        journeys = djr_route(g, "n1", "n10", 4, delta)
+        journeys = greedy_maxflow_delta(g, "n1", "n10", delta).journeys[:4]
         n = len(journeys)
         if n < 2:
             continue

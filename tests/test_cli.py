@@ -589,6 +589,17 @@ def test_ingest_of_a_huge_window_fails_before_it_is_filled(tmp_path):
                "more than 10000000\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "random", "--nodes", "3", "--t", "3000000000"),
+    ("experiment", "gap", "--instances", "1", "--nodes", "3", "--t",
+     "3000000000"),
+], ids=["gen-random", "experiment-gap"])
+def test_huge_random_graph_fails_before_it_is_filled(argv):
+    assert _under_1gb(*argv) == (
+        3, "", "error: random graph too large: more than 10000000 "
+               "contacts\n")
+
+
 def test_stats_to_files(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     trace_path.write_text(TRACE)

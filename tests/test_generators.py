@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,7 @@ from tempocut import (InstanceTooLargeError, WeightedDigraph, bledp_exact,
                       bledp_expand, exact_maxflow_delta, exact_mincut_delta,
                       gen_counterexample, gen_random_tvg,
                       gen_random_weighted_digraph, validate_graph)
-from tempocut import generators, verify
+from tempocut import generators, traces, verify
 
 
 def test_random_tvg_is_seed_determined():
@@ -18,6 +21,18 @@ def test_random_tvg_is_seed_determined():
     b = gen_random_tvg(8, 10, 0.5, 42)
     assert a == b and a.dumps() == b.dumps()
     assert gen_random_tvg(8, 10, 0.5, 43) != a
+
+
+def test_random_tvg_keeps_its_draws_up_to_the_contact_budget(monkeypatch):
+    # the draws stop one contact past the budget: a budget of exactly the
+    # graph's contacts draws the same graph, and one less refuses
+    g = gen_random_tvg(3, 60, 0.3, 7)
+    monkeypatch.setattr(traces, "MAX_WINDOW_CONTACTS", g.contact_count)
+    assert gen_random_tvg(3, 60, 0.3, 7).dumps() == g.dumps()
+    monkeypatch.setattr(traces, "MAX_WINDOW_CONTACTS", g.contact_count - 1)
+    with pytest.raises(InstanceTooLargeError,
+                       match=f"more than {g.contact_count - 1} contacts"):
+        gen_random_tvg(3, 60, 0.3, 7)
 
 
 def test_random_tvg_shape():
@@ -175,10 +190,36 @@ def test_bledp_exact_past_its_path_budget_is_too_large():
     wd = WeightedDigraph(nodes, tuple((u, v, 1) for u in nodes
                                       for v in nodes if u != v),
                          "v1", "v9", 8)
-    assert len(generators._simple_bounded_paths(wd)) == 13_700
+    assert len(list(generators._simple_bounded_paths(wd))) == 13_700
     with pytest.raises(InstanceTooLargeError,
-                       match="13700 candidate paths, more than 4000"):
+                       match="more than 4000 candidate paths"):
         bledp_exact(wd)
+
+
+def test_bledp_exact_refuses_before_listing_every_path():
+    # The complete 12-node digraph has about 9.9 million simple v1->v12
+    # paths; listing them all before the budget check runs out of a 1 GB
+    # address space, so the child process runs under that limit.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(generators.__file__)))
+    child = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from tempocut import InstanceTooLargeError, WeightedDigraph, "
+        "bledp_exact\n"
+        "nodes = tuple(f'v{i}' for i in range(1, 13))\n"
+        "wd = WeightedDigraph(nodes, tuple((u, v, 1) for u in nodes\n"
+        "                                  for v in nodes if u != v),\n"
+        "                     'v1', 'v12', 11)\n"
+        "try:\n"
+        "    bledp_exact(wd)\n"
+        "except InstanceTooLargeError as e:\n"
+        "    print(e)\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "instance too large for exact oracle: more than 4000 candidate "
+           "paths\n", "")
 
 
 def test_reduction_preserves_packing_when_paths_share_arcs():
@@ -190,5 +231,5 @@ def test_reduction_preserves_packing_when_paths_share_arcs():
         want = bledp_exact(wd)
         g = bledp_expand(wd)
         assert exact_maxflow_delta(g, wd.s, wd.d, wd.bound).count == want
-        shared += want < len(generators._simple_bounded_paths(wd))
+        shared += want < len(list(generators._simple_bounded_paths(wd)))
     assert shared, "no instance has paths that share an arc"

@@ -10,16 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
-                      apply_removals, build_line_graph, enumerate_journeys,
-                      exact_maxflow_delta, gen_counterexample, gen_random_tvg,
-                      is_valid_journey, min_hop_path, node_disjoint_maxflow,
-                      reachable, set_weights, time_expanded_maxflow,
-                      weighted_mincut_1)
+                      build_line_graph, exact_maxflow_delta,
+                      gen_counterexample, gen_random_tvg, is_valid_journey,
+                      min_hop_path, node_disjoint_maxflow, reachable,
+                      set_weights, time_expanded_maxflow, weighted_mincut_1)
 from tempocut import verify
 from tempocut.linegraph import (DST, SRC, _scaled_caps, _time_expanded_flow,
                                 _time_expanded_network)
 from tempocut.mincut import _approximations
 from tempocut.tvg import _contact_id, _contacts_of, contacts
+from reference import apply_removals, enumerate_journeys
 
 graphs = st.builds(
     gen_random_tvg,

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
-                      analyze_exact, apply_removals, build_line_graph,
-                      discretize, enumerate_journeys, exact_maxflow_delta,
-                      gen_random_tvg, greedy_bound_certificate,
-                      greedy_maxflow_delta, interferes, is_valid_journey,
-                      Journey, min_hop_path, node_disjoint_maxflow,
-                      parse_contact_trace)
+                      analyze_exact, build_line_graph, discretize,
+                      exact_maxflow_delta, gen_random_tvg,
+                      greedy_bound_certificate, greedy_maxflow_delta,
+                      interferes, is_valid_journey, Journey, min_hop_path,
+                      node_disjoint_maxflow, parse_contact_trace)
 from tempocut import maxflow
 from tempocut.experiments import star_core_trace
 from tempocut.maxflow import _closed_masks, _drop_dominated, _journey_tree
 from tempocut.tvg import contacts, interfering_contacts
+from reference import apply_removals, enumerate_journeys
 
 graphs = st.builds(
     gen_random_tvg,
@@ -131,7 +131,7 @@ def _node_simple_journeys(g, s, d):
     on_walk = {s}
 
     def extend(node, after):
-        leaving = sorted(((t, e) for e in g.out_edges(node)
+        leaving = sorted(((t, e) for e in g.edges if e.src == node
                           for t in g.active[e.eid] if t > after),
                          key=lambda te: (te[0], order[te[1].eid]))
         for t, e in leaving:
@@ -443,8 +443,8 @@ def test_flow_result_shape(relay):
     res = exact_maxflow_delta(relay, "s", "d", 2)
     obj = res.to_json_dict()
     assert obj["delta"] == 2 and obj["count"] == 1 and obj["exact"] is True
-    assert obj["journeys"] == [[["e1", 1], ["e2", 2]]] or obj["count"] == len(
-        obj["journeys"])
+    assert obj["journeys"] == [[["e1", 1], ["e2", 2]]]
+    assert obj["count"] == len(obj["journeys"])
 
 
 def test_delta_must_be_positive(relay):

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       TimeVaryingGraph, analyze_exact, contacts, delta_cover,
-                      enumerate_journeys, exact_maxflow_delta,
-                      exact_mincut_delta, gen_counterexample, gen_random_tvg,
+                      exact_maxflow_delta, exact_mincut_delta,
+                      gen_counterexample, gen_random_tvg,
                       greedy_maxflow_delta, is_valid_journey, Journey,
                       sandwich_check, minweight_mincut_delta, set_weights,
                       survivability_bounds, verify_cut, weighted_mincut_1)
@@ -25,6 +25,7 @@ from tempocut.mincut import (DEFAULT_HEAD_CAP, CutResult, _exact_cut_search,
                              _window_sizes)
 from tempocut.tvg import (_contact_id, _contacts_of, _footprint_ids,
                           _min_hop_surviving, _run_table, interfering_contacts)
+from reference import enumerate_journeys
 from test_tvg import _canonical_heads, graphs
 
 contact_sets = st.lists(
@@ -427,9 +428,8 @@ def test_rounded_cut_stays_within_delta_factor():
             approx = minweight_mincut_delta(g, "n1", d, delta)
             exact = exact_mincut_delta(g, "n1", d, delta)
             assert exact.count <= approx.count <= delta * max(exact.count, 1)
-            assert ceil(approx.weight_lower_bound) <= exact.count or \
-                exact.count == 0
-            assert verify_cut(g, approx, "n1", d) or approx.count == 0
+            assert ceil(approx.weight_lower_bound) <= exact.count
+            assert verify_cut(g, approx, "n1", d)
 
 
 def test_cut_capped_flow_matches_the_standalone_oracles():

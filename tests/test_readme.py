@@ -1,9 +1,11 @@
-"""README's Library example runs, and each of its `expression  # value`
-lines holds."""
+"""README's Library example runs, each of its `expression  # value`
+lines holds, and every command of its Command line block parses."""
 
 import ast
 import pathlib
 import re
+
+from tempocut.cli import _build_parser
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +25,13 @@ def test_readme_library_example_holds():
         else:
             exec(code, scope)
     assert checked == 6
+
+
+def test_readme_command_lines_parse():
+    block = re.search(r"^## Command line\n\n```\n(.*?)^```",
+                      README.read_text(), re.M | re.S).group(1)
+    commands = [line.split("#")[0].split() for line in block.splitlines()]
+    assert len(commands) == 11
+    for argv in commands:
+        assert argv[0] == "tempocut", argv
+        _build_parser().parse_args(argv[1:])

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import tempocut.simulate
 from tempocut import (DeltaRemoval, FailureModel, SimConfig, TimeVaryingGraph,
-                      check_sweep, djr_route, gen_random_tvg,
-                      greedy_maxflow_delta, interferes, journeys_delivered,
-                      run_simulation, sample_failures, sweep, sweep_to_csv)
+                      check_sweep, gen_random_tvg, greedy_maxflow_delta,
+                      journeys_delivered, run_simulation, sample_failures,
+                      sweep, sweep_to_csv)
 from tempocut.simulate import (_carve_window, _derive_seed, _draw_pair,
                                _index_copies, _sample_onsets, _walk,
                                packets_to_jsonl)
@@ -164,7 +164,7 @@ def test_fused_check_matches_the_full_draw(p, d_max):
 
 
 def test_journeys_delivered_rejects_bad_removals(relay):
-    js = djr_route(relay, "s", "d", 2, 1)
+    js = greedy_maxflow_delta(relay, "s", "d", 1).journeys[:2]
     with pytest.raises(ValueError, match="duration must be positive"):
         journeys_delivered(relay, js, [DeltaRemoval("e1", 1, 0)])
     with pytest.raises(ValueError, match="unknown edge 'zz'"):
@@ -190,17 +190,8 @@ def test_seed_stream_is_pinned():
         "fa386c8c49ade996b589889219b847d455b018cff07275659dd75891ab70e3e0"
 
 
-def test_djr_route_family(relay):
-    js = djr_route(relay, "s", "d", 2, 1)
-    assert len(js) == 2
-    assert not interferes(js[0], js[1], 1)
-    assert djr_route(relay, "s", "d", 5, 2) == djr_route(relay, "s", "d", 1, 2)
-    with pytest.raises(ValueError, match="copy"):
-        djr_route(relay, "s", "d", 0, 1)
-
-
 def test_journeys_delivered(relay):
-    js = djr_route(relay, "s", "d", 2, 1)
+    js = greedy_maxflow_delta(relay, "s", "d", 1).journeys[:2]
     ok, arrival = journeys_delivered(relay, js, [])
     assert ok and arrival == 2
     # kill only the first journey's relay hop
@@ -233,7 +224,8 @@ def test_runs_are_reproducible():
 def test_more_journeys_never_lose_a_delivered_packet():
     g = _arena(4)
     for seed in range(30):
-        journeys = djr_route(g, g.nodes[0], g.nodes[-1], 3, 2)
+        journeys = greedy_maxflow_delta(g, g.nodes[0], g.nodes[-1],
+                                        2).journeys[:3]
         failures = sample_failures(g, FailureModel(0.2, 4), seed=seed)
         ok = [journeys_delivered(g, journeys[:n], failures)[0]
               for n in range(len(journeys) + 1)]

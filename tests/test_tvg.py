@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
-                      TimeVaryingGraph, analyze_exact, apply_removals,
-                      build_line_graph, contacts, enumerate_journeys,
-                      exact_maxflow_delta, exact_mincut_delta, gen_random_tvg,
-                      greedy_maxflow_delta, interferes, is_valid_journey,
-                      load_tvg, min_hop_path, minweight_mincut_delta,
-                      reachable, removal_footprint, save_tvg,
-                      survivability_bounds, time_expanded_maxflow,
+                      TimeVaryingGraph, analyze_exact, build_line_graph,
+                      contacts, exact_maxflow_delta, exact_mincut_delta,
+                      gen_random_tvg, greedy_maxflow_delta, interferes,
+                      is_valid_journey, load_tvg, min_hop_path,
+                      minweight_mincut_delta, reachable, removal_footprint,
+                      save_tvg, survivability_bounds, time_expanded_maxflow,
                       validate_graph, verify_cut)
 from tempocut.tvg import (_contacts_reaching, _min_hop_surviving,
                           _run_table, interfering_contacts)
+from reference import apply_removals, enumerate_journeys
 
 graphs = st.builds(
     gen_random_tvg,
@@ -242,7 +242,7 @@ def _reaching_by_definition(g, d):
         if c not in memo:
             head = g.edge(c.edge).dst
             memo[c] = head == d or any(
-                reaches(Contact(e.eid, t)) for e in g.out_edges(head)
+                reaches(Contact(e.eid, t)) for e in g.edges if e.src == head
                 for t in g.active[e.eid] if t > c.slot)
         return memo[c]
 
@@ -315,7 +315,7 @@ def _sorting_search(g, s, d, banned):
 
     def out_contacts(node, after):
         found = []
-        for e in g.out_edges(node):
+        for e in (f for f in g.edges if f.src == node):
             slots = g.active[e.eid]
             for k in range(bisect_right(slots, after), len(slots)):
                 c = Contact(e.eid, slots[k])
