@@ -1,6 +1,7 @@
 """Instance generators: random graphs, the hard family, path-packing inputs."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -62,12 +63,20 @@ def test_random_tvg_rejects_bad_parameters():
 
 
 def test_hard_family_sizes():
-    g1, _, _ = gen_counterexample(1)
-    assert (len(g1.nodes), g1.contact_count, g1.horizon) == (2, 1, 1)
-    g2, _, _ = gen_counterexample(2)
-    assert (len(g2.nodes), g2.contact_count, g2.horizon) == (6, 9, 7)
-    g3, _, _ = gen_counterexample(3)
-    assert (len(g3.nodes), g3.contact_count, g3.horizon) == (14, 26, 15)
+    # sizes, terminals and the sha256 of each rung's dumps()
+    pins = {
+        1: (2, 1, 1, "d1", "ad2e8fe99327c6f1f389d83b14a5d245"
+                           "56a7fa7378e5dca7e3be4b6fddf82fee"),
+        2: (6, 9, 7, "d2", "8c895f634e6b82c4575f6e6a3b87de7b"
+                           "bd9923d2eede12ccdbe116e739b03bac"),
+        3: (14, 26, 15, "d3", "257be2c47c800ef5151a5a033408269b"
+                              "ba748130e11fb59859eceaab51a71233"),
+    }
+    for k, pin in pins.items():
+        g, s, d = gen_counterexample(k)
+        assert s == "s"
+        assert (len(g.nodes), g.contact_count, g.horizon, d,
+                hashlib.sha256(g.dumps().encode()).hexdigest()) == pin
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
