@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 bad input (files, flags, parameters), 3 instance
 too large for a desk-scale exact oracle, a sweep of more than
-MAX_SWEEP_POINTS points or a trace window or random graph of more than
-traces.MAX_WINDOW_CONTACTS contacts, 4 internal invariant failure.
+MAX_SWEEP_POINTS points or MAX_SWEEP_RECORDS packet records, a trace
+window of more than traces.MAX_WINDOW_CONTACTS contacts or a random graph
+of more contacts or edges, 4 internal invariant failure.
 Output is machine-readable JSON/CSV by default; --pretty indents the JSON
 reports of analyze and survivable.
 `experiment gap|loss` print the paper's experiments as text tables and
@@ -34,11 +35,12 @@ from .tvg import InstanceTooLargeError, load_tvg
 from .verify import SUITES, run_suites
 
 
-# A sweep keeps every point's report: at its cheapest (one packet on a
-# 4-node graph) a point costs about 9 us and 0.9 KB of peak RSS, and at the
-# default 2,000 packets about 220 KB. So a sweep past this many points
-# needs more than 0.9 GB even then, and more than 200 GB at the defaults.
+# A sweep keeps every point's report, and each report one record per
+# packet. On CPython 3.11 (x86-64) a one-packet point costs about 0.75 KB
+# of peak RSS and a record 115-145 B, so either budget stands for about
+# 1 GB.
 MAX_SWEEP_POINTS = 1_000_000
+MAX_SWEEP_RECORDS = 10_000_000
 
 
 def _parse_int_list(text: str) -> list[range]:
@@ -62,15 +64,20 @@ def _parse_int_list(text: str) -> list[range]:
     return out
 
 
-def _expand_sweep(*axes: list[range]) -> list[list[int]]:
+def _expand_sweep(*axes: list[range], packets: int = 1) -> list[list[int]]:
     """The value lists of a sweep over the cross product of axes (parsed by
-    _parse_int_list), expanded only once the number of points they make is
-    known to be at most MAX_SWEEP_POINTS; more raises InstanceTooLargeError.
-    So a huge range fails at once instead of filling memory."""
+    _parse_int_list), expanded only once the points they make are known to
+    be at most MAX_SWEEP_POINTS, and their packet records (packets a point)
+    at most MAX_SWEEP_RECORDS; more raises InstanceTooLargeError. So a huge
+    range fails at once instead of filling memory."""
     count = math.prod(sum(map(len, axis)) for axis in axes)
     if count > MAX_SWEEP_POINTS:
         raise InstanceTooLargeError(
             f"sweep too large: {count} points, more than {MAX_SWEEP_POINTS}")
+    if count * packets > MAX_SWEEP_RECORDS:
+        raise InstanceTooLargeError(
+            f"sweep too large: {count * packets} packet records, more than "
+            f"{MAX_SWEEP_RECORDS}")
     return [[v for r in axis for v in r] for axis in axes]
 
 
@@ -154,9 +161,9 @@ def cmd_survivable(args) -> int:
 def _sweep_plan(g, ns, deltas, deadlines, args):
     """A sweep's expanded axes and the call that runs it with args' packets,
     p, dmax and seed. Every point is checked (check_sweep) and the points
-    counted (_expand_sweep) before any range expands."""
+    and packet records counted (_expand_sweep) before any range expands."""
     check_sweep(g, ns, deltas, deadlines, args.packets, args.p, args.dmax)
-    axes = _expand_sweep(ns, deltas, deadlines)
+    axes = _expand_sweep(ns, deltas, deadlines, packets=args.packets)
     return axes, lambda: sweep(g, *axes, args.packets, args.p, args.dmax,
                                args.seed)
 

@@ -15,8 +15,6 @@ from itertools import islice
 from typing import Iterator
 
 from . import traces
-from .maxflow import exact_maxflow_delta
-from .mincut import exact_mincut_delta
 from .tvg import InstanceTooLargeError, TimeVaryingGraph
 
 
@@ -26,7 +24,8 @@ def gen_random_tvg(node_count: int, horizon: int, p: float,
     new node, each undirected attachment realized as both directed edges),
     then each (edge, slot) activates independently with probability p.
     Fully determined by the seed. A graph of more than
-    traces.MAX_WINDOW_CONTACTS contacts raises InstanceTooLargeError.
+    traces.MAX_WINDOW_CONTACTS edges (counted before anything is built) or
+    contacts raises InstanceTooLargeError.
     """
     if node_count < 2:
         raise ValueError("need at least 2 nodes")
@@ -34,6 +33,11 @@ def gen_random_tvg(node_count: int, horizon: int, p: float,
         raise ValueError("horizon must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
+    edge_count = 2 * (2 * node_count - 3)
+    if edge_count > traces.MAX_WINDOW_CONTACTS:
+        raise InstanceTooLargeError(
+            f"random graph too large: {edge_count} edges, more than "
+            f"{traces.MAX_WINDOW_CONTACTS}")
     rng = random.Random(seed)
     names = [f"n{i}" for i in range(1, node_count + 1)]
     pairs: list[tuple[int, int]] = [(0, 1)]
@@ -64,82 +68,58 @@ def gen_random_tvg(node_count: int, horizon: int, p: float,
     return TimeVaryingGraph(names, edges, horizon)
 
 
-def _ladder_level_1() -> tuple[list, list, int]:
-    nodes = ["s", "d1"]
-    edges = [("s", "d1", [1])]
-    return nodes, edges, 1
-
-
-def _ladder_level_2(nodes: list, edges: list) -> int:
-    """Second rung: a descent chain whose journeys all pass the two
-    source contacts, needing 2 removals but admitting no 2 disjoint
-    journeys (the shortcut and slot overlaps force interference)."""
-    nodes += ["v21", "v22", "v23", "d2"]
-    edges += [
-        ("s", "v21", [4]),
-        ("d1", "v21", [3]),
-        ("d1", "v23", [3]),
-        ("v21", "v22", [4, 5]),
-        ("v22", "d2", [5]),        # shortcut
-        ("v22", "v23", [6]),
-        ("v23", "d2", [7]),
-    ]
-    return 7
-
-
-def _ladder_level_3(nodes: list, edges: list) -> int:
-    """Third rung: a relay spine from the source plus three timed bypass
-    gadgets from d2. Each gadget's two-slot window overlaps the spine's
-    traversal, so everything interferes, yet disconnecting needs a third
-    removal (the spine avoids both earlier source contacts)."""
-    nodes += ["e1s", "e1e", "e2s", "e2e", "e3s", "e3e", "t3", "d3"]
-    edges += [
-        ("s", "e1s", [9]),             # spine entry
-        ("d2", "e1s", [8]),
-        ("d2", "e2s", [10]),
-        ("d2", "e3s", [12]),
-        ("e1s", "e1e", [9, 10]),
-        ("e2s", "e2e", [11, 12]),
-        ("e3s", "e3e", [13, 14]),
-        ("e1e", "d3", [10]),           # bypass exit 1
-        ("e2e", "d3", [12]),           # bypass exit 2
-        ("e3e", "t3", [14]),           # bypass exit 3, via t3
-        ("t3", "d3", [15]),
-        ("e1e", "e2s", [11]),          # spine forwarding
-        ("e2e", "e3s", [13]),
-        ("e3e", "d3", [15]),
-    ]
-    return 15
+# The gap ladder, one rung per k: (new nodes, new edges, horizon,
+# destination). Ladder k is the first k rungs; verify.suite_gapfamily
+# checks that it has one delta-disjoint journey and disruption number k at
+# delta 2 and 3.
+_LADDER = (
+    (("s", "d1"), (("s", "d1", (1,)),), 1, "d1"),
+    # A descent chain whose journeys all pass the two source contacts,
+    # needing 2 removals but admitting no 2 disjoint journeys (the shortcut
+    # and slot overlaps force interference).
+    (("v21", "v22", "v23", "d2"), (
+        ("s", "v21", (4,)),
+        ("d1", "v21", (3,)),
+        ("d1", "v23", (3,)),
+        ("v21", "v22", (4, 5)),
+        ("v22", "d2", (5,)),           # shortcut
+        ("v22", "v23", (6,)),
+        ("v23", "d2", (7,)),
+    ), 7, "d2"),
+    # A relay spine from the source plus three timed bypass gadgets from
+    # d2. Each gadget's two-slot window overlaps the spine's traversal, so
+    # everything interferes, yet disconnecting needs a third removal (the
+    # spine avoids both earlier source contacts).
+    (("e1s", "e1e", "e2s", "e2e", "e3s", "e3e", "t3", "d3"), (
+        ("s", "e1s", (9,)),            # spine entry
+        ("d2", "e1s", (8,)),
+        ("d2", "e2s", (10,)),
+        ("d2", "e3s", (12,)),
+        ("e1s", "e1e", (9, 10)),
+        ("e2s", "e2e", (11, 12)),
+        ("e3s", "e3e", (13, 14)),
+        ("e1e", "d3", (10,)),          # bypass exit 1
+        ("e2e", "d3", (12,)),          # bypass exit 2
+        ("e3e", "t3", (14,)),          # bypass exit 3, via t3
+        ("t3", "d3", (15,)),
+        ("e1e", "e2s", (11,)),         # spine forwarding
+        ("e2e", "e3s", (13,)),
+        ("e3e", "d3", (15,)),
+    ), 15, "d3"),
+)
 
 
 def gen_counterexample(k: int) -> tuple[TimeVaryingGraph, str, str]:
     """The gap ladder: (graph, source, destination) with exactly one
-    delta-disjoint journey but disruption number k, for delta in {2, 3}.
-
-    Construction is self-verified with the exact oracles at generation
-    time; a mismatch aborts, it is never returned silently.
-    """
+    delta-disjoint journey but disruption number k, for delta in {2, 3}."""
     if k < 1:
         raise ValueError("k must be positive")
-    if k > 3:
-        raise ValueError("ladder is built up to k=3")
-    nodes, edges, horizon = _ladder_level_1()
-    dest = "d1"
-    if k >= 2:
-        horizon = _ladder_level_2(nodes, edges)
-        dest = "d2"
-    if k == 3:
-        horizon = _ladder_level_3(nodes, edges)
-        dest = "d3"
-    g = TimeVaryingGraph(nodes, edges, horizon)
-    for delta in (2, 3):
-        flow = exact_maxflow_delta(g, "s", dest, delta).count
-        cut = exact_mincut_delta(g, "s", dest, delta).count
-        if (flow, cut) != (1, k):
-            raise AssertionError(
-                f"ladder k={k} failed self-check at delta={delta}: "
-                f"got flow={flow}, cut={cut}, wanted (1, {k})")
-    return g, "s", dest
+    if k > len(_LADDER):
+        raise ValueError(f"ladder is built up to k={len(_LADDER)}")
+    rungs = _LADDER[:k]
+    g = TimeVaryingGraph([n for r in rungs for n in r[0]],
+                         [e for r in rungs for e in r[1]], rungs[-1][2])
+    return g, "s", rungs[-1][3]
 
 
 @dataclass(frozen=True)

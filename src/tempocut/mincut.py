@@ -103,7 +103,8 @@ def weighted_mincut_1(g: TimeVaryingGraph, weights: WeightMap, s: str,
 
 
 def delta_cover(contact_set, delta: int) -> tuple[DeltaRemoval, ...]:
-    """Smallest set of delta-removals covering the given contacts.
+    """Smallest set of delta-removals covering the given contacts, in (edge,
+    head) order.
 
     Independent per edge; greedy stabbing (anchor a window at each leftmost
     uncovered slot) is optimal for points on a line.
@@ -123,7 +124,6 @@ def delta_cover(contact_set, delta: int) -> tuple[DeltaRemoval, ...]:
             limit = head + delta - 1
             while i < len(slots) and slots[i] <= limit:
                 i += 1
-    removals.sort(key=lambda r: (r.edge, r.head))
     return tuple(removals)
 
 

@@ -374,12 +374,9 @@ def _run_table(g: TimeVaryingGraph,
 
 def is_valid_journey(g: TimeVaryingGraph, j: Journey, s: str, d: str) -> bool:
     """True iff j is a feasible s->d journey of g (never raises)."""
-    hops = j.hops
-    if not hops:
-        return False
     prev_slot = 0
     prev_node = s
-    for edge_id, t in hops:
+    for edge_id, t in j.hops:
         if not g.has_edge(edge_id):
             return False
         e = g.edge(edge_id)

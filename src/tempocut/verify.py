@@ -83,17 +83,17 @@ def suite_duality(count: int = 40, deltas=(1, 2, 3, 5), seed: int = 0) -> SuiteR
 
 
 def suite_gapfamily() -> SuiteResult:
-    """Ladder instances certify cut/flow ratios 1, 2, 3 at spacings 2 and 3.
-
-    gen_counterexample(k) checks both exact oracles at both spacings before
-    it returns and raises on a mismatch, so the suite reports that check.
-    """
+    """Ladder instances certify cut/flow ratios 1, 2, 3 at spacings 2 and 3:
+    each has one delta-disjoint journey and disruption number k."""
     failures = []
     for k in (1, 2, 3):
-        try:
-            gens.gen_counterexample(k)
-        except AssertionError as exc:
-            failures.append(f"k={k}: {exc}")
+        g, s, d = gens.gen_counterexample(k)
+        for delta in (2, 3):
+            flow = exact_maxflow_delta(g, s, d, delta).count
+            cut = exact_mincut_delta(g, s, d, delta).count
+            if (flow, cut) != (1, k):
+                failures.append(f"k={k} delta={delta}: flow {flow}, "
+                                f"cut {cut}, wanted (1, {k})")
     return SuiteResult("gapfamily", 6, tuple(failures))
 
 

@@ -35,18 +35,24 @@ class LineGraphBuilt(AssertionError):
 
 
 @pytest.fixture
-def no_line_graph(monkeypatch):
-    """Make build_line_graph raise LineGraphBuilt, on every tempocut module
-    that binds it, so a test can show that a code path never builds the
-    quadratic line graph."""
-    original = linegraph.build_line_graph
+def replace_everywhere(monkeypatch):
+    """replace(original, new): bind new in place of original on every
+    tempocut module that binds it, so a test can see every call."""
+    def replace(original, new):
+        for name, module in list(sys.modules.items()):
+            if name == "tempocut" or name.startswith("tempocut."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, new)
+    return replace
 
+
+@pytest.fixture
+def no_line_graph(replace_everywhere):
+    """Make build_line_graph raise LineGraphBuilt everywhere, so a test can
+    show that a code path never builds the quadratic line graph."""
     def refuse(g, s, d):
         raise LineGraphBuilt(f"build_line_graph({s!r}, {d!r})")
 
-    for name, module in list(sys.modules.items()):
-        if name == "tempocut" or name.startswith("tempocut."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, refuse)
+    replace_everywhere(linegraph.build_line_graph, refuse)
     return LineGraphBuilt

@@ -56,12 +56,20 @@ def test_parse_int_list():
 
 def test_expand_sweep_stays_within_its_point_budget(monkeypatch):
     axes = _parse_int_list("1..2,4"), _parse_int_list("1,3..4")
-    monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", 9)
-    assert _expand_sweep(*axes) == [[1, 2, 4], [1, 3, 4]]
-    monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", 8)
-    with pytest.raises(InstanceTooLargeError,
-                       match="^sweep too large: 9 points, more than 8$"):
-        _expand_sweep(*axes)
+    # 9 points of 3 packets each make 27 records, counted after the points
+    for points, records, packets, refusal in [
+            (9, 9, 1, None), (8, 9, 1, "9 points, more than 8"),
+            (9, 27, 3, None), (8, 27, 3, "9 points, more than 8"),
+            (9, 26, 3, "27 packet records, more than 26")]:
+        monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", points)
+        monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_RECORDS", records)
+        if refusal is None:
+            assert _expand_sweep(*axes, packets=packets) == [[1, 2, 4],
+                                                             [1, 3, 4]]
+        else:
+            with pytest.raises(InstanceTooLargeError,
+                               match=f"^sweep too large: {refusal}$"):
+                _expand_sweep(*axes, packets=packets)
 
 
 def test_gen_random_roundtrips(capsys):
@@ -341,6 +349,14 @@ def test_survivable_exact_honours_the_cap(m0_file, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def _usage_error(capsys, argv):
+    """The stderr of main(argv), which exits 2 with no stdout or traceback."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    return err
+
+
 @pytest.mark.parametrize("command", [
     ["analyze"], ["analyze", "--delta", "2", "--exact"],
     ["survivable", "--n", "1"], ["survivable", "--n", "1", "--exact"]])
@@ -348,11 +364,8 @@ def test_survivable_exact_honours_the_cap(m0_file, capsys, monkeypatch):
                                          ("d", "must differ")])
 def test_bad_source_is_a_usage_error(relay_file, capsys, command, src,
                                      message):
-    assert main([command[0], relay_file, "--src", src, "--dst", "d",
-                 *command[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in captured.err and "Traceback" not in captured.err
+    assert message in _usage_error(capsys, [command[0], relay_file, "--src",
+                                            src, "--dst", "d", *command[1:]])
 
 
 _EDGE = {"from": "a", "to": "b", "active": [1]}
@@ -383,11 +396,8 @@ def test_wrongly_typed_graph_document_is_a_usage_error(tmp_path, capsys, doc,
                                                        command):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
-    assert main([command[0], str(path), *command[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "malformed graph document" in captured.err
-    assert "Traceback" not in captured.err
+    err = _usage_error(capsys, [command[0], str(path), *command[1:]])
+    assert "malformed graph document" in err
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -404,11 +414,8 @@ def test_invalid_graph_document_is_a_usage_error(tmp_path, capsys, doc,
                                                  message, command):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
-    assert main([command[0], str(path), *command[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "invalid graph" in captured.err and message in captured.err
-    assert "Traceback" not in captured.err
+    err = _usage_error(capsys, [command[0], str(path), *command[1:]])
+    assert "invalid graph" in err and message in err
 
 
 def test_self_contact_trace_and_self_loop_arc_are_usage_errors(tmp_path,
@@ -424,10 +431,7 @@ def test_self_contact_trace_and_self_loop_arc_are_usage_errors(tmp_path,
     for argv, message in (
             (["ingest", str(trace_path)], "line 5: node 'c' in contact with itself"),
             (["gen", "bledp-expand", str(wd_path)], "arc v2->v2 is a self-loop")):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert message in captured.err and "Traceback" not in captured.err
+        assert message in _usage_error(capsys, argv)
 
 
 def _wd_text(**fields):
@@ -458,11 +462,8 @@ def test_invalid_weighted_digraph_is_a_usage_error(tmp_path, capsys, text,
                                                    message):
     path = tmp_path / "wd.json"
     path.write_text(text)
-    assert main(["gen", "bledp-expand", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "invalid weighted digraph" in captured.err
-    assert message in captured.err and "Traceback" not in captured.err
+    err = _usage_error(capsys, ["gen", "bledp-expand", str(path)])
+    assert "invalid weighted digraph" in err and message in err
 
 
 def test_survivable(relay_file, capsys):
@@ -527,11 +528,63 @@ def test_simulate_on_a_graph_without_a_pair_is_a_usage_error(tmp_path, doc,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, code, err", [
+    # copies have no upper bound, so the --n range starts out of bounds
+    ("simulate {g4} --delta 1..10000000000 --packets 5", 2,
+     "delta must lie in [1, deadline]"),
+    ("simulate {g4} --ddl 1..10000000000 --packets 5", 2,
+     "deadline must lie in [1, graph horizon]"),
+    ("simulate {g4} --n 0..10000000000 --packets 5", 2,
+     "need at least one copy per packet"),
+    # in bounds, a huge range is stopped by the sweep's point budget
+    ("simulate {g4} --n 1..10000000000 --packets 5", 3,
+     "sweep too large: 10000000000 points, more than 1000000"),
+    # within the point budget, by its packet-record budget
+    ("simulate {g4} --n 1..100000 --packets 2000", 3,
+     "sweep too large: 200000000 packet records, more than 10000000"),
+    # without --t the horizon fits the trace: 10^10 seconds, both directions
+    ("ingest {trace}", 3,
+     "trace window too large: 20000000000 contacts, more than 10000000"),
+    ("gen random --nodes 3 --t 3000000000", 3,
+     "random graph too large: more than 10000000 contacts"),
+    ("experiment gap --instances 1 --nodes 3 --t 3000000000", 3,
+     "random graph too large: more than 10000000 contacts"),
+    ("gen random --nodes 300000000 --t 1", 3,
+     "random graph too large: 1199999994 edges, more than 10000000"),
+    ("experiment gap --instances 1 --nodes 300000000 --t 1", 3,
+     "random graph too large: 1199999994 edges, more than 10000000"),
+    ("experiment gap --deltas 1..10000000000", 3,
+     "sweep too large: 10000000000 points, more than 1000000"),
+    ("experiment loss --deltas 1..10000000000 --packets 5", 2,
+     "delta must lie in [1, deadline]"),
+    ("experiment loss --ns 0..10000000000 --packets 5", 2,
+     "need at least one copy per packet"),
+    ("experiment loss --ns 1..10000000000 --packets 5", 3,
+     "sweep too large: 200000000000 points, more than 1000000"),
+    ("experiment loss --ns 1..100 --packets 100000", 3,
+     "sweep too large: 200000000 packet records, more than 10000000"),
+    # the built-in trace's hub pair is up until the deadline
+    ("experiment loss --deadline 10000000000", 3,
+     "trace window too large: 20000000048 contacts, more than 10000000"),
+], ids=["simulate-delta-range", "simulate-ddl-range", "simulate-n-range",
+        "simulate-points", "simulate-records", "ingest-window",
+        "gen-random-contacts", "experiment-gap-contacts", "gen-random-edges",
+        "experiment-gap-edges", "experiment-gap-points",
+        "experiment-loss-deltas-range", "experiment-loss-ns-range",
+        "experiment-loss-points", "experiment-loss-records",
+        "experiment-loss-window"])
+def test_huge_input_fails_before_it_fills_memory(tmp_path, g4_file, command,
+                                                 code, err):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("node_a,node_b,start,duration\na,b,0,10000000000\n")
+    argv = command.format(g4=g4_file, trace=trace).split()
+    assert _under_1gb(*argv) == (code, "", f"error: {err}\n")
+
+
 def test_simulate_zero_deadline_names_the_deadline(g4_file, capsys):
-    assert main(["simulate", g4_file, "--ddl", "0", "--packets", "5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: deadline must lie in [1, graph horizon]\n"
+    assert _usage_error(capsys, ["simulate", g4_file, "--ddl", "0",
+                                 "--packets", "5"]) == \
+        "error: deadline must lie in [1, graph horizon]\n"
 
 
 def test_simulate_bad_last_delta_fails_before_any_point_runs(g4_file, capsys,
@@ -539,33 +592,10 @@ def test_simulate_bad_last_delta_fails_before_any_point_runs(g4_file, capsys,
     planned = []
     monkeypatch.setattr(tempocut.simulate, "greedy_maxflow_delta",
                         lambda *args: planned.append(args))
-    assert main(["simulate", g4_file, "--delta", "1,2,99",
-                 "--packets", "5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: delta must lie in [1, deadline]\n"
+    assert _usage_error(capsys, ["simulate", g4_file, "--delta", "1,2,99",
+                                 "--packets", "5"]) == \
+        "error: delta must lie in [1, deadline]\n"
     assert planned == []
-
-
-@pytest.mark.parametrize("flag,message", [
-    ("--delta", "delta must lie in [1, deadline]"),
-    ("--ddl", "deadline must lie in [1, graph horizon]"),
-    ("--n", "need at least one copy per packet"),
-])
-def test_simulate_huge_range_fails_before_it_is_expanded(g4_file, flag,
-                                                         message):
-    # Copies have no upper bound, so the --n range starts out of bounds.
-    values = "0..10000000000" if flag == "--n" else "1..10000000000"
-    assert _under_1gb("simulate", g4_file, flag, values, "--packets", "5") \
-        == (2, "", f"error: {message}\n")
-
-
-def test_simulate_huge_sweep_fails_before_it_is_expanded(g4_file):
-    # In bounds, a huge --n range is stopped by the sweep's point budget.
-    assert _under_1gb("simulate", g4_file, "--n", "1..10000000000",
-                      "--packets", "5") == (
-        3, "", "error: sweep too large: 10000000000 points, "
-               "more than 1000000\n")
 
 
 def test_ingest_fits_horizon(tmp_path, capsys):
@@ -578,26 +608,6 @@ def test_ingest_fits_horizon(tmp_path, capsys):
                  "--window-start", "3"]) == 0
     g = TimeVaryingGraph.loads(capsys.readouterr().out)
     assert g.horizon == 10
-
-
-def test_ingest_of_a_huge_window_fails_before_it_is_filled(tmp_path):
-    # Without --t the horizon fits the trace: 10^10 seconds, both directions.
-    path = tmp_path / "trace.csv"
-    path.write_text("node_a,node_b,start,duration\na,b,0,10000000000\n")
-    assert _under_1gb("ingest", str(path)) == (
-        3, "", "error: trace window too large: 20000000000 contacts, "
-               "more than 10000000\n")
-
-
-@pytest.mark.parametrize("argv", [
-    ("gen", "random", "--nodes", "3", "--t", "3000000000"),
-    ("experiment", "gap", "--instances", "1", "--nodes", "3", "--t",
-     "3000000000"),
-], ids=["gen-random", "experiment-gap"])
-def test_huge_random_graph_fails_before_it_is_filled(argv):
-    assert _under_1gb(*argv) == (
-        3, "", "error: random graph too large: more than 10000000 "
-               "contacts\n")
 
 
 def test_stats_to_files(tmp_path, capsys):
@@ -615,9 +625,8 @@ def test_stats_to_files(tmp_path, capsys):
 
 def test_verify_suite(capsys):
     assert main(["verify", "--suite", "gapfamily"]) == 0
-    out = capsys.readouterr().out
-    assert "gapfamily:" in out
-    assert "all suites pass" in out
+    assert capsys.readouterr().out == (
+        "gapfamily: 6 checks, all ok\nall suites pass\n")
 
 
 def test_verify_engines_suite(capsys):
@@ -645,6 +654,11 @@ def _no_cut(g, s, d, delta):
     ("reduction", (2,), generators, "bledp_exact", lambda wd: -1,
      "reduction: 2/2 FAILED: seed 900: packing -1 vs expansion 0; "
      "seed 901: packing -1 vs expansion 0"),
+    ("gapfamily", (), verify, "exact_mincut_delta", _no_cut,
+     "gapfamily: 6/6 FAILED: k=1 delta=2: flow 1, cut 0, wanted (1, 1); "
+     "k=1 delta=3: flow 1, cut 0, wanted (1, 1); k=2 delta=2: flow 1, cut 0, "
+     "wanted (1, 2); k=2 delta=3: flow 1, cut 0, wanted (1, 2); k=3 delta=2: "
+     "flow 1, cut 0, wanted (1, 3) (+1 more)"),
 ])
 def test_verify_suite_reports_its_failures(monkeypatch, suite, args, module,
                                            name, fake, summary):
@@ -675,7 +689,6 @@ def test_internal_error_exits_4(relay_file, capsys, monkeypatch):
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
     assert "error:" in capsys.readouterr().err
-
 
 
 def _exit(capsys, argv):
@@ -770,34 +783,3 @@ def test_experiment_bad_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
     code, out, err = _exit(capsys, ["experiment", name, *argv])
     assert (code, out, ran) == (2, "", [])
     assert err.endswith(f"error: {message.format(tmp=tmp_path)}\n")
-
-
-@pytest.mark.parametrize("flag, text, message", [
-    ("--deltas", "1..10000000000", "delta must lie in [1, deadline]"),
-    ("--ns", "0..10000000000", "need at least one copy per packet"),
-])
-def test_experiment_loss_huge_range_fails_before_it_is_expanded(flag, text,
-                                                                message):
-    assert _under_1gb("experiment", "loss", flag, text, "--packets", "5") \
-        == (2, "", f"error: {message}\n")
-
-
-def test_experiment_loss_huge_sweep_fails_before_it_is_expanded():
-    # In bounds, a huge --ns range is stopped by the sweep's point budget.
-    assert _under_1gb("experiment", "loss", "--ns", "1..10000000000",
-                      "--packets", "5") == (
-        3, "", "error: sweep too large: 200000000000 points, "
-               "more than 1000000\n")
-
-
-def test_experiment_loss_huge_deadline_fails_before_the_window_fills():
-    # The built-in trace's hub pair is up until the deadline.
-    assert _under_1gb("experiment", "loss", "--deadline", "10000000000") == (
-        3, "", "error: trace window too large: 20000000048 contacts, "
-               "more than 10000000\n")
-
-
-def test_experiment_gap_huge_delta_range_fails_before_it_is_expanded():
-    assert _under_1gb("experiment", "gap", "--deltas", "1..10000000000") == (
-        3, "", "error: sweep too large: 10000000000 points, "
-               "more than 1000000\n")

@@ -1,6 +1,5 @@
 """Instance generators: random graphs, the hard family, path-packing inputs."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +13,7 @@ from tempocut import (InstanceTooLargeError, WeightedDigraph, bledp_exact,
                       bledp_expand, exact_maxflow_delta, exact_mincut_delta,
                       gen_counterexample, gen_random_tvg,
                       gen_random_weighted_digraph, validate_graph)
-from tempocut import generators, traces, verify
+from tempocut import generators, traces
 
 
 def test_random_tvg_is_seed_determined():
@@ -79,27 +78,15 @@ def test_hard_family_sizes():
                 hashlib.sha256(g.dumps().encode()).hexdigest()) == pin
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("delta", [2, 3])
-def test_hard_family_separates_flow_from_cut(k, delta):
-    g, s, d = gen_counterexample(k)
-    assert exact_maxflow_delta(g, s, d, delta).count == 1
-    assert exact_mincut_delta(g, s, d, delta).count == k
+def test_hard_family_runs_no_exact_search(replace_everywhere):
+    # the ladder is data; verify.suite_gapfamily runs the oracles on it
+    def refuse(g, s, d, delta):
+        raise AssertionError(f"exact search {s}->{d} at delta {delta}")
 
-
-def test_gapfamily_suite_reports_the_ladder_self_check(monkeypatch):
-    # gen_counterexample checks both oracles itself; the suite reports it
-    assert verify.suite_gapfamily().summary() == "gapfamily: 6 checks, all ok"
-    real = generators.exact_mincut_delta
-
-    def one_short(g, s, d, delta):
-        cut = real(g, s, d, delta)
-        return dataclasses.replace(cut, removals=cut.removals[1:])
-
-    monkeypatch.setattr(generators, "exact_mincut_delta", one_short)
-    res = verify.suite_gapfamily()
-    assert (res.checked, len(res.failures)) == (6, 3)
-    assert res.failures[1].startswith("k=2: ladder k=2 failed self-check")
+    for oracle in (exact_maxflow_delta, exact_mincut_delta):
+        replace_everywhere(oracle, refuse)
+    for k in (1, 2, 3):
+        gen_counterexample(k)
 
 
 def test_hard_family_bounds():

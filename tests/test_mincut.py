@@ -155,10 +155,12 @@ def test_weighted_mincut_1_relay(relay):
 
 
 def test_delta_cover_pinned():
-    cs = [Contact("e1", 1), Contact("e1", 5), Contact("e1", 6), Contact("e2", 3)]
+    # (edge, head) order, edge ids compared as strings: e10 before e2
+    cs = [Contact("e2", 3), Contact("e1", 6), Contact("e10", 2),
+          Contact("e1", 1), Contact("e1", 5)]
     assert delta_cover(cs, 3) == (
         DeltaRemoval("e1", 1, 3), DeltaRemoval("e1", 5, 3),
-        DeltaRemoval("e2", 3, 3))
+        DeltaRemoval("e10", 2, 3), DeltaRemoval("e2", 3, 3))
     assert delta_cover([], 2) == ()
     with pytest.raises(ValueError, match="positive"):
         delta_cover(cs, 0)

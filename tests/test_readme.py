@@ -1,10 +1,12 @@
 """README's Library example runs, each of its `expression  # value`
-lines holds, and every command of its Command line block parses."""
+lines holds, every command of its Command line block parses, and the size
+budgets its exit codes name are the code's."""
 
 import ast
 import pathlib
 import re
 
+from tempocut import cli, traces
 from tempocut.cli import _build_parser
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -35,3 +37,14 @@ def test_readme_command_lines_parse():
     for argv in commands:
         assert argv[0] == "tempocut", argv
         _build_parser().parse_args(argv[1:])
+
+
+def test_readme_exit_code_budgets_are_the_codes():
+    para = re.search(r"Exit codes:(.*?)\n\n", README.read_text(), re.S).group(1)
+    found = re.findall(r"(\d[\d,]*) (points|packet records|contacts|edges)\b",
+                       " ".join(para.split()))
+    assert {(unit, int(n.replace(",", ""))) for n, unit in found} == {
+        ("points", cli.MAX_SWEEP_POINTS),
+        ("packet records", cli.MAX_SWEEP_RECORDS),
+        ("contacts", traces.MAX_WINDOW_CONTACTS),
+        ("edges", traces.MAX_WINDOW_CONTACTS)}
