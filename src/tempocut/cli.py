@@ -92,16 +92,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _cap(args, default: int) -> int:
-    """--cap, else TEMPOCUT_CAP, else the oracle's own default."""
-    if args.cap is not None:
-        return args.cap
-    try:
-        return _positive_int(os.environ.get("TEMPOCUT_CAP", str(default)))
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"TEMPOCUT_CAP: {exc}") from None
-
-
 def _dump(obj, args) -> str:
     if args.pretty:
         return json.dumps(obj, indent=2) + "\n"
@@ -136,8 +126,9 @@ def cmd_analyze(args) -> int:
     s, d, delta = args.src, args.dst, args.delta
     report: dict = {"src": s, "dst": d, "delta": delta}
     if args.exact:
-        res = analyze_exact(g, s, d, delta, cap=_cap(args, DEFAULT_JOURNEY_CAP),
-                            head_cap=_cap(args, DEFAULT_HEAD_CAP))
+        res = analyze_exact(g, s, d, delta,
+                            cap=args.cap or DEFAULT_JOURNEY_CAP,
+                            head_cap=args.cap or DEFAULT_HEAD_CAP)
         report["maxflow"] = res.flow.to_json_dict()
         report["mincut"] = res.cut.to_json_dict()
         report["certificates"] = res.certificates
@@ -151,9 +142,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_survivable(args) -> int:
     g = load_tvg(args.input)
-    head_cap = _cap(args, DEFAULT_HEAD_CAP) if args.exact else DEFAULT_HEAD_CAP
     verdict = survivability_bounds(g, args.src, args.dst, args.n, args.delta,
-                                   exact=args.exact, head_cap=head_cap)
+                                   exact=args.exact,
+                                   head_cap=args.cap or DEFAULT_HEAD_CAP)
     _emit(_dump(verdict.to_json_dict(), args), args)
     return 0
 
@@ -297,7 +288,7 @@ def cmd_verify(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args keeps no state
-    between calls, and TEMPOCUT_CAP is read at call time (_cap)."""
+    between calls."""
     top = argparse.ArgumentParser(
         prog="tempocut",
         description="Worst-case survivability analysis of time-varying graphs")
@@ -338,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="run the exact oracles and print certificates")
     p.add_argument("--cap", type=_positive_int,
-                   help="exact oracle size cap (default from TEMPOCUT_CAP)")
+                   help="exact oracles' size cap (default 25,000 candidate "
+                        "journeys, 2,000 removal heads)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("survivable",
@@ -352,7 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="settle the verdict with the exact cut oracle")
     p.add_argument("--cap", type=_positive_int,
-                   help="exact oracle size cap (default from TEMPOCUT_CAP)")
+                   help="exact cut oracle's size cap (default 2,000 removal "
+                        "heads)")
     p.set_defaults(func=cmd_survivable)
 
     p = sub.add_parser("simulate", help="loss-rate sweep, CSV per point")

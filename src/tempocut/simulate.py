@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -151,8 +152,9 @@ def _carve_window(g: TimeVaryingGraph, start: int,
     end = start + deadline - 1
     edges = []
     for e in g.edges:
-        slots = [t - start + 1 for t in g.active[e.eid] if start <= t <= end]
-        edges.append((e.src, e.dst, slots))
+        slots = g.active[e.eid]
+        run = slots[bisect_left(slots, start):bisect_right(slots, end)]
+        edges.append((e.src, e.dst, [t - start + 1 for t in run]))
     return TimeVaryingGraph(g.nodes, edges, deadline)
 
 
@@ -253,22 +255,25 @@ def _draw_pair(rng: random.Random, count: int) -> tuple[int, int]:
 def _lockstep(points: list[SimConfig]) -> list[SimReport]:
     """run_simulation of points that differ only in n and delta. A packet
     draws one pair and one set of failures for all of them, whatever their
-    window starts; each point keeps its own clock, plans and records."""
+    window starts; each point keeps its own clock, plans and records. Only
+    the packet in flight's windows are kept: a long trace has many starts."""
     head = points[0]
     g, deadline = head.graph, head.deadline
     p, d_max = head.failures.p, head.failures.d_max
     wrap = g.horizon - deadline + 1
     nodes = list(g.nodes)
-    window = functools.cache(lambda start: _carve_window(g, start, deadline))
-
-    @functools.cache
-    def plan(start: int, delta: int, src: str, dst: str):
-        return greedy_maxflow_delta(window(start), src, dst, delta).journeys
+    window = functools.lru_cache(maxsize=len(points))(
+        lambda start: _carve_window(g, start, deadline))
 
     # room for every pair at one set of window starts
     @functools.lru_cache(maxsize=len(nodes) * (len(nodes) - 1))
     def walk(src: str, dst: str, starts: tuple[int, ...]) -> _Walk:
-        return _index_copies(g, [(plan(start, cfg.delta, src, dst), cfg.n)
+        plans = {}
+        for cfg, start in zip(points, starts):
+            if (start, cfg.delta) not in plans:
+                plans[start, cfg.delta] = greedy_maxflow_delta(
+                    window(start), src, dst, cfg.delta).journeys
+        return _index_copies(g, [(plans[start, cfg.delta], cfg.n)
                                  for cfg, start in zip(points, starts)])
 
     records: list[list[PacketRecord]] = [[] for _ in points]

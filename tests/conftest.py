@@ -5,17 +5,6 @@ import pytest
 from tempocut import TimeVaryingGraph, linegraph
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_cap(monkeypatch):
-    """Run every test with the CLI's default size caps.
-
-    The CLI reads TEMPOCUT_CAP from the environment; one exported in the
-    shell would otherwise change what the CLI tests see. Tests that check
-    the variable set it themselves.
-    """
-    monkeypatch.delenv("TEMPOCUT_CAP", raising=False)
-
-
 @pytest.fixture
 def relay():
     """Two-hop relay with a shared first edge; small enough to check by hand.

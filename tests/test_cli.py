@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -167,9 +168,7 @@ def test_cap_flag_trips_size_guard(m0_file, capsys):
 
 
 @pytest.mark.parametrize("cap", ["0", "-3", "many"])
-def test_cap_below_one_is_a_usage_error(relay_file, capsys, monkeypatch, cap):
-    # with TEMPOCUT_CAP set, a silently ignored --cap 0 would exit 3 instead
-    monkeypatch.setenv("TEMPOCUT_CAP", "1")
+def test_cap_below_one_is_a_usage_error(relay_file, capsys, cap):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", relay_file, "--src", "s", "--dst", "d",
               "--delta", "2", "--exact", "--cap", cap])
@@ -275,9 +274,9 @@ def test_journey_cap_binds_only_when_the_flow_enumerates(tmp_path, capsys):
     assert "more than 100 removal heads" in err
 
 
-def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
-    # main builds its parser once per process; no argument, environment
-    # value or usage error of one call may reach the next
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser once per process; no argument or usage error
+    # of one call may reach the next
     path = tmp_path / "m13.json"
     path.write_text(gen_random_tvg(10, 12, 0.5, 13).dumps())
     argv = ["analyze", str(path), "--src", "n1", "--dst", "n10",
@@ -294,11 +293,6 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     code, out, err = run(argv + ["--cap", "300"])
     assert (code, out) == (3, "") and "more than 300 candidate journeys" in err
     assert run(argv) == fresh
-    monkeypatch.setenv("TEMPOCUT_CAP", "300")
-    code, out, err = run(argv)
-    assert (code, out) == (3, "") and "more than 300 candidate journeys" in err
-    monkeypatch.delenv("TEMPOCUT_CAP")
-    assert run(argv) == fresh
     for bad in (argv + ["--cap", "0"], argv[:-3] + ["--delta", "two"],
                 ["analyze", str(path), "--src", "n1"]):
         with pytest.raises(SystemExit) as exc:
@@ -311,41 +305,31 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     assert _build_parser.cache_info().misses == 1
 
 
-def test_cap_env_var(m0_file, capsys, monkeypatch):
-    monkeypatch.setenv("TEMPOCUT_CAP", "50")
-    assert main(["analyze", m0_file, "--src", "n1", "--dst", "n10",
-                 "--delta", "3", "--exact"]) == 3
-    assert "more than 50 removal heads" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["0", "-4", "abc"])
-def test_cap_env_var_must_be_a_positive_int(relay_file, capsys, monkeypatch,
-                                            value):
+@pytest.mark.parametrize("value", ["50", "abc"])
+def test_cap_is_read_from_argv_alone(m0_file, capsys, monkeypatch, value):
+    # the CLI reads no environment variable: TEMPOCUT_CAP changes neither
+    # the exit code nor a byte of output
+    argv = ["analyze", m0_file, "--src", "n1", "--dst", "n10",
+            "--delta", "3", "--exact"]
+    monkeypatch.delenv("TEMPOCUT_CAP", raising=False)
+    assert main(argv) == 0
+    unset = capsys.readouterr()
     monkeypatch.setenv("TEMPOCUT_CAP", value)
-    assert main(["analyze", relay_file, "--src", "s", "--dst", "d",
-                 "--delta", "2", "--exact"]) == 2
-    err = capsys.readouterr().err
-    assert "TEMPOCUT_CAP" in err and "Traceback" not in err
+    assert main(argv) == 0
+    assert capsys.readouterr() == unset
 
 
-def test_survivable_exact_honours_the_cap(m0_file, capsys, monkeypatch):
+def test_survivable_exact_honours_the_cap(m0_file, capsys):
     # the exact cut searches 200 removal heads on m0 at delta 3, so a cap
     # of 50 trips it
     argv = ["survivable", m0_file, "--src", "n1", "--dst", "n10", "--n", "1",
             "--delta", "3", "--exact"]
-    monkeypatch.setenv("TEMPOCUT_CAP", "50")
-    assert main(argv) == 3  # as `analyze --exact` exits under TEMPOCUT_CAP=50
-    assert "more than 50 removal heads" in capsys.readouterr().err
     assert main(argv + ["--cap", "200"]) == 0
     capsys.readouterr()
-    monkeypatch.delenv("TEMPOCUT_CAP")
     assert main(argv + ["--cap", "50"]) == 3
     assert "more than 50 removal heads" in capsys.readouterr().err
-    monkeypatch.setenv("TEMPOCUT_CAP", "-2")
-    assert main(argv) == 2
-    assert "TEMPOCUT_CAP" in capsys.readouterr().err
     # the verdict without --exact reads no cap
-    assert main(argv[:-1]) == 0
+    assert main(argv[:-1] + ["--cap", "50"]) == 0
     capsys.readouterr()
 
 
@@ -405,7 +389,11 @@ def test_wrongly_typed_graph_document_is_a_usage_error(tmp_path, capsys, doc,
      "node 'a' listed more than once"),
     ({"T": 3, "nodes": ["a", "b"],
       "edges": [_EDGE, {**_EDGE, "to": "a"}]}, "e2: self-loop 'a'->'a'"),
-], ids=["repeated-node", "self-loop"])
+    ({"T": 0, "nodes": ["a", "b"], "edges": [_EDGE]},
+     "invalid graph: horizon must be a positive integer, got 0"),
+    ({"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "from": "z"}]},
+     "e1: endpoint 'z' not in node set"),
+], ids=["repeated-node", "self-loop", "T-zero", "unknown-endpoint"])
 @pytest.mark.parametrize("command", [
     ["analyze", "--src", "a", "--dst", "b"],
     ["survivable", "--src", "a", "--dst", "b", "--n", "1"],
@@ -456,8 +444,15 @@ def _wd_text(**fields):
               arcs=[{"from": "a", "to": "b", "len": 1}]),
      "nodes and arcs must be lists"),
     (_wd_text(nodes=["v1", "v2", "v1"]), "node 'v1' listed more than once"),
+    (_wd_text().replace(', "L": 2', ""), "invalid weighted digraph: 'L'"),
+    (_wd_text(arcs=[{"from": "v1", "to": "v9", "len": 1}]),
+     "arc v1->v9 has endpoint outside node set"),
+    (_wd_text(arcs=[{"from": "v1", "to": "v2", "len": 0}]),
+     "nonpositive length 0"),
+    (_wd_text(L=0), "bound must be positive"),
 ], ids=["len-float", "len-bool", "len-string", "len-overflow", "bound-float",
-        "node-int", "nodes-string", "repeated-node"])
+        "node-int", "nodes-string", "repeated-node", "bound-missing",
+        "unknown-endpoint", "len-zero", "bound-zero"])
 def test_invalid_weighted_digraph_is_a_usage_error(tmp_path, capsys, text,
                                                    message):
     path = tmp_path / "wd.json"
@@ -639,6 +634,10 @@ def _no_cut(g, s, d, delta):
     return CutResult((), delta, exact=True, weight_lower_bound=Fraction(0))
 
 
+def _inexact_cut(g, s, d, delta):
+    return CutResult((), delta, exact=False, weight_lower_bound=Fraction(0))
+
+
 @pytest.mark.parametrize("suite, args, module, name, fake, summary", [
     ("menger1", (3,), verify, "exact_mincut_delta", _no_cut,
      "menger1: 3/3 FAILED: seed 0: flow 9 != cut 0; seed 1: flow 11 != cut 0; "
@@ -659,6 +658,13 @@ def _no_cut(g, s, d, delta):
      "k=1 delta=3: flow 1, cut 0, wanted (1, 1); k=2 delta=2: flow 1, cut 0, "
      "wanted (1, 2); k=2 delta=3: flow 1, cut 0, wanted (1, 2); k=3 delta=2: "
      "flow 1, cut 0, wanted (1, 3) (+1 more)"),
+    ("menger1", (2,), verify, "exact_mincut_delta", _inexact_cut,
+     "menger1: 2/2 FAILED: seed 0: answer not exact; "
+     "seed 1: answer not exact"),
+    ("duality", (2, (2,)), verify, "node_disjoint_maxflow",
+     lambda lg: SimpleNamespace(value=0),
+     "duality: 2/2 FAILED: seed 0 delta 2: cut 7 > unit max flow 0; "
+     "seed 1 delta 2: cut 6 > unit max flow 0"),
 ])
 def test_verify_suite_reports_its_failures(monkeypatch, suite, args, module,
                                            name, fake, summary):

@@ -462,3 +462,15 @@ def test_engines_suite_compares_the_two_max_flows(monkeypatch):
     monkeypatch.setattr(verify, "time_expanded_maxflow", drop_last_cut_contact)
     res = verify.suite_engines(6)
     assert res.failures and all("cut differs" in f for f in res.failures)
+
+    def one_more_unit(g, s, d, weights=None):
+        got = time_expanded_maxflow(g, s, d, weights)
+        return dataclasses.replace(got, value=got.value + 1)
+
+    monkeypatch.setattr(verify, "time_expanded_maxflow", one_more_unit)
+    assert verify.suite_engines(1).summary() == (
+        "engines: 8/8 FAILED: seed 1200 n1->n8 unit: value 13 != line graph "
+        "12; seed 1200 n1->n8 delta 2: value 8 != line graph 7; seed 1200 "
+        "n1->n8 delta 3: value 16/3 != line graph 13/3; seed 1200 n1->n8 "
+        "delta 5: value 23/6 != line graph 17/6; seed 1200 n8->n1 unit: value "
+        "12 != line graph 11 (+3 more)")

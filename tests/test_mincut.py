@@ -570,3 +570,38 @@ def test_certificates_suite_checks_the_exact_cut_and_the_greedy_bound(
     assert res.checked == 8
     assert all("above cut" in f for f in res.failures)
     assert len(res.failures) == 8
+
+    def no_certificate(*args):
+        return dataclasses.replace(real(*args),
+                                   certificates={"flow": {"within_ratio": False}})
+
+    def rounded(**fields):
+        def fake(*args):
+            res = real(*args)
+            return dataclasses.replace(res, rounded=dataclasses.replace(
+                res.rounded, **fields))
+        return fake
+
+    for fake, summary in [
+            (no_certificate,
+             "certificates: 4/4 FAILED: seed 600 delta 2: flow certificate; "
+             "seed 600 delta 3: flow certificate; seed 601 delta 2: flow "
+             "certificate; seed 601 delta 3: flow certificate"),
+            (rounded(removals=()),
+             "certificates: 4/4 FAILED: seed 600 delta 2: cut 0 vs optimal 8; "
+             "seed 600 delta 3: cut 0 vs optimal 4; seed 601 delta 2: cut 0 "
+             "vs optimal 8; seed 601 delta 3: cut 0 vs optimal 6"),
+            (rounded(weight_lower_bound=Fraction(100)),
+             "certificates: 4/4 FAILED: seed 600 delta 2: weight bound 100 "
+             "above optimum 8; seed 600 delta 3: weight bound 100 above "
+             "optimum 4; seed 601 delta 2: weight bound 100 above optimum 8; "
+             "seed 601 delta 3: weight bound 100 above optimum 6")]:
+        monkeypatch.setattr(verify, "analyze_exact", fake)
+        assert verify.suite_certificates(2).summary() == summary
+
+    monkeypatch.setattr(verify, "analyze_exact", real)
+    monkeypatch.setattr(verify, "verify_cut", lambda *args: False)
+    assert verify.suite_certificates(2).summary() == (
+        "certificates: 4/4 FAILED: seed 600 delta 2: cut does not disconnect; "
+        "seed 600 delta 3: cut does not disconnect; seed 601 delta 2: cut does "
+        "not disconnect; seed 601 delta 3: cut does not disconnect")

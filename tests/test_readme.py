@@ -1,12 +1,13 @@
 """README's Library example runs, each of its `expression  # value`
 lines holds, every command of its Command line block parses, and the size
-budgets its exit codes name are the code's."""
+budgets its exit codes and the exact oracles' default caps name are the
+code's."""
 
 import ast
 import pathlib
 import re
 
-from tempocut import cli, traces
+from tempocut import cli, maxflow, mincut, traces
 from tempocut.cli import _build_parser
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -48,3 +49,13 @@ def test_readme_exit_code_budgets_are_the_codes():
         ("packet records", cli.MAX_SWEEP_RECORDS),
         ("contacts", traces.MAX_WINDOW_CONTACTS),
         ("edges", traces.MAX_WINDOW_CONTACTS)}
+
+
+def test_readme_cap_defaults_are_the_codes():
+    para = re.search(r"The exact oracles cap(.*?)\n\n", README.read_text(),
+                     re.S).group(1)
+    found = re.findall(r"(\d[\d,]*) (removal heads|candidate journeys)\b",
+                       " ".join(para.split()))
+    assert {(unit, int(n.replace(",", ""))) for n, unit in found} == {
+        ("removal heads", mincut.DEFAULT_HEAD_CAP),
+        ("candidate journeys", maxflow.DEFAULT_JOURNEY_CAP)}

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,6 +283,50 @@ def test_sweep_equals_separate_runs(p, d_max):
     arrivals = {tuple(r.arrival for r in rep.packets)
                 for rep in reports if rep.deadline == 7}
     assert len(arrivals) > 1
+
+
+def test_carve_window_is_the_slot_filter():
+    # the slots of g in [start, start + deadline - 1], rebased to slot 1;
+    # the sparse graphs leave some windows without a contact
+    empty = 0
+    rng = random.Random(3)
+    for seed in range(4):
+        g = gen_random_tvg(8, 40, 0.1, seed)
+        assert _carve_window(g, 1, g.horizon) == g
+        for _ in range(50):
+            start = rng.randint(1, g.horizon)
+            deadline = rng.randint(1, g.horizon - start + 1)
+            end = start + deadline - 1
+            want = TimeVaryingGraph(g.nodes, [
+                (e.src, e.dst, [t - start + 1 for t in g.active[e.eid]
+                                if start <= t <= end]) for e in g.edges],
+                deadline)
+            window = _carve_window(g, start, deadline)
+            assert window == want
+            empty += window.contact_count == 0
+    assert empty
+
+
+def test_sweep_keeps_only_the_windows_of_the_packet_in_flight(monkeypatch):
+    # a deadline far below the horizon passes hundreds of window starts;
+    # at each plan, no more windows may be alive than the sweep has points
+    alive = weakref.WeakSet()
+    seen = []
+
+    class Tracked(TimeVaryingGraph):
+        def __init__(self, *args):
+            super().__init__(*args)
+            alive.add(self)
+
+    def plan(window, *args):
+        seen.append(len(alive))
+        return greedy_maxflow_delta(window, *args)
+
+    monkeypatch.setattr(tempocut.simulate, "TimeVaryingGraph", Tracked)
+    monkeypatch.setattr(tempocut.simulate, "greedy_maxflow_delta", plan)
+    sweep(gen_random_tvg(10, 400, 0.05, 0), [1, 2], [1, 2], [8], 300, 0.05,
+          3, 0)
+    assert len(seen) > 300 and max(seen) <= 4
 
 
 def test_sweep_rejects_a_bad_point_before_any_plan(monkeypatch):
