@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 bad input (files, flags, parameters), 3 instance
 too large for a desk-scale exact oracle, a sweep of more than
-MAX_SWEEP_POINTS points or MAX_SWEEP_RECORDS packet records, a trace
-window of more than traces.MAX_WINDOW_CONTACTS contacts or a random graph
-of more contacts or edges, 4 internal invariant failure.
+MAX_SWEEP_POINTS points, MAX_SWEEP_RECORDS packet records or
+MAX_WALK_STEPS failure-walk steps, a trace window of more than
+traces.MAX_WINDOW_CONTACTS contacts, a random graph of more contacts or
+edges or of more than generators.MAX_SLOT_DRAWS slot draws, 4 internal
+invariant failure.
 Output is machine-readable JSON/CSV by default; --pretty indents the JSON
 reports of analyze and survivable.
 `experiment gap|loss` print the paper's experiments as text tables and
@@ -38,9 +40,11 @@ from .verify import SUITES, run_suites
 # A sweep keeps every point's report, and each report one record per
 # packet. On CPython 3.11 (x86-64) a one-packet point costs about 0.75 KB
 # of peak RSS and a record 115-145 B, so either budget stands for about
-# 1 GB.
+# 1 GB. Its failure walks take 0.25-0.5 us a step (2-CPU x86-64 host),
+# so the walk budget stands for about a minute or more.
 MAX_SWEEP_POINTS = 1_000_000
 MAX_SWEEP_RECORDS = 10_000_000
+MAX_WALK_STEPS = 200_000_000
 
 
 def _parse_int_list(text: str) -> list[range]:
@@ -62,6 +66,11 @@ def _parse_int_list(text: str) -> list[range]:
     if not out:
         raise ValueError(f"no values in {text!r}")
     return out
+
+
+def _listed(values) -> str:
+    """values as the comma-separated list _parse_int_list reads back."""
+    return ",".join(map(str, values))
 
 
 def _expand_sweep(*axes: list[range], packets: int = 1) -> list[list[int]]:
@@ -152,9 +161,21 @@ def cmd_survivable(args) -> int:
 def _sweep_plan(g, ns, deltas, deadlines, args):
     """A sweep's expanded axes and the call that runs it with args' packets,
     p, dmax and seed. Every point is checked (check_sweep) and the points
-    and packet records counted (_expand_sweep) before any range expands."""
+    and packet records counted (_expand_sweep) before any range expands,
+    and the failure walks' steps before the sweep runs: more than
+    MAX_WALK_STEPS raises InstanceTooLargeError."""
     check_sweep(g, ns, deltas, deadlines, args.packets, args.p, args.dmax)
     axes = _expand_sweep(ns, deltas, deadlines, packets=args.packets)
+    # One walk a packet and deadline (the points of a deadline run in
+    # lockstep), over at most every edge, at 1 + p * deadline steps an
+    # edge (geometric gaps between onsets); p = 0 walks nothing.
+    steps = (math.ceil(args.packets * len(g.edges)
+                       * (len(axes[2]) + args.p * sum(axes[2])))
+             if args.p > 0 else 0)
+    if steps > MAX_WALK_STEPS:
+        raise InstanceTooLargeError(
+            f"sweep too large: {steps} walk steps, more than "
+            f"{MAX_WALK_STEPS}")
     return axes, lambda: sweep(g, *axes, args.packets, args.p, args.dmax,
                                args.seed)
 
@@ -193,16 +214,10 @@ def cmd_experiment_gap(args) -> int:
           f"p={args.p}), deltas {deltas}, {elapsed:.1f}s")
     print("delta  flow_gap_mean  flow_gap_max  certified  "
           "cut_gap_mean  cut_ratio_max")
-    for delta in deltas:
-        rows = [c for c in cells if c[1] == delta]
-        fgaps = [(fo - fa) / max(fa, 1) for _, _, fa, fo, _, _, _ in rows]
-        cgaps = [(ca - co) / co for _, _, _, _, ca, co, _ in rows if co]
-        ratios = [ca / co for _, _, _, _, ca, co, _ in rows if co]
-        certified = sum(1 for c in rows if c[6])
-        print(f"{delta:>5}  {sum(fgaps) / len(fgaps):>13.4f}  "
-              f"{max(fgaps):>12.4f}  {certified:>4}/{len(rows):<4}  "
-              f"{(sum(cgaps) / len(cgaps)) if cgaps else 0.0:>12.4f}  "
-              f"{max(ratios) if ratios else 0.0:>13.2f}")
+    for row in experiments.gap_rows(cells, deltas):
+        print(f"{row.delta:>5}  {row.flow_gap_mean:>13.4f}  "
+              f"{row.flow_gap_max:>12.4f}  {row.certified:>4}/{row.cells:<4}  "
+              f"{row.cut_gap_mean:>12.4f}  {row.cut_ratio_max:>13.2f}")
     return 0
 
 
@@ -230,14 +245,13 @@ def cmd_experiment_loss(args) -> int:
               f"{time.perf_counter() - t0:.1f}s")
         csv.write(sweep_to_csv(reports))
 
-    loss = {(r.n, r.delta): r.loss_rate for r in reports}
+    loss, bottoms = experiments.loss_summary(reports, ns, deltas)
     for n in ns:
         row = " ".join(f"{loss[n, delta]:.4f}" for delta in deltas)
         print(f"n={n}: {row}")
     for n in ns:
-        best = min(deltas, key=lambda delta: loss[n, delta])
-        print(f"n={n}: loss bottoms out at spacing {best} "
-              f"({loss[n, best]:.4f})")
+        print(f"n={n}: loss bottoms out at spacing {bottoms[n]} "
+              f"({loss[n, bottoms[n]]:.4f})")
     return 0
 
 
@@ -377,24 +391,26 @@ def _build_parser() -> argparse.ArgumentParser:
     esub = p.add_subparsers(dest="experiment", required=True)
     pg = esub.add_parser("gap", help="approximation gaps on random instances",
                          description=cmd_experiment_gap.__doc__)
-    pg.add_argument("--instances", type=_positive_int, default=100)
-    pg.add_argument("--nodes", type=int, default=10)
-    pg.add_argument("--t", type=int, default=12, help="horizon (slots)")
-    pg.add_argument("--p", type=float, default=0.5)
-    pg.add_argument("--deltas", default="1,2,3,5")
-    pg.add_argument("--seed0", type=int, default=0, help="first seed")
+    gap, loss = experiments.GAP, experiments.LOSS
+    pg.add_argument("--instances", type=_positive_int, default=gap.instances)
+    pg.add_argument("--nodes", type=int, default=gap.nodes)
+    pg.add_argument("--t", type=int, default=gap.horizon,
+                    help="horizon (slots)")
+    pg.add_argument("--p", type=float, default=gap.p)
+    pg.add_argument("--deltas", default=_listed(gap.deltas))
+    pg.add_argument("--seed0", type=int, default=gap.seed0, help="first seed")
     pg.add_argument("--csv", help="write per-cell rows to this file")
     pg.set_defaults(func=cmd_experiment_gap)
     pl = esub.add_parser("loss", help="loss rate versus copy spacing",
                          description=cmd_experiment_loss.__doc__)
     pl.add_argument("--trace", help="contact trace CSV (default: built-in)")
-    pl.add_argument("--deadline", type=int, default=60)
-    pl.add_argument("--ns", default="1,2")
-    pl.add_argument("--deltas", default="1..20")
-    pl.add_argument("--packets", type=int, default=2500)
-    pl.add_argument("--p", type=float, default=0.05)
-    pl.add_argument("--dmax", type=int, default=10)
-    pl.add_argument("--seed", type=int, default=4242)
+    pl.add_argument("--deadline", type=int, default=loss.deadline)
+    pl.add_argument("--ns", default=_listed(loss.ns))
+    pl.add_argument("--deltas", default=_listed(loss.deltas))
+    pl.add_argument("--packets", type=int, default=loss.packets)
+    pl.add_argument("--p", type=float, default=loss.p)
+    pl.add_argument("--dmax", type=int, default=loss.dmax)
+    pl.add_argument("--seed", type=int, default=loss.seed)
     pl.add_argument("--csv", help="write the sweep rows to this file")
     pl.set_defaults(func=cmd_experiment_loss)
 

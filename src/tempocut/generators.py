@@ -9,6 +9,7 @@ bounded-length edge-disjoint-paths reduction with its brute-force oracle.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from itertools import islice
@@ -16,6 +17,11 @@ from typing import Iterator
 
 from . import traces
 from .tvg import InstanceTooLargeError, TimeVaryingGraph
+
+# gen_random_tvg draws once per (edge, slot), at 0.08-0.1 us a draw (2-CPU
+# x86-64 host, Python 3.11), so a refused graph would draw for more than
+# about 80 s.
+MAX_SLOT_DRAWS = 1_000_000_000
 
 
 def gen_random_tvg(node_count: int, horizon: int, p: float,
@@ -25,7 +31,8 @@ def gen_random_tvg(node_count: int, horizon: int, p: float,
     then each (edge, slot) activates independently with probability p.
     Fully determined by the seed. A graph of more than
     traces.MAX_WINDOW_CONTACTS edges (counted before anything is built) or
-    contacts raises InstanceTooLargeError.
+    contacts, or whose slot scan makes more than MAX_SLOT_DRAWS draws
+    (counted before the first), raises InstanceTooLargeError.
     """
     if node_count < 2:
         raise ValueError("need at least 2 nodes")
@@ -38,6 +45,15 @@ def gen_random_tvg(node_count: int, horizon: int, p: float,
         raise InstanceTooLargeError(
             f"random graph too large: {edge_count} edges, more than "
             f"{traces.MAX_WINDOW_CONTACTS}")
+    # the scan stops where the contact budget trips, about (budget + 1) / p
+    # draws in
+    draws = edge_count * horizon
+    if p > 0.0:
+        draws = min(draws, math.ceil((traces.MAX_WINDOW_CONTACTS + 1) / p))
+    if draws > MAX_SLOT_DRAWS:
+        raise InstanceTooLargeError(
+            f"random graph too large: {draws} slot draws, more than "
+            f"{MAX_SLOT_DRAWS}")
     rng = random.Random(seed)
     names = [f"n{i}" for i in range(1, node_count + 1)]
     pairs: list[tuple[int, int]] = [(0, 1)]

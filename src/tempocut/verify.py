@@ -18,6 +18,7 @@ from .linegraph import (build_line_graph, node_disjoint_maxflow,
 from .maxflow import exact_maxflow_delta
 from .mincut import (analyze_exact, exact_mincut_delta, sandwich_check,
                      set_weights, verify_cut, weighted_mincut_1)
+from .tvg import interferes, is_valid_journey
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,10 @@ def suite_sandwich(count: int = 60, deltas=(2, 3, 5), seed: int = 300) -> SuiteR
 def suite_certificates(count: int = 40, deltas=(2, 3), seed: int = 600) -> SuiteResult:
     """Approximation guarantees on both sides, instance by instance:
     the greedy flow is within its proven ratio of optimal, both cuts
-    disconnect the pair, the greedy count undercuts the optimal cut (the
-    bound the exact search prunes with), the rounded cut is within delta of
-    optimal, and its weight undercuts the optimum."""
+    disconnect the pair, the exact flow is a family of valid s -> d
+    journeys no two of which interfere, greedy <= flow <= cut (the greedy
+    count is the bound the exact search prunes with), the rounded cut is
+    within delta of optimal, and its weight undercuts the optimum."""
     failures = []
     checked = 0
     for g, s, d, sd in _corpus(count, seed):
@@ -124,6 +126,12 @@ def suite_certificates(count: int = 40, deltas=(2, 3), seed: int = 600) -> Suite
             checked += 1
             res = analyze_exact(g, s, d, delta)
             cut, copt = res.rounded, res.cut.count
+            family = res.flow.journeys
+            invalid = [i for i, j in enumerate(family)
+                       if not is_valid_journey(g, j, s, d)]
+            clash = next(((a, b) for a in range(len(family))
+                          for b in range(a + 1, len(family))
+                          if interferes(family[a], family[b], delta)), None)
             if not res.certificates["flow"]["within_ratio"]:
                 failures.append(f"seed {sd} delta {delta}: flow certificate")
             elif cut.count and not verify_cut(g, cut, s, d):
@@ -131,9 +139,22 @@ def suite_certificates(count: int = 40, deltas=(2, 3), seed: int = 600) -> Suite
             elif not verify_cut(g, res.cut, s, d):
                 failures.append(
                     f"seed {sd} delta {delta}: optimal cut does not disconnect")
-            elif res.greedy.count > copt:
+            elif invalid:
                 failures.append(
-                    f"seed {sd} delta {delta}: greedy {res.greedy.count} above cut {copt}")
+                    f"seed {sd} delta {delta}: flow journey {invalid[0]} is "
+                    f"not a journey from {s} to {d}")
+            elif clash:
+                failures.append(
+                    f"seed {sd} delta {delta}: flow journeys {clash[0]} and "
+                    f"{clash[1]} interfere")
+            elif res.greedy.count > res.flow.count:
+                failures.append(
+                    f"seed {sd} delta {delta}: greedy {res.greedy.count} "
+                    f"above flow {res.flow.count}")
+            elif res.flow.count > copt:
+                failures.append(
+                    f"seed {sd} delta {delta}: flow {res.flow.count} above "
+                    f"cut {copt}")
             elif not copt <= cut.count <= delta * copt:
                 failures.append(
                     f"seed {sd} delta {delta}: cut {cut.count} vs optimal {copt}")

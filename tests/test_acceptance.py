@@ -16,24 +16,25 @@ import pytest
 
 import tempocut
 from tempocut import (DeltaRemoval, discretize, gen_random_tvg,
-                      greedy_bound_certificate, greedy_maxflow_delta,
-                      journeys_delivered, parse_contact_trace, sweep)
-from tempocut.experiments import gap_cells, routable_plateau, star_core_trace
+                      greedy_maxflow_delta, journeys_delivered,
+                      parse_contact_trace, sweep)
+from tempocut.experiments import (GAP, LOSS, gap_cells, gap_rows,
+                                  loss_summary, routable_plateau,
+                                  star_core_trace)
 from tempocut.tvg import Contact
 from tempocut.verify import (suite_duality, suite_gapfamily, suite_menger1,
                              suite_reduction, suite_sandwich)
 from test_mincut import _check_cover_is_optimal
 
-DELTAS = (1, 2, 3, 5)
-
 
 @pytest.fixture(scope="module")
 def medium_cells():
-    """`tempocut experiment gap`'s cells on 100 seeded instances, 10 nodes,
-    horizon 12, density 0.5: greedy and exact flow, rounded and exact cut."""
+    """`tempocut experiment gap`'s cells and per-delta rows with its default
+    parameters, the medium corpus: greedy and exact flow, rounded and exact
+    cut."""
     t0 = time.perf_counter()
-    cells = gap_cells(100, 10, 12, 0.5, DELTAS, 0)
-    return cells, time.perf_counter() - t0
+    cells = gap_cells(*GAP)
+    return cells, gap_rows(cells, GAP.deltas), time.perf_counter() - t0
 
 
 def _run_suite(suite, *args) -> float:
@@ -58,28 +59,25 @@ def test_c02_hard_family_certified_by_oracles():
 
 
 def test_c03_weak_duality():
-    _run_suite(suite_duality, 200, DELTAS, 0)
+    _run_suite(suite_duality, 200, GAP.deltas, 0)
     print("criterion 3: maxflow <= mincut on 200 instances x 4 deltas")
 
 
 def test_c04_greedy_flow_quality(medium_cells):
-    cells, build_time = medium_cells
+    cells, rows, build_time = medium_cells
     assert build_time < 300.0
-    gaps = []
-    for seed, delta, alg, opt, _, _, _ in cells:
-        g = gen_random_tvg(10, 12, 0.5, seed)
-        gaps.append((opt - alg) / max(alg, 1))
-        assert greedy_bound_certificate(alg, opt, len(g.edges),
-                                        g.horizon, delta)
-    mean_gap = sum(gaps) / len(gaps)
+    # every delta row covers every instance, so the mean of the row means
+    # is the mean over the cells
+    mean_gap = sum(r.flow_gap_mean for r in rows) / len(rows)
     assert mean_gap <= 0.15
+    assert all(r.certified == r.cells for r in rows)
     print(f"criterion 4: greedy flow mean gap {mean_gap:.4f} <= 0.15, "
-          f"certificates 400/400 (table {build_time:.1f}s)")
+          f"certificates {sum(r.certified for r in rows)}/{len(cells)} "
+          f"(table {build_time:.1f}s)")
 
 
 def test_c05_rounded_cut_quality(medium_cells):
-    cells, _ = medium_cells
-    gaps = []
+    cells, rows, _ = medium_cells
     for _, delta, _, _, alg, opt, _ in cells:
         if delta == 1:
             assert alg == opt  # rounding exact at delta=1
@@ -87,8 +85,7 @@ def test_c05_rounded_cut_quality(medium_cells):
             assert alg == 0
         else:
             assert alg <= delta * opt
-        if delta <= 3:
-            gaps.append((alg - opt) / opt if opt else 0.0)
+    gaps = [r.cut_gap_mean for r in rows if r.delta <= 3]
     mean_gap = sum(gaps) / len(gaps)
     assert mean_gap <= 0.20
     print(f"criterion 5: cut exact at delta=1, ratio bound everywhere, "
@@ -145,21 +142,24 @@ def test_c09_spaced_copies_survive_adversarial_failures():
 
 
 def test_c10_loss_minimum_sits_at_routable_spacing():
-    g = discretize(parse_contact_trace(star_core_trace(60)), 0, 60)
+    g = discretize(parse_contact_trace(star_core_trace(LOSS.deadline)), 0,
+                   LOSS.deadline)
     assert len(g.nodes) == 10
+    one, two = LOSS.ns
 
-    dstar = routable_plateau(g, range(1, 21), 2)
+    dstar = routable_plateau(g, LOSS.deltas, two)
     assert dstar == 15  # the rim return period fixes the routable plateau
 
-    reports = sweep(g, [1, 2], list(range(1, 21)), [60], 2500, 0.05, 10,
-                    seed=4242)
-    loss = {(r.n, r.delta): r.loss_rate for r in reports}
-    best = min(loss[2, delta] for delta in range(1, 21))
-    stderr = math.sqrt(best * (1 - best) / 2500)
-    assert loss[2, dstar] <= best + stderr
-    assert loss[2, dstar] < loss[1, dstar]
-    print(f"criterion 10: loss at spacing {dstar} is {loss[2, dstar]:.4f}, "
-          f"min {best:.4f} + se {stderr:.4f}; single copy {loss[1, dstar]:.4f}")
+    reports = sweep(g, LOSS.ns, LOSS.deltas, [LOSS.deadline], LOSS.packets,
+                    LOSS.p, LOSS.dmax, LOSS.seed)
+    loss, bottoms = loss_summary(reports, LOSS.ns, LOSS.deltas)
+    best = loss[two, bottoms[two]]
+    stderr = math.sqrt(best * (1 - best) / LOSS.packets)
+    assert loss[two, dstar] <= best + stderr
+    assert loss[two, dstar] < loss[one, dstar]
+    print(f"criterion 10: loss at spacing {dstar} is {loss[two, dstar]:.4f}, "
+          f"min {best:.4f} + se {stderr:.4f}; single copy "
+          f"{loss[one, dstar]:.4f}")
 
 
 def test_c11_byte_identical_reruns(tmp_path):

@@ -490,6 +490,16 @@ def test_simulate_csv(tmp_path, capsys, monkeypatch):
     assert main(argv) == 3
     assert capsys.readouterr() == (
         "", "error: sweep too large: 6 points, more than 5\n")
+    # the 6 points share one walk a packet: 30 packets x 18 edges x (1 +
+    # 0.1 x 10 slots) steps
+    monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", 6)
+    monkeypatch.setattr(tempocut.cli, "MAX_WALK_STEPS", 1080)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    monkeypatch.setattr(tempocut.cli, "MAX_WALK_STEPS", 1079)
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "", "error: sweep too large: 1080 walk steps, more than 1079\n")
 
 
 def _under_1gb(*argv):
@@ -561,18 +571,40 @@ def test_simulate_on_a_graph_without_a_pair_is_a_usage_error(tmp_path, doc,
     # the built-in trace's hub pair is up until the deadline
     ("experiment loss --deadline 10000000000", 3,
      "trace window too large: 20000000048 contacts, more than 10000000"),
+    # few contacts, but a failure walk over a long window: 5 packets x 1
+    # edge (4 on the trace) x (1 + 0.05 x 10^10 slots) steps
+    ("simulate {sparse} --packets 5", 3,
+     "sweep too large: 2500000005 walk steps, more than 200000000"),
+    ("experiment loss --trace {brief} --ns 1 --deltas 1 --packets 5 "
+     "--deadline 10000000000", 3,
+     "sweep too large: 10000000020 walk steps, more than 200000000"),
+    # no contact to trip the contact budget: 34 edges x 10^11 slots
+    ("gen random --nodes 10 --t 100000000000 --p 0", 3,
+     "random graph too large: 3400000000000 slot draws, more than "
+     "1000000000"),
+    ("experiment gap --instances 1 --nodes 10 --t 100000000000 --p 0", 3,
+     "random graph too large: 3400000000000 slot draws, more than "
+     "1000000000"),
 ], ids=["simulate-delta-range", "simulate-ddl-range", "simulate-n-range",
         "simulate-points", "simulate-records", "ingest-window",
         "gen-random-contacts", "experiment-gap-contacts", "gen-random-edges",
         "experiment-gap-edges", "experiment-gap-points",
         "experiment-loss-deltas-range", "experiment-loss-ns-range",
         "experiment-loss-points", "experiment-loss-records",
-        "experiment-loss-window"])
+        "experiment-loss-window", "simulate-walk", "experiment-loss-walk",
+        "gen-random-draws", "experiment-gap-draws"])
 def test_huge_input_fails_before_it_fills_memory(tmp_path, g4_file, command,
                                                  code, err):
     trace = tmp_path / "trace.csv"
     trace.write_text("node_a,node_b,start,duration\na,b,0,10000000000\n")
-    argv = command.format(g4=g4_file, trace=trace).split()
+    brief = tmp_path / "brief.csv"
+    brief.write_text("node_a,node_b,start,duration\na,b,0,5\nb,c,3,5\n")
+    sparse = tmp_path / "sparse.json"
+    sparse.write_text(json.dumps({"T": 10_000_000_000, "nodes": ["a", "b"],
+                                  "edges": [{"from": "a", "to": "b",
+                                             "active": [1]}]}))
+    argv = command.format(g4=g4_file, trace=trace, brief=brief,
+                          sparse=sparse).split()
     assert _under_1gb(*argv) == (code, "", f"error: {err}\n")
 
 

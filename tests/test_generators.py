@@ -35,6 +35,26 @@ def test_random_tvg_keeps_its_draws_up_to_the_contact_budget(monkeypatch):
         gen_random_tvg(3, 60, 0.3, 7)
 
 
+def test_random_tvg_counts_its_slot_draws_before_the_first(monkeypatch):
+    # 6 edges x 60 slots; with p > 0 no more than the contact budget lets
+    # the scan make, (budget + 1) / p
+    g = gen_random_tvg(3, 60, 0.0, 7)
+    monkeypatch.setattr(generators, "MAX_SLOT_DRAWS", 360)
+    assert gen_random_tvg(3, 60, 0.0, 7).dumps() == g.dumps()
+    monkeypatch.setattr(generators, "MAX_SLOT_DRAWS", 359)
+    with pytest.raises(InstanceTooLargeError,
+                       match="360 slot draws, more than 359"):
+        gen_random_tvg(3, 60, 0.0, 7)
+    monkeypatch.setattr(traces, "MAX_WINDOW_CONTACTS", 9)
+    monkeypatch.setattr(generators, "MAX_SLOT_DRAWS", 20)
+    with pytest.raises(InstanceTooLargeError, match="more than 9 contacts"):
+        gen_random_tvg(3, 60, 0.5, 7)
+    monkeypatch.setattr(generators, "MAX_SLOT_DRAWS", 19)
+    with pytest.raises(InstanceTooLargeError,
+                       match="20 slot draws, more than 19"):
+        gen_random_tvg(3, 60, 0.5, 7)
+
+
 def test_random_tvg_shape():
     g = gen_random_tvg(6, 5, 1.0, 0)
     # preferential attachment: 1 seed pair + 2 per later node, both directions

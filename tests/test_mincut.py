@@ -568,7 +568,7 @@ def test_certificates_suite_checks_the_exact_cut_and_the_greedy_bound(
     monkeypatch.setattr(verify, "analyze_exact", long_greedy)
     res = verify.suite_certificates(4)
     assert res.checked == 8
-    assert all("above cut" in f for f in res.failures)
+    assert all("above flow" in f for f in res.failures)
     assert len(res.failures) == 8
 
     def no_certificate(*args):
@@ -581,6 +581,19 @@ def test_certificates_suite_checks_the_exact_cut_and_the_greedy_bound(
             return dataclasses.replace(res, rounded=dataclasses.replace(
                 res.rounded, **fields))
         return fake
+
+    def flow(edit):
+        def fake(g, *args):
+            res = real(g, *args)
+            return dataclasses.replace(res, flow=dataclasses.replace(
+                res.flow, journeys=edit(g, res.flow.journeys)))
+        return fake
+
+    def shifted(g, family):
+        # the first journey's last hop moved past the horizon
+        (edge, slot), first = family[0].hops[-1], family[0]
+        return (Journey(first.hops[:-1] + (Contact(edge, slot + g.horizon),)),
+                *family[1:])
 
     for fake, summary in [
             (no_certificate,
@@ -595,9 +608,29 @@ def test_certificates_suite_checks_the_exact_cut_and_the_greedy_bound(
              "certificates: 4/4 FAILED: seed 600 delta 2: weight bound 100 "
              "above optimum 8; seed 600 delta 3: weight bound 100 above "
              "optimum 4; seed 601 delta 2: weight bound 100 above optimum 8; "
-             "seed 601 delta 3: weight bound 100 above optimum 6")]:
+             "seed 601 delta 3: weight bound 100 above optimum 6"),
+            (flow(lambda g, family: family * 2),
+             "certificates: 4/4 FAILED: seed 600 delta 2: flow journeys 0 and "
+             "8 interfere; seed 600 delta 3: flow journeys 0 and 4 interfere; "
+             "seed 601 delta 2: flow journeys 0 and 8 interfere; seed 601 "
+             "delta 3: flow journeys 0 and 6 interfere"),
+            (flow(shifted),
+             "certificates: 4/4 FAILED: seed 600 delta 2: flow journey 0 is "
+             "not a journey from n1 to n8; seed 600 delta 3: flow journey 0 "
+             "is not a journey from n1 to n8; seed 601 delta 2: flow journey "
+             "0 is not a journey from n1 to n9; seed 601 delta 3: flow "
+             "journey 0 is not a journey from n1 to n9")]:
         monkeypatch.setattr(verify, "analyze_exact", fake)
         assert verify.suite_certificates(2).summary() == summary
+
+    # a cut one removal short that passes for disconnecting: the exact flow
+    # now packs more journeys than it removes
+    monkeypatch.setattr(verify, "analyze_exact", short_cut)
+    monkeypatch.setattr(verify, "verify_cut", lambda *args: True)
+    assert verify.suite_certificates(2).summary() == (
+        "certificates: 4/4 FAILED: seed 600 delta 2: flow 8 above cut 7; "
+        "seed 600 delta 3: flow 4 above cut 3; seed 601 delta 2: flow 8 "
+        "above cut 7; seed 601 delta 3: flow 6 above cut 5")
 
     monkeypatch.setattr(verify, "analyze_exact", real)
     monkeypatch.setattr(verify, "verify_cut", lambda *args: False)

@@ -7,7 +7,7 @@ import ast
 import pathlib
 import re
 
-from tempocut import cli, maxflow, mincut, traces
+from tempocut import cli, generators, maxflow, mincut, traces
 from tempocut.cli import _build_parser
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -42,13 +42,15 @@ def test_readme_command_lines_parse():
 
 def test_readme_exit_code_budgets_are_the_codes():
     para = re.search(r"Exit codes:(.*?)\n\n", README.read_text(), re.S).group(1)
-    found = re.findall(r"(\d[\d,]*) (points|packet records|contacts|edges)\b",
-                       " ".join(para.split()))
+    found = re.findall(r"(\d[\d,]*) (points|packet records|walk steps|"
+                       r"contacts|edges|slot draws)\b", " ".join(para.split()))
     assert {(unit, int(n.replace(",", ""))) for n, unit in found} == {
         ("points", cli.MAX_SWEEP_POINTS),
         ("packet records", cli.MAX_SWEEP_RECORDS),
+        ("walk steps", cli.MAX_WALK_STEPS),
         ("contacts", traces.MAX_WINDOW_CONTACTS),
-        ("edges", traces.MAX_WINDOW_CONTACTS)}
+        ("edges", traces.MAX_WINDOW_CONTACTS),
+        ("slot draws", generators.MAX_SLOT_DRAWS)}
 
 
 def test_readme_cap_defaults_are_the_codes():
