@@ -107,26 +107,40 @@ def _dump(obj, args) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
+def _read(path: str) -> str:
+    """The file at path as UTF-8 text, whatever the locale."""
+    return pathlib.Path(path).read_text(encoding="utf-8")
+
+
+def _open_out(path: str):
+    """The file at path open for writing UTF-8 with "\\n" line ends,
+    whatever the locale and platform."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _emit(text: str, path: str | None) -> None:
+    """text to the file at path, else to stdout, as _open_out writes."""
+    if path:
+        with _open_out(path) as fh:
             fh.write(text)
-    else:
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode())
+    else:  # a text stream with no bytes under it, such as io.StringIO
         sys.stdout.write(text)
 
 
 def cmd_gen(args) -> int:
     if args.family == "random":
         g = gen_random_tvg(args.nodes, args.t, args.p, args.seed)
-        _emit(g.dumps(), args)
+        _emit(g.dumps(), args.out)
     elif args.family == "counterexample":
         g, s, d = gen_counterexample(args.k)
-        _emit(g.dumps(), args)
+        _emit(g.dumps(), args.out)
         print(f"source {s} destination {d}", file=sys.stderr)
     else:  # bledp-expand
-        with open(args.input) as fh:
-            wd = WeightedDigraph.loads(fh.read())
-        _emit(bledp_expand(wd).dumps(), args)
+        wd = WeightedDigraph.loads(_read(args.input))
+        _emit(bledp_expand(wd).dumps(), args.out)
     return 0
 
 
@@ -145,7 +159,7 @@ def cmd_analyze(args) -> int:
         greedy, rounded, _ = _approximations(g, s, d, delta)
         report["maxflow"] = greedy.to_json_dict()
         report["mincut"] = rounded.to_json_dict()
-    _emit(_dump(report, args), args)
+    _emit(_dump(report, args), args.out)
     return 0
 
 
@@ -154,7 +168,7 @@ def cmd_survivable(args) -> int:
     verdict = survivability_bounds(g, args.src, args.dst, args.n, args.delta,
                                    exact=args.exact,
                                    head_cap=args.cap or DEFAULT_HEAD_CAP)
-    _emit(_dump(verdict.to_json_dict(), args), args)
+    _emit(_dump(verdict.to_json_dict(), args), args.out)
     return 0
 
 
@@ -186,7 +200,7 @@ def cmd_simulate(args) -> int:
     deadlines = (_parse_int_list(args.ddl) if args.ddl
                  else [range(g.horizon, g.horizon + 1)])
     _, run = _sweep_plan(g, ns, deltas, deadlines, args)
-    _emit(sweep_to_csv(run()), args)
+    _emit(sweep_to_csv(run()), args.out)
     return 0
 
 
@@ -200,7 +214,7 @@ def cmd_experiment_gap(args) -> int:
     (deltas,) = _expand_sweep(deltas)
     # the generator's checks, before the --csv file opens
     gen_random_tvg(args.nodes, args.t, args.p, args.seed0)
-    with open(args.csv or os.devnull, "w") as csv:
+    with _open_out(args.csv or os.devnull) as csv:
         t0 = time.perf_counter()
         cells = experiments.gap_cells(args.instances, args.nodes, args.t,
                                       args.p, deltas, args.seed0)
@@ -227,12 +241,12 @@ def cmd_experiment_loss(args) -> int:
     still routes the copies, then a failure-simulator sweep over (copies,
     spacing) and where its loss bottoms out, its rows in --csv."""
     ns, deltas = _parse_int_list(args.ns), _parse_int_list(args.deltas)
-    text = (pathlib.Path(args.trace).read_text() if args.trace
+    text = (_read(args.trace) if args.trace
             else experiments.star_core_trace(args.deadline))
     g = discretize(parse_contact_trace(text), 0, args.deadline)
     (ns, deltas, _), run = _sweep_plan(
         g, ns, deltas, [range(args.deadline, args.deadline + 1)], args)
-    with open(args.csv or os.devnull, "w") as csv:
+    with _open_out(args.csv or os.devnull) as csv:
         print(f"trace window: {len(g.nodes)} nodes, {len(g.edges)} edges, "
               f"{g.contact_count} contacts, T={g.horizon}")
         t0 = time.perf_counter()
@@ -256,8 +270,7 @@ def cmd_experiment_loss(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    with open(args.input) as fh:
-        records = parse_contact_trace(fh.read())
+    records = parse_contact_trace(_read(args.input))
     if args.t is not None:
         horizon = args.t
     else:
@@ -265,26 +278,20 @@ def cmd_ingest(args) -> int:
                    default=0)
         horizon = max(last - args.window_start + 1, 1)
     g = discretize(records, args.window_start, horizon)
-    _emit(g.dumps(), args)
+    _emit(g.dumps(), args.out)
     return 0
 
 
 def cmd_stats(args) -> int:
-    with open(args.input) as fh:
-        records = parse_contact_trace(fh.read())
+    records = parse_contact_trace(_read(args.input))
     stats = contact_stats(records)
     durations = histogram_csv(stats)
     pairs = pairs_csv(stats)
     if args.out:
-        base = args.out
-        with open(base + "_durations.csv", "w") as fh:
-            fh.write(durations)
-        with open(base + "_pairs.csv", "w") as fh:
-            fh.write(pairs)
+        _emit(durations, args.out + "_durations.csv")
+        _emit(pairs, args.out + "_pairs.csv")
     else:
-        sys.stdout.write(durations)
-        sys.stdout.write("\n")
-        sys.stdout.write(pairs)
+        _emit(durations + "\n" + pairs, None)
     return 0
 
 

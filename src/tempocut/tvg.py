@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -117,7 +118,7 @@ class TimeVaryingGraph:
         for i, (src, dst, slots) in enumerate(edges):
             eid = f"e{i + 1}"
             defs.append(EdgeDef(eid, str(src), str(dst)))
-            active[eid] = tuple(sorted(set(int(t) for t in slots)))
+            active[eid] = tuple(sorted(set(map(int, slots))))
         self.edges: tuple[EdgeDef, ...] = tuple(defs)
         self.active: dict[str, tuple[int, ...]] = active
         self.contact_count = sum(map(len, active.values()))
@@ -166,7 +167,18 @@ class TimeVaryingGraph:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """json.dumps(self.to_json_dict(), indent=2) + "\\n", without the
+        pure-Python encoder that json.dumps runs under any indent."""
+        def block(items, pad):  # JSON texts as an indented JSON list
+            body = (",\n  " + pad).join(items)
+            return f"[\n  {pad}{body}\n{pad}]" if body else "[]"
+        enc, slots, six = json.dumps, self.active, " " * 6
+        edges = (f'{{\n{six}"from": {enc(e.src)},\n{six}"to": {enc(e.dst)},\n'
+                 f'{six}"active": {block(map(str, slots[e.eid]), six)}\n    }}'
+                 for e in self.edges)
+        return (f'{{\n  "T": {self.horizon},\n  "nodes": '
+                f'{block(map(enc, self.nodes), "  ")},\n'
+                f'  "edges": {block(edges, "  ")}\n}}\n')
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TimeVaryingGraph":
@@ -181,8 +193,9 @@ class TimeVaryingGraph:
                 and type(horizon) is int
                 and all(isinstance(n, str) for n in nodes)
                 and all(type(u) is type(v) is str and isinstance(a, list)
-                        and all(type(t) is int for t in a)
-                        for u, v, a in raw_edges)):
+                        for u, v, a in raw_edges)
+                and set(map(type, chain.from_iterable(
+                    a for *_, a in raw_edges))) <= {int}):
             raise ValueError("malformed graph document: nodes, edges and "
                              "active must be lists, T and slots integers, "
                              "node names and endpoints strings")
@@ -232,9 +245,10 @@ def validate_graph(g: TimeVaryingGraph) -> ValidationReport:
         if (e.src, e.dst) in pairs:
             violations.append(f"{e.eid}: duplicate edge {e.src!r}->{e.dst!r}")
         pairs.add((e.src, e.dst))
-        for t in g.active[e.eid]:
-            if not (1 <= t <= g.horizon):
-                violations.append(f"{e.eid}: active slot {t} outside 1..{g.horizon}")
+        slots = g.active[e.eid]  # sorted by the constructor: check the ends
+        if slots and not 1 <= slots[0] <= slots[-1] <= g.horizon:
+            violations.extend(f"{e.eid}: active slot {t} outside 1..{g.horizon}"
+                              for t in slots if not 1 <= t <= g.horizon)
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 

@@ -366,12 +366,13 @@ _EDGE = {"from": "a", "to": "b", "active": [1]}
     {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": [1.7]}]},
     {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": "1"}]},
     {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": [True]}]},
+    {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "active": ["1"]}]},
     {"T": 3, "nodes": [[1], {}, 2, None],
      "edges": [{"from": [1], "to": 2, "active": [1]}]},
     {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "to": None}]},
 ], ids=["nodes-int", "nodes-str", "edges-dict", "T-null", "T-float",
         "T-bool", "active-null", "slot-float", "active-str", "slot-bool",
-        "names-nonstr", "endpoint-null"])
+        "slot-str", "names-nonstr", "endpoint-null"])
 @pytest.mark.parametrize("command", [
     ["analyze", "--src", "a", "--dst", "b"],
     ["survivable", "--src", "a", "--dst", "b", "--n", "1"],
@@ -393,7 +394,12 @@ def test_wrongly_typed_graph_document_is_a_usage_error(tmp_path, capsys, doc,
      "invalid graph: horizon must be a positive integer, got 0"),
     ({"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "from": "z"}]},
      "e1: endpoint 'z' not in node set"),
-], ids=["repeated-node", "self-loop", "T-zero", "unknown-endpoint"])
+    ({"T": 3, "nodes": ["a", "b"],
+      "edges": [_EDGE, {"from": "b", "to": "a", "active": [0, 2, 4]}]},
+     "error: invalid graph: e2: active slot 0 outside 1..3; "
+     "e2: active slot 4 outside 1..3\n"),
+], ids=["repeated-node", "self-loop", "T-zero", "unknown-endpoint",
+        "slots-out-of-range"])
 @pytest.mark.parametrize("command", [
     ["analyze", "--src", "a", "--dst", "b"],
     ["survivable", "--src", "a", "--dst", "b", "--n", "1"],
@@ -648,6 +654,45 @@ def test_stats_to_files(tmp_path, capsys):
     assert pairs.startswith("node_a,node_b,start,duration\n")
     assert main(["stats", str(trace_path)]) == 0
     assert capsys.readouterr().out == durations + "\n" + pairs
+
+
+# Zürich and München as UTF-8 bytes, which the C locale's codec rejects
+_UTF8_TRACE = ("node_a,node_b,start,duration\nZürich,b,0,3\nb,München,2,2\n"
+               "München,Zürich,4,1\n")
+_UTF8_DIGRAPH = json.dumps({"nodes": ["Zürich", "b"],
+                            "arcs": [{"from": "Zürich", "to": "b", "len": 2}],
+                            "s": "Zürich", "d": "b", "L": 2},
+                           ensure_ascii=False)
+
+
+@pytest.mark.parametrize("argv", [
+    "ingest trace.csv", "ingest trace.csv -o out.json", "stats trace.csv",
+    "stats trace.csv -o out",
+    "experiment loss --trace trace.csv --deadline 6 --ns 1 --deltas 1 "
+    "--packets 5 --csv out.csv",
+    "gen bledp-expand digraph.json", "gen bledp-expand digraph.json -o g.json",
+])
+def test_files_are_utf8_whatever_the_locale(tmp_path, argv):
+    """`python -m tempocut.cli argv` in an ASCII locale (C, without UTF-8
+    mode) and in UTF-8 mode, on UTF-8 input: same exit 0, same stdout bytes
+    (elapsed times aside), same files."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tempocut.__file__)))
+    runs = []
+    for utf8_mode in ("0", "1"):
+        cwd = tmp_path / utf8_mode
+        cwd.mkdir()
+        (cwd / "trace.csv").write_bytes(_UTF8_TRACE.encode())
+        (cwd / "digraph.json").write_bytes(_UTF8_DIGRAPH.encode())
+        proc = subprocess.run(
+            [sys.executable, "-m", "tempocut.cli", *argv.split()], cwd=cwd,
+            capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C",
+                 "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": utf8_mode})
+        runs.append((proc.returncode, proc.stderr,
+                     re.sub(rb"\d+\.\ds", b"", proc.stdout),
+                     {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}))
+    assert runs[0][:2] == (0, b"")
+    assert runs[0] == runs[1]
 
 
 def test_verify_suite(capsys):

@@ -1,5 +1,6 @@
 """Model layer: construction, validation, journeys, removals, interference."""
 
+import json
 import random
 from bisect import bisect_right
 
@@ -83,6 +84,15 @@ def test_validate_flags_unknown_endpoint_and_bad_slot():
     assert any("outside 1..3" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("slots", [[], [2], [1, 3], [0, 2], [2, 5],
+                                   [0, 2, 4], [5, -1, 0, 4, 1]])
+def test_validate_flags_every_slot_outside_the_horizon(slots):
+    g = TimeVaryingGraph(["a", "b"], [("a", "b", slots)], 3)
+    assert validate_graph(g).violations == tuple(
+        f"e1: active slot {t} outside 1..3" for t in sorted(slots)
+        if not 1 <= t <= 3)
+
+
 def test_validate_flags_repeated_node_and_self_loop():
     g = TimeVaryingGraph(["a", "b", "a", "a"], [("a", "a", [1]),
                                                 ("a", "b", [1])], 3)
@@ -104,6 +114,25 @@ def test_loads_rejects_invalid_document():
 
 @given(graphs)
 def test_json_roundtrip(g):
+    assert g.dumps() == json.dumps(g.to_json_dict(), indent=2) + "\n"
+    assert TimeVaryingGraph.loads(g.dumps()) == g
+
+
+_ODD_NAMES = ['say "hi"', "back\\slash", "bell\x07", "Zürich", "東京"]
+
+
+@pytest.mark.parametrize("g", [
+    *(gen_random_tvg(n, t, 0.5, seed)
+      for n, t, seed in [(2, 1, 0), (4, 5, 1), (10, 12, 7), (20, 40, 3)]),
+    TimeVaryingGraph([], [], 3),
+    TimeVaryingGraph(["a", "b"], [], 3),
+    TimeVaryingGraph(["a", "b"], [("a", "b", []), ("b", "a", [2, 1])], 3),
+    TimeVaryingGraph(_ODD_NAMES, [(_ODD_NAMES[0], _ODD_NAMES[3], [1]),
+                                  (_ODD_NAMES[4], _ODD_NAMES[2], [])], 2),
+], ids=["random-2x1", "random-4x5", "random-10x12", "random-20x40",
+        "no-nodes", "no-edges", "no-slots", "odd-names"])
+def test_dumps_is_indented_json_of_the_document(g):
+    assert g.dumps() == json.dumps(g.to_json_dict(), indent=2) + "\n"
     assert TimeVaryingGraph.loads(g.dumps()) == g
 
 
