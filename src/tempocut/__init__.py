@@ -25,6 +25,6 @@ from .simulate import (FailureModel, SimConfig, SimReport, check_sweep,
                        journeys_delivered, run_simulation, sample_failures,
                        sweep, sweep_to_csv)
 from .traces import ContactRecord, contact_stats, discretize, parse_contact_trace
-from .verify import SUITES, SuiteResult, run_suites
+from .verify import SUITES, SuiteResult, check_analysis, run_suites
 
 __version__ = "0.1.0"

@@ -3,14 +3,12 @@
 Exit codes: 0 success, 2 bad input (files, flags, parameters), 3 instance
 too large for a desk-scale exact oracle, a sweep of more than
 MAX_SWEEP_POINTS points, MAX_SWEEP_RECORDS packet records or
-MAX_WALK_STEPS failure-walk steps, a trace window of more than
-traces.MAX_WINDOW_CONTACTS contacts, a random graph of more contacts or
-edges or of more than generators.MAX_SLOT_DRAWS slot draws, 4 internal
-invariant failure.
-Output is machine-readable JSON/CSV by default; --pretty indents the JSON
-reports of analyze and survivable.
-`experiment gap|loss` print the paper's experiments as text tables and
-write their rows to --csv.
+MAX_WALK_STEPS failure-walk steps, a trace window, random graph or bledp
+expansion of more than traces.MAX_WINDOW_CONTACTS contacts, a random graph
+of more edges or of more than generators.MAX_SLOT_DRAWS slot draws, 4
+internal invariant failure. Output is machine-readable JSON/CSV by
+default; --pretty indents the JSON reports of analyze and survivable, and
+`experiment gap|loss` print text tables and write their rows to --csv.
 """
 
 from __future__ import annotations
@@ -149,12 +147,10 @@ def cmd_analyze(args) -> int:
     s, d, delta = args.src, args.dst, args.delta
     report: dict = {"src": s, "dst": d, "delta": delta}
     if args.exact:
-        res = analyze_exact(g, s, d, delta,
-                            cap=args.cap or DEFAULT_JOURNEY_CAP,
-                            head_cap=args.cap or DEFAULT_HEAD_CAP)
-        report["maxflow"] = res.flow.to_json_dict()
-        report["mincut"] = res.cut.to_json_dict()
-        report["certificates"] = res.certificates
+        report |= analyze_exact(g, s, d, delta,
+                                cap=args.cap or DEFAULT_JOURNEY_CAP,
+                                head_cap=args.cap or DEFAULT_HEAD_CAP
+                                ).to_json_dict()
     else:
         greedy, rounded, _ = _approximations(g, s, d, delta)
         report["maxflow"] = greedy.to_json_dict()

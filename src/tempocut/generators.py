@@ -186,7 +186,10 @@ class WeightedDigraph:
 
     @classmethod
     def loads(cls, text: str) -> "WeightedDigraph":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except RecursionError as exc:  # nested deeper than json parses
+            raise ValueError(f"invalid weighted digraph: {exc}") from None
 
     def problems(self) -> list[str]:
         out = []
@@ -251,11 +254,18 @@ def bledp_expand(wd: WeightedDigraph) -> TimeVaryingGraph:
     """Series expansion: an arc of length l becomes a chain of l unit
     edges through l-1 fresh nodes, every edge active in every slot of
     [1, L], horizon = L. Bounded-length disjoint paths in the digraph
-    then match L-disjoint journeys in the expansion.
+    then match L-disjoint journeys in the expansion. More than
+    traces.MAX_WINDOW_CONTACTS contacts (lengths x L, which also bounds
+    the fresh nodes) raises InstanceTooLargeError before any is built.
     """
     problems = wd.problems()
     if problems:
         raise ValueError("invalid weighted digraph: " + "; ".join(problems))
+    count = sum(l for *_, l in wd.arcs) * wd.bound
+    if count > traces.MAX_WINDOW_CONTACTS:
+        raise InstanceTooLargeError(
+            f"expanded graph too large: {count} contacts, more than "
+            f"{traces.MAX_WINDOW_CONTACTS}")
     seen_direct: set[tuple[str, str]] = set()
     nodes = list(wd.nodes)
     edges = []

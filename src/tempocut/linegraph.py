@@ -1,25 +1,20 @@
 """Static expansions of a time-varying graph for one source/destination pair.
 
-The line graph: each contact becomes a node; an arc joins two contact nodes
-exactly when traversing them back to back is time-feasible, so s->d
-journeys correspond one to one with s->d paths. It has O(contacts^2) arcs,
-so no answer builds it; build_line_graph and node_disjoint_maxflow stay as
-the reference that tempocut verify and the tests compare against, and
-build_line_graph reads g alone, not the contact index that everything it
-checks is built on. min_hop_path runs the line graph's BFS without building
-it, on the contact index's presorted start lists (see tvg._contact_index);
-its core, _min_hop_ids, returns the journey as contact ids, which is what
-the greedy keeps.
+The line graph makes each contact a node and joins two exactly when
+traversing them back to back is time-feasible, so s->d journeys are its
+s->d paths. It has O(contacts^2) arcs, so no answer builds it:
+build_line_graph and node_disjoint_maxflow are the reference that tempocut
+verify and the tests compare against, built from g alone, not from the
+contact index that what they check is built on. min_hop_path runs its BFS
+without building it, on the contact index; its core, _min_hop_ids,
+returns the contact ids the greedy keeps.
 
-The time-expanded network has O(contacts) arcs: one node per arrival
-event (the first departure a contact's arrival can go on by), waiting arcs
-between a node's consecutive arrival events, and one arc per contact
-(_time_expanded_network). Its min contact cuts are the line graph's, so it
-serves every max flow: time_expanded_maxflow, the rounded cut (integer
-capacities by contact id, started from the greedy family) and the delta =
-1 exact flow (the unit flow's walks), all through _time_expanded_flow.
-Both networks run one residual builder (_residual) and one augmenting loop
-(_augment). Each query on a pair checks it with tvg._check_pair.
+The time-expanded network (_time_expanded_network) has O(contacts) arcs
+and the line graph's min contact cuts, so it serves every max flow through
+_time_expanded_flow: time_expanded_maxflow, the rounded cut and the
+delta = 1 exact flow. Both networks run one residual builder (_residual)
+and one augmenting loop (_augment). Each query on a pair checks it with
+tvg._check_pair.
 """
 
 from __future__ import annotations

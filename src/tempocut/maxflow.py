@@ -5,16 +5,12 @@ delta slots of each other. greedy_maxflow_delta peels min-hop journeys off
 the graph and blanks out everything that interferes with them; it is
 fast, order-deterministic, and carries a provable worst-case certificate
 (greedy_bound_certificate). exact_maxflow_delta is the desk-scale oracle:
-maximum independent set over the conflict graph of candidate journeys.
-One depth-first pass lists the candidates as a tree of contact ids and
-builds their conflict bitmasks from it, one index range per tree node;
-contact-id tuples are rebuilt only for the candidates that survive
-domination, and Journeys only for the family reported. Dominated
-candidates go first, each closed class tested only against the survivors
-inside it; then branch and bound seeded with the greedy incumbent,
-stopped at a ceiling on the optimum: MaxFlow_1 on its own, the exact cut
-inside mincut.analyze_exact. At delta = 1 its answer is the time-expanded
-unit max flow's walks instead.
+a maximum independent set over the conflict graph of candidate journeys,
+listed as a tree of contact ids with their conflict bitmasks
+(_journey_tree), thinned by domination (_drop_dominated), then branch and
+bound from the greedy incumbent up to a ceiling on the optimum: MaxFlow_1
+on its own, the exact cut inside mincut.analyze_exact. At delta = 1 its
+answer is the time-expanded unit max flow's walks instead.
 """
 
 from __future__ import annotations

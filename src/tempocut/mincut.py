@@ -2,32 +2,17 @@
 
 A delta-removal knocks one edge out for delta consecutive slots. The
 disruption number is the fewest removals that disconnect a pair. The
-approximation pipeline: weight each contact by the reciprocal of the
-densest same-edge delta-window through it, solve the weighted contact
-cut as a max flow over the time-expanded network (one node per arrival
-event, one arc per contact; each contact id's capacity is the lcm of the
-window sizes divided by its own), then round the cut to removals with a
-per-edge stabbing cover. Where the greedy family is at hand the max flow
-starts from it (_approximations). exact_mincut_delta is the desk-scale
-oracle (iterative-deepening hitting-set search over canonical removal
-heads, branching on the hops of tvg._min_hop_surviving's journey), seeded
-with the rounded cut as its ceiling and, as its floor, the greedy journey
-count or the rounded cut's weight rounded up, whichever is larger. The
-search runs on contact ids: candidates are head ids read off the delta
-run table (tvg._run_table), the chosen removals are kept as a count per
-contact id, and DeltaRemovals are built only for the cut reported. The
-same greedy bound prunes every search node: a branch with b removals left
-whose residual still yields b + 1 delta-disjoint journeys holds no cut and
-is dropped without branching. Each depth's root starts its family from the
-greedy's, which _approximations passes on as contact-id tuples, and each
-other node from the one its parent peeled, less the journeys the branch's
-removal hits; either grows by min-hop journeys as the greedy does.
-analyze_exact computes the four answers for one pair (greedy and exact flow,
-rounded and exact cut) with their certificates, each once. At every delta
-the cut goes first and caps the exact flow by weak duality, so a greedy
-family as large as the cut needs no journey enumeration at all. At delta = 1
-every contact weighs 1, so the rounded cut's weight is its count and the
-search never runs; the head cap binds only where it runs.
+approximation weights each contact by the reciprocal of the densest
+same-edge delta-window through it (set_weights), solves the weighted
+contact cut as a max flow over the time-expanded network, started from the
+greedy family where it is at hand (_approximations), and rounds the cut to
+removals with a per-edge stabbing cover (delta_cover). exact_mincut_delta
+is the desk-scale oracle: iterative deepening over canonical removal heads
+on contact ids, from the larger of the greedy count and the rounded-up
+weight up to the rounded cut, every node pruned by the greedy bound
+(_exact_cut_search). analyze_exact computes the four answers for one pair
+with their certificates, each once; ExactAnalysis.to_json_dict is what
+`analyze --exact` prints of them, and verify.check_analysis checks it.
 """
 
 from __future__ import annotations
@@ -189,21 +174,17 @@ def exact_mincut_delta(g: TimeVaryingGraph, s: str, d: str, delta: int,
                        head_cap: int = DEFAULT_HEAD_CAP) -> CutResult:
     """Exact minimum number of delta-removals disconnecting s from d.
 
-    Iterative deepening on the removal count k, starting from the greedy
-    journey count (a delta-removal hits at most one member of a
-    delta-disjoint family, so f such journeys need f removals) or from the
-    rounded cut's weight rounded up (a removal's footprint weighs at most 1),
-    whichever is larger. At each depth: find a min-hop surviving journey,
-    branch on the canonical removals hitting it; a head a node has tried
-    is banned in its later branches, so no branch revisits a permutation
-    of another's removals. Before branching with
-    b removals left, peel journeys off the residual: those its parent
-    peeled that the branch's removal missed (at the root, the greedy's
-    journeys), then min-hop ones, each
-    avoiding the contacts that interfere with the ones before; once b + 1
-    pairwise delta-disjoint journeys are found, no b removals hit them all
-    and the branch is dropped. The approximation's cover is both the depth
-    ceiling and the fallback.
+    Iterative deepening on the removal count, from the greedy journey
+    count (a removal hits at most one journey of a delta-disjoint family)
+    or the rounded cut's weight rounded up (a removal's footprint weighs
+    at most 1), whichever is larger, below the rounded cut, which is the
+    fallback. At each depth: branch on the canonical removals hitting a
+    min-hop surviving journey, banning a head a node has tried from its
+    later branches. Before branching with b removals left, peel pairwise
+    delta-disjoint journeys off the residual: those the parent peeled that
+    the branch's removal missed (at the root the greedy's), then min-hop
+    ones; with b + 1 of them no b removals hit them all, and the branch is
+    dropped.
     """
     _, rounded, family = _approximations(g, s, d, delta)
     return _exact_cut_search(g, s, d, delta, rounded, family, head_cap)
@@ -214,10 +195,9 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
                       head_cap: int) -> CutResult:
     """exact_mincut_delta's search, given the rounded cut and a family of
     pairwise delta-disjoint s->d journeys as contact-id tuples, the
-    greedy's in every caller. The depth starts at the family's size or
-    ceil(rounded.weight_lower_bound), whichever is larger. Every depth
-    below the optimum fails, so the cut found does not depend on the
-    floor, only the time taken to find it. Each depth's root peels from
+    greedy's in every caller. Every depth below the optimum fails, so the
+    cut found does not depend on the floor, only the time taken to find
+    it. Each depth's root peels from
     the family, which survives there since nothing is removed yet. The
     peel drops only branches that hold no cut, whatever heads they ban
     and whichever journeys it starts from, and leaves the depth-first
@@ -333,6 +313,12 @@ class ExactAnalysis:
     rounded: CutResult
     cut: CutResult
     certificates: dict
+
+    def to_json_dict(self) -> dict:
+        """The blocks `analyze --exact` prints; see verify.check_analysis."""
+        return {"maxflow": self.flow.to_json_dict(),
+                "mincut": self.cut.to_json_dict(),
+                "certificates": self.certificates}
 
 
 def analyze_exact(g: TimeVaryingGraph, s: str, d: str, delta: int,

@@ -5,29 +5,19 @@ time slots of a horizon 1..T. Traversing an edge takes exactly one slot,
 so a journey is a chain of contacts (edge, slot) with strictly increasing
 slots. A delta-removal knocks an edge out for delta consecutive slots.
 
-This module holds the model types plus the basic operations everything
-else is built on: validation, the pair check of every pair query
-(_check_pair), contact listing, journey checks, removal footprints,
-interference between journeys, and the search over g:
-_min_hop_surviving (a min-hop journey avoiding banned contacts, behind
-reachable, mincut.verify_cut and the exact cut search).
+This module holds the model types and the operations everything else is
+built on: validation, the pair check (_check_pair), contacts, journey
+checks, removal footprints, interference, and _min_hop_surviving, the
+min-hop search behind reachable, verify_cut and the exact cut search.
 
-Each graph keeps a contact index, built on first use: integer contact ids
-in contacts(g) order with the contact each stands for, and per node the
-ids leaving it presorted by (slot, edge order). _min_hop_surviving walks
-that index, banned contacts given as a mask over the ids, and returns a
-journey as a tuple of ids; so does the greedy's min-hop search. The
-exact flow's journey enumerator walks it too, keeping its journeys as a
-tree of ids, and the line graphs and the time-expanded network build
-their arcs from it. Per delta the index also
-keeps a run table (_run_table): for each id, where its same-edge delta
-window starts and ends. Interference runs, canonical removal heads and
-removal footprints are ranges of ids read off it, so the searches and
-the greedy stay on ids, and Contact, Journey and DeltaRemoval objects are
-built only for what is reported. One round trip is left:
-mincut._approximations turns the greedy's reported Journeys back into
-contact ids, once, to start the rounded cut's max flow and the exact cut
-search.
+Each graph keeps a contact index, built on first use (_contact_index):
+integer contact ids in contacts(g) order, per node the ids leaving it
+presorted by (slot, edge order), and per delta a run table (_run_table)
+whose id ranges are interference runs, canonical removal heads and removal
+footprints. The searches, the greedy and the networks work on ids, and
+Contact, Journey and DeltaRemoval objects are built only for what is
+reported; mincut._approximations turns the greedy's Journeys back into ids
+once, to start the rounded cut's max flow and the exact cut search.
 """
 
 from __future__ import annotations
@@ -96,11 +86,8 @@ class TimeVaryingGraph:
     The constructor normalizes active slot lists (sorted, deduplicated) but
     does not reject invalid data, repeated node names included; use
     validate_graph / from_json_dict for that. contact_count is counted once
-    here.
-
-    _contact_ix holds the contact index (see _contact_index), built on
-    first use. It lives and dies with the graph and takes no part in
-    equality, hashing or serialization.
+    here. _contact_ix holds the contact index (see _contact_index), built
+    on first use, outside equality, hashing and serialization.
     """
 
     __slots__ = ("horizon", "nodes", "edges", "active", "contact_count",
@@ -207,7 +194,10 @@ class TimeVaryingGraph:
 
     @classmethod
     def loads(cls, text: str) -> "TimeVaryingGraph":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except RecursionError as exc:  # nested deeper than json parses
+            raise ValueError(f"malformed graph document: {exc}") from None
 
 
 def load_tvg(path: str) -> TimeVaryingGraph:

@@ -1,24 +1,27 @@
-"""Self-contained invariant suites, the release gate behind `tempocut verify`.
+"""Self-contained invariant suites, the release gate behind `tempocut verify`,
+and check_analysis, the one definition of a sound `analyze --exact` answer.
 
-Each suite hammers one identity or guarantee the library is supposed to
-uphold (flow/cut equality at unit spacing, the duality chain, the rounding
-sandwich, the approximation certificates, the bounded-path reduction, the
-gap family, the two max-flow engines agreeing) on seeded instances and
-reports per-instance failures.
+Each suite hammers one identity the library upholds (flow/cut equality at
+unit spacing, the duality chain, the rounding sandwich, exact analyses
+passing check_analysis, the bounded-path reduction, the gap family, the two
+max-flow engines agreeing) on seeded instances, with per-instance failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 from math import ceil
 
 from . import generators as gens
 from .linegraph import (build_line_graph, node_disjoint_maxflow,
                         time_expanded_maxflow)
-from .maxflow import exact_maxflow_delta
+from .maxflow import exact_maxflow_delta, greedy_bound_certificate
 from .mincut import (analyze_exact, exact_mincut_delta, sandwich_check,
                      set_weights, verify_cut, weighted_mincut_1)
-from .tvg import interferes, is_valid_journey
+from .tvg import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
+                  _check_pair, interferes, is_valid_journey)
 
 
 @dataclass(frozen=True)
@@ -68,19 +71,17 @@ def suite_duality(count: int = 40, deltas=(1, 2, 3, 5), seed: int = 0) -> SuiteR
     than MaxFlow_1. MaxFlow_1 comes from the line-graph engine, so the
     ceiling is checked against a reference the cut pipeline does not use."""
     failures = []
-    checked = 0
     for g, s, d, sd in _corpus(count, seed):
         unit = int(node_disjoint_maxflow(build_line_graph(g, s, d)).value)
         for delta in deltas:
             a = exact_maxflow_delta(g, s, d, delta).count
             b = exact_mincut_delta(g, s, d, delta).count
-            checked += 1
             if a > b:
                 failures.append(f"seed {sd} delta {delta}: flow {a} > cut {b}")
             elif b > unit:
                 failures.append(
                     f"seed {sd} delta {delta}: cut {b} > unit max flow {unit}")
-    return SuiteResult("duality", checked, tuple(failures))
+    return SuiteResult("duality", count * len(deltas), tuple(failures))
 
 
 def suite_gapfamily() -> SuiteResult:
@@ -101,67 +102,93 @@ def suite_gapfamily() -> SuiteResult:
 def suite_sandwich(count: int = 60, deltas=(2, 3, 5), seed: int = 300) -> SuiteResult:
     """Cover-size sandwich on real disconnecting contact sets."""
     failures = []
-    checked = 0
     for g, s, d, sd in _corpus(count, seed):
         for delta in deltas:
             w = set_weights(g, delta)
             _, cut = weighted_mincut_1(g, w, s, d)
-            checked += 1
             if not sandwich_check(cut, w, delta):
                 failures.append(f"seed {sd} delta {delta}: sandwich violated")
-    return SuiteResult("sandwich", checked, tuple(failures))
+    return SuiteResult("sandwich", count * len(deltas), tuple(failures))
+
+
+def check_analysis(g: TimeVaryingGraph, s: str, d: str, delta: int,
+                   doc: dict) -> list[str]:
+    """Every problem, in a fixed order, with `doc`'s maxflow, mincut and
+    certificates blocks as `analyze --exact` prints them for (g, s, d,
+    delta); [] when they are sound. Valid, pairwise delta-disjoint s -> d
+    journeys and removals that cut the pair prove both counts where they
+    meet (weak duality); the other checks tie the greedy, rounded cut,
+    weight bound and certificates to them. A document it cannot read (a
+    missing key, a wrong type, a removal on an edge g lacks) gives one
+    `unreadable ...` problem."""
+    _check_pair(g, s, d)
+    if delta < 1:
+        raise ValueError("delta must be positive")
+    try:
+        flow, cut = doc["maxflow"], doc["mincut"]
+        fcert, ccert = doc["certificates"]["flow"], doc["certificates"]["cut"]
+        journeys = [Journey(tuple(Contact(e, t) for e, t in hops))
+                    for hops in flow["journeys"]]
+        heads = [(r["edge"], r["head"]) for r in cut["removals"]]
+        removals = [DeltaRemoval(e, h, delta) for e, h in heads]
+        f, c, greedy, rounded = (flow["count"], cut["count"],
+                                 fcert["greedy"], ccert["rounded"])
+        items = [h for j in journeys for h in j.hops] + heads
+        ints = [f, c, greedy, rounded, flow["delta"], cut["delta"],
+                fcert["optimal"], ccert["optimal"], *(t for _, t in items)]
+        strs = [ccert["weight_lower_bound"], cut["weight_lower_bound"],
+                *(e for e, _ in items)]
+        if {*map(type, ints)} - {int} or {*map(type, strs)} - {str}:
+            raise TypeError("counts, deltas, slots and heads must be "
+                            "integers, edges and weight bounds strings")
+        bound, cut_bound = map(Fraction, strs[:2])
+        disconnected = verify_cut(g, removals, s, d)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return [f"unreadable analysis: {exc!r}"]
+    bad = next((i for i, j in enumerate(journeys)
+                if not is_valid_journey(g, j, s, d)), None)
+    clash = next((f"{a} and {b}" for (a, x), (b, y) in combinations(
+        enumerate(journeys), 2) if interferes(x, y, delta)), None)
+    ratio = greedy_bound_certificate(greedy, f, len(g.edges), g.horizon, delta)
+    blocks = (("maxflow", flow), ("mincut", cut))
+    chain = [("greedy", greedy), ("flow", f), ("cut", c),
+             ("rounded", rounded), ("delta * cut", delta * c)]
+    checks = [
+        *((b["exact"] is True, f"{n} is not marked exact") for n, b in blocks),
+        *((b["delta"] == delta, f"{n} delta {b['delta']}, not {delta}")
+          for n, b in blocks),
+        (f == len(journeys), f"maxflow count {f} but {len(journeys)} listed"),
+        (c == len(removals), f"mincut count {c} but {len(removals)} listed"),
+        (bad is None, f"journey {bad} is not a journey from {s} to {d}"),
+        (clash is None, f"journeys {clash} interfere"),
+        (disconnected, "the removals leave the pair connected"),
+        *((x <= y, f"{a} {x} above {b} {y}")
+          for (a, x), (b, y) in zip(chain, chain[1:])),
+        (rounded <= delta * bound,
+         f"rounded {rounded} above delta * weight bound {delta * bound}"),
+        (ceil(bound) <= c, f"weight bound {bound} rounds up above cut {c}"),
+        *((got == want, f"certificates: {name} {got}, answer {want}")
+          for name, got, want in (("flow optimal", fcert["optimal"], f),
+                                  ("cut optimal", ccert["optimal"], c),
+                                  ("weight bound", bound, cut_bound))),
+        (ccert["within_delta_factor"] is True,
+         "certificates: within_delta_factor is not true"),
+        (fcert["within_ratio"] is True and ratio,
+         f"certificates: within_ratio {fcert['within_ratio']}, "
+         f"recomputed {ratio}")]
+    return [message for ok, message in checks if not ok]
 
 
 def suite_certificates(count: int = 40, deltas=(2, 3), seed: int = 600) -> SuiteResult:
-    """Approximation guarantees on both sides, instance by instance:
-    the greedy flow is within its proven ratio of optimal, both cuts
-    disconnect the pair, the exact flow is a family of valid s -> d
-    journeys no two of which interfere, greedy <= flow <= cut (the greedy
-    count is the bound the exact search prunes with), the rounded cut is
-    within delta of optimal, and its weight undercuts the optimum."""
+    """check_analysis passes the exact analysis of every cell."""
     failures = []
-    checked = 0
     for g, s, d, sd in _corpus(count, seed):
         for delta in deltas:
-            checked += 1
-            res = analyze_exact(g, s, d, delta)
-            cut, copt = res.rounded, res.cut.count
-            family = res.flow.journeys
-            invalid = [i for i, j in enumerate(family)
-                       if not is_valid_journey(g, j, s, d)]
-            clash = next(((a, b) for a in range(len(family))
-                          for b in range(a + 1, len(family))
-                          if interferes(family[a], family[b], delta)), None)
-            if not res.certificates["flow"]["within_ratio"]:
-                failures.append(f"seed {sd} delta {delta}: flow certificate")
-            elif cut.count and not verify_cut(g, cut, s, d):
-                failures.append(f"seed {sd} delta {delta}: cut does not disconnect")
-            elif not verify_cut(g, res.cut, s, d):
-                failures.append(
-                    f"seed {sd} delta {delta}: optimal cut does not disconnect")
-            elif invalid:
-                failures.append(
-                    f"seed {sd} delta {delta}: flow journey {invalid[0]} is "
-                    f"not a journey from {s} to {d}")
-            elif clash:
-                failures.append(
-                    f"seed {sd} delta {delta}: flow journeys {clash[0]} and "
-                    f"{clash[1]} interfere")
-            elif res.greedy.count > res.flow.count:
-                failures.append(
-                    f"seed {sd} delta {delta}: greedy {res.greedy.count} "
-                    f"above flow {res.flow.count}")
-            elif res.flow.count > copt:
-                failures.append(
-                    f"seed {sd} delta {delta}: flow {res.flow.count} above "
-                    f"cut {copt}")
-            elif not copt <= cut.count <= delta * copt:
-                failures.append(
-                    f"seed {sd} delta {delta}: cut {cut.count} vs optimal {copt}")
-            elif ceil(cut.weight_lower_bound) > copt:
-                failures.append(
-                    f"seed {sd} delta {delta}: weight bound {cut.weight_lower_bound} above optimum {copt}")
-    return SuiteResult("certificates", checked, tuple(failures))
+            doc = analyze_exact(g, s, d, delta).to_json_dict()
+            problems = check_analysis(g, s, d, delta, doc)
+            if problems:
+                failures.append(f"seed {sd} delta {delta}: {problems[0]}")
+    return SuiteResult("certificates", count * len(deltas), tuple(failures))
 
 
 def suite_reduction(count: int = 30, seed: int = 900) -> SuiteResult:

@@ -13,7 +13,7 @@ import pytest
 
 import tempocut
 from tempocut import (CutResult, InstanceTooLargeError, TimeVaryingGraph,
-                      gen_counterexample, gen_random_tvg)
+                      check_analysis, gen_counterexample, gen_random_tvg)
 from tempocut import experiments, generators, mincut, verify
 from tempocut.cli import _build_parser, _expand_sweep, _parse_int_list, main
 
@@ -110,7 +110,7 @@ def test_analyze_greedy_default(relay_file, capsys):
     assert "certificates" not in report
 
 
-def test_analyze_exact_with_certificates(relay_file, capsys):
+def test_analyze_exact_with_certificates(relay, relay_file, capsys):
     assert main(["analyze", relay_file, "--src", "s", "--dst", "d",
                  "--delta", "2", "--exact"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -118,10 +118,8 @@ def test_analyze_exact_with_certificates(relay_file, capsys):
         "delta": 2, "count": 1, "exact": True,
         "journeys": [[["e1", 1], ["e2", 2]]]}
     assert report["mincut"]["count"] == 1
-    certs = report["certificates"]
-    assert certs["flow"]["within_ratio"] is True
-    assert certs["cut"]["within_delta_factor"] is True
-    assert certs["cut"]["weight_lower_bound"] == "1"
+    assert report["certificates"]["cut"]["weight_lower_bound"] == "1"
+    assert check_analysis(relay, "s", "d", 2, report) == []
 
 
 def test_analyze_pretty_and_output_file(relay_file, tmp_path, capsys):
@@ -185,9 +183,13 @@ def test_analyze_exact_output_is_pinned(tmp_path, capsys):
     # enumerated; m0 at delta 1, whose greedy meets the rounded cut, so no
     # removal head is searched). The delta = 1 runs have their own digest:
     # their journeys are the time-expanded unit flow's decomposition.
+    # Every answer passes check_analysis on the bytes printed.
+    graphs = {}
+
     def saved(name, g):
         path = tmp_path / f"{name}.json"
         path.write_text(g.dumps())
+        graphs[str(path)] = g
         return str(path)
 
     medium = [saved(f"m{seed}", gen_random_tvg(10, 12, 0.5, seed))
@@ -210,6 +212,8 @@ def test_analyze_exact_output_is_pinned(tmp_path, capsys):
         out, err = capsys.readouterr()
         (unit if delta == 1 else rest).update(
             json.dumps([code, out, err]).encode() + b"\n")
+        assert code != 0 or check_analysis(graphs[path], s, d, delta,
+                                           json.loads(out)) == []
     assert rest.hexdigest() == \
         "861f0f304d971e69d8ff7b1f6babe90b403076746dcfc0f5a620b0e9e8f20111"
     assert unit.hexdigest() == \
@@ -370,9 +374,11 @@ _EDGE = {"from": "a", "to": "b", "active": [1]}
     {"T": 3, "nodes": [[1], {}, 2, None],
      "edges": [{"from": [1], "to": 2, "active": [1]}]},
     {"T": 3, "nodes": ["a", "b"], "edges": [{**_EDGE, "to": None}]},
+    # raw text: nested deeper than json.loads recurses
+    "[" * 200_000 + "]" * 200_000,
 ], ids=["nodes-int", "nodes-str", "edges-dict", "T-null", "T-float",
         "T-bool", "active-null", "slot-float", "active-str", "slot-bool",
-        "slot-str", "names-nonstr", "endpoint-null"])
+        "slot-str", "names-nonstr", "endpoint-null", "nested-deep"])
 @pytest.mark.parametrize("command", [
     ["analyze", "--src", "a", "--dst", "b"],
     ["survivable", "--src", "a", "--dst", "b", "--n", "1"],
@@ -380,7 +386,7 @@ _EDGE = {"from": "a", "to": "b", "active": [1]}
 def test_wrongly_typed_graph_document_is_a_usage_error(tmp_path, capsys, doc,
                                                        command):
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     err = _usage_error(capsys, [command[0], str(path), *command[1:]])
     assert "malformed graph document" in err
 
@@ -456,9 +462,11 @@ def _wd_text(**fields):
     (_wd_text(arcs=[{"from": "v1", "to": "v2", "len": 0}]),
      "nonpositive length 0"),
     (_wd_text(L=0), "bound must be positive"),
+    (_wd_text(nodes=[]).replace("[]", "[" * 50_000 + "]" * 50_000),
+     "maximum recursion depth exceeded"),
 ], ids=["len-float", "len-bool", "len-string", "len-overflow", "bound-float",
         "node-int", "nodes-string", "repeated-node", "bound-missing",
-        "unknown-endpoint", "len-zero", "bound-zero"])
+        "unknown-endpoint", "len-zero", "bound-zero", "nodes-nested-deep"])
 def test_invalid_weighted_digraph_is_a_usage_error(tmp_path, capsys, text,
                                                    message):
     path = tmp_path / "wd.json"
@@ -591,6 +599,9 @@ def test_simulate_on_a_graph_without_a_pair_is_a_usage_error(tmp_path, doc,
     ("experiment gap --instances 1 --nodes 10 --t 100000000000 --p 0", 3,
      "random graph too large: 3400000000000 slot draws, more than "
      "1000000000"),
+    # one unit arc at L = 10^9: 10^9 contacts, counted before any is built
+    ("gen bledp-expand {wd}", 3,
+     "expanded graph too large: 1000000000 contacts, more than 10000000"),
 ], ids=["simulate-delta-range", "simulate-ddl-range", "simulate-n-range",
         "simulate-points", "simulate-records", "ingest-window",
         "gen-random-contacts", "experiment-gap-contacts", "gen-random-edges",
@@ -598,7 +609,7 @@ def test_simulate_on_a_graph_without_a_pair_is_a_usage_error(tmp_path, doc,
         "experiment-loss-deltas-range", "experiment-loss-ns-range",
         "experiment-loss-points", "experiment-loss-records",
         "experiment-loss-window", "simulate-walk", "experiment-loss-walk",
-        "gen-random-draws", "experiment-gap-draws"])
+        "gen-random-draws", "experiment-gap-draws", "gen-bledp-expand"])
 def test_huge_input_fails_before_it_fills_memory(tmp_path, g4_file, command,
                                                  code, err):
     trace = tmp_path / "trace.csv"
@@ -609,8 +620,10 @@ def test_huge_input_fails_before_it_fills_memory(tmp_path, g4_file, command,
     sparse.write_text(json.dumps({"T": 10_000_000_000, "nodes": ["a", "b"],
                                   "edges": [{"from": "a", "to": "b",
                                              "active": [1]}]}))
+    wd = tmp_path / "wd.json"
+    wd.write_text(_wd_text(L=1_000_000_000))
     argv = command.format(g4=g4_file, trace=trace, brief=brief,
-                          sparse=sparse).split()
+                          sparse=sparse, wd=wd).split()
     assert _under_1gb(*argv) == (code, "", f"error: {err}\n")
 
 

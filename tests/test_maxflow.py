@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
-                      analyze_exact, build_line_graph, discretize,
-                      exact_maxflow_delta, gen_random_tvg,
+                      analyze_exact, build_line_graph, check_analysis,
+                      discretize, exact_maxflow_delta, gen_random_tvg,
                       greedy_bound_certificate, greedy_maxflow_delta,
                       interferes, is_valid_journey, Journey, min_hop_path,
                       node_disjoint_maxflow, parse_contact_trace)
@@ -452,6 +452,8 @@ def test_delta_must_be_positive(relay):
         greedy_maxflow_delta(relay, "s", "d", 0)
     with pytest.raises(ValueError, match="positive"):
         exact_maxflow_delta(relay, "s", "d", 0)
+    with pytest.raises(ValueError, match="positive"):
+        check_analysis(relay, "s", "d", 0, {})
 
 
 @given(graphs, deltas)

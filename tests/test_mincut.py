@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
-                      TimeVaryingGraph, analyze_exact, contacts, delta_cover,
-                      exact_maxflow_delta, exact_mincut_delta,
-                      gen_counterexample, gen_random_tvg,
-                      greedy_maxflow_delta, is_valid_journey, Journey,
-                      sandwich_check, minweight_mincut_delta, set_weights,
+                      TimeVaryingGraph, analyze_exact, check_analysis,
+                      contacts, delta_cover, exact_maxflow_delta,
+                      exact_mincut_delta, gen_counterexample, gen_random_tvg,
+                      greedy_maxflow_delta, Journey, sandwich_check,
+                      minweight_mincut_delta, set_weights,
                       survivability_bounds, verify_cut, weighted_mincut_1)
 from tempocut import mincut, verify
 from tempocut.simulate import sweep
@@ -491,12 +492,9 @@ def test_unit_flow_at_80_nodes_builds_no_line_graph(no_line_graph):
     g = gen_random_tvg(80, 100, 0.5, 0)
     res = exact_maxflow_delta(g, "n1", "n80", 1)
     assert res.count == 100 and res.exact
-    for j in res.journeys:
-        assert is_valid_journey(g, j, "n1", "n80")
-    hops = [c for j in res.journeys for c in j.hops]
-    assert len(hops) == len(set(hops))  # pairwise contact-disjoint
     exact = analyze_exact(g, "n1", "n80", 1)
     assert (exact.flow, exact.cut.count) == (res, 100)
+    assert check_analysis(g, "n1", "n80", 1, exact.to_json_dict()) == []
 
 
 def test_exact_respects_head_cap():
@@ -543,98 +541,83 @@ def test_approximate_verdict_never_contradicts_exact():
                 assert quick.verdict == truth.verdict
 
 
-def test_certificates_suite_checks_the_exact_cut_and_the_greedy_bound(
-        monkeypatch):
-    real = verify.analyze_exact
+def _set(*path):
+    """An edit setting doc[path[0]]...[path[-2]] to path[-1]."""
+    *keys, value = path
+
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+_UNREADABLE_TYPE = ("unreadable analysis: TypeError('counts, deltas, slots "
+                    "and heads must be integers, edges and weight bounds "
+                    "strings')")
+
+
+@pytest.mark.parametrize("edit, problems", [
+    (lambda doc: None, []),
+    (lambda doc: doc["mincut"]["removals"].pop(0),
+     ["mincut count 2 but 1 listed",
+      "the removals leave the pair connected"]),
+    (_set("maxflow", "journeys", 0, -1, 1, 14),
+     ["journey 0 is not a journey from s to d2"]),
+    (lambda doc: doc["maxflow"]["journeys"].append(
+        doc["maxflow"]["journeys"][0]),
+     ["maxflow count 1 but 2 listed", "journeys 0 and 1 interfere"]),
+    (_set("mincut", "count", 3),
+     ["mincut count 3 but 2 listed", "cut 3 above rounded 2",
+      "certificates: cut optimal 2, answer 3"]),
+    (_set("mincut", "delta", 3), ["mincut delta 3, not 2"]),
+    (_set("certificates", "flow", "greedy", 2),
+     ["greedy 2 above flow 1",
+      "certificates: within_ratio True, recomputed False"]),
+    (_set("certificates", "flow", "within_ratio", False),
+     ["certificates: within_ratio False, recomputed True"]),
+    (_set("certificates", "cut", "within_delta_factor", False),
+     ["certificates: within_delta_factor is not true"]),
+    (_set("certificates", "cut", "weight_lower_bound", "3"),
+     ["weight bound 3 rounds up above cut 2",
+      "certificates: weight bound 3, answer 3/2"]),
+    (_set("certificates", "cut", "weight_lower_bound", "1/2"),
+     ["rounded 2 above delta * weight bound 1",
+      "certificates: weight bound 1/2, answer 3/2"]),
+    (_set("maxflow", "exact", False), ["maxflow is not marked exact"]),
+    (_set("mincut", "removals", 0, "edge", "e99"),
+     ["unreadable analysis: ValueError(\"unknown edge 'e99'\")"]),
+    (lambda doc: doc["certificates"]["cut"].pop("rounded"),
+     ["unreadable analysis: KeyError('rounded')"]),
+    (_set("mincut", "removals", 0, "head", "1"), [_UNREADABLE_TYPE]),
+    (_set("maxflow", "count", True), [_UNREADABLE_TYPE]),
+    (_set("maxflow", "count", 3),
+     ["maxflow count 3 but 1 listed", "flow 3 above cut 2",
+      "certificates: flow optimal 1, answer 3"]),
+    (_set("certificates", "cut", "rounded", 5),
+     ["rounded 5 above delta * cut 4",
+      "rounded 5 above delta * weight bound 3"]),
+], ids=["sound", "dropped-removal", "hop-past-horizon", "repeated-journey",
+        "count-off-by-one", "wrong-delta", "greedy-above-flow",
+        "false-ratio-certificate", "false-delta-certificate",
+        "raised-weight-bound", "lowered-weight-bound", "not-exact",
+        "unknown-edge", "missing-field", "head-str", "count-bool",
+        "flow-above-cut", "rounded-above-delta-cut"])
+def test_check_analysis_pins_the_problems_of_each_edit(edit, problems):
+    # analyze --exact's report on the k = 2 ladder at delta 2: flow 1 and
+    # cut 2, rounded 2, weight bound 3/2; its one journey ends at e8@7 = T
+    g, s, d = gen_counterexample(2)
+    doc = json.loads(json.dumps(analyze_exact(g, s, d, 2).to_json_dict()))
+    edit(doc)
+    assert check_analysis(g, s, d, 2, doc) == problems
+
+
+def test_certificates_suite_reports_the_first_problem(monkeypatch):
     assert verify.suite_certificates(4).summary() == \
         "certificates: 8 checks, all ok"
-
-    def short_cut(*args):
-        res = real(*args)
-        return dataclasses.replace(res, cut=dataclasses.replace(
-            res.cut, removals=res.cut.removals[1:]))
-
-    monkeypatch.setattr(verify, "analyze_exact", short_cut)
-    res = verify.suite_certificates(4)
-    assert res.checked == 8
-    assert all("optimal cut does not disconnect" in f for f in res.failures)
-    assert len(res.failures) == 8
-
-    def long_greedy(*args):
-        res = real(*args)
-        return dataclasses.replace(res, greedy=dataclasses.replace(
-            res.greedy, journeys=res.greedy.journeys * 2))
-
-    monkeypatch.setattr(verify, "analyze_exact", long_greedy)
-    res = verify.suite_certificates(4)
-    assert res.checked == 8
-    assert all("above flow" in f for f in res.failures)
-    assert len(res.failures) == 8
-
-    def no_certificate(*args):
-        return dataclasses.replace(real(*args),
-                                   certificates={"flow": {"within_ratio": False}})
-
-    def rounded(**fields):
-        def fake(*args):
-            res = real(*args)
-            return dataclasses.replace(res, rounded=dataclasses.replace(
-                res.rounded, **fields))
-        return fake
-
-    def flow(edit):
-        def fake(g, *args):
-            res = real(g, *args)
-            return dataclasses.replace(res, flow=dataclasses.replace(
-                res.flow, journeys=edit(g, res.flow.journeys)))
-        return fake
-
-    def shifted(g, family):
-        # the first journey's last hop moved past the horizon
-        (edge, slot), first = family[0].hops[-1], family[0]
-        return (Journey(first.hops[:-1] + (Contact(edge, slot + g.horizon),)),
-                *family[1:])
-
-    for fake, summary in [
-            (no_certificate,
-             "certificates: 4/4 FAILED: seed 600 delta 2: flow certificate; "
-             "seed 600 delta 3: flow certificate; seed 601 delta 2: flow "
-             "certificate; seed 601 delta 3: flow certificate"),
-            (rounded(removals=()),
-             "certificates: 4/4 FAILED: seed 600 delta 2: cut 0 vs optimal 8; "
-             "seed 600 delta 3: cut 0 vs optimal 4; seed 601 delta 2: cut 0 "
-             "vs optimal 8; seed 601 delta 3: cut 0 vs optimal 6"),
-            (rounded(weight_lower_bound=Fraction(100)),
-             "certificates: 4/4 FAILED: seed 600 delta 2: weight bound 100 "
-             "above optimum 8; seed 600 delta 3: weight bound 100 above "
-             "optimum 4; seed 601 delta 2: weight bound 100 above optimum 8; "
-             "seed 601 delta 3: weight bound 100 above optimum 6"),
-            (flow(lambda g, family: family * 2),
-             "certificates: 4/4 FAILED: seed 600 delta 2: flow journeys 0 and "
-             "8 interfere; seed 600 delta 3: flow journeys 0 and 4 interfere; "
-             "seed 601 delta 2: flow journeys 0 and 8 interfere; seed 601 "
-             "delta 3: flow journeys 0 and 6 interfere"),
-            (flow(shifted),
-             "certificates: 4/4 FAILED: seed 600 delta 2: flow journey 0 is "
-             "not a journey from n1 to n8; seed 600 delta 3: flow journey 0 "
-             "is not a journey from n1 to n8; seed 601 delta 2: flow journey "
-             "0 is not a journey from n1 to n9; seed 601 delta 3: flow "
-             "journey 0 is not a journey from n1 to n9")]:
-        monkeypatch.setattr(verify, "analyze_exact", fake)
-        assert verify.suite_certificates(2).summary() == summary
-
-    # a cut one removal short that passes for disconnecting: the exact flow
-    # now packs more journeys than it removes
-    monkeypatch.setattr(verify, "analyze_exact", short_cut)
-    monkeypatch.setattr(verify, "verify_cut", lambda *args: True)
+    monkeypatch.setattr(verify, "check_analysis", lambda g, s, d, delta, doc: [
+        f"{s}->{d} cut {doc['mincut']['count']}", "second"])
     assert verify.suite_certificates(2).summary() == (
-        "certificates: 4/4 FAILED: seed 600 delta 2: flow 8 above cut 7; "
-        "seed 600 delta 3: flow 4 above cut 3; seed 601 delta 2: flow 8 "
-        "above cut 7; seed 601 delta 3: flow 6 above cut 5")
-
-    monkeypatch.setattr(verify, "analyze_exact", real)
-    monkeypatch.setattr(verify, "verify_cut", lambda *args: False)
-    assert verify.suite_certificates(2).summary() == (
-        "certificates: 4/4 FAILED: seed 600 delta 2: cut does not disconnect; "
-        "seed 600 delta 3: cut does not disconnect; seed 601 delta 2: cut does "
-        "not disconnect; seed 601 delta 3: cut does not disconnect")
+        "certificates: 4/4 FAILED: seed 600 delta 2: n1->n8 cut 8; seed 600 "
+        "delta 3: n1->n8 cut 4; seed 601 delta 2: n1->n9 cut 8; seed 601 "
+        "delta 3: n1->n9 cut 6")

@@ -27,7 +27,7 @@ def test_readme_library_example_holds():
             checked += 1
         else:
             exec(code, scope)
-    assert checked == 6
+    assert checked == 7
 
 
 def test_readme_command_lines_parse():

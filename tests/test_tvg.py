@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
                       TimeVaryingGraph, analyze_exact, build_line_graph,
-                      contacts, exact_maxflow_delta, exact_mincut_delta,
-                      gen_random_tvg, greedy_maxflow_delta, interferes,
-                      is_valid_journey, load_tvg, min_hop_path,
+                      check_analysis, contacts, exact_maxflow_delta,
+                      exact_mincut_delta, gen_random_tvg, greedy_maxflow_delta,
+                      interferes, is_valid_journey, load_tvg, min_hop_path,
                       minweight_mincut_delta, reachable, removal_footprint,
                       save_tvg, survivability_bounds, time_expanded_maxflow,
                       validate_graph, verify_cut)
@@ -225,6 +225,7 @@ PAIR_QUERIES = {
     "analyze_exact": lambda g, s, d: analyze_exact(g, s, d, 2),
     "survivability_bounds":
         lambda g, s, d: survivability_bounds(g, s, d, 1, 2),
+    "check_analysis": lambda g, s, d: check_analysis(g, s, d, 2, {}),
 }
 
 
