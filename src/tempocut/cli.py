@@ -1,14 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 bad input (files, flags, parameters), 3 instance
-too large for a desk-scale exact oracle, a sweep of more than
-MAX_SWEEP_POINTS points, MAX_SWEEP_RECORDS packet records or
-MAX_WALK_STEPS failure-walk steps, a trace window, random graph or bledp
-expansion of more than traces.MAX_WINDOW_CONTACTS contacts, a random graph
-of more edges or of more than generators.MAX_SLOT_DRAWS slot draws, 4
-internal invariant failure. Output is machine-readable JSON/CSV by
-default; --pretty indents the JSON reports of analyze and survivable, and
-`experiment gap|loss` print text tables and write their rows to --csv.
+too large (an exact oracle's cap, or a size budget checked by its owner:
+simulate.check_sweep's points, packet records and walk steps,
+traces.MAX_WINDOW_CONTACTS, generators.MAX_SLOT_DRAWS), 4 internal
+invariant failure. The commands only parse and print. Output is
+machine-readable JSON/CSV by default; --pretty indents the JSON reports of
+analyze and survivable, and `experiment gap|loss` print text tables and
+write their rows to --csv.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import pathlib
 import sys
@@ -28,21 +26,11 @@ from .generators import (WeightedDigraph, bledp_expand, gen_counterexample,
 from .maxflow import DEFAULT_JOURNEY_CAP
 from .mincut import (DEFAULT_HEAD_CAP, _approximations, analyze_exact,
                      survivability_bounds)
-from .simulate import check_sweep, sweep, sweep_to_csv
+from .simulate import _expand_sweep, check_sweep, sweep, sweep_to_csv
 from .traces import (contact_stats, discretize, histogram_csv,
                      pairs_csv, parse_contact_trace)
-from .tvg import InstanceTooLargeError, load_tvg
+from .tvg import InstanceTooLargeError, _check_delta, load_tvg
 from .verify import SUITES, run_suites
-
-
-# A sweep keeps every point's report, and each report one record per
-# packet. On CPython 3.11 (x86-64) a one-packet point costs about 0.75 KB
-# of peak RSS and a record 115-145 B, so either budget stands for about
-# 1 GB. Its failure walks take 0.25-0.5 us a step (2-CPU x86-64 host),
-# so the walk budget stands for about a minute or more.
-MAX_SWEEP_POINTS = 1_000_000
-MAX_SWEEP_RECORDS = 10_000_000
-MAX_WALK_STEPS = 200_000_000
 
 
 def _parse_int_list(text: str) -> list[range]:
@@ -69,23 +57,6 @@ def _parse_int_list(text: str) -> list[range]:
 def _listed(values) -> str:
     """values as the comma-separated list _parse_int_list reads back."""
     return ",".join(map(str, values))
-
-
-def _expand_sweep(*axes: list[range], packets: int = 1) -> list[list[int]]:
-    """The value lists of a sweep over the cross product of axes (parsed by
-    _parse_int_list), expanded only once the points they make are known to
-    be at most MAX_SWEEP_POINTS, and their packet records (packets a point)
-    at most MAX_SWEEP_RECORDS; more raises InstanceTooLargeError. So a huge
-    range fails at once instead of filling memory."""
-    count = math.prod(sum(map(len, axis)) for axis in axes)
-    if count > MAX_SWEEP_POINTS:
-        raise InstanceTooLargeError(
-            f"sweep too large: {count} points, more than {MAX_SWEEP_POINTS}")
-    if count * packets > MAX_SWEEP_RECORDS:
-        raise InstanceTooLargeError(
-            f"sweep too large: {count * packets} packet records, more than "
-            f"{MAX_SWEEP_RECORDS}")
-    return [[v for r in axis for v in r] for axis in axes]
 
 
 def _positive_int(text: str) -> int:
@@ -168,35 +139,15 @@ def cmd_survivable(args) -> int:
     return 0
 
 
-def _sweep_plan(g, ns, deltas, deadlines, args):
-    """A sweep's expanded axes and the call that runs it with args' packets,
-    p, dmax and seed. Every point is checked (check_sweep) and the points
-    and packet records counted (_expand_sweep) before any range expands,
-    and the failure walks' steps before the sweep runs: more than
-    MAX_WALK_STEPS raises InstanceTooLargeError."""
-    check_sweep(g, ns, deltas, deadlines, args.packets, args.p, args.dmax)
-    axes = _expand_sweep(ns, deltas, deadlines, packets=args.packets)
-    # One walk a packet and deadline (the points of a deadline run in
-    # lockstep), over at most every edge, at 1 + p * deadline steps an
-    # edge (geometric gaps between onsets); p = 0 walks nothing.
-    steps = (math.ceil(args.packets * len(g.edges)
-                       * (len(axes[2]) + args.p * sum(axes[2])))
-             if args.p > 0 else 0)
-    if steps > MAX_WALK_STEPS:
-        raise InstanceTooLargeError(
-            f"sweep too large: {steps} walk steps, more than "
-            f"{MAX_WALK_STEPS}")
-    return axes, lambda: sweep(g, *axes, args.packets, args.p, args.dmax,
-                               args.seed)
-
-
 def cmd_simulate(args) -> int:
     g = load_tvg(args.input)
     ns, deltas = _parse_int_list(args.n), _parse_int_list(args.delta)
     deadlines = (_parse_int_list(args.ddl) if args.ddl
                  else [range(g.horizon, g.horizon + 1)])
-    _, run = _sweep_plan(g, ns, deltas, deadlines, args)
-    _emit(sweep_to_csv(run()), args.out)
+    axes = check_sweep(g, ns, deltas, deadlines, args.packets, args.p,
+                       args.dmax)
+    reports = sweep(g, *axes, args.packets, args.p, args.dmax, args.seed)
+    _emit(sweep_to_csv(reports), args.out)
     return 0
 
 
@@ -205,8 +156,7 @@ def cmd_experiment_gap(args) -> int:
     rounded cut vs the exact oracles in every (instance, delta) cell, as a
     per-delta summary table and the raw cells in --csv."""
     deltas = _parse_int_list(args.deltas)
-    if min(r[0] for r in deltas) < 1:  # before a huge range expands
-        raise ValueError("delta must be positive")
+    _check_delta(min(r[0] for r in deltas))  # before a huge range expands
     (deltas,) = _expand_sweep(deltas)
     # the generator's checks, before the --csv file opens
     gen_random_tvg(args.nodes, args.t, args.p, args.seed0)
@@ -240,8 +190,9 @@ def cmd_experiment_loss(args) -> int:
     text = (_read(args.trace) if args.trace
             else experiments.star_core_trace(args.deadline))
     g = discretize(parse_contact_trace(text), 0, args.deadline)
-    (ns, deltas, _), run = _sweep_plan(
-        g, ns, deltas, [range(args.deadline, args.deadline + 1)], args)
+    ns, deltas, deadlines = check_sweep(
+        g, ns, deltas, [range(args.deadline, args.deadline + 1)],
+        args.packets, args.p, args.dmax)
     with _open_out(args.csv or os.devnull) as csv:
         print(f"trace window: {len(g.nodes)} nodes, {len(g.edges)} edges, "
               f"{g.contact_count} contacts, T={g.horizon}")
@@ -250,7 +201,8 @@ def cmd_experiment_loss(args) -> int:
         print(f"largest spacing routing {max(ns)} copies everywhere: "
               f"{plateau} ({time.perf_counter() - t0:.1f}s)")
         t0 = time.perf_counter()
-        reports = run()
+        reports = sweep(g, ns, deltas, deadlines, args.packets, args.p,
+                        args.dmax, args.seed)
         print(f"sweep of {len(reports)} points x {args.packets} packets: "
               f"{time.perf_counter() - t0:.1f}s")
         csv.write(sweep_to_csv(reports))

@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Iterator
 
 from . import traces
-from .tvg import InstanceTooLargeError, TimeVaryingGraph
+from .tvg import InstanceTooLargeError, TimeVaryingGraph, _check_budget
 
 # gen_random_tvg draws once per (edge, slot), at 0.08-0.1 us a draw (2-CPU
 # x86-64 host, Python 3.11), so a refused graph would draw for more than
@@ -41,19 +41,14 @@ def gen_random_tvg(node_count: int, horizon: int, p: float,
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     edge_count = 2 * (2 * node_count - 3)
-    if edge_count > traces.MAX_WINDOW_CONTACTS:
-        raise InstanceTooLargeError(
-            f"random graph too large: {edge_count} edges, more than "
-            f"{traces.MAX_WINDOW_CONTACTS}")
+    _check_budget(edge_count, traces.MAX_WINDOW_CONTACTS, "random graph",
+                  "edges")
     # the scan stops where the contact budget trips, about (budget + 1) / p
     # draws in
     draws = edge_count * horizon
     if p > 0.0:
         draws = min(draws, math.ceil((traces.MAX_WINDOW_CONTACTS + 1) / p))
-    if draws > MAX_SLOT_DRAWS:
-        raise InstanceTooLargeError(
-            f"random graph too large: {draws} slot draws, more than "
-            f"{MAX_SLOT_DRAWS}")
+    _check_budget(draws, MAX_SLOT_DRAWS, "random graph", "slot draws")
     rng = random.Random(seed)
     names = [f"n{i}" for i in range(1, node_count + 1)]
     pairs: list[tuple[int, int]] = [(0, 1)]
@@ -262,10 +257,8 @@ def bledp_expand(wd: WeightedDigraph) -> TimeVaryingGraph:
     if problems:
         raise ValueError("invalid weighted digraph: " + "; ".join(problems))
     count = sum(l for *_, l in wd.arcs) * wd.bound
-    if count > traces.MAX_WINDOW_CONTACTS:
-        raise InstanceTooLargeError(
-            f"expanded graph too large: {count} contacts, more than "
-            f"{traces.MAX_WINDOW_CONTACTS}")
+    _check_budget(count, traces.MAX_WINDOW_CONTACTS, "expanded graph",
+                  "contacts")
     seen_direct: set[tuple[str, str]] = set()
     nodes = list(wd.nodes)
     edges = []

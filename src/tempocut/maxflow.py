@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from .linegraph import _min_hop_ids, _time_expanded_flow, time_expanded_maxflow
 from .tvg import (InstanceTooLargeError, Journey, TimeVaryingGraph,
-                  _check_pair, _contact_index, _contacts_of,
+                  _check_delta, _check_pair, _contact_index, _contacts_of,
                   _contacts_reaching, _run_table)
 
 DEFAULT_JOURNEY_CAP = 25_000
@@ -336,8 +336,7 @@ def greedy_bound_certificate(alg_count: int, opt_count: int, edge_count: int,
 
     Certifies alg <= opt <= (3*sqrt(|E|*(T/delta+1)) + 2) * max(alg, 1).
     """
-    if delta < 1:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     if alg_count > opt_count:
         return False
     ratio = 3.0 * math.sqrt(edge_count * (horizon / delta + 1.0)) + 2.0

@@ -26,7 +26,7 @@ from .linegraph import _time_expanded_flow, time_expanded_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, _exact_flow_search,
                       greedy_bound_certificate, greedy_maxflow_delta)
 from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError,
-                  TimeVaryingGraph, _check_pair, _check_removal,
+                  TimeVaryingGraph, _check_delta, _check_pair, _check_removal,
                   _contact_id, _contact_index, _contacts_of, _footprint_ids,
                   _min_hop_surviving, _run_table)
 
@@ -94,8 +94,7 @@ def delta_cover(contact_set, delta: int) -> tuple[DeltaRemoval, ...]:
     Independent per edge; greedy stabbing (anchor a window at each leftmost
     uncovered slot) is optimal for points on a line.
     """
-    if delta < 1:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     by_edge: dict[str, list[int]] = {}
     for c in contact_set:
         by_edge.setdefault(c.edge, []).append(c.slot)
@@ -306,13 +305,26 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
 
 @dataclass(frozen=True)
 class ExactAnalysis:
-    """The four answers for one (g, s, d, delta) and the certificates block
-    `analyze --exact` prints, each answer computed once."""
+    """The four answers for one (g, s, d, delta), each computed once, and
+    whether the greedy is within its proven ratio of the exact flow."""
     greedy: FlowResult
     flow: FlowResult
     rounded: CutResult
     cut: CutResult
-    certificates: dict
+    within_ratio: bool
+
+    @property
+    def certificates(self) -> dict:
+        """The certificates block `analyze --exact` prints, built afresh."""
+        rounded, cut = self.rounded, self.cut
+        return {"flow": {"greedy": self.greedy.count,
+                         "optimal": self.flow.count,
+                         "within_ratio": self.within_ratio},
+                "cut": {"rounded": rounded.count, "optimal": cut.count,
+                        "within_delta_factor":
+                            rounded.count <= cut.delta * cut.count,
+                        "weight_lower_bound":
+                            str(rounded.weight_lower_bound)}}
 
     def to_json_dict(self) -> dict:
         """The blocks `analyze --exact` prints; see verify.check_analysis."""
@@ -340,21 +352,8 @@ def analyze_exact(g: TimeVaryingGraph, s: str, d: str, delta: int,
     greedy, rounded, family = _approximations(g, s, d, delta)
     cut = _exact_cut_search(g, s, d, delta, rounded, family, head_cap)
     flow = _exact_flow_search(g, s, d, delta, lambda: (greedy, cut.count), cap)
-    certificates = {
-        "flow": {
-            "greedy": greedy.count,
-            "optimal": flow.count,
-            "within_ratio": greedy_bound_certificate(
-                greedy.count, flow.count, len(g.edges), g.horizon, delta),
-        },
-        "cut": {
-            "rounded": rounded.count,
-            "optimal": cut.count,
-            "within_delta_factor": rounded.count <= delta * cut.count,
-            "weight_lower_bound": str(rounded.weight_lower_bound),
-        },
-    }
-    return ExactAnalysis(greedy, flow, rounded, cut, certificates)
+    return ExactAnalysis(greedy, flow, rounded, cut, greedy_bound_certificate(
+        greedy.count, flow.count, len(g.edges), g.horizon, delta))
 
 
 @dataclass(frozen=True)

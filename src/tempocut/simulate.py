@@ -5,7 +5,9 @@ a deadline-length window of the trace, up to n greedily-computed
 delta-disjoint journeys on the failure-free window (the router never sees
 the failures), and is delivered iff at least one copy dodges every
 sampled failure. Loss rates come out of deterministic per-packet seed
-streams, so every sweep is exactly reproducible.
+streams, so every sweep is exactly reproducible. check_sweep is a sweep's
+one gate: its points' validity and its budgets, MAX_SWEEP_POINTS points,
+MAX_SWEEP_RECORDS packet records and MAX_WALK_STEPS failure-walk steps.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 from .maxflow import greedy_maxflow_delta
 from .tvg import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
-                  removal_footprint)
+                  _check_budget, removal_footprint)
 
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio increment
 
@@ -308,18 +310,53 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     return _lockstep([cfg])[0]
 
 
+# A sweep keeps every point's report, and each report one record per
+# packet. On CPython 3.11 (x86-64) a one-packet point costs about 0.75 KB
+# of peak RSS and a record 115-145 B, so either budget stands for about
+# 1 GB. Its failure walks take 0.25-0.5 us a step (2-CPU x86-64 host),
+# so the walk budget stands for about a minute or more.
+MAX_SWEEP_POINTS = 1_000_000
+MAX_SWEEP_RECORDS = 10_000_000
+MAX_WALK_STEPS = 200_000_000
+
+
+def _expand_sweep(*axes: list[range], packets: int = 1) -> list[list[int]]:
+    """The value lists of a sweep over the cross product of axes (lists of
+    ranges), expanded only once its points are known to be at most
+    MAX_SWEEP_POINTS and their packet records (packets a point) at most
+    MAX_SWEEP_RECORDS; more raises InstanceTooLargeError. So a huge range
+    fails at once instead of filling memory."""
+    count = math.prod(sum(map(len, axis)) for axis in axes)
+    _check_budget(count, MAX_SWEEP_POINTS, "sweep", "points")
+    _check_budget(count * packets, MAX_SWEEP_RECORDS, "sweep",
+                  "packet records")
+    return [[v for r in axis for v in r] for axis in axes]
+
+
 def check_sweep(g: TimeVaryingGraph, ns, deltas, deadlines,
-                packet_count: int, p: float, d_max: int) -> None:
-    """Raise the ValueError SimConfig raises for some point of the sweep
-    over ns, deltas and deadlines (lists of nonempty ascending ranges), if
-    any, without expanding them. Every check is one-sided in n, delta and
-    deadline, so two points decide: the least deadline with the largest
-    delta and the largest deadline with the least delta, each least n."""
+                packet_count: int, p: float, d_max: int) -> list[list[int]]:
+    """The value lists [ns, deltas, deadlines] of the sweep over ns, deltas
+    and deadlines (lists of nonempty ascending ranges), once it is known to
+    be valid and within its budgets. First the ValueError SimConfig raises
+    for some point, if any, without expanding: every check is one-sided in
+    n, delta and deadline, so two points decide, the least deadline with
+    the largest delta and the largest deadline with the least delta, each
+    least n. Then the points and packet records (_expand_sweep), and last
+    the failure walks' steps: more than MAX_WALK_STEPS raises
+    InstanceTooLargeError."""
     fm, n = FailureModel(p, d_max), min(r[0] for r in ns)
     SimConfig(g, min(r[0] for r in deadlines), n, max(r[-1] for r in deltas),
               packet_count, fm)
     SimConfig(g, max(r[-1] for r in deadlines), n, min(r[0] for r in deltas),
               packet_count, fm)
+    axes = _expand_sweep(ns, deltas, deadlines, packets=packet_count)
+    # One _walk a packet and deadline (_lockstep runs a deadline's points
+    # together), over at most every edge, at 1 + p * deadline steps an edge
+    # (geometric gaps between onsets); p = 0 walks nothing.
+    steps = (math.ceil(packet_count * len(g.edges)
+                       * (len(axes[2]) + p * sum(axes[2]))) if p > 0 else 0)
+    _check_budget(steps, MAX_WALK_STEPS, "sweep", "walk steps")
+    return axes
 
 
 def sweep(g: TimeVaryingGraph, ns, deltas, deadlines, packet_count: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .tvg import InstanceTooLargeError, TimeVaryingGraph
+from .tvg import TimeVaryingGraph, _check_budget
 
 HEADER = "node_a,node_b,start,duration"
 
@@ -90,10 +90,7 @@ def discretize(records, window_start: int, horizon: int) -> TimeVaryingGraph:
             spans.append((rec, lo, hi))
     # counted before any slot set fills, so a huge span fails at once
     count = 2 * sum(hi - lo + 1 for _, lo, hi in spans)
-    if count > MAX_WINDOW_CONTACTS:
-        raise InstanceTooLargeError(
-            f"trace window too large: {count} contacts, "
-            f"more than {MAX_WINDOW_CONTACTS}")
+    _check_budget(count, MAX_WINDOW_CONTACTS, "trace window", "contacts")
     active: dict[tuple[str, str], set[int]] = {}
     for rec, lo, hi in spans:
         slots = range(lo - window_start + 1, hi - window_start + 2)

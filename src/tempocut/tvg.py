@@ -6,9 +6,10 @@ so a journey is a chain of contacts (edge, slot) with strictly increasing
 slots. A delta-removal knocks an edge out for delta consecutive slots.
 
 This module holds the model types and the operations everything else is
-built on: validation, the pair check (_check_pair), contacts, journey
-checks, removal footprints, interference, and _min_hop_surviving, the
-min-hop search behind reachable, verify_cut and the exact cut search.
+built on: validation, the one size-budget, delta and pair checks
+(_check_budget, _check_delta, _check_pair), contacts, journey checks,
+removal footprints, interference, and _min_hop_surviving, the min-hop
+search behind reachable, verify_cut and the exact cut search.
 
 Each graph keeps a contact index, built on first use (_contact_index):
 integer contact ids in contacts(g) order, per node the ids leaving it
@@ -31,6 +32,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 class InstanceTooLargeError(RuntimeError):
     """Raised when an exact oracle would exceed its configured budget."""
+
+
+def _check_budget(count: int, limit: int, what: str, unit: str) -> None:
+    """The one form of a counted size budget: count units of what, more
+    than limit, raises InstanceTooLargeError naming both."""
+    if count > limit:
+        raise InstanceTooLargeError(
+            f"{what} too large: {count} {unit}, more than {limit}")
 
 
 class Contact(NamedTuple):
@@ -353,8 +362,7 @@ def _run_table(g: TimeVaryingGraph,
     - range(h, reach[h]) is the footprint of the removal headed at h.
     Removal windows may run past the horizon, so delta > T is fine.
     """
-    if delta < 1:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     ix = _contact_index(g)
     table = ix.runs.get(delta)
     if table is not None:
@@ -406,6 +414,13 @@ def _check_removal(g: TimeVaryingGraph, r: DeltaRemoval) -> None:
         raise ValueError("removal duration must be positive")
     if not g.has_edge(r.edge):
         raise ValueError(f"unknown edge {r.edge!r}")
+
+
+def _check_delta(delta: int) -> None:
+    """The one rule every delta query starts from: removals last at least
+    one slot."""
+    if delta < 1:
+        raise ValueError("delta must be positive")
 
 
 def _check_pair(g: TimeVaryingGraph, s: str, d: str) -> None:
@@ -522,8 +537,7 @@ def _contacts_reaching(g: TimeVaryingGraph, d: str) -> list[bool]:
 
 def interferes(j1: Journey, j2: Journey, delta: int) -> bool:
     """True iff the journeys use a common edge within delta slots."""
-    if delta < 1:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     slots_by_edge: dict[str, list[int]] = {}
     for e, t in j1.hops:
         slots_by_edge.setdefault(e, []).append(t)
@@ -541,8 +555,7 @@ def interfering_contacts(g: TimeVaryingGraph, j: Journey,
     Includes j's own hops. These are exactly the contacts another journey
     may not use if it is to stay delta-disjoint from j.
     """
-    if delta < 1:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     hop_slots: dict[str, list[int]] = {}
     for e, t in j.hops:
         if g.has_edge(e):

@@ -21,7 +21,7 @@ from .maxflow import exact_maxflow_delta, greedy_bound_certificate
 from .mincut import (analyze_exact, exact_mincut_delta, sandwich_check,
                      set_weights, verify_cut, weighted_mincut_1)
 from .tvg import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
-                  _check_pair, interferes, is_valid_journey)
+                  _check_delta, _check_pair, interferes, is_valid_journey)
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ def check_analysis(g: TimeVaryingGraph, s: str, d: str, delta: int,
     missing key, a wrong type, a removal on an edge g lacks) gives one
     `unreadable ...` problem."""
     _check_pair(g, s, d)
-    if delta < 1:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     try:
         flow, cut = doc["maxflow"], doc["mincut"]
         fcert, ccert = doc["certificates"]["flow"], doc["certificates"]["cut"]

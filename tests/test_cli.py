@@ -15,7 +15,8 @@ import tempocut
 from tempocut import (CutResult, InstanceTooLargeError, TimeVaryingGraph,
                       check_analysis, gen_counterexample, gen_random_tvg)
 from tempocut import experiments, generators, mincut, verify
-from tempocut.cli import _build_parser, _expand_sweep, _parse_int_list, main
+from tempocut.cli import _build_parser, _parse_int_list, main
+from tempocut.simulate import _expand_sweep
 
 TRACE = """node_a,node_b,start,duration
 a,b,5,3
@@ -62,8 +63,8 @@ def test_expand_sweep_stays_within_its_point_budget(monkeypatch):
             (9, 9, 1, None), (8, 9, 1, "9 points, more than 8"),
             (9, 27, 3, None), (8, 27, 3, "9 points, more than 8"),
             (9, 26, 3, "27 packet records, more than 26")]:
-        monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", points)
-        monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_RECORDS", records)
+        monkeypatch.setattr(tempocut.simulate, "MAX_SWEEP_POINTS", points)
+        monkeypatch.setattr(tempocut.simulate, "MAX_SWEEP_RECORDS", records)
         if refusal is None:
             assert _expand_sweep(*axes, packets=packets) == [[1, 2, 4],
                                                              [1, 3, 4]]
@@ -497,20 +498,20 @@ def test_simulate_csv(tmp_path, capsys, monkeypatch):
     main(argv)
     assert capsys.readouterr().out == first
     # 2 copies x 3 spacings x 1 deadline: a budget of 6 points runs them
-    monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", 6)
+    monkeypatch.setattr(tempocut.simulate, "MAX_SWEEP_POINTS", 6)
     assert main(argv) == 0
     assert capsys.readouterr().out == first
-    monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", 5)
+    monkeypatch.setattr(tempocut.simulate, "MAX_SWEEP_POINTS", 5)
     assert main(argv) == 3
     assert capsys.readouterr() == (
         "", "error: sweep too large: 6 points, more than 5\n")
     # the 6 points share one walk a packet: 30 packets x 18 edges x (1 +
     # 0.1 x 10 slots) steps
-    monkeypatch.setattr(tempocut.cli, "MAX_SWEEP_POINTS", 6)
-    monkeypatch.setattr(tempocut.cli, "MAX_WALK_STEPS", 1080)
+    monkeypatch.setattr(tempocut.simulate, "MAX_SWEEP_POINTS", 6)
+    monkeypatch.setattr(tempocut.simulate, "MAX_WALK_STEPS", 1080)
     assert main(argv) == 0
     assert capsys.readouterr().out == first
-    monkeypatch.setattr(tempocut.cli, "MAX_WALK_STEPS", 1079)
+    monkeypatch.setattr(tempocut.simulate, "MAX_WALK_STEPS", 1079)
     assert main(argv) == 3
     assert capsys.readouterr() == (
         "", "error: sweep too large: 1080 walk steps, more than 1079\n")

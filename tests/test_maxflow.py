@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
                       analyze_exact, build_line_graph, check_analysis,
-                      discretize, exact_maxflow_delta, gen_random_tvg,
+                      delta_cover, discretize, exact_maxflow_delta,
+                      exact_mincut_delta, gen_random_tvg,
                       greedy_bound_certificate, greedy_maxflow_delta,
                       interferes, is_valid_journey, Journey, min_hop_path,
-                      node_disjoint_maxflow, parse_contact_trace)
+                      minweight_mincut_delta, node_disjoint_maxflow,
+                      parse_contact_trace, set_weights, survivability_bounds)
 from tempocut import maxflow
 from tempocut.experiments import star_core_trace
 from tempocut.maxflow import _closed_masks, _drop_dominated, _journey_tree
@@ -447,13 +449,36 @@ def test_flow_result_shape(relay):
     assert obj["count"] == len(obj["journeys"])
 
 
-def test_delta_must_be_positive(relay):
-    with pytest.raises(ValueError, match="positive"):
-        greedy_maxflow_delta(relay, "s", "d", 0)
-    with pytest.raises(ValueError, match="positive"):
-        exact_maxflow_delta(relay, "s", "d", 0)
-    with pytest.raises(ValueError, match="positive"):
-        check_analysis(relay, "s", "d", 0, {})
+_HOP = Journey((Contact("e1", 1),))
+
+
+@pytest.mark.parametrize("query", [
+    pytest.param(lambda g: greedy_maxflow_delta(g, "s", "d", 0),
+                 id="greedy_maxflow_delta"),
+    pytest.param(lambda g: exact_maxflow_delta(g, "s", "d", 0),
+                 id="exact_maxflow_delta"),
+    pytest.param(lambda g: minweight_mincut_delta(g, "s", "d", 0),
+                 id="minweight_mincut_delta"),
+    pytest.param(lambda g: exact_mincut_delta(g, "s", "d", 0),
+                 id="exact_mincut_delta"),
+    pytest.param(lambda g: analyze_exact(g, "s", "d", 0), id="analyze_exact"),
+    pytest.param(lambda g: survivability_bounds(g, "s", "d", 1, 0),
+                 id="survivability_bounds"),
+    pytest.param(lambda g: set_weights(g, 0), id="set_weights"),
+    pytest.param(lambda g: delta_cover(contacts(g), 0), id="delta_cover"),
+    pytest.param(lambda g: interferes(_HOP, _HOP, 0), id="interferes"),
+    pytest.param(lambda g: interfering_contacts(g, _HOP, 0),
+                 id="interfering_contacts"),
+    pytest.param(lambda g: greedy_bound_certificate(1, 1, 2, 3, 0),
+                 id="greedy_bound_certificate"),
+    pytest.param(lambda g: check_analysis(g, "s", "d", 0, {}),
+                 id="check_analysis"),
+])
+def test_every_delta_query_says_delta_must_be_positive(relay, query):
+    # every public query that takes a delta refuses one below 1 with the
+    # one message tvg._check_delta writes
+    with pytest.raises(ValueError, match="^delta must be positive$"):
+        query(relay)
 
 
 @given(graphs, deltas)

@@ -612,6 +612,20 @@ def test_check_analysis_pins_the_problems_of_each_edit(edit, problems):
     assert check_analysis(g, s, d, 2, doc) == problems
 
 
+def test_exact_analysis_hands_out_a_fresh_document_each_time():
+    # editing one printed document must not edit the analysis behind it
+    g, s, d = gen_counterexample(2)
+    res = analyze_exact(g, s, d, 2)
+    doc = res.to_json_dict()
+    want = json.loads(json.dumps(doc))
+    doc["certificates"]["flow"]["greedy"] = 9
+    doc["certificates"]["cut"]["optimal"] = 9
+    res.certificates["flow"]["within_ratio"] = False
+    assert res.to_json_dict() == want
+    assert res.certificates["flow"] == {"greedy": 1, "optimal": 1,
+                                        "within_ratio": True}
+
+
 def test_certificates_suite_reports_the_first_problem(monkeypatch):
     assert verify.suite_certificates(4).summary() == \
         "certificates: 8 checks, all ok"

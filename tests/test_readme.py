@@ -1,13 +1,16 @@
 """README's Library example runs, each of its `expression  # value`
-lines holds, every command of its Command line block parses, and the size
+lines holds, every command of its Command line block parses, the size
 budgets its exit codes and the exact oracles' default caps name are the
-code's."""
+code's, and every `module.NAME` it names in code exists."""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 import re
 
-from tempocut import cli, generators, maxflow, mincut, traces
+import tempocut
+from tempocut import generators, maxflow, mincut, simulate, traces
 from tempocut.cli import _build_parser
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -45,9 +48,9 @@ def test_readme_exit_code_budgets_are_the_codes():
     found = re.findall(r"(\d[\d,]*) (points|packet records|walk steps|"
                        r"contacts|edges|slot draws)\b", " ".join(para.split()))
     assert {(unit, int(n.replace(",", ""))) for n, unit in found} == {
-        ("points", cli.MAX_SWEEP_POINTS),
-        ("packet records", cli.MAX_SWEEP_RECORDS),
-        ("walk steps", cli.MAX_WALK_STEPS),
+        ("points", simulate.MAX_SWEEP_POINTS),
+        ("packet records", simulate.MAX_SWEEP_RECORDS),
+        ("walk steps", simulate.MAX_WALK_STEPS),
         ("contacts", traces.MAX_WINDOW_CONTACTS),
         ("edges", traces.MAX_WINDOW_CONTACTS),
         ("slot draws", generators.MAX_SLOT_DRAWS)}
@@ -61,3 +64,14 @@ def test_readme_cap_defaults_are_the_codes():
     assert {(unit, int(n.replace(",", ""))) for n, unit in found} == {
         ("removal heads", mincut.DEFAULT_HEAD_CAP),
         ("candidate journeys", maxflow.DEFAULT_JOURNEY_CAP)}
+
+
+def test_readme_code_references_resolve():
+    modules = {"tempocut": tempocut} | {
+        m.name: importlib.import_module(f"tempocut.{m.name}")
+        for m in pkgutil.iter_modules(tempocut.__path__)}
+    refs = {(module, name) for module, name in re.findall(
+        r"`(\w+)\.(\w+)", README.read_text()) if module in modules}
+    assert len(refs) >= 8
+    assert sorted(f"{module}.{name}" for module, name in refs
+                  if not hasattr(modules[module], name)) == []

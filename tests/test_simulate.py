@@ -3,14 +3,16 @@
 import hashlib
 import itertools
 import random
+import time
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tempocut.simulate
-from tempocut import (DeltaRemoval, FailureModel, SimConfig, TimeVaryingGraph,
-                      check_sweep, gen_random_tvg, greedy_maxflow_delta,
+from tempocut import (DeltaRemoval, FailureModel, InstanceTooLargeError,
+                      SimConfig, TimeVaryingGraph, check_sweep,
+                      gen_random_tvg, greedy_maxflow_delta,
                       journeys_delivered, run_simulation, sample_failures,
                       sweep, sweep_to_csv)
 from tempocut.simulate import (_carve_window, _derive_seed, _draw_pair,
@@ -344,6 +346,34 @@ def test_sweep_rejects_a_bad_point_before_any_plan(monkeypatch):
         sweep(g, [1, 2], [1, 99], [t, t + 1], 50, 0.1, 3, 1)
     with pytest.raises(ValueError, match=r"^delta must lie in \[1, deadline"):
         sweep(g, [1], [1, 2, 99], [t], 50, 0.1, 3, 1)
+
+
+def test_check_sweep_is_the_sweep_gate(monkeypatch):
+    # 18 edges; 2 copies x 3 spacings x 1 deadline make 6 points, 180
+    # packet records and 30 x 18 x (1 + 0.1 x 10 slots) = 1,080 walk steps
+    g = gen_random_tvg(6, 10, 0.5, 4)
+    axes = [range(1, 3)], [range(1, 2), range(2, 4)], [range(10, 11)]
+    assert check_sweep(g, *axes, 30, 0.1, 2) == [[1, 2], [1, 2, 3], [10]]
+    for name, limit, message in [
+            ("MAX_SWEEP_POINTS", 5, "6 points, more than 5"),
+            ("MAX_SWEEP_RECORDS", 179, "180 packet records, more than 179"),
+            ("MAX_WALK_STEPS", 1079, "1080 walk steps, more than 1079")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(tempocut.simulate, name, limit + 1)
+            assert check_sweep(g, *axes, 30, 0.1, 2)[0] == [1, 2]
+            patch.setattr(tempocut.simulate, name, limit)
+            with pytest.raises(InstanceTooLargeError,
+                               match=f"^sweep too large: {message}$"):
+                check_sweep(g, *axes, 30, 0.1, 2)
+    # a huge axis is checked and counted, never expanded
+    huge = [range(0, 10**10)]
+    with pytest.raises(ValueError, match="^need at least one copy"):
+        check_sweep(g, huge, *axes[1:], 30, 0.1, 2)
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLargeError, match="^sweep too large: "
+                       "29999999997 points, more than 1000000$"):
+        check_sweep(g, [range(1, 10**10)], *axes[1:], 30, 0.1, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 # an axis as _parse_int_list gives it: nonempty ascending ranges, here with
