@@ -298,8 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="run the exact oracles and print certificates")
     p.add_argument("--cap", type=_positive_int,
-                   help="exact oracles' size cap (default 25,000 candidate "
-                        "journeys, 2,000 removal heads)")
+                   help=f"exact oracles' size cap (default "
+                        f"{DEFAULT_JOURNEY_CAP:,} candidate journeys, "
+                        f"{DEFAULT_HEAD_CAP:,} removal heads)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("survivable",
@@ -313,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="settle the verdict with the exact cut oracle")
     p.add_argument("--cap", type=_positive_int,
-                   help="exact cut oracle's size cap (default 2,000 removal "
-                        "heads)")
+                   help=f"exact cut oracle's size cap (default "
+                        f"{DEFAULT_HEAD_CAP:,} removal heads)")
     p.set_defaults(func=cmd_survivable)
 
     p = sub.add_parser("simulate", help="loss-rate sweep, CSV per point")

@@ -62,7 +62,7 @@ def gap_cells(instances: int, nodes: int, horizon: int, p: float, deltas,
             res = analyze_exact(g, src, dst, delta)
             cells.append((seed, delta, res.greedy.count, res.flow.count,
                           res.rounded.count, res.cut.count,
-                          res.certificates["flow"]["within_ratio"]))
+                          res.within_ratio))
     return cells
 
 

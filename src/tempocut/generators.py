@@ -16,12 +16,16 @@ from itertools import islice
 from typing import Iterator
 
 from . import traces
-from .tvg import InstanceTooLargeError, TimeVaryingGraph, _check_budget
+from .tvg import (InstanceTooLargeError, TimeVaryingGraph, _check_budget,
+                  _check_cap)
 
 # gen_random_tvg draws once per (edge, slot), at 0.08-0.1 us a draw (2-CPU
 # x86-64 host, Python 3.11), so a refused graph would draw for more than
 # about 80 s.
 MAX_SLOT_DRAWS = 1_000_000_000
+# bledp_exact refuses more candidate paths than this: it intersects every
+# pair of them and branches over their conflict masks.
+MAX_BLEDP_PATHS = 4000
 
 
 def gen_random_tvg(node_count: int, horizon: int, p: float,
@@ -316,14 +320,11 @@ def bledp_exact(wd: WeightedDigraph) -> int:
 
     Simple paths suffice: dropping a cycle from a path only shortens it
     and releases arcs, so some optimal packing is cycle-free. The walk
-    stops at the 4,001st path and raises InstanceTooLargeError.
+    stops at path MAX_BLEDP_PATHS + 1 and raises InstanceTooLargeError.
     """
-    paths = list(islice(_simple_bounded_paths(wd), 4001))
+    paths = list(islice(_simple_bounded_paths(wd), MAX_BLEDP_PATHS + 1))
     m = len(paths)
-    if m > 4000:
-        raise InstanceTooLargeError(
-            "instance too large for exact oracle: more than 4000 candidate "
-            "paths")
+    _check_cap(m, MAX_BLEDP_PATHS, "candidate paths")
     conflict = [0] * m
     for i in range(m):
         ai = set(paths[i])

@@ -27,7 +27,7 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .tvg import (Contact, Journey, TimeVaryingGraph, _check_pair,
-                  _contact_index, _contacts_of)
+                  _contact_index, _contacts_of, _path_to)
 
 SRC = 0  # node index of the source terminal
 DST = 1  # node index of the destination terminal
@@ -141,15 +141,6 @@ def _min_hop_ids(g: TimeVaryingGraph, s: str, d: str,
                 lo[h] = k
         frontier = nxt
     return None
-
-
-def _path_to(parent: list[int], c: int) -> tuple[int, ...]:
-    """The ids from a root (its own parent) down to c."""
-    hops = [c]
-    while parent[c] != c:
-        c = parent[c]
-        hops.append(c)
-    return tuple(reversed(hops))
 
 
 def node_disjoint_maxflow(lg: LineGraph,

@@ -22,8 +22,8 @@ from operator import or_
 from typing import Callable, NamedTuple
 
 from .linegraph import _min_hop_ids, _time_expanded_flow, time_expanded_maxflow
-from .tvg import (InstanceTooLargeError, Journey, TimeVaryingGraph,
-                  _check_delta, _check_pair, _contact_index, _contacts_of,
+from .tvg import (Journey, TimeVaryingGraph, _check_cap, _check_delta,
+                  _check_pair, _contact_index, _contacts_of,
                   _contacts_reaching, _run_table)
 
 DEFAULT_JOURNEY_CAP = 25_000
@@ -137,9 +137,7 @@ def _journey_tree(g: TimeVaryingGraph, s: str, d: str, delta: int,
             up.append(parent)
             k = len(leaf)
             if h == d:
-                if k >= cap:
-                    raise InstanceTooLargeError(
-                        f"instance too large for exact oracle: more than {cap} candidate journeys")
+                _check_cap(k + 1, cap, "candidate journeys")
                 leaf.append(n)
                 users[i] |= 1 << k
                 continue

@@ -25,9 +25,9 @@ from math import ceil, lcm
 from .linegraph import _time_expanded_flow, time_expanded_maxflow
 from .maxflow import (DEFAULT_JOURNEY_CAP, FlowResult, _exact_flow_search,
                       greedy_bound_certificate, greedy_maxflow_delta)
-from .tvg import (Contact, DeltaRemoval, InstanceTooLargeError,
-                  TimeVaryingGraph, _check_delta, _check_pair, _check_removal,
-                  _contact_id, _contact_index, _contacts_of, _footprint_ids,
+from .tvg import (Contact, DeltaRemoval, TimeVaryingGraph, _check_cap,
+                  _check_delta, _check_pair, _check_removal, _contact_id,
+                  _contact_index, _contacts_of, _footprint_ids,
                   _min_hop_surviving, _run_table)
 
 DEFAULT_HEAD_CAP = 2000
@@ -217,9 +217,8 @@ def _exact_cut_search(g: TimeVaryingGraph, s: str, d: str, delta: int,
     """
     upper = rounded.count
     floor = max(len(family), ceil(rounded.weight_lower_bound), 1)
-    if floor < upper and g.contact_count > head_cap:
-        raise InstanceTooLargeError(
-            f"instance too large for exact oracle: more than {head_cap} removal heads")
+    if floor < upper:
+        _check_cap(g.contact_count, head_cap, "removal heads")
 
     back, reach = _run_table(g, delta)
     # dead[i] counts the chosen removals and peel masks that take out

@@ -105,17 +105,6 @@ class ContactStats:
     histogram: dict[int, int]                               # duration -> count
     pair_intervals: dict[tuple[str, str], list[tuple[int, int]]]
 
-    @property
-    def total(self) -> int:
-        return sum(self.histogram.values())
-
-    def mass_below(self, threshold: int) -> float:
-        """Fraction of contacts with duration < threshold seconds."""
-        if self.total == 0:
-            return 0.0
-        short = sum(c for d, c in self.histogram.items() if d < threshold)
-        return short / self.total
-
 
 def contact_stats(records) -> ContactStats:
     hist: dict[int, int] = {}

@@ -6,10 +6,12 @@ so a journey is a chain of contacts (edge, slot) with strictly increasing
 slots. A delta-removal knocks an edge out for delta consecutive slots.
 
 This module holds the model types and the operations everything else is
-built on: validation, the one size-budget, delta and pair checks
-(_check_budget, _check_delta, _check_pair), contacts, journey checks,
-removal footprints, interference, and _min_hop_surviving, the min-hop
-search behind reachable, verify_cut and the exact cut search.
+built on: validation, the one size-budget, exact-oracle cap, delta and
+pair checks (_check_budget, _check_cap, _check_delta, _check_pair),
+contacts, journey checks, removal footprints, interference, and
+_min_hop_surviving, the min-hop search behind reachable, verify_cut and
+the exact cut search. _path_to walks a search's parents back to its root,
+for both min-hop searches.
 
 Each graph keeps a contact index, built on first use (_contact_index):
 integer contact ids in contacts(g) order, per node the ids leaving it
@@ -27,11 +29,13 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class InstanceTooLargeError(RuntimeError):
-    """Raised when an exact oracle would exceed its configured budget."""
+    """Raised when an input exceeds a size budget (_check_budget: trace
+    window, random graph, bledp expansion, sweep) or an exact oracle's cap
+    (_check_cap)."""
 
 
 def _check_budget(count: int, limit: int, what: str, unit: str) -> None:
@@ -40,6 +44,14 @@ def _check_budget(count: int, limit: int, what: str, unit: str) -> None:
     if count > limit:
         raise InstanceTooLargeError(
             f"{what} too large: {count} {unit}, more than {limit}")
+
+
+def _check_cap(count: int, cap: int, unit: str) -> None:
+    """The one form of an exact oracle's cap: count units of search, more
+    than cap, raises InstanceTooLargeError naming the cap."""
+    if count > cap:
+        raise InstanceTooLargeError(
+            f"instance too large for exact oracle: more than {cap} {unit}")
 
 
 class Contact(NamedTuple):
@@ -79,12 +91,6 @@ class Journey:
 
     def to_json_obj(self) -> list[list]:
         return [[h.edge, h.slot] for h in self.hops]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
 
 
 class TimeVaryingGraph:
@@ -196,9 +202,9 @@ class TimeVaryingGraph:
                              "active must be lists, T and slots integers, "
                              "node names and endpoints strings")
         g = cls(nodes, raw_edges, horizon)
-        report = validate_graph(g)
-        if not report.ok:
-            raise ValueError("invalid graph: " + "; ".join(report.violations))
+        violations = validate_graph(g)
+        if violations:
+            raise ValueError("invalid graph: " + "; ".join(violations))
         return g
 
     @classmethod
@@ -222,8 +228,9 @@ def save_tvg(g: TimeVaryingGraph, path: str) -> None:
 # -- operations ------------------------------------------------------------
 
 
-def validate_graph(g: TimeVaryingGraph) -> ValidationReport:
-    """Check structural invariants; returns a report rather than raising."""
+def validate_graph(g: TimeVaryingGraph) -> list[str]:
+    """Every structural invariant g breaks, [] when it is sound; returns
+    them rather than raising."""
     violations: list[str] = []
     if g.horizon < 1:
         violations.append(f"horizon must be a positive integer, got {g.horizon}")
@@ -248,7 +255,7 @@ def validate_graph(g: TimeVaryingGraph) -> ValidationReport:
         if slots and not 1 <= slots[0] <= slots[-1] <= g.horizon:
             violations.extend(f"{e.eid}: active slot {t} outside 1..{g.horizon}"
                               for t in slots if not 1 <= t <= g.horizon)
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return violations
 
 
 def contacts(g: TimeVaryingGraph) -> list[Contact]:
@@ -482,18 +489,14 @@ def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
         # later expansion reaches one, so s's whole list counts as scanned
         if not dead[c] and best[e] > c and slot[c] > 0:
             best[e] = c
-            parent[c] = -1
+            parent[c] = c  # a root is its own parent
             frontier.append(c)
     lo = {s: 0}
 
     while frontier:
         for c in frontier:
             if head[c] == d:
-                hops = []
-                while c != -1:
-                    hops.append(c)
-                    c = parent[c]
-                return tuple(reversed(hops))
+                return _path_to(parent, c)
         nxt: list[int] = []
         for c in frontier:
             h, k = head[c], after[c]
@@ -514,6 +517,16 @@ def _min_hop_surviving(g: TimeVaryingGraph, s: str, d: str,
         nxt.sort(key=ix.rank.__getitem__)
         frontier = nxt
     return None
+
+
+def _path_to(parent: Mapping[int, int] | Sequence[int],
+             c: int) -> tuple[int, ...]:
+    """The ids from a root (its own parent) down to c."""
+    hops = [c]
+    while parent[c] != c:
+        c = parent[c]
+        hops.append(c)
+    return tuple(reversed(hops))
 
 
 def _contacts_reaching(g: TimeVaryingGraph, d: str) -> list[bool]:

@@ -61,14 +61,14 @@ def test_random_tvg_shape():
     assert len(g.edges) == 2 * (1 + 2 * 4)
     assert g.contact_count == len(g.edges) * 5
     assert gen_random_tvg(6, 5, 0.0, 0).contact_count == 0
-    assert validate_graph(g).ok
+    assert validate_graph(g) == []
 
 
 @given(st.integers(2, 12), st.integers(1, 8), st.integers(0, 999))
 @settings(max_examples=40)
 def test_random_tvg_always_valid(nodes, horizon, seed):
     g = gen_random_tvg(nodes, horizon, 0.4, seed)
-    assert validate_graph(g).ok
+    assert validate_graph(g) == []
     assert len(g.nodes) == nodes and g.horizon == horizon
 
 

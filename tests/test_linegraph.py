@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, Journey, TimeVaryingGraph,
-                      build_line_graph, exact_maxflow_delta,
-                      gen_counterexample, gen_random_tvg, is_valid_journey,
-                      min_hop_path, node_disjoint_maxflow, reachable,
-                      set_weights, time_expanded_maxflow, weighted_mincut_1)
+                      exact_maxflow_delta, gen_counterexample, gen_random_tvg,
+                      is_valid_journey, reachable, set_weights,
+                      time_expanded_maxflow, weighted_mincut_1)
 from tempocut import verify
 from tempocut.linegraph import (DST, SRC, _scaled_caps, _time_expanded_flow,
-                                _time_expanded_network)
+                                _time_expanded_network, build_line_graph,
+                                min_hop_path, node_disjoint_maxflow)
 from tempocut.mincut import _approximations
 from tempocut.tvg import _contact_id, _contacts_of, contacts
 from reference import apply_removals, enumerate_journeys
@@ -38,6 +38,17 @@ def _count_source_sink_paths(succ):
         return sum(walk(w) for w in succ[v])
 
     return walk(SRC)
+
+
+def test_the_reference_is_imported_from_its_module():
+    """The line-graph reference serves verify and the tests, so the
+    package does not export it; time_expanded_maxflow, an answer, stays."""
+    import tempocut
+    from tempocut import linegraph
+    for name in ("build_line_graph", "node_disjoint_maxflow", "min_hop_path"):
+        assert not hasattr(tempocut, name), name
+        assert callable(getattr(linegraph, name)), name
+    assert tempocut.time_expanded_maxflow is linegraph.time_expanded_maxflow
 
 
 def test_expansion_shape(relay):

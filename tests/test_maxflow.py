@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError,
-                      analyze_exact, build_line_graph, check_analysis,
-                      delta_cover, discretize, exact_maxflow_delta,
-                      exact_mincut_delta, gen_random_tvg,
+                      analyze_exact, check_analysis, delta_cover, discretize,
+                      exact_maxflow_delta, exact_mincut_delta, gen_random_tvg,
                       greedy_bound_certificate, greedy_maxflow_delta,
-                      interferes, is_valid_journey, Journey, min_hop_path,
-                      minweight_mincut_delta, node_disjoint_maxflow,
-                      parse_contact_trace, set_weights, survivability_bounds)
+                      interferes, is_valid_journey, Journey,
+                      minweight_mincut_delta, parse_contact_trace,
+                      set_weights, survivability_bounds)
 from tempocut import maxflow
 from tempocut.experiments import star_core_trace
+from tempocut.linegraph import (build_line_graph, min_hop_path,
+                                node_disjoint_maxflow)
 from tempocut.maxflow import _closed_masks, _drop_dominated, _journey_tree
 from tempocut.tvg import contacts, interfering_contacts
 from reference import apply_removals, enumerate_journeys

@@ -503,7 +503,8 @@ def test_exact_respects_head_cap():
     bound already meets the rounded cut, as on m0 at delta 1 and 2 and on
     40 x 60 (4,580 contacts, over the default cap) at delta 1, 2 and 3."""
     g = gen_random_tvg(10, 12, 0.5, 0)
-    with pytest.raises(InstanceTooLargeError, match="removal heads"):
+    with pytest.raises(InstanceTooLargeError, match="^instance too large for "
+                       "exact oracle: more than 50 removal heads$"):
         exact_mincut_delta(g, "n1", "n10", 3, head_cap=50)
     assert exact_mincut_delta(g, "n1", "n10", 3, head_cap=200).count == 5
     for delta, count in ((1, 9), (2, 7)):

@@ -3,6 +3,7 @@ lines holds, every command of its Command line block parses, the size
 budgets its exit codes and the exact oracles' default caps name are the
 code's, and every `module.NAME` it names in code exists."""
 
+import argparse
 import ast
 import importlib
 import pathlib
@@ -56,14 +57,31 @@ def test_readme_exit_code_budgets_are_the_codes():
         ("slot draws", generators.MAX_SLOT_DRAWS)}
 
 
+def _caps(text):
+    found = re.findall(r"(\d[\d,]*) (removal heads|candidate journeys|"
+                       r"candidate paths)\b", " ".join(text.split()))
+    return {(unit, int(n.replace(",", ""))) for n, unit in found}
+
+
 def test_readme_cap_defaults_are_the_codes():
-    para = re.search(r"The exact oracles cap(.*?)\n\n", README.read_text(),
-                     re.S).group(1)
-    found = re.findall(r"(\d[\d,]*) (removal heads|candidate journeys)\b",
-                       " ".join(para.split()))
-    assert {(unit, int(n.replace(",", ""))) for n, unit in found} == {
-        ("removal heads", mincut.DEFAULT_HEAD_CAP),
-        ("candidate journeys", maxflow.DEFAULT_JOURNEY_CAP)}
+    """README's cap paragraph, every `candidate paths` it names and both
+    parsers' --cap help state the code's caps."""
+    heads = ("removal heads", mincut.DEFAULT_HEAD_CAP)
+    journeys = ("candidate journeys", maxflow.DEFAULT_JOURNEY_CAP)
+    text = README.read_text()
+    para = re.search(r"The exact oracles cap(.*?)\n\n", text, re.S).group(1)
+    assert _caps(para) == {heads, journeys}
+    paths = re.findall(r"\d[\d,]* candidate\s+paths", text)
+    assert len(paths) == 2
+    assert _caps(" ".join(paths)) == {
+        ("candidate paths", generators.MAX_BLEDP_PATHS)}
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, caps in (("analyze", {heads, journeys}),
+                          ("survivable", {heads})):
+        cap, = (a for a in commands[command]._actions
+                if a.option_strings == ["--cap"])
+        assert _caps(cap.help) == caps, command
 
 
 def test_readme_code_references_resolve():

@@ -68,7 +68,7 @@ def test_discretize_links_no_node_to_itself():
                     ContactRecord("a", "b", 1, 1)], 0, 5)
     assert g.nodes == ("a", "b")
     assert [(e.src, e.dst) for e in g.edges] == [("a", "b"), ("b", "a")]
-    assert validate_graph(g).ok
+    assert validate_graph(g) == []
 
 
 def test_discretize_window_and_directions():
@@ -82,7 +82,7 @@ def test_discretize_window_and_directions():
     # (b,c,0,1) and (a,c,50,2) fall outside the window: no edge at all
     assert _active(g, "b", "c") == ()
     assert _active(g, "a", "c") == ()
-    assert validate_graph(g).ok
+    assert validate_graph(g) == []
 
 
 def test_discretize_clips_to_horizon():
@@ -102,7 +102,7 @@ def test_zero_duration_contact_has_no_slots():
 @settings(max_examples=60)
 def test_discretize_always_yields_valid_graph(recs, window_start, horizon):
     g = discretize(recs, window_start, horizon)
-    assert validate_graph(g).ok
+    assert validate_graph(g) == []
     for e in g.edges:
         assert all(1 <= t <= horizon for t in g.active[e.eid])
 
@@ -124,9 +124,6 @@ def test_stats_and_csv():
     recs = parse_contact_trace(TRACE)
     stats = contact_stats(recs)
     assert stats.histogram == {3: 1, 1: 1, 2: 1}
-    assert stats.total == 3
-    assert stats.mass_below(3) == pytest.approx(2 / 3)
-    assert stats.mass_below(1) == 0.0
     assert stats.pair_intervals[("a", "c")] == [(50, 2)]
     assert histogram_csv(stats) == "duration,count\n1,1\n2,1\n3,1\n"
     assert pairs_csv(stats) == (
@@ -139,7 +136,3 @@ def test_stats_canonicalizes_pair_order():
                            ContactRecord("a", "z", 0, 2)])
     assert list(stats.pair_intervals) == [("a", "z")]
     assert stats.pair_intervals[("a", "z")] == [(0, 2), (1, 1)]
-
-
-def test_mass_below_empty():
-    assert contact_stats([]).mass_below(10) == 0.0

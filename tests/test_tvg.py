@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempocut import (Contact, DeltaRemoval, InstanceTooLargeError, Journey,
-                      TimeVaryingGraph, analyze_exact, build_line_graph,
-                      check_analysis, contacts, exact_maxflow_delta,
-                      exact_mincut_delta, gen_random_tvg, greedy_maxflow_delta,
-                      interferes, is_valid_journey, load_tvg, min_hop_path,
-                      minweight_mincut_delta, reachable, removal_footprint,
-                      save_tvg, survivability_bounds, time_expanded_maxflow,
+                      TimeVaryingGraph, analyze_exact, check_analysis,
+                      contacts, exact_maxflow_delta, exact_mincut_delta,
+                      gen_random_tvg, greedy_maxflow_delta, interferes,
+                      is_valid_journey, load_tvg, minweight_mincut_delta,
+                      reachable, removal_footprint, save_tvg,
+                      survivability_bounds, time_expanded_maxflow,
                       validate_graph, verify_cut)
+from tempocut.linegraph import build_line_graph, min_hop_path
 from tempocut.tvg import (_contacts_reaching, _min_hop_surviving,
                           _run_table, interfering_contacts)
 from reference import apply_removals, enumerate_journeys
@@ -72,35 +73,32 @@ def test_constructor_normalizes_slots():
 
 def test_validate_flags_duplicate_edge():
     g = TimeVaryingGraph(["a", "b"], [("a", "b", [1]), ("a", "b", [2])], 3)
-    report = validate_graph(g)
-    assert not report.ok
-    assert any("duplicate edge" in v for v in report.violations)
+    assert validate_graph(g) == ["e2: duplicate edge 'a'->'b'"]
 
 
 def test_validate_flags_unknown_endpoint_and_bad_slot():
     g = TimeVaryingGraph(["a"], [("a", "ghost", [0, 1, 9])], 3)
-    report = validate_graph(g)
-    assert any("not in node set" in v for v in report.violations)
-    assert any("outside 1..3" in v for v in report.violations)
+    violations = validate_graph(g)
+    assert any("not in node set" in v for v in violations)
+    assert any("outside 1..3" in v for v in violations)
 
 
 @pytest.mark.parametrize("slots", [[], [2], [1, 3], [0, 2], [2, 5],
                                    [0, 2, 4], [5, -1, 0, 4, 1]])
 def test_validate_flags_every_slot_outside_the_horizon(slots):
     g = TimeVaryingGraph(["a", "b"], [("a", "b", slots)], 3)
-    assert validate_graph(g).violations == tuple(
+    assert validate_graph(g) == [
         f"e1: active slot {t} outside 1..3" for t in sorted(slots)
-        if not 1 <= t <= 3)
+        if not 1 <= t <= 3]
 
 
 def test_validate_flags_repeated_node_and_self_loop():
     g = TimeVaryingGraph(["a", "b", "a", "a"], [("a", "a", [1]),
                                                 ("a", "b", [1])], 3)
     assert g.nodes == ("a", "b", "a", "a")
-    report = validate_graph(g)
-    assert report.violations == ("node 'a' listed more than once",
+    assert validate_graph(g) == ["node 'a' listed more than once",
                                  "node 'a' listed more than once",
-                                 "e1: self-loop 'a'->'a'")
+                                 "e1: self-loop 'a'->'a'"]
 
 
 def test_loads_rejects_invalid_document():
